@@ -8,7 +8,6 @@ network with randomized functions or topology and repeat the pipeline.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,7 +102,7 @@ def _node_setup(c: CollapsedNetwork, d: ProductDist) -> list[tuple[ProductDist, 
     return out
 
 
-def determinative_power(c: CollapsedNetwork, d: ProductDist, threads: int = 1) -> RankingResult:
+def determinative_power(c: CollapsedNetwork, d: ProductDist) -> RankingResult:
     """Sum the single-input mutual information of every node, per input.
 
     Inputs outside a node's relevant set contribute nothing to it (their
@@ -112,21 +111,9 @@ def determinative_power(c: CollapsedNetwork, d: ProductDist, threads: int = 1) -
     """
     _check_dist(c, d)
     totals = {name: 0.0 for name in c.inputs}
-
-    def node_mis(args):
-        node, (sub, spec) = args
-        return [(name, mi_spectral(spec, sub, 1 << t))
-                for t, name in enumerate(node.inputs)]
-
-    pairs = list(zip(c.nodes, _node_setup(c, d)))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(node_mis, pairs))
-    else:
-        results = [node_mis(p) for p in pairs]
-    for rows in results:
-        for name, mi in rows:
-            totals[name] += mi
+    for node, (sub, spec) in zip(c.nodes, _node_setup(c, d)):
+        for t, name in enumerate(node.inputs):
+            totals[name] += mi_spectral(spec, sub, 1 << t)
     tau = tuple(sorted(totals, key=lambda name: (-totals[name], name)))
     return RankingResult(totals, tau)
 
@@ -142,8 +129,8 @@ def uncertainty_curve(c: CollapsedNetwork, d: ProductDist,
         raise ValueError("order must list distinct declared inputs")
     if L is None:
         L = len(order)
-    if L > len(order):
-        raise ValueError(f"L = {L} exceeds the {len(order)} ordered inputs")
+    if not 0 <= L <= len(order):
+        raise ValueError(f"L = {L} outside 0..{len(order)}, the ordered inputs")
 
     setup = _node_setup(c, d)
     known_masks = [0] * len(c.nodes)
@@ -163,34 +150,26 @@ def uncertainty_curve(c: CollapsedNetwork, d: ProductDist,
     return UncertaintyCurve(tuple(points))
 
 
-def sensitivity_scatter(c: CollapsedNetwork, d: ProductDist,
-                        threads: int = 1) -> list[SensitivityRecord]:
+def sensitivity_scatter(c: CollapsedNetwork, d: ProductDist) -> list[SensitivityRecord]:
     """Per node: in-degree, average sensitivity, output bias, and the
     variance-based lower bound Var(f) min_i 1/sigma_i^2."""
     _check_dist(c, d)
-    setup = _node_setup(c, d)
-
-    def record(args) -> SensitivityRecord:
-        node, (sub, spec) = args
+    records = []
+    for node, (sub, spec) in zip(c.nodes, _node_setup(c, d)):
         p1 = (1.0 + spec.coeff(0)) / 2.0
         var = 4.0 * p1 * (1.0 - p1)
         if node.fn.arity:
             lower = var * float(np.min(1.0 / sub.sigma ** 2))
         else:
             lower = 0.0
-        return SensitivityRecord(
+        records.append(SensitivityRecord(
             name=node.name,
             in_degree=node.fn.arity,
             avg_sensitivity=avg_sensitivity_spectral(spec, sub),
             prob_one=p1,
             poincare_lower=lower,
-        )
-
-    pairs = list(zip(c.nodes, setup))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(record, pairs))
-    return [record(p) for p in pairs]
+        ))
+    return records
 
 
 def _exchanged_local(ln: LocalNetwork, rng: np.random.Generator, unate: bool) -> LocalNetwork:

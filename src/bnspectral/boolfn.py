@@ -10,8 +10,11 @@ Conventions used throughout the package:
   set for each ``i`` in ``S``.  ``Spectrum.coeffs[m]`` is the coefficient
   of the basis function indexed by the subset encoded in ``m``.
 
-Variable ``i`` therefore corresponds to a stride-``2**i`` pass in the fast
-transform, and truth tables serialize to little-endian hex strings.
+Every basis change is a tensor product of 2x2 matrices, one per variable,
+applied by ``kron_apply`` in Yates' order: each stage contracts the top
+index bit (the highest variable still pending) and writes it back as the
+bottom bit, so after ``n`` stages the index order is restored.  Truth
+tables serialize to little-endian hex strings.
 """
 
 from __future__ import annotations
@@ -175,17 +178,22 @@ class BoolFn:
             raise KeyError(f"unknown variable {name!r}") from None
 
 
+def _sign_index(x: Sequence[int]) -> int:
+    """Assignment index of a sequence of +1/-1 entries."""
+    b = 0
+    for j, v in enumerate(x):
+        if v == 1:
+            b |= 1 << j
+        elif v != -1:
+            raise ValueError("assignment entries must be +1 or -1")
+    return b
+
+
 def evaluate(f: BoolFn, x: Sequence[int]) -> int:
     """Evaluate ``f`` at a full sign assignment, returning +1 or -1."""
     if len(x) != f.arity:
         raise ValueError(f"assignment length {len(x)} != arity {f.arity}")
-    b = 0
-    for i, v in enumerate(x):
-        if v == 1:
-            b |= 1 << i
-        elif v != -1:
-            raise ValueError("assignment entries must be +1 or -1")
-    return 1 if (f.table >> b) & 1 else -1
+    return 1 if (f.table >> _sign_index(x)) & 1 else -1
 
 
 def relevant_variables(f: BoolFn) -> SubsetMask:
@@ -299,58 +307,55 @@ class Spectrum:
         return float(self.coeffs[mask])
 
 
-def transform(f: BoolFn, d: ProductDist, cap: int | None = None) -> Spectrum:
-    """Coefficients of ``f`` in the basis induced by ``d``.
+def kron_apply(arr: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
+    """(mats[k-1] kron ... kron mats[0]) applied to a length-2^k array.
 
-    Runs the per-variable butterfly in O(n 2^n): stage ``i`` projects each
-    (x_i = -1, x_i = +1) pair onto {1, (x_i - mu_i)/sigma_i}.  With
-    q = 1 - p the pair (a, b) maps to (q a + p b, (b - a) sigma / 2).
+    Yates' algorithm: stage ``j`` contracts the top index bit with
+    ``mats[k-1-j]`` and writes it back as the bottom bit.  Holds the input
+    copy plus one ping-pong buffer.
+    """
+    arr = np.array(arr, dtype=np.float64)
+    if arr.shape != (1 << len(mats),):
+        raise ValueError(f"array of shape {arr.shape} does not match {len(mats)} factors")
+    buf = np.empty_like(arr)
+    for m in reversed(mats):
+        np.matmul(m, arr.reshape(2, -1), out=buf.reshape(-1, 2).T)
+        arr, buf = buf, arr
+    return arr
+
+
+def _inverse_mats(d: ProductDist, idx: Iterable[int]) -> list[np.ndarray]:
+    """[[1, phi_i(-1)], [1, phi_i(+1)]] for each variable ``i`` in ``idx``."""
+    mu, sigma = d.mu.tolist(), d.sigma.tolist()
+    return [np.array([[1.0, (-1.0 - mu[i]) / sigma[i]], [1.0, (1.0 - mu[i]) / sigma[i]]])
+            for i in idx]
+
+
+def transform(f: BoolFn, d: ProductDist, cap: int | None = None) -> Spectrum:
+    """Coefficients of ``f`` in the basis induced by ``d``, in O(n 2^n).
+
+    Variable ``i`` maps the value pair (a, b) at (x_i = -1, x_i = +1) to its
+    projections onto {1, (x_i - mu_i)/sigma_i}: with q = 1 - p that is
+    (q a + p b, (b - a) sigma / 2), the matrix [[q, p], [-sigma/2, sigma/2]].
     """
     _check_same_arity(f.arity, d)
     _check_cap(f.arity, cap)
-    arr = f.signs.copy()
-    for i in range(f.arity):
-        p = d.probs[i]
-        half_sigma = d.sigma[i] / 2.0
-        view = arr.reshape(-1, 2, 1 << i)
-        a = view[:, 0, :].copy()
-        b = view[:, 1, :]
-        view[:, 0, :] = (1.0 - p) * a + p * b
-        view[:, 1, :] = (b - a) * half_sigma
-    return Spectrum(f.arity, arr)
-
-
-def _phi_table(d: ProductDist, x: Sequence[int]) -> np.ndarray:
-    """Basis values for every subset at one assignment, via a butterfly."""
-    out = np.ones(1 << d.arity, dtype=np.float64)
-    for i in range(d.arity):
-        phi = d.phi(i, x[i])
-        view = out.reshape(-1, 2, 1 << i)
-        view[:, 1, :] *= phi
-    return out
+    mats = [np.array([[1.0 - p, p], [-h, h]])
+            for p, h in zip(d.probs, (d.sigma / 2.0).tolist())]
+    return Spectrum(f.arity, kron_apply(f.signs, mats))
 
 
 def reconstruct(s: Spectrum, d: ProductDist, x: Sequence[int]) -> float:
     """Evaluate the multilinear polynomial with coefficients ``s`` at ``x``."""
-    _check_same_arity(s.arity, d)
     if len(x) != s.arity:
         raise ValueError(f"assignment length {len(x)} != arity {s.arity}")
-    return float(np.dot(s.coeffs, _phi_table(d, x)))
+    return float(reconstruct_table(s, d)[_sign_index(x)])
 
 
 def reconstruct_table(s: Spectrum, d: ProductDist) -> np.ndarray:
-    """Polynomial values at all 2^n assignments (inverse butterfly)."""
+    """Polynomial values at all 2^n assignments (the inverse transform)."""
     _check_same_arity(s.arity, d)
-    arr = s.coeffs.copy()
-    for i in range(s.arity):
-        phi_neg = d.phi(i, -1)
-        phi_pos = d.phi(i, 1)
-        view = arr.reshape(-1, 2, 1 << i)
-        a = view[:, 0, :].copy()
-        b = view[:, 1, :].copy()
-        view[:, 0, :] = a + b * phi_neg
-        view[:, 1, :] = a + b * phi_pos
-    return arr
+    return kron_apply(s.coeffs, _inverse_mats(d, range(s.arity)))
 
 
 def subset_coeffs(s: Spectrum, mask: SubsetMask) -> np.ndarray:
@@ -377,40 +382,15 @@ def conditional_expectation_table(s: Spectrum, d: ProductDist, mask: SubsetMask)
     to coefficients of subsets of ``mask``.
     """
     _check_same_arity(s.arity, d)
-    pos = indices_of(mask)
-    arr = subset_coeffs(s, mask).copy()
-    for j, p in enumerate(pos):
-        phi_neg = d.phi(p, -1)
-        phi_pos = d.phi(p, 1)
-        view = arr.reshape(-1, 2, 1 << j)
-        a = view[:, 0, :].copy()
-        b = view[:, 1, :].copy()
-        view[:, 0, :] = a + b * phi_neg
-        view[:, 1, :] = a + b * phi_pos
-    return arr
-
-
-def compact_weights(d: ProductDist, mask: SubsetMask) -> np.ndarray:
-    """Marginal Pr[X_mask = x] in the same compact order."""
-    w = np.ones(1, dtype=np.float64)
-    for p in (d.probs[i] for i in indices_of(mask)):
-        w = np.concatenate([w * (1.0 - p), w * p])
-    return w
+    return kron_apply(subset_coeffs(s, mask), _inverse_mats(d, indices_of(mask)))
 
 
 def conditional_expectation(s: Spectrum, d: ProductDist, mask: SubsetMask,
                             xa: Mapping[int, int]) -> float:
     """E[f(X) | X_A = x_A] as the subset-restricted polynomial at ``x_A``."""
     check_mask(mask, s.arity)
-    if set(xa) != set(indices_of(mask)):
-        raise ValueError("partial assignment must cover exactly the masked variables")
     pos = indices_of(mask)
-    k = len(pos)
-    prod = np.ones(1 << k, dtype=np.float64)
-    for j, p in enumerate(pos):
-        v = xa[p]
-        if v not in (-1, 1):
-            raise ValueError("assignment entries must be +1 or -1")
-        view = prod.reshape(-1, 2, 1 << j)
-        view[:, 1, :] *= d.phi(p, v)
-    return float(np.dot(subset_coeffs(s, mask), prod))
+    if set(xa) != set(pos):
+        raise ValueError("partial assignment must cover exactly the masked variables")
+    c = _sign_index([xa[p] for p in pos])
+    return float(conditional_expectation_table(s, d, mask)[c])

@@ -204,15 +204,17 @@ def _network_dist(c, p_spec: str | None) -> ProductDist:
 
 
 def cmd_analyze(args) -> int:
+    if args.top < 0:
+        raise InputError(f"--top must be nonnegative, got {args.top}")
     path = Path(args.network)
     text = path.read_text()
     net = parse(text)
     c = collapse(net, cap=args.cap)
     d = _network_dist(c, args.p)
-    ranking = determinative_power(c, d, threads=args.threads)
+    ranking = determinative_power(c, d)
     L = args.L if args.L is not None else len(ranking.tau)
     curve = uncertainty_curve(c, d, ranking.tau, L)
-    scatter = sensitivity_scatter(c, d, threads=args.threads)
+    scatter = sensitivity_scatter(c, d)
     baseline = None
     if args.baseline:
         spec = BaselineSpec(mode=args.baseline, trials=args.trials, seed=args.seed)
@@ -237,7 +239,6 @@ def cmd_analyze(args) -> int:
                 "constants": len(c.constants),
             },
             "cap": args.cap,
-            "threads": args.threads,
             "L": L,
         },
         "d_values": dict(ranking.d_values),
@@ -278,7 +279,7 @@ def cmd_baseline(args) -> int:
     net = parse(path.read_text())
     c = collapse(net, cap=args.cap)
     d = _network_dist(c, args.p)
-    ranking = determinative_power(c, d, threads=args.threads)
+    ranking = determinative_power(c, d)
     L = args.L if args.L is not None else len(ranking.tau)
     curve = uncertainty_curve(c, d, ranking.tau, L)
     spec = BaselineSpec(mode=args.mode, trials=args.trials, seed=args.seed)
@@ -315,7 +316,6 @@ def _add_function_args(sub: argparse.ArgumentParser) -> None:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--cap", type=int, default=None, help="arity cap override")
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--threads", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -18,10 +18,11 @@ from .boolfn import (
     ProductDist,
     Spectrum,
     SubsetMask,
+    _check_cap,
     check_mask,
-    compact_weights,
     conditional_expectation_table,
     indices_of,
+    kron_apply,
     relevant_variables,
     subset_coeffs,
     transform,
@@ -118,7 +119,7 @@ def cond_entropy_spectral(s: Spectrum, d: ProductDist, mask: SubsetMask) -> floa
     """
     check_mask(mask, s.arity)
     cond = conditional_expectation_table(s, d, mask)
-    w = compact_weights(d, mask)
+    w = d.marginal(indices_of(mask)).weights()
     return float(np.dot(w, _entropy_arr((1.0 + cond) / 2.0)))
 
 
@@ -283,41 +284,29 @@ def unate_coefficient_check(f: BoolFn, d: ProductDist) -> list[tuple[int, float,
     return rows
 
 
-NOISE_EXACT_MAX_ARITY = 12
-
-
 def noise_sensitivity(f: BoolFn, d: ProductDist, eps: float, mode: str = "exact",
                       samples: int = 10 ** 6, seed: int | None = None) -> float:
     """Probability the output changes when each input flips independently
-    with probability ``eps``."""
+    with probability ``eps``.
+
+    Exact mode costs O(n 2^n) at any arity up to the cap: it equals
+    (1 - E[f(X) (T f)(X)]) / 2 with T the tensor power of the one-variable
+    flip matrix [[1 - eps, eps], [eps, 1 - eps]].
+    """
     if not 0.0 <= eps <= 0.5:
         raise ValueError(f"flip probability {eps} outside [0, 1/2]")
-    if mode == "exact":
-        return _noise_sensitivity_exact(f, d, eps)
     if mode == "monte-carlo":
         est, _ = noise_sensitivity_mc(f, d, eps, samples=samples, seed=seed)
         return est
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def _noise_sensitivity_exact(f: BoolFn, d: ProductDist, eps: float) -> float:
-    if f.arity > NOISE_EXACT_MAX_ARITY:
-        raise ValueError(
-            f"exact noise sensitivity needs arity <= {NOISE_EXACT_MAX_ARITY}, got {f.arity}")
+    if mode != "exact":
+        raise ValueError(f"unknown mode {mode!r}")
     if f.arity != d.arity:
         raise ValueError("arity mismatch between function and distribution")
-    n = f.arity
-    s = f.bits
-    w = d.weights()
-    idx = np.arange(1 << n)
-    total = 0.0
-    for e in range(1 << n):
-        k = bin(e).count("1")
-        pr = eps ** k * (1.0 - eps) ** (n - k)
-        if pr == 0.0:
-            continue
-        total += pr * float(np.dot(w, s != s[idx ^ e]))
-    return total
+    _check_cap(f.arity, None)
+    flip = np.array([[1.0 - eps, eps], [eps, 1.0 - eps]])
+    tf = kron_apply(f.signs, [flip] * f.arity)
+    tf *= f.signs
+    return max((1.0 - float(np.dot(d.weights(), tf))) / 2.0, 0.0)
 
 
 def noise_sensitivity_mc(f: BoolFn, d: ProductDist, eps: float,
@@ -327,6 +316,8 @@ def noise_sensitivity_mc(f: BoolFn, d: ProductDist, eps: float,
         raise ValueError(f"flip probability {eps} outside [0, 1/2]")
     if f.arity != d.arity:
         raise ValueError("arity mismatch between function and distribution")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     rng = np.random.default_rng(seed)
     n = f.arity
     pow2 = (1 << np.arange(n)).astype(np.int64)

@@ -32,14 +32,17 @@ def basis_column(d: ProductDist, mask: SubsetMask) -> np.ndarray:
 
 
 def transform_naive(f: BoolFn, d: ProductDist) -> Spectrum:
-    """Double-loop transform: each coefficient as a full weighted sum."""
+    """Each coefficient as a full weighted sum, B^T (w * f), over the whole
+    basis matrix B[x, m] = prod_{i in m} (x_i - mu_i) / sigma_i."""
     if f.arity != d.arity:
         raise ValueError("arity mismatch between function and distribution")
-    w = d.weights()
-    s = f.signs
-    coeffs = np.array([float(np.dot(w, s * basis_column(d, m)))
-                       for m in range(1 << f.arity)])
-    return Spectrum(f.arity, coeffs)
+    idx = np.arange(1 << f.arity)
+    basis = np.ones((idx.size, idx.size))
+    for i in range(f.arity):
+        bit = (idx >> i) & 1
+        phi = (np.where(bit, 1.0, -1.0) - d.mu[i]) / d.sigma[i]
+        basis *= np.where(bit, phi[:, None], 1.0)
+    return Spectrum(f.arity, basis.T @ (d.weights() * f.signs))
 
 
 def _group_index(n: int, mask: SubsetMask) -> np.ndarray:
@@ -132,4 +135,19 @@ def network_cond_entropy(tables: np.ndarray, d: ProductDist, mask: SubsetMask) -
         counts = np.bincount(y_index[sel], weights=w[sel])
         probs = counts[counts > 0.0] / pa
         total += pa * float(-np.sum(probs * np.log2(probs)))
+    return total
+
+
+def noise_sensitivity_definitional(f: BoolFn, d: ProductDist, eps: float) -> float:
+    """Pr[f(X) != f(X xor E)] summed over every flip pattern E, O(4^n)."""
+    if f.arity != d.arity:
+        raise ValueError("arity mismatch between function and distribution")
+    n = f.arity
+    s = f.bits
+    w = d.weights()
+    idx = np.arange(1 << n)
+    total = 0.0
+    for e in range(1 << n):
+        k = bin(e).count("1")
+        total += eps ** k * (1.0 - eps) ** (n - k) * float(np.dot(w, s != s[idx ^ e]))
     return total

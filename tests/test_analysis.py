@@ -56,13 +56,6 @@ class TestDeterminativePower:
         r = determinative_power(c, ProductDist.uniform(2))
         assert r.d_values == {"a": 0.0, "b": 0.0}
 
-    def test_threads_match_sequential(self):
-        c = collapse(toy_network())
-        d = ProductDist.uniform(4)
-        seq = determinative_power(c, d, threads=1)
-        par = determinative_power(c, d, threads=4)
-        assert seq == par
-
     def test_missing_probabilities(self):
         c = collapse(toy_network())
         with pytest.raises(ValueError, match="declares"):
@@ -95,6 +88,11 @@ class TestUncertaintyCurve:
             uncertainty_curve(c, d, ("a", "nope"))
         with pytest.raises(ValueError):
             uncertainty_curve(c, d, ("a",), L=2)
+
+    def test_negative_L(self):
+        c = collapse(toy_network())
+        with pytest.raises(ValueError, match="L = -1"):
+            uncertainty_curve(c, ProductDist.uniform(4), ("a",), L=-1)
 
     def test_upper_bounds_exact_joint_entropy(self):
         rng = np.random.default_rng(19)

@@ -13,6 +13,7 @@ from bnspectral.boolfn import (
     conditional_expectation,
     default_labels,
     evaluate,
+    kron_apply,
     mask_of,
     reconstruct,
     reconstruct_table,
@@ -136,6 +137,27 @@ class TestBasis:
             whole = basis_eval(a, x, d)
             split = basis_eval(s, x, d) * basis_eval(a & ~s, x, d)
             assert whole == pytest.approx(split, abs=1e-12)
+
+
+class TestKronApply:
+    def test_matches_dense_kronecker_product(self):
+        rng = np.random.default_rng(3)
+        for k in range(0, 7):
+            mats = [rng.normal(size=(2, 2)) for _ in range(k)]
+            arr = rng.normal(size=1 << k)
+            dense = np.ones((1, 1))
+            for m in mats:
+                dense = np.kron(m, dense)  # mats[k-1] kron ... kron mats[0]
+            assert np.max(np.abs(kron_apply(arr, mats) - dense @ arr), initial=0.0) < 1e-12
+
+    def test_leaves_input_untouched(self):
+        arr = np.array([1.0, 2.0])
+        kron_apply(arr, [np.array([[0.0, 1.0], [1.0, 0.0]])])
+        assert list(arr) == [1.0, 2.0]
+
+    def test_length_must_match_factor_count(self):
+        with pytest.raises(ValueError):
+            kron_apply(np.ones(4), [np.eye(2)])
 
 
 class TestTransform:

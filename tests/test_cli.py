@@ -157,6 +157,16 @@ class TestExitCodes:
         assert main(["collapse", str(net), "--cap", "6"]) == 4
         assert "wide" not in capsys.readouterr().err  # names the node, not the file
 
+    def test_negative_L_is_3(self, toy_file, tmp_path, capsys):
+        assert main(["analyze", str(toy_file), "--L", "-1",
+                     "--out", str(tmp_path / "o")]) == 3
+        assert "L = -1" in capsys.readouterr().err
+
+    def test_negative_top_is_3(self, toy_file, tmp_path, capsys):
+        assert main(["analyze", str(toy_file), "--top", "-3",
+                     "--out", str(tmp_path / "o")]) == 3
+        assert "--top" in capsys.readouterr().err
+
     def test_usage_error_is_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["baseline", "whatever"])  # --mode is required

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bnspectral import reference
-from bnspectral.boolfn import BoolFn, ProductDist, default_labels, transform
+from bnspectral.boolfn import ArityCapError, BoolFn, ProductDist, default_labels, transform
 from bnspectral.measures import (
     avg_sensitivity,
     avg_sensitivity_spectral,
@@ -431,10 +431,33 @@ class TestNoiseSensitivity:
         with pytest.raises(ValueError):
             noise_sensitivity(and_fn(2), uniform2, 0.6)
 
-    def test_exact_arity_limit(self):
-        f = const_fn(13, 1)
-        with pytest.raises(ValueError):
-            noise_sensitivity(f, ProductDist.uniform(13), 0.1)
+    def test_exact_matches_definitional(self):
+        rng = np.random.default_rng(41)
+        for _ in range(60):
+            n = int(rng.integers(0, 9))
+            f = random_bool_fn(rng, n)
+            d = random_product_dist(rng, n)
+            eps = float(rng.uniform(0.0, 0.5))
+            want = reference.noise_sensitivity_definitional(f, d, eps)
+            assert noise_sensitivity(f, d, eps) == pytest.approx(want, abs=1e-12)
+
+    def test_exact_closed_forms_n16(self):
+        n = 16
+        idx = np.arange(1 << n)
+        ones = sum((idx >> i) & 1 for i in range(n))
+        parity = BoolFn.from_bit_array((n - ones) % 2 == 0)
+        dictator = BoolFn.from_bit_array((idx >> 3) & 1)
+        d = ProductDist(tuple(0.1 + 0.05 * i for i in range(n)))
+        for eps in (0.0, 0.03, 0.2, 0.5):
+            want = (1.0 - (1.0 - 2.0 * eps) ** n) / 2.0
+            assert noise_sensitivity(parity, d, eps) == pytest.approx(want, abs=1e-12)
+            assert noise_sensitivity(dictator, d, eps) == pytest.approx(eps, abs=1e-12)
+
+    def test_exact_checks_cap_before_building_tables(self):
+        f = BoolFn(26, default_labels(26), 0)
+        with pytest.raises(ArityCapError):
+            noise_sensitivity(f, ProductDist.uniform(26), 0.1)
+        assert "bits" not in vars(f) and "signs" not in vars(f)
 
     def test_monte_carlo_matches_exact(self, uniform2):
         f = and_fn(2)
@@ -443,6 +466,11 @@ class TestNoiseSensitivity:
         assert abs(est - exact) < 5 * se + 1e-9
         est2, _ = noise_sensitivity_mc(f, uniform2, 0.2, samples=200_000, seed=9)
         assert est == est2
+
+    def test_monte_carlo_rejects_nonpositive_samples(self, uniform2):
+        for samples in (0, -5):
+            with pytest.raises(ValueError, match="samples"):
+                noise_sensitivity_mc(and_fn(2), uniform2, 0.2, samples=samples)
 
 
 def test_variance_matches_spectrum(uniform3):
