@@ -12,12 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import ArityCapError, ProductDist, Spectrum, transform
-from .measures import (
-    avg_sensitivity_spectral,
-    cond_entropy_spectral,
-    mi_spectral,
-)
+from .boolfn import ArityCapError, ProductDist, kron_apply, sign_rows
+from .measures import CLAMP_BUDGET, _entropy_arr
 from .netlang import (
     CollapsedNetwork,
     LocalNetwork,
@@ -92,28 +88,99 @@ def _check_dist(c: CollapsedNetwork, d: ProductDist) -> None:
             f"distribution covers {d.arity} inputs, network declares {len(c.inputs)}")
 
 
-def _node_setup(c: CollapsedNetwork, d: ProductDist) -> list[tuple[ProductDist, Spectrum]]:
-    """Per-node marginal distribution and spectrum, in definition order."""
+def _factors(a, b, c, e) -> np.ndarray:
+    """Stack of 2x2 matrices [[a, b], [c, e]] over equal-shape arrays."""
+    return np.stack((a, b, c, e), axis=-1).reshape(*np.shape(a), 2, 2)
+
+
+def _phi(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Basis factors (x - mu) / sigma at x = -1 and x = +1, elementwise."""
+    mu = 2.0 * p - 1.0
+    sigma = 2.0 * np.sqrt(p * (1.0 - p))
+    return (-1.0 - mu) / sigma, (1.0 - mu) / sigma
+
+
+def _spectra_by_arity(c: CollapsedNetwork, d: ProductDist
+                      ) -> list[tuple[int, list[int], np.ndarray, np.ndarray]]:
+    """Node spectra, grouped by arity k and transformed one group at a time.
+
+    Each entry is (k, rows, p, coeffs): the group's node indices in
+    definition order, Pr[input = +1] as an (m, k) array in each node's input
+    order, and the (m, 2^k) coefficients, row r equal to
+    ``transform(node.fn, d.marginal(node's input indices))``.
+    """
     rank = {name: i for i, name in enumerate(c.inputs)}
+    groups: dict[int, list[int]] = {}
+    for i, node in enumerate(c.nodes):
+        groups.setdefault(node.fn.arity, []).append(i)
     out = []
-    for node in c.nodes:
-        sub = d.marginal([rank[name] for name in node.inputs])
-        out.append((sub, transform(node.fn, sub)))
+    for k, rows in sorted(groups.items()):
+        idx = np.array([[rank[name] for name in c.nodes[i].inputs] for i in rows],
+                       dtype=np.int64).reshape(len(rows), k)
+        p = d.p[idx]
+        h = np.sqrt(p * (1.0 - p))
+        mats = _factors(1.0 - p, p, -h, h)
+        signs = sign_rows([c.nodes[i].fn for i in rows])
+        out.append((k, rows, p, kron_apply(signs, [mats[:, t] for t in range(k)])))
     return out
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products; each row is summed exactly as ``np.dot`` would."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _cond_entropy_rows(coeffs: np.ndarray, p: np.ndarray, known: np.ndarray) -> np.ndarray:
+    """H(f | X_known) for each row of a group.
+
+    ``known`` is (m, j): each row's conditioning variables in ascending
+    order.  Row r gathers the coefficients of the subsets of its variables,
+    applies the inverse factors and weights the binary entropies of
+    (1 + E[f | x]) / 2 by the marginal weights, in the index order of
+    ``ProductDist.weights``.
+    """
+    m, j = known.shape
+    compact = np.arange(1 << j, dtype=np.int64)
+    full = np.zeros((m, 1 << j), dtype=np.int64)
+    for b in range(j):
+        full |= ((compact >> b) & 1) << known[:, b:b + 1]
+    pk = np.take_along_axis(p, known, axis=1)
+    lo, hi = _phi(pk)
+    ones = np.ones_like(pk)
+    mats = _factors(ones, lo, ones, hi)
+    cond = kron_apply(np.take_along_axis(coeffs, full, axis=1), [mats[:, b] for b in range(j)])
+    w = np.ones((m, 1))
+    for b in range(j):
+        w = np.concatenate([w * (1.0 - pk[:, b:b + 1]), w * pk[:, b:b + 1]], axis=1)
+    return _row_dot(w, _entropy_arr((1.0 + cond) / 2.0))
 
 
 def determinative_power(c: CollapsedNetwork, d: ProductDist) -> RankingResult:
     """Sum the single-input mutual information of every node, per input.
 
-    Inputs outside a node's relevant set contribute nothing to it (their
-    singleton coefficients vanish), so only relevant positions are summed.
-    Ties in the ranking break lexicographically by input name.
+    MI(f; x_i) needs only the empty-set and singleton coefficients, since
+    E[f | x_i] = c_0 + c_i phi_i(x_i).  Inputs outside a node's relevant set
+    have c_i = 0 and contribute nothing.  Ties in the ranking break
+    lexicographically by input name.
     """
     _check_dist(c, d)
+    node_mi: list[list[float]] = [[] for _ in c.nodes]
+    for k, rows, p, coeffs in _spectra_by_arity(c, d):
+        c0 = coeffs[:, :1]
+        ci = coeffs[:, [1 << t for t in range(k)]]
+        lo, hi = _phi(p)
+        mi = _entropy_arr((1.0 + c0) / 2.0) - (
+            (1.0 - p) * _entropy_arr((1.0 + (c0 + ci * lo)) / 2.0)
+            + p * _entropy_arr((1.0 + (c0 + ci * hi)) / 2.0))
+        if mi.size and mi.min() < -CLAMP_BUDGET:
+            raise ValueError(f"mutual information {mi.min()} below zero beyond tolerance")
+        for r, values in zip(rows, np.maximum(mi, 0.0).tolist()):
+            node_mi[r] = values
+    # accumulate in definition order, then input order, so sums (and ties) are stable
     totals = {name: 0.0 for name in c.inputs}
-    for node, (sub, spec) in zip(c.nodes, _node_setup(c, d)):
-        for t, name in enumerate(node.inputs):
-            totals[name] += mi_spectral(spec, sub, 1 << t)
+    for node, values in zip(c.nodes, node_mi):
+        for name, v in zip(node.inputs, values):
+            totals[name] += v
     tau = tuple(sorted(totals, key=lambda name: (-totals[name], name)))
     return RankingResult(totals, tau)
 
@@ -122,7 +189,12 @@ def uncertainty_curve(c: CollapsedNetwork, d: ProductDist,
                       order: tuple[str, ...] | list[str],
                       L: int | None = None) -> UncertaintyCurve:
     """A(l) = sum of per-node conditional entropies given the first l inputs
-    of ``order``, for l = 0..L."""
+    of ``order``, for l = 0..L.
+
+    A node of arity k only ever conditions on the first j of its inputs to
+    appear in ``order``, j = 0..k, so those k + 1 entropies are computed per
+    node up front and the curve steps through them.
+    """
     _check_dist(c, d)
     order = tuple(order)
     if len(set(order)) != len(order) or not set(order) <= set(c.inputs):
@@ -132,44 +204,57 @@ def uncertainty_curve(c: CollapsedNetwork, d: ProductDist,
     if not 0 <= L <= len(order):
         raise ValueError(f"L = {L} outside 0..{len(order)}, the ordered inputs")
 
-    setup = _node_setup(c, d)
-    known_masks = [0] * len(c.nodes)
-    h_values = [cond_entropy_spectral(spec, sub, 0) for sub, spec in setup]
-    position = {name: {i: node.inputs.index(name) for i, node in enumerate(c.nodes)
-                       if name in node.inputs}
-                for name in order}
+    known = order[:L]
+    position = {name: l for l, name in enumerate(known)}
+    node_h: list[list[float]] = [[] for _ in c.nodes]
+    for k, rows, p, coeffs in _spectra_by_arity(c, d):
+        when = np.array([[position.get(name, L) for name in c.nodes[i].inputs] for i in rows],
+                        dtype=np.int64).reshape(len(rows), k)
+        first = np.argsort(when, axis=1, kind="stable")
+        h = np.stack([_cond_entropy_rows(coeffs, p, np.sort(first[:, :j], axis=1))
+                      for j in range(k + 1)], axis=1)
+        for r, values in zip(rows, h.tolist()):
+            node_h[r] = values
 
+    feeds: dict[str, list[int]] = {name: [] for name in known}
+    for i, node in enumerate(c.nodes):
+        for name in node.inputs:
+            if name in feeds:
+                feeds[name].append(i)
+    steps = [0] * len(c.nodes)
+    h_values = [values[0] for values in node_h]
     points = [(0, float(sum(h_values)))]
-    for l in range(1, L + 1):
-        name = order[l - 1]
-        for i, t in position[name].items():
-            known_masks[i] |= 1 << t
-            sub, spec = setup[i]
-            h_values[i] = cond_entropy_spectral(spec, sub, known_masks[i])
+    for l, name in enumerate(known, 1):
+        for i in feeds[name]:
+            steps[i] += 1
+            h_values[i] = node_h[i][steps[i]]
         points.append((l, float(sum(h_values))))
     return UncertaintyCurve(tuple(points))
 
 
 def sensitivity_scatter(c: CollapsedNetwork, d: ProductDist) -> list[SensitivityRecord]:
     """Per node: in-degree, average sensitivity, output bias, and the
-    variance-based lower bound Var(f) min_i 1/sigma_i^2."""
+    variance-based lower bound Var(f) min_i 1/sigma_i^2.
+
+    The average sensitivity is sum_S c_S^2 sum_{i in S} 1/sigma_i^2.
+    """
     _check_dist(c, d)
-    records = []
-    for node, (sub, spec) in zip(c.nodes, _node_setup(c, d)):
-        p1 = (1.0 + spec.coeff(0)) / 2.0
+    stats: list[tuple[float, float, float]] = [(0.0, 0.0, 0.0)] * len(c.nodes)
+    for k, rows, p, coeffs in _spectra_by_arity(c, d):
+        sigma = 2.0 * np.sqrt(p * (1.0 - p))
+        masks = np.arange(1 << k, dtype=np.int64)
+        inv_var = np.zeros((len(rows), 1 << k))
+        for i in range(k):
+            inv_var += ((masks >> i) & 1) / sigma[:, i:i + 1] ** 2
+        p1 = (1.0 + coeffs[:, 0]) / 2.0
         var = 4.0 * p1 * (1.0 - p1)
-        if node.fn.arity:
-            lower = var * float(np.min(1.0 / sub.sigma ** 2))
-        else:
-            lower = 0.0
-        records.append(SensitivityRecord(
-            name=node.name,
-            in_degree=node.fn.arity,
-            avg_sensitivity=avg_sensitivity_spectral(spec, sub),
-            prob_one=p1,
-            poincare_lower=lower,
-        ))
-    return records
+        lower = var * np.min(1.0 / sigma ** 2, axis=1) if k else np.zeros(len(rows))
+        for r, *values in zip(rows, _row_dot(coeffs ** 2, inv_var).tolist(),
+                              p1.tolist(), lower.tolist()):
+            stats[r] = values
+    return [SensitivityRecord(name=node.name, in_degree=node.fn.arity,
+                              avg_sensitivity=avg, prob_one=p1, poincare_lower=lower)
+            for node, (avg, p1, lower) in zip(c.nodes, stats)]
 
 
 def _exchanged_local(ln: LocalNetwork, rng: np.random.Generator, unate: bool) -> LocalNetwork:

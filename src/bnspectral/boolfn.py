@@ -196,6 +196,19 @@ def evaluate(f: BoolFn, x: Sequence[int]) -> int:
     return 1 if (f.table >> _sign_index(x)) & 1 else -1
 
 
+def sign_rows(fns: Sequence[BoolFn]) -> np.ndarray:
+    """Outputs of functions of one arity as an (m, 2^arity) float64 array of
+    +1/-1 values, row r equal to ``fns[r].signs``, unpacked in one pass."""
+    arity = fns[0].arity
+    if any(f.arity != arity for f in fns):
+        raise ValueError("functions must share one arity")
+    size = 1 << arity
+    nbytes = max(1, size + 7 >> 3)
+    raw = np.frombuffer(b"".join(f.table.to_bytes(nbytes, "little") for f in fns), dtype=np.uint8)
+    bits = np.unpackbits(raw.reshape(len(fns), nbytes), axis=1, bitorder="little")[:, :size]
+    return bits * 2.0 - 1.0
+
+
 def relevant_variables(f: BoolFn) -> SubsetMask:
     """Mask of variables whose flip changes the output for some input."""
     mask = 0
@@ -308,18 +321,27 @@ class Spectrum:
 
 
 def kron_apply(arr: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
-    """(mats[k-1] kron ... kron mats[0]) applied to a length-2^k array.
+    """(mats[k-1] kron ... kron mats[0]) applied along the last axis of
+    ``arr``, whose length must be 2^k.
 
-    Yates' algorithm: stage ``j`` contracts the top index bit with
-    ``mats[k-1-j]`` and writes it back as the bottom bit.  Holds the input
-    copy plus one ping-pong buffer.
+    Leading axes of ``arr`` are a batch: each factor is either one (2, 2)
+    matrix shared by every row or a stack of per-row (2, 2) matrices whose
+    leading shape broadcasts against the batch.  Yates' algorithm: stage
+    ``j`` contracts the top index bit with ``mats[k-1-j]`` and writes it
+    back as the bottom bit.  Holds the input copy plus one ping-pong buffer.
     """
     arr = np.array(arr, dtype=np.float64)
-    if arr.shape != (1 << len(mats),):
+    if arr.shape[-1:] != (1 << len(mats),):
         raise ValueError(f"array of shape {arr.shape} does not match {len(mats)} factors")
+    lead = arr.shape[:-1]
     buf = np.empty_like(arr)
     for m in reversed(mats):
-        np.matmul(m, arr.reshape(2, -1), out=buf.reshape(-1, 2).T)
+        if lead:
+            np.matmul(m, arr.reshape(*lead, 2, -1),
+                      out=buf.reshape(*lead, -1, 2).swapaxes(-1, -2))
+        else:
+            # the single-function form, kept apart: its views are cheapest to build
+            np.matmul(m, arr.reshape(2, -1), out=buf.reshape(-1, 2).T)
         arr, buf = buf, arr
     return arr
 

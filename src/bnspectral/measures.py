@@ -142,7 +142,7 @@ def mi_spectral(s: Spectrum, d: ProductDist, mask: SubsetMask) -> float:
     h_out = binary_entropy(_clamp_prob((1.0 + s.coeff(0)) / 2.0))
     mi = h_out - cond_entropy_spectral(s, d, mask)
     if mi < -CLAMP_BUDGET:
-        raise AssertionError(f"mutual information {mi} below zero beyond tolerance")
+        raise ValueError(f"mutual information {mi} below zero beyond tolerance")
     return max(mi, 0.0)
 
 

@@ -10,12 +10,18 @@ from bnspectral.analysis import (
     sensitivity_scatter,
     uncertainty_curve,
 )
-from bnspectral.boolfn import ProductDist, mask_of
-from bnspectral.measures import binary_entropy
-from bnspectral.netlang import collapse, localize, node_tables, parse
+from bnspectral.boolfn import ProductDist, mask_of, transform
+from bnspectral.measures import (
+    avg_sensitivity_spectral,
+    binary_entropy,
+    cond_entropy_spectral,
+    mi_spectral,
+    prob_one,
+)
+from bnspectral.netlang import Const, Network, collapse, localize, node_tables, parse
 from bnspectral.reference import network_cond_entropy
 
-from conftest import random_network
+from conftest import random_network, random_product_dist
 
 
 def toy_network():
@@ -174,6 +180,63 @@ class TestSensitivityScatter:
         c = collapse(parse("y = a AND b\n"))
         rec = sensitivity_scatter(c, ProductDist.uniform(2))[0]
         assert rec.poincare_lower == pytest.approx(4 * 0.25 * 0.75, abs=1e-12)
+
+
+def _per_node(c, d):
+    """(node, marginal distribution, spectrum) for every node, one at a time."""
+    rank = {name: i for i, name in enumerate(c.inputs)}
+    for node in c.nodes:
+        sub = d.marginal([rank[name] for name in node.inputs])
+        yield node, sub, transform(node.fn, sub)
+
+
+class TestAgainstPerNodeMeasures:
+    """The arity-batched analyses against the single-node measures, on random
+    networks (with an arity-0 node) under random biased distributions."""
+
+    def cases(self):
+        rng = np.random.default_rng(29)
+        for _ in range(15):
+            net = random_network(rng, max_inputs=10, max_nodes=12)
+            c = collapse(Network(net.inputs, net.defs + (("k", Const(1)),)))
+            assert any(node.fn.arity == 0 for node in c.nodes)
+            yield rng, c, random_product_dist(rng, len(c.inputs))
+
+    def test_determinative_power(self):
+        for _, c, d in self.cases():
+            want = {name: 0.0 for name in c.inputs}
+            for node, sub, spec in _per_node(c, d):
+                for t, name in enumerate(node.inputs):
+                    want[name] += mi_spectral(spec, sub, 1 << t)
+            got = determinative_power(c, d).d_values
+            assert max(abs(got[name] - want[name]) for name in want) < 1e-12
+
+    def test_uncertainty_curve(self):
+        for rng, c, d in self.cases():
+            # one input left out of the order, and L short of its length
+            order = [str(name) for name in rng.permutation(c.inputs)][1:]
+            L = int(rng.integers(0, len(order)))
+            setup = list(_per_node(c, d))
+            masks = [0] * len(setup)
+            h = [cond_entropy_spectral(spec, sub, 0) for _, sub, spec in setup]
+            want = [sum(h)]
+            for name in order[:L]:
+                for i, (node, sub, spec) in enumerate(setup):
+                    if name in node.inputs:
+                        masks[i] |= 1 << node.inputs.index(name)
+                        h[i] = cond_entropy_spectral(spec, sub, masks[i])
+                want.append(sum(h))
+            got = uncertainty_curve(c, d, order, L).values
+            assert len(got) == L + 1
+            assert np.max(np.abs(np.array(got) - want)) < 1e-12
+
+    def test_sensitivity_scatter(self):
+        for _, c, d in self.cases():
+            for rec, (node, sub, spec) in zip(sensitivity_scatter(c, d), _per_node(c, d)):
+                assert (rec.name, rec.in_degree) == (node.name, node.fn.arity)
+                assert rec.avg_sensitivity == pytest.approx(
+                    avg_sensitivity_spectral(spec, sub), abs=1e-12)
+                assert rec.prob_one == pytest.approx(prob_one(node.fn, sub), abs=1e-12)
 
 
 class TestBaselines:

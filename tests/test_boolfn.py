@@ -19,6 +19,7 @@ from bnspectral.boolfn import (
     reconstruct_table,
     relevant_variables,
     restrict,
+    sign_rows,
     transform,
 )
 from bnspectral.reference import (
@@ -139,6 +140,18 @@ class TestBasis:
             assert whole == pytest.approx(split, abs=1e-12)
 
 
+class TestSignRows:
+    def test_rows_match_signs(self):
+        rng = np.random.default_rng(5)
+        for k in range(0, 7):
+            fns = [random_bool_fn(rng, k) for _ in range(4)]
+            assert np.array_equal(sign_rows(fns), np.stack([f.signs for f in fns]))
+
+    def test_arities_must_agree(self):
+        with pytest.raises(ValueError, match="one arity"):
+            sign_rows([and_fn(2), and_fn(3)])
+
+
 class TestKronApply:
     def test_matches_dense_kronecker_product(self):
         rng = np.random.default_rng(3)
@@ -149,6 +162,19 @@ class TestKronApply:
             for m in mats:
                 dense = np.kron(m, dense)  # mats[k-1] kron ... kron mats[0]
             assert np.max(np.abs(kron_apply(arr, mats) - dense @ arr), initial=0.0) < 1e-12
+
+    def test_batched_rows_match_one_dimensional_calls(self):
+        rng = np.random.default_rng(4)
+        for k in range(0, 7):
+            rows = rng.normal(size=(5, 1 << k))
+            per_row = rng.normal(size=(k, 5, 2, 2))
+            shared = [rng.normal(size=(2, 2)) for _ in range(k)]
+            got = kron_apply(rows, list(per_row))
+            for r in range(5):
+                assert np.array_equal(got[r], kron_apply(rows[r], [m[r] for m in per_row]))
+            got = kron_apply(rows, shared)
+            for r in range(5):
+                assert np.array_equal(got[r], kron_apply(rows[r], shared))
 
     def test_leaves_input_untouched(self):
         arr = np.array([1.0, 2.0])

@@ -21,6 +21,7 @@ from bnspectral.measures import (
     influence_spectral,
     mi_influence_bound_check,
     mi_single_from_coeffs,
+    mi_spectral,
     mutual_information,
     noise_sensitivity,
     noise_sensitivity_mc,
@@ -161,6 +162,14 @@ class TestMutualInformation:
         parts = sum(mutual_information(f, d, 1 << i) for i in range(f.arity))
         assert parts <= total + 1e-9
         assert total <= 1.0 + 1e-12
+
+    def test_negative_mi_raises_value_error(self):
+        # a dictator transformed at p = 1e-12 but evaluated at p = 2.5e-7: the
+        # conditional probabilities stay within CLAMP_BUDGET of [0, 1], yet
+        # the clamped entropies give MI of about -5e-9
+        s = transform(dictator_fn(1, 0), ProductDist((1e-12,)))
+        with pytest.raises(ValueError, match="below zero"):
+            mi_spectral(s, ProductDist((2.5e-7,)), 0b1)
 
     def test_monotone_in_singleton_coefficient(self):
         # at fixed bias the single-variable MI grows with the magnitude of

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from bnspectral.boolfn import BoolFn, default_labels
 from bnspectral.measures import unateness
 from bnspectral.sampling import (
+    _monotone_tables,
     enumerate_unate_tables,
     sample_monotone_mcmc,
     sample_random_function,
@@ -53,6 +55,29 @@ class TestUnateEnumeration:
         assert 0b1001 not in tables  # XNOR
         assert 0b0110 not in tables  # XOR
 
+    def test_matches_brute_force_filter(self):
+        for k in range(0, 4):
+            brute = tuple(t for t in range(1 << (1 << k))
+                          if unateness(BoolFn(k, default_labels(k), t)).is_unate)
+            assert enumerate_unate_tables(k) == brute
+
+    def test_monotone_tables(self):
+        # OEIS A000372 (Dedekind numbers): 2, 3, 6, 20, 168 monotone functions
+        for k, count in enumerate((2, 3, 6, 20, 168)):
+            tables = _monotone_tables(k)
+            assert len(set(tables)) == count
+            for table in tables:
+                polarity = unateness(BoolFn(k, default_labels(k), table)).polarity
+                assert set(polarity) <= {1, None}  # nondecreasing in every variable
+
+    def test_arity_four_count(self):
+        # OEIS A003183: 2, 4, 14, 104, 2170 unate functions of k variables
+        tables = enumerate_unate_tables(4)
+        assert len(tables) == 2170
+        assert list(tables) == sorted(set(tables))
+        labels = default_labels(4)
+        assert all(unateness(BoolFn(4, labels, t)).is_unate for t in tables)
+
     def test_rejects_large_arity(self):
         with pytest.raises(ValueError):
             enumerate_unate_tables(5)
@@ -92,7 +117,40 @@ class TestUnateSampler:
         assert a == b
 
 
+def _flip_ok(table: int, t: int, k: int) -> bool:
+    """May bit t of a monotone table be flipped without breaking
+    monotonicity?  The per-bit form of the chain's bitmask test."""
+    if (table >> t) & 1:
+        # clearing t: all immediate predecessors must already be 0
+        for j in range(k):
+            if (t >> j) & 1 and (table >> (t & ~(1 << j))) & 1:
+                return False
+    else:
+        # setting t: all immediate successors must already be 1
+        for j in range(k):
+            if not (t >> j) & 1 and not (table >> (t | (1 << j))) & 1:
+                return False
+    return True
+
+
+def _chain_per_bit(k: int, rng: np.random.Generator) -> int:
+    size = 1 << k
+    table = 0
+    for t in map(int, rng.integers(0, size, size=32 * k * size, dtype=np.int64)):
+        if _flip_ok(table, t, k):
+            table ^= 1 << t
+    return table
+
+
 class TestMonotoneChain:
+    def test_matches_per_bit_chain(self):
+        # k = 7, 8 draw their points in several blocks; the oracle in one
+        for k in range(5, 9):
+            for seed in range(3):
+                rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                assert sample_monotone_mcmc(k, rng) == _chain_per_bit(k, oracle_rng)
+                assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
     def test_samples_are_monotone(self):
         rng = np.random.default_rng(8)
         for k in (3, 5):
