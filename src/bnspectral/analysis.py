@@ -12,8 +12,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import ArityCapError, ProductDist, kron_apply, sign_rows
-from .measures import CLAMP_BUDGET, _entropy_arr
+from .boolfn import (
+    ArityCapError,
+    ProductDist,
+    _check_cap,
+    _product_weights,
+    _subset_index,
+    kron_apply,
+    sign_rows,
+)
+from .measures import CLAMP_BUDGET, _entropy_arr, _mi_single
 from .netlang import (
     CollapsedNetwork,
     LocalNetwork,
@@ -63,7 +71,6 @@ class BaselineSpec:
     mode: str
     trials: int
     seed: int
-    out_degree: int = 8
 
     def __post_init__(self):
         if self.mode not in BASELINE_MODES:
@@ -88,26 +95,14 @@ def _check_dist(c: CollapsedNetwork, d: ProductDist) -> None:
             f"distribution covers {d.arity} inputs, network declares {len(c.inputs)}")
 
 
-def _factors(a, b, c, e) -> np.ndarray:
-    """Stack of 2x2 matrices [[a, b], [c, e]] over equal-shape arrays."""
-    return np.stack((a, b, c, e), axis=-1).reshape(*np.shape(a), 2, 2)
-
-
-def _phi(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Basis factors (x - mu) / sigma at x = -1 and x = +1, elementwise."""
-    mu = 2.0 * p - 1.0
-    sigma = 2.0 * np.sqrt(p * (1.0 - p))
-    return (-1.0 - mu) / sigma, (1.0 - mu) / sigma
-
-
 def _spectra_by_arity(c: CollapsedNetwork, d: ProductDist
                       ) -> list[tuple[int, list[int], np.ndarray, np.ndarray]]:
     """Node spectra, grouped by arity k and transformed one group at a time.
 
-    Each entry is (k, rows, p, coeffs): the group's node indices in
-    definition order, Pr[input = +1] as an (m, k) array in each node's input
-    order, and the (m, 2^k) coefficients, row r equal to
-    ``transform(node.fn, d.marginal(node's input indices))``.
+    Each entry is (k, rows, idx, coeffs): the group's node indices in
+    definition order, each node's input indices into ``d`` as an (m, k)
+    array in the node's input order, and the (m, 2^k) coefficients, row r
+    equal to ``transform(node.fn, d.marginal(idx[r]))``.
     """
     rank = {name: i for i, name in enumerate(c.inputs)}
     groups: dict[int, list[int]] = {}
@@ -117,11 +112,8 @@ def _spectra_by_arity(c: CollapsedNetwork, d: ProductDist
     for k, rows in sorted(groups.items()):
         idx = np.array([[rank[name] for name in c.nodes[i].inputs] for i in rows],
                        dtype=np.int64).reshape(len(rows), k)
-        p = d.p[idx]
-        h = np.sqrt(p * (1.0 - p))
-        mats = _factors(1.0 - p, p, -h, h)
         signs = sign_rows([c.nodes[i].fn for i in rows])
-        out.append((k, rows, p, kron_apply(signs, [mats[:, t] for t in range(k)])))
+        out.append((k, rows, idx, kron_apply(signs, d._forward[idx].swapaxes(0, 1))))
     return out
 
 
@@ -130,29 +122,15 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _cond_entropy_rows(coeffs: np.ndarray, p: np.ndarray, known: np.ndarray) -> np.ndarray:
-    """H(f | X_known) for each row of a group.
-
-    ``known`` is (m, j): each row's conditioning variables in ascending
-    order.  Row r gathers the coefficients of the subsets of its variables,
-    applies the inverse factors and weights the binary entropies of
-    (1 + E[f | x]) / 2 by the marginal weights, in the index order of
-    ``ProductDist.weights``.
-    """
-    m, j = known.shape
-    compact = np.arange(1 << j, dtype=np.int64)
-    full = np.zeros((m, 1 << j), dtype=np.int64)
-    for b in range(j):
-        full |= ((compact >> b) & 1) << known[:, b:b + 1]
-    pk = np.take_along_axis(p, known, axis=1)
-    lo, hi = _phi(pk)
-    ones = np.ones_like(pk)
-    mats = _factors(ones, lo, ones, hi)
-    cond = kron_apply(np.take_along_axis(coeffs, full, axis=1), [mats[:, b] for b in range(j)])
-    w = np.ones((m, 1))
-    for b in range(j):
-        w = np.concatenate([w * (1.0 - pk[:, b:b + 1]), w * pk[:, b:b + 1]], axis=1)
-    return _row_dot(w, _entropy_arr((1.0 + cond) / 2.0))
+def _cond_entropy_rows(coeffs: np.ndarray, d: ProductDist, idx: np.ndarray,
+                       known: np.ndarray) -> np.ndarray:
+    """H(f | X_known) for each row of a group, as ``cond_entropy_spectral``
+    computes it: ``known`` (m, j) holds each row's conditioning variables as
+    ascending positions into its inputs ``idx``."""
+    ik = np.take_along_axis(idx, known, axis=1)
+    sub = np.take_along_axis(coeffs, _subset_index(known), axis=1)
+    cond = kron_apply(sub, d._inverse[ik].swapaxes(0, 1))
+    return _row_dot(_product_weights(d.p[ik]), _entropy_arr((1.0 + cond) / 2.0))
 
 
 def determinative_power(c: CollapsedNetwork, d: ProductDist) -> RankingResult:
@@ -165,13 +143,8 @@ def determinative_power(c: CollapsedNetwork, d: ProductDist) -> RankingResult:
     """
     _check_dist(c, d)
     node_mi: list[list[float]] = [[] for _ in c.nodes]
-    for k, rows, p, coeffs in _spectra_by_arity(c, d):
-        c0 = coeffs[:, :1]
-        ci = coeffs[:, [1 << t for t in range(k)]]
-        lo, hi = _phi(p)
-        mi = _entropy_arr((1.0 + c0) / 2.0) - (
-            (1.0 - p) * _entropy_arr((1.0 + (c0 + ci * lo)) / 2.0)
-            + p * _entropy_arr((1.0 + (c0 + ci * hi)) / 2.0))
+    for k, rows, idx, coeffs in _spectra_by_arity(c, d):
+        mi = _mi_single(coeffs[:, :1], coeffs[:, [1 << t for t in range(k)]], d.p[idx])
         if mi.size and mi.min() < -CLAMP_BUDGET:
             raise ValueError(f"mutual information {mi.min()} below zero beyond tolerance")
         for r, values in zip(rows, np.maximum(mi, 0.0).tolist()):
@@ -207,11 +180,11 @@ def uncertainty_curve(c: CollapsedNetwork, d: ProductDist,
     known = order[:L]
     position = {name: l for l, name in enumerate(known)}
     node_h: list[list[float]] = [[] for _ in c.nodes]
-    for k, rows, p, coeffs in _spectra_by_arity(c, d):
+    for k, rows, idx, coeffs in _spectra_by_arity(c, d):
         when = np.array([[position.get(name, L) for name in c.nodes[i].inputs] for i in rows],
                         dtype=np.int64).reshape(len(rows), k)
         first = np.argsort(when, axis=1, kind="stable")
-        h = np.stack([_cond_entropy_rows(coeffs, p, np.sort(first[:, :j], axis=1))
+        h = np.stack([_cond_entropy_rows(coeffs, d, idx, np.sort(first[:, :j], axis=1))
                       for j in range(k + 1)], axis=1)
         for r, values in zip(rows, h.tolist()):
             node_h[r] = values
@@ -240,8 +213,8 @@ def sensitivity_scatter(c: CollapsedNetwork, d: ProductDist) -> list[Sensitivity
     """
     _check_dist(c, d)
     stats: list[tuple[float, float, float]] = [(0.0, 0.0, 0.0)] * len(c.nodes)
-    for k, rows, p, coeffs in _spectra_by_arity(c, d):
-        sigma = 2.0 * np.sqrt(p * (1.0 - p))
+    for k, rows, idx, coeffs in _spectra_by_arity(c, d):
+        sigma = d.sigma[idx]
         masks = np.arange(1 << k, dtype=np.int64)
         inv_var = np.zeros((len(rows), 1 << k))
         for i in range(k):
@@ -270,9 +243,10 @@ def _exchanged_local(ln: LocalNetwork, rng: np.random.Generator, unate: bool) ->
 
 def _random_topology_local(inputs: tuple[str, ...], node_names: tuple[str, ...],
                            rng: np.random.Generator, unate: bool,
-                           out_degree: int) -> LocalNetwork:
+                           out_degree: int, cap: int | None = None) -> LocalNetwork:
     """Single-layer random wiring: every input feeds ``out_degree`` distinct
-    randomly chosen output nodes; unfed nodes become constants."""
+    randomly chosen output nodes; unfed nodes become constants.  Collapse
+    refuses a fan-in over the cap, so that is checked before any draw."""
     m = len(node_names)
     if m < out_degree:
         raise ValueError(f"need at least {out_degree} nodes for out-degree {out_degree}")
@@ -281,6 +255,8 @@ def _random_topology_local(inputs: tuple[str, ...], node_names: tuple[str, ...],
         targets = rng.choice(m, size=out_degree, replace=False)
         for t in sorted(int(t) for t in targets):
             fan_in[node_names[t]].append(inp)
+    for name in node_names:
+        _check_cap(len(fan_in[name]), cap, name)
     nodes = []
     for name in node_names:
         args = tuple(fan_in[name])
@@ -292,6 +268,7 @@ def _random_topology_local(inputs: tuple[str, ...], node_names: tuple[str, ...],
 
 
 MAX_TRIAL_RESAMPLES = 1000
+RANDOM_TOPOLOGY_OUT_DEGREE = 8
 
 
 def baseline_curves(net: Network, spec: BaselineSpec, d: ProductDist,
@@ -301,7 +278,8 @@ def baseline_curves(net: Network, spec: BaselineSpec, d: ProductDist,
 
     Each trial rebuilds the network per the mode, collapses it, ranks the
     inputs by its own determinative power, and computes its own curve.  A
-    trial whose collapse exceeds the arity cap is resampled and counted.
+    trial whose collapse exceeds the arity cap is resampled and counted;
+    after ``MAX_TRIAL_RESAMPLES`` of them the last ``ArityCapError`` is raised.
     """
     ln = localize(net, cap)
     if L is None:
@@ -311,9 +289,6 @@ def baseline_curves(net: Network, spec: BaselineSpec, d: ProductDist,
     resampled = 0
     done = 0
     while done < spec.trials:
-        if resampled > MAX_TRIAL_RESAMPLES:
-            raise RuntimeError(
-                f"gave up after {resampled} baseline trials exceeded the arity cap")
         child = seq.spawn(1)[0]
         rng = np.random.default_rng(child)
         try:
@@ -326,10 +301,14 @@ def baseline_curves(net: Network, spec: BaselineSpec, d: ProductDist,
                 trial_ln = _random_topology_local(
                     ln.inputs, node_names, rng,
                     unate=spec.mode.endswith("unate"),
-                    out_degree=spec.out_degree)
+                    out_degree=RANDOM_TOPOLOGY_OUT_DEGREE, cap=cap)
             collapsed = collapse_local(trial_ln, cap)
-        except ArityCapError:
+        except ArityCapError as exc:
             resampled += 1
+            if resampled > MAX_TRIAL_RESAMPLES:
+                exc.args = (f"gave up after {resampled} baseline trials over the cap; "
+                            f"last: {exc}",)
+                raise
             continue
         ranking = determinative_power(collapsed, d)
         curve = uncertainty_curve(collapsed, d, ranking.tau, L)

@@ -69,6 +69,11 @@ def check_mask(mask: SubsetMask, arity: int) -> None:
         raise ValueError(f"mask {mask:#x} has bits outside arity {arity}")
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 def _check_cap(arity: int, cap: int | None, name: str | None = None) -> None:
     limit = ARITY_CAP_DEFAULT if cap is None else cap
     if arity > limit:
@@ -97,15 +102,9 @@ class BoolFn:
     def from_bits(cls, bits: Iterable[int], labels: Sequence[str] | None = None) -> BoolFn:
         """Build from 2^n output bits (1 means +1), index order as above."""
         bits = list(bits)
-        n = (len(bits) - 1).bit_length()
-        if len(bits) != 1 << n:
-            raise ValueError("bit count must be a power of two")
-        table = 0
-        for b, v in enumerate(bits):
-            if v not in (0, 1):
-                raise ValueError("bits must be 0 or 1")
-            table |= v << b
-        return cls(n, tuple(labels) if labels is not None else default_labels(n), table)
+        if any(v not in (0, 1) for v in bits):
+            raise ValueError("bits must be 0 or 1")
+        return cls.from_bit_array(np.array(bits, dtype=np.uint8), labels)
 
     @classmethod
     def from_bit_array(cls, bits: np.ndarray, labels: Sequence[str] | None = None) -> BoolFn:
@@ -160,16 +159,12 @@ class BoolFn:
         size = 1 << self.arity
         nbytes = max(1, size + 7 >> 3)
         raw = np.frombuffer(self.table.to_bytes(nbytes, "little"), dtype=np.uint8)
-        arr = np.unpackbits(raw, bitorder="little")[:size].copy()
-        arr.flags.writeable = False
-        return arr
+        return _frozen(np.unpackbits(raw, bitorder="little")[:size].copy())
 
     @cached_property
     def signs(self) -> np.ndarray:
         """Outputs as a read-only float64 array of +1/-1 values."""
-        arr = self.bits.astype(np.float64) * 2.0 - 1.0
-        arr.flags.writeable = False
-        return arr
+        return _frozen(self.bits.astype(np.float64) * 2.0 - 1.0)
 
     def index_of(self, name: str) -> int:
         try:
@@ -253,35 +248,50 @@ class ProductDist:
 
     @cached_property
     def p(self) -> np.ndarray:
-        arr = np.array(self.probs, dtype=np.float64)
-        arr.flags.writeable = False
-        return arr
+        return _frozen(np.array(self.probs, dtype=np.float64))
 
     @cached_property
     def mu(self) -> np.ndarray:
-        arr = 2.0 * self.p - 1.0
-        arr.flags.writeable = False
-        return arr
+        return _frozen(2.0 * self.p - 1.0)
 
     @cached_property
     def sigma(self) -> np.ndarray:
-        arr = 2.0 * np.sqrt(self.p * (1.0 - self.p))
-        arr.flags.writeable = False
-        return arr
+        return _frozen(2.0 * np.sqrt(self.p * (1.0 - self.p)))
+
+    # Built once per distribution: many transforms of tiny functions would
+    # otherwise pay more for their factors than for the transform itself.
+    @cached_property
+    def _forward(self) -> np.ndarray:
+        return _frozen(_forward_factors(self.p))
+
+    @cached_property
+    def _inverse(self) -> np.ndarray:
+        return _frozen(_inverse_factors(self.p))
 
     def marginal(self, indices: Sequence[int]) -> ProductDist:
         return ProductDist(tuple(self.probs[i] for i in indices))
 
     def weights(self) -> np.ndarray:
         """Pr[X = x] for every assignment index, as a 2^n array."""
-        w = np.ones(1, dtype=np.float64)
-        for p in self.probs:
-            w = np.concatenate([w * (1.0 - p), w * p])
-        return w
+        return _product_weights(self.p)
 
     def phi(self, i: int, x: int) -> float:
         """Single-variable basis factor (x - mu_i) / sigma_i."""
         return (x - self.mu[i]) / self.sigma[i]
+
+
+def _product_weights(p: np.ndarray) -> np.ndarray:
+    """Pr[X = x] by assignment index for Pr[X_t = +1] = p[..., t], (..., j) to
+    (..., 2^j); variable t writes the x_t = +1 half, then scales the other."""
+    j = p.shape[-1]
+    q = 1.0 - p
+    w = np.empty((*p.shape[:-1], 1 << j))
+    w[..., :1] = 1.0
+    for t in range(j):
+        low, high = w[..., :1 << t], w[..., 1 << t:2 << t]
+        np.multiply(low, p[..., t:t + 1], out=high)
+        low *= q[..., t:t + 1]
+    return w
 
 
 def _check_same_arity(f_arity: int, d: ProductDist) -> None:
@@ -346,25 +356,53 @@ def kron_apply(arr: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
     return arr
 
 
-def _inverse_mats(d: ProductDist, idx: Iterable[int]) -> list[np.ndarray]:
-    """[[1, phi_i(-1)], [1, phi_i(+1)]] for each variable ``i`` in ``idx``."""
-    mu, sigma = d.mu.tolist(), d.sigma.tolist()
-    return [np.array([[1.0, (-1.0 - mu[i]) / sigma[i]], [1.0, (1.0 - mu[i]) / sigma[i]]])
-            for i in idx]
+def _factors(a, b, c, e, shape: tuple[int, ...]) -> np.ndarray:
+    """2x2 matrices [[a, b], [c, e]] of shape (*shape, 2, 2)."""
+    out = np.empty((*shape, 2, 2))
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = a, b, c, e
+    return out
+
+
+def _phi(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Basis factor (x - mu) / sigma at x = -1 and x = +1, for Pr[x = +1] = p."""
+    mu = 2.0 * p - 1.0
+    sigma = 2.0 * np.sqrt(p * (1.0 - p))
+    return (-1.0 - mu) / sigma, (1.0 - mu) / sigma
+
+
+def _forward_factors(p: np.ndarray) -> np.ndarray:
+    """Transform factor [[q, p], [-sigma/2, sigma/2]], q = 1 - p: it maps the
+    values (a, b) at x = -1, +1 to their projections onto {1, phi}."""
+    h = np.sqrt(p * (1.0 - p))
+    return _factors(1.0 - p, p, -h, h, p.shape)
+
+
+def _inverse_factors(p: np.ndarray) -> np.ndarray:
+    """Inverse factor [[1, phi(-1)], [1, phi(+1)]] per variable."""
+    lo, hi = _phi(p)
+    return _factors(1.0, lo, 1.0, hi, p.shape)
+
+
+def _subset_index(known: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Subset mask of every subset of ``known``, shape (..., j) to (..., 2^j):
+    compact bit b of entry c selects ``known[..., b]``."""
+    known = np.asarray(known, dtype=np.int64)
+    j = known.shape[-1]
+    compact = np.arange(1 << j, dtype=np.int64)
+    full = np.zeros((*known.shape[:-1], 1 << j), dtype=np.int64)
+    bit = np.empty_like(full)
+    for b in range(j):
+        # into a buffer: a broadcast shift that allocates its result is 2-3x slower
+        np.left_shift((compact >> b) & 1, known[..., b:b + 1], out=bit)
+        full |= bit
+    return full
 
 
 def transform(f: BoolFn, d: ProductDist, cap: int | None = None) -> Spectrum:
-    """Coefficients of ``f`` in the basis induced by ``d``, in O(n 2^n).
-
-    Variable ``i`` maps the value pair (a, b) at (x_i = -1, x_i = +1) to its
-    projections onto {1, (x_i - mu_i)/sigma_i}: with q = 1 - p that is
-    (q a + p b, (b - a) sigma / 2), the matrix [[q, p], [-sigma/2, sigma/2]].
-    """
+    """Coefficients of ``f`` in the basis induced by ``d``, in O(n 2^n)."""
     _check_same_arity(f.arity, d)
     _check_cap(f.arity, cap)
-    mats = [np.array([[1.0 - p, p], [-h, h]])
-            for p, h in zip(d.probs, (d.sigma / 2.0).tolist())]
-    return Spectrum(f.arity, kron_apply(f.signs, mats))
+    return Spectrum(f.arity, kron_apply(f.signs, d._forward))
 
 
 def reconstruct(s: Spectrum, d: ProductDist, x: Sequence[int]) -> float:
@@ -377,7 +415,7 @@ def reconstruct(s: Spectrum, d: ProductDist, x: Sequence[int]) -> float:
 def reconstruct_table(s: Spectrum, d: ProductDist) -> np.ndarray:
     """Polynomial values at all 2^n assignments (the inverse transform)."""
     _check_same_arity(s.arity, d)
-    return kron_apply(s.coeffs, _inverse_mats(d, range(s.arity)))
+    return kron_apply(s.coeffs, d._inverse)
 
 
 def subset_coeffs(s: Spectrum, mask: SubsetMask) -> np.ndarray:
@@ -387,13 +425,7 @@ def subset_coeffs(s: Spectrum, mask: SubsetMask) -> np.ndarray:
     j-th (ascending) variable of ``mask``.
     """
     check_mask(mask, s.arity)
-    pos = indices_of(mask)
-    k = len(pos)
-    c = np.arange(1 << k, dtype=np.int64)
-    full = np.zeros(1 << k, dtype=np.int64)
-    for j, p in enumerate(pos):
-        full |= ((c >> j) & 1) << p
-    return s.coeffs[full]
+    return s.coeffs[_subset_index(indices_of(mask))]
 
 
 def conditional_expectation_table(s: Spectrum, d: ProductDist, mask: SubsetMask) -> np.ndarray:
@@ -404,7 +436,7 @@ def conditional_expectation_table(s: Spectrum, d: ProductDist, mask: SubsetMask)
     to coefficients of subsets of ``mask``.
     """
     _check_same_arity(s.arity, d)
-    return kron_apply(subset_coeffs(s, mask), _inverse_mats(d, indices_of(mask)))
+    return kron_apply(subset_coeffs(s, mask), d._inverse[list(indices_of(mask))])
 
 
 def conditional_expectation(s: Spectrum, d: ProductDist, mask: SubsetMask,

@@ -10,6 +10,7 @@ import argparse
 import hashlib
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import __version__
@@ -199,10 +200,6 @@ def cmd_collapse(args) -> int:
     return EXIT_OK
 
 
-def _network_dist(c, p_spec: str | None) -> ProductDist:
-    return _dist_for(tuple(c.inputs), p_spec)
-
-
 def cmd_analyze(args) -> int:
     if args.top < 0:
         raise InputError(f"--top must be nonnegative, got {args.top}")
@@ -210,7 +207,7 @@ def cmd_analyze(args) -> int:
     text = path.read_text()
     net = parse(text)
     c = collapse(net, cap=args.cap)
-    d = _network_dist(c, args.p)
+    d = _dist_for(c.inputs, args.p)
     ranking = determinative_power(c, d)
     L = args.L if args.L is not None else len(ranking.tau)
     curve = uncertainty_curve(c, d, ranking.tau, L)
@@ -270,6 +267,8 @@ def cmd_analyze(args) -> int:
         (out / "curve.svg").write_text(curve_svg(curve, baseline))
         (out / "scatter.svg").write_text(scatter_svg(scatter))
     print(ranking_table(ranking, args.top))
+    degrees = Counter(node.fn.arity for node in c.nodes)
+    print("\ncollapsed in-degree histogram:", dict(sorted(degrees.items())))
     print(f"\nwrote report.json, curve.csv, scatter.csv to {out}")
     return EXIT_OK
 
@@ -278,7 +277,7 @@ def cmd_baseline(args) -> int:
     path = Path(args.network)
     net = parse(path.read_text())
     c = collapse(net, cap=args.cap)
-    d = _network_dist(c, args.p)
+    d = _dist_for(c.inputs, args.p)
     ranking = determinative_power(c, d)
     L = args.L if args.L is not None else len(ranking.tau)
     curve = uncertainty_curve(c, d, ranking.tau, L)

@@ -19,6 +19,8 @@ from .boolfn import (
     Spectrum,
     SubsetMask,
     _check_cap,
+    _phi,
+    _product_weights,
     check_mask,
     conditional_expectation_table,
     indices_of,
@@ -41,7 +43,8 @@ def binary_entropy(p: float) -> float:
         raise ValueError(f"probability {p} outside [0,1]")
     if p in (0.0, 1.0):
         return 0.0
-    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+    # np.log2, as in _entropy_arr, so the two agree to the last bit
+    return float(-p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p))
 
 
 def _entropy_arr(p: np.ndarray) -> np.ndarray:
@@ -119,7 +122,7 @@ def cond_entropy_spectral(s: Spectrum, d: ProductDist, mask: SubsetMask) -> floa
     """
     check_mask(mask, s.arity)
     cond = conditional_expectation_table(s, d, mask)
-    w = d.marginal(indices_of(mask)).weights()
+    w = _product_weights(d.p[list(indices_of(mask))])
     return float(np.dot(w, _entropy_arr((1.0 + cond) / 2.0)))
 
 
@@ -152,19 +155,23 @@ def _clamp_prob(p: float) -> float:
     return min(max(p, 0.0), 1.0)
 
 
+def _mi_single(c_empty: np.ndarray, c_i: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """MI(f(X); X_i) elementwise from c_empty, c_i and p = Pr[X_i = +1], not
+    clamped at 0: E[f | x_i] = c_empty + c_i phi_i(x_i)."""
+    lo, hi = _phi(p)
+    return _entropy_arr((1.0 + c_empty) / 2.0) - (
+        (1.0 - p) * _entropy_arr((1.0 + (c_empty + c_i * lo)) / 2.0)
+        + p * _entropy_arr((1.0 + (c_empty + c_i * hi)) / 2.0))
+
+
 def mi_single_from_coeffs(c_empty: float, c_i: float, p_i: float) -> float:
     """MI(f(X); X_i) as a function of the empty-set and singleton coefficients.
 
     Useful for studying how the single-variable mutual information varies
     with the singleton coefficient at fixed bias.
     """
-    d = ProductDist((p_i,))
-    h_out = binary_entropy(_clamp_prob((1.0 + c_empty) / 2.0))
-    acc = 0.0
-    for x, w in ((-1, 1.0 - p_i), (1, p_i)):
-        q = _clamp_prob((1.0 + c_empty + c_i * d.phi(0, x)) / 2.0)
-        acc += w * binary_entropy(q)
-    return h_out - acc
+    p = ProductDist((p_i,)).p
+    return float(_mi_single(np.array([c_empty]), np.array([c_i]), p)[0])
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .boolfn import ARITY_CAP_DEFAULT, ArityCapError, BoolFn, relevant_variables
+from .boolfn import ARITY_CAP_DEFAULT, ArityCapError, BoolFn, _subset_index, relevant_variables
 
 KEYWORDS = {"NOT", "AND", "OR"}
 CONST_TRUE = {"1", "TRUE"}
@@ -381,11 +381,7 @@ def _prune_irrelevant(bits: np.ndarray, support: Sequence[str]) -> tuple[np.ndar
     if rel == (1 << fn.arity) - 1:
         return bits, tuple(support)
     kept = [i for i in range(fn.arity) if (rel >> i) & 1]
-    sub_idx = np.zeros(1 << len(kept), dtype=np.int64)
-    compact = np.arange(1 << len(kept), dtype=np.int64)
-    for j, i in enumerate(kept):
-        sub_idx |= ((compact >> j) & 1) << i
-    return bits[sub_idx], tuple(support[i] for i in kept)
+    return bits[_subset_index(kept)], tuple(support[i] for i in kept)
 
 
 def collapse_local(ln: LocalNetwork, cap: int | None = None) -> CollapsedNetwork:

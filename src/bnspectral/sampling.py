@@ -21,17 +21,12 @@ UNATE_ENUM_MAX_ARITY = 4
 CHAIN_BLOCK = 1 << 14
 
 
-def _random_table(k: int, rng: np.random.Generator) -> int:
-    nbytes = max(1, (1 << k) + 7 >> 3)
-    raw = rng.bytes(nbytes)
-    table = int.from_bytes(raw, "little")
-    return table & ((1 << (1 << k)) - 1)
-
-
 def sample_random_function(k: int, rng: np.random.Generator,
                            labels: tuple[str, ...] | None = None) -> BoolFn:
     """Uniform draw over all Boolean functions of k variables."""
-    return BoolFn(k, labels if labels is not None else default_labels(k), _random_table(k, rng))
+    table = int.from_bytes(rng.bytes(max(1, (1 << k) + 7 >> 3)), "little")
+    return BoolFn(k, labels if labels is not None else default_labels(k),
+                  table & ((1 << (1 << k)) - 1))
 
 
 def _monotone_tables(k: int) -> tuple[int, ...]:
@@ -78,18 +73,18 @@ def _neighbour_masks(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(pred), tuple(succ)
 
 
-def sample_monotone_mcmc(k: int, rng: np.random.Generator, burn_in: int | None = None) -> int:
+def sample_monotone_mcmc(k: int, rng: np.random.Generator) -> int:
     """Truth table of a monotone function via single-point-flip Glauber steps.
 
     The proposal (flip a uniformly chosen point if the result stays
     monotone) is symmetric, so the stationary distribution is uniform over
-    monotone functions; the default burn-in of 32 k 2^k steps from the
-    all-false function is a pragmatic mixing budget, not a proven one.
+    monotone functions; the burn-in of 32 k 2^k steps from the all-false
+    function is a pragmatic mixing budget, not a proven one.
     Clearing point t keeps monotonicity iff all its predecessors are 0;
     setting it, iff all its successors are 1.
     """
     size = 1 << k
-    steps = 32 * k * size if burn_in is None else burn_in
+    steps = 32 * k * size
     pred, succ = _neighbour_masks(k)
     table = 0
     # Points are drawn a block at a time, so memory stays flat (all of them
@@ -118,14 +113,13 @@ def _apply_polarities(table: int, k: int, neg_mask: int) -> int:
 
 
 def sample_random_unate(k: int, rng: np.random.Generator,
-                        labels: tuple[str, ...] | None = None,
-                        burn_in: int | None = None) -> BoolFn:
+                        labels: tuple[str, ...] | None = None) -> BoolFn:
     """Draw a unate function of k variables (exact for k <= 4)."""
     names = labels if labels is not None else default_labels(k)
     if k <= UNATE_ENUM_MAX_ARITY:
         tables = enumerate_unate_tables(k)
         return BoolFn(k, names, tables[int(rng.integers(0, len(tables)))])
-    monotone = sample_monotone_mcmc(k, rng, burn_in)
+    monotone = sample_monotone_mcmc(k, rng)
     neg_mask = int(rng.integers(0, 1 << k))
     return BoolFn(k, names, _apply_polarities(monotone, k, neg_mask))
 

@@ -14,15 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import measures, reference
-from .boolfn import (
-    BoolFn,
-    ProductDist,
-    conditional_expectation,
-    default_labels,
-    indices_of,
-    transform,
-)
-from .sampling import random_threshold_fn
+from .boolfn import ProductDist, conditional_expectation, indices_of, transform
+from .sampling import random_threshold_fn, sample_random_function
 
 TOL = 1e-9
 
@@ -37,8 +30,7 @@ class IdentityReport:
 
 def _random_instance(rng: np.random.Generator, max_n: int):
     n = int(rng.integers(1, max_n + 1))
-    table = int.from_bytes(rng.bytes(max(1, (1 << n) + 7 >> 3)), "little")
-    f = BoolFn(n, default_labels(n), table & ((1 << (1 << n)) - 1))
+    f = sample_random_function(n, rng)
     d = ProductDist(tuple(rng.uniform(0.05, 0.95, size=n)))
     mask = int(rng.integers(0, 1 << n))
     return f, d, mask
@@ -104,11 +96,12 @@ def run_selftest(trials: int = 2000, max_n: int = 8, seed: int = 0,
         fu, _ = random_threshold_fn(int(rng.integers(1, max_n + 1)), rng)
         du = ProductDist(tuple(rng.uniform(0.05, 0.95, size=fu.arity)))
         su = transform(fu, du)
-        for j, coeff, product in measures.unate_coefficient_check(fu, du):
+        rows = measures.unate_coefficient_check(fu, du)
+        via = measures._mi_single(su.coeffs[:1], np.array([row[2] for row in rows]), du.p)
+        for (j, coeff, product), mi_via_inf in zip(rows, via.tolist()):
             worst["unate_singleton_coefficient"] = max(
                 worst["unate_singleton_coefficient"], abs(coeff - product))
             mi_direct = measures.mutual_information(fu, du, 1 << j)
-            mi_via_inf = measures.mi_single_from_coeffs(su.coeff(0), product, du.probs[j])
             worst["unate_mi_from_influence"] = max(
                 worst["unate_mi_from_influence"], abs(mi_direct - mi_via_inf))
 

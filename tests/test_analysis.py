@@ -10,7 +10,7 @@ from bnspectral.analysis import (
     sensitivity_scatter,
     uncertainty_curve,
 )
-from bnspectral.boolfn import ProductDist, mask_of, transform
+from bnspectral.boolfn import ArityCapError, ProductDist, mask_of, transform
 from bnspectral.measures import (
     avg_sensitivity_spectral,
     binary_entropy,
@@ -19,7 +19,12 @@ from bnspectral.measures import (
     prob_one,
 )
 from bnspectral.netlang import Const, Network, collapse, localize, node_tables, parse
-from bnspectral.reference import network_cond_entropy
+from bnspectral.reference import (
+    cond_entropy_definitional,
+    mutual_information_definitional,
+    network_cond_entropy,
+)
+from bnspectral.sampling import sample_random_function
 
 from conftest import random_network, random_product_dist
 
@@ -203,13 +208,18 @@ class TestAgainstPerNodeMeasures:
             yield rng, c, random_product_dist(rng, len(c.inputs))
 
     def test_determinative_power(self):
+        # the batched path shares its basis helpers with the per-node
+        # measures, so the brute-force oracle is checked as well
         for _, c, d in self.cases():
             want = {name: 0.0 for name in c.inputs}
+            brute = {name: 0.0 for name in c.inputs}
             for node, sub, spec in _per_node(c, d):
                 for t, name in enumerate(node.inputs):
                     want[name] += mi_spectral(spec, sub, 1 << t)
+                    brute[name] += mutual_information_definitional(node.fn, sub, 1 << t)
             got = determinative_power(c, d).d_values
             assert max(abs(got[name] - want[name]) for name in want) < 1e-12
+            assert max(abs(got[name] - brute[name]) for name in brute) < 1e-12
 
     def test_uncertainty_curve(self):
         for rng, c, d in self.cases():
@@ -219,16 +229,20 @@ class TestAgainstPerNodeMeasures:
             setup = list(_per_node(c, d))
             masks = [0] * len(setup)
             h = [cond_entropy_spectral(spec, sub, 0) for _, sub, spec in setup]
-            want = [sum(h)]
+            hb = [cond_entropy_definitional(node.fn, sub, 0) for node, sub, _ in setup]
+            want, brute = [sum(h)], [sum(hb)]
             for name in order[:L]:
                 for i, (node, sub, spec) in enumerate(setup):
                     if name in node.inputs:
                         masks[i] |= 1 << node.inputs.index(name)
                         h[i] = cond_entropy_spectral(spec, sub, masks[i])
+                        hb[i] = cond_entropy_definitional(node.fn, sub, masks[i])
                 want.append(sum(h))
+                brute.append(sum(hb))
             got = uncertainty_curve(c, d, order, L).values
             assert len(got) == L + 1
             assert np.max(np.abs(np.array(got) - want)) < 1e-12
+            assert np.max(np.abs(np.array(got) - brute)) < 1e-12
 
     def test_sensitivity_scatter(self):
         for _, c, d in self.cases():
@@ -284,6 +298,37 @@ class TestBaselines:
             for a in node.args:
                 counts[a] += 1
         assert all(v == 8 for v in counts.values())
+
+    def test_random_topology_checks_cap_before_sampling(self, monkeypatch):
+        import bnspectral.analysis as analysis
+
+        drawn = []
+
+        def sampler(k, rng, labels=None):
+            drawn.append(k)
+            return sample_random_function(k, rng, labels)
+
+        monkeypatch.setattr(analysis, "sample_random_function", sampler)
+        monkeypatch.setattr(analysis, "sample_random_unate", sampler)
+        inputs = tuple(f"i{k}" for k in range(12))
+        names = tuple(f"y{k}" for k in range(8))
+        for unate in (False, True):
+            with pytest.raises(ArityCapError):
+                analysis._random_topology_local(inputs, names, np.random.default_rng(1),
+                                                unate=unate, out_degree=8, cap=10)
+        assert drawn == []
+        # through the baseline, every node of every trial has fan-in 12: no
+        # function is drawn, and the run gives up with the cap error
+        net = parse(f"@inputs {' '.join(inputs)}\n" + "".join(
+            f"{name} = {' AND '.join(inputs[:k + 1])}\n" for k, name in enumerate(names)))
+        for mode in ("random-topology-random", "random-topology-unate"):
+            with pytest.raises(ArityCapError, match="gave up after 1001"):
+                baseline_curves(net, BaselineSpec(mode, 1, 4),
+                                ProductDist.uniform(len(net.inputs)), L=1, cap=10)
+        assert drawn == []
+        ln = analysis._random_topology_local(inputs, names, np.random.default_rng(1),
+                                             unate=False, out_degree=8, cap=12)
+        assert drawn == [12] * 8 and len(ln.nodes) == 8
 
     def test_random_topology_needs_enough_nodes(self):
         net = toy_network()  # 4 nodes < 8

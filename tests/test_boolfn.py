@@ -9,6 +9,10 @@ from bnspectral.boolfn import (
     ArityCapError,
     BoolFn,
     ProductDist,
+    _forward_factors,
+    _inverse_factors,
+    _product_weights,
+    _subset_index,
     basis_eval,
     conditional_expectation,
     default_labels,
@@ -184,6 +188,64 @@ class TestKronApply:
     def test_length_must_match_factor_count(self):
         with pytest.raises(ValueError):
             kron_apply(np.ones(4), [np.eye(2)])
+
+
+def _scalar_factors(p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Forward and inverse 2x2 factors of one variable, built entry by entry
+    from Python floats: the oracle for the array helpers."""
+    d = ProductDist((p,))
+    mu, sigma = float(d.mu[0]), float(d.sigma[0])
+    h = sigma / 2.0
+    return (np.array([[1.0 - p, p], [-h, h]]),
+            np.array([[1.0, (-1.0 - mu) / sigma], [1.0, (1.0 - mu) / sigma]]))
+
+
+class TestBasisHelpers:
+    """The shared basis helpers, on one variable set and on batches of rows."""
+
+    def test_factors_match_per_variable_matrices(self):
+        rng = np.random.default_rng(6)
+        for k in range(0, 9):
+            p = rng.uniform(0.01, 0.99, size=(4, k))
+            fwd, inv = _forward_factors(p), _inverse_factors(p)
+            assert fwd.shape == inv.shape == (4, k, 2, 2)
+            for r in range(4):
+                d = ProductDist(tuple(p[r]))
+                assert np.array_equal(_forward_factors(p[r]), fwd[r])
+                assert np.array_equal(_inverse_factors(p[r]), inv[r])
+                assert np.array_equal(d._forward, fwd[r])
+                assert np.array_equal(d._inverse, inv[r])
+                for t in range(k):
+                    want_fwd, want_inv = _scalar_factors(float(p[r, t]))
+                    assert np.array_equal(fwd[r, t], want_fwd)
+                    assert np.array_equal(inv[r, t], want_inv)
+
+    def test_subset_index_rows_match_one_dimensional_calls(self):
+        rng = np.random.default_rng(7)
+        for j in range(0, 7):
+            known = np.sort(np.stack([rng.choice(9, size=j, replace=False)
+                                      for _ in range(5)]), axis=1)
+            got = _subset_index(known)
+            assert got.shape == (5, 1 << j)
+            for r in range(5):
+                row = [int(v) for v in known[r]]
+                assert np.array_equal(got[r], _subset_index(row))
+                # compact bit b of entry c selects the b-th listed variable
+                assert [int(m) for m in got[r]] == [
+                    mask_of(v for b, v in enumerate(row) if (c >> b) & 1)
+                    for c in range(1 << j)]
+
+    def test_product_weights_rows_match_one_dimensional_calls(self):
+        rng = np.random.default_rng(8)
+        for j in range(0, 7):
+            p = rng.uniform(0.01, 0.99, size=(5, j))
+            got = _product_weights(p)
+            for r in range(5):
+                want = np.ones(1)
+                for v in p[r].tolist():
+                    want = np.concatenate([want * (1.0 - v), want * v])
+                assert np.array_equal(got[r], want)
+                assert np.array_equal(ProductDist(tuple(p[r])).weights(), want)
 
 
 class TestTransform:

@@ -91,7 +91,9 @@ class TestAnalyze:
         assert main(["analyze", str(toy_file), "--out", str(out), "--seed", "5"]) == 0
         stdout = capsys.readouterr().out
         assert "D(j) [bit]" in stdout
+        assert "collapsed in-degree histogram: {0: 1, 2: 2}" in stdout
         report = json.loads((out / "report.json").read_text())
+        assert "histogram" not in json.dumps(report)
         assert report["metadata"]["seed"] == 5
         assert set(report["d_values"]) == {"a", "b", "c"}
         assert report["tau"][0] == "a"
@@ -166,6 +168,18 @@ class TestExitCodes:
         assert main(["analyze", str(toy_file), "--top", "-3",
                      "--out", str(tmp_path / "o")]) == 3
         assert "--top" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["random-topology-random", "random-topology-unate"])
+    def test_random_topology_over_cap_is_4(self, tmp_path, capsys, mode):
+        # every input feeds all 8 nodes, so every trial's fan-in is 12 > 10
+        inputs = [f"x{i}" for i in range(1, 13)]
+        net = tmp_path / "fan.bnet"
+        net.write_text(f"@inputs {' '.join(inputs)}\n" + "".join(
+            f"y{n} = {' AND '.join(inputs[:n + 1])}\n" for n in range(8)))
+        assert main(["analyze", str(net), "--cap", "10", "--baseline", mode,
+                     "--trials", "1", "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert "exceeds cap 10" in err and "Traceback" not in err
 
     def test_usage_error_is_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

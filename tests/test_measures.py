@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from bnspectral import reference
 from bnspectral.boolfn import ArityCapError, BoolFn, ProductDist, default_labels, transform
 from bnspectral.measures import (
+    _entropy_arr,
     avg_sensitivity,
     avg_sensitivity_spectral,
     binary_entropy,
@@ -62,6 +63,14 @@ class TestBinaryEntropy:
         for bad in (-0.01, 1.01):
             with pytest.raises(ValueError):
                 binary_entropy(bad)
+
+    def test_bitwise_equal_to_vectorized_entropy(self):
+        # H(f) and H(f | X_A) take their entropies from these two; a last-bit
+        # difference would give an input that carries no information an MI
+        # of about 1e-17
+        p = np.random.default_rng(41).random(200_000)
+        scalar = np.array([binary_entropy(float(v)) for v in p])
+        assert np.array_equal(scalar, _entropy_arr(p))
 
 
 class TestInfluence:
@@ -145,6 +154,21 @@ class TestMutualInformation:
 
     def test_empty_mask(self, uniform2):
         assert mutual_information(and_fn(2), uniform2, 0) == 0.0
+
+    def test_irrelevant_mask_is_exactly_zero(self):
+        # f depends only on the variables in `rel`; a mask of the others
+        # carries no information, so MI is 0.0 exactly, not float noise
+        rng = np.random.default_rng(43)
+        for _ in range(2000):
+            n = int(rng.integers(2, 8))
+            rel = np.sort(rng.choice(n, size=int(rng.integers(1, n)), replace=False))
+            g = rng.integers(0, 2, size=1 << len(rel))
+            x = np.arange(1 << n)
+            f = BoolFn.from_bit_array(g[sum(((x >> int(v)) & 1) << j for j, v in enumerate(rel))])
+            others = [i for i in range(n) if i not in rel]
+            mask = sum(1 << i for i in others if rng.random() < 0.5) or 1 << others[0]
+            d = random_product_dist(rng, n)
+            assert mutual_information(f, d, mask) == 0.0
 
     @settings(max_examples=60, deadline=None)
     @given(fn_dist_pairs(1, 8))
