@@ -204,13 +204,24 @@ def sign_rows(fns: Sequence[BoolFn]) -> np.ndarray:
     return bits * 2.0 - 1.0
 
 
+def _halves(t: int, n: int, j: int) -> tuple[int, int]:
+    """The x_j = -1 and x_j = +1 halves of an n-variable truth table t, both
+    at the x_j = -1 bit positions.  Their mask is built by doubling a run of
+    ones, as big-int division is quadratic in 2^n at n >= 20."""
+    width = 2 << j
+    m = (1 << (1 << j)) - 1
+    while width < 1 << n:
+        m |= m << width
+        width <<= 1
+    return t & m, (t >> (1 << j)) & m
+
+
 def relevant_variables(f: BoolFn) -> SubsetMask:
     """Mask of variables whose flip changes the output for some input."""
     mask = 0
-    s = f.bits
     for i in range(f.arity):
-        view = s.reshape(-1, 2, 1 << i)
-        if np.any(view[:, 0, :] != view[:, 1, :]):
+        lo, hi = _halves(f.table, f.arity, i)
+        if lo != hi:
             mask |= 1 << i
     return mask
 

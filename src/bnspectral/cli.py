@@ -45,6 +45,7 @@ from .measures import (
 )
 from .netlang import (
     NetParseError,
+    Network,
     collapse,
     collapsed_to_json,
     effective_inputs,
@@ -54,6 +55,7 @@ from .netlang import (
     references,
 )
 from .reports import (
+    _rounded,
     curve_csv,
     curve_svg,
     ranking_table,
@@ -77,9 +79,7 @@ class InputError(ValueError):
 def _function_from_args(args) -> BoolFn:
     if args.expr:
         expr = parse_expression(args.expr)
-        names = references(expr)
-        net = parse(("@inputs " + " ".join(names) + "\n" if names else "")
-                    + f"f = {args.expr}\n")
+        net = Network(references(expr), (("f", expr),))
         return localize(net, args.cap).nodes[0].fn
     if args.table_hex:
         if not args.labels:
@@ -180,8 +180,6 @@ def cmd_measures(args) -> int:
         "unate": {"is_unate": prof.is_unate,
                   "polarity": {f.labels[i]: prof.polarity[i] for i in range(f.arity)}},
     }
-    from .reports import _rounded
-
     print(json.dumps(_rounded(report), indent=2, sort_keys=True))
     return EXIT_OK
 

@@ -19,6 +19,7 @@ from .boolfn import (
     Spectrum,
     SubsetMask,
     _check_cap,
+    _halves,
     _phi,
     _product_weights,
     check_mask,
@@ -105,7 +106,7 @@ def avg_sensitivity_spectral(s: Spectrum, d: ProductDist, mask: SubsetMask | Non
 
 def output_entropy(f: BoolFn, d: ProductDist) -> float:
     """H(f(X)) in bits."""
-    return binary_entropy(prob_one(f, d))
+    return binary_entropy(_clamp_prob(prob_one(f, d)))
 
 
 def prob_one(f: BoolFn, d: ProductDist) -> float:
@@ -257,25 +258,19 @@ class UnatenessProfile:
     polarity: tuple[int | None, ...]
 
 
+# (nondecreasing, nonincreasing) to polarity
+_POLARITY = {(True, True): None, (True, False): 1, (False, True): -1, (False, False): 0}
+
+
 def unateness(f: BoolFn) -> UnatenessProfile:
-    """Compare the two restrictions of each variable pointwise."""
-    polarity: list[int | None] = []
-    is_unate = True
+    """Compare the two restrictions of each variable pointwise: x_i is
+    nondecreasing when the x_i = -1 half of the table lies within the
+    x_i = +1 half, and nonincreasing when it contains it."""
+    polarity = []
     for i in range(f.arity):
-        view = f.signs.reshape(-1, 2, 1 << i)
-        lo, hi = view[:, 0, :], view[:, 1, :]
-        up = bool(np.all(lo <= hi))
-        down = bool(np.all(hi <= lo))
-        if up and down:
-            polarity.append(None)
-        elif up:
-            polarity.append(1)
-        elif down:
-            polarity.append(-1)
-        else:
-            polarity.append(0)
-            is_unate = False
-    return UnatenessProfile(is_unate, tuple(polarity))
+        lo, hi = _halves(f.table, f.arity, i)
+        polarity.append(_POLARITY[not lo & ~hi, not hi & ~lo])
+    return UnatenessProfile(0 not in polarity, tuple(polarity))
 
 
 def unate_coefficient_check(f: BoolFn, d: ProductDist) -> list[tuple[int, float, float]]:

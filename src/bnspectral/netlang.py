@@ -126,11 +126,17 @@ def _tokenize_line(text: str, lineno: int) -> list[_Token]:
     return tokens
 
 
+# The parser and each walk of an Expr recurse at most four frames per level,
+# so this stays far below the interpreter's default recursion limit of 1000.
+MAX_NESTING = 100
+
+
 class _ExprParser:
     def __init__(self, tokens: Sequence[_Token], lineno: int):
         self.tokens = list(tokens)
         self.pos = 0
         self.lineno = lineno
+        self.depth = 0  # enclosing NOTs and parentheses
 
     def peek(self) -> _Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -176,10 +182,17 @@ class _ExprParser:
         return And(tuple(flat))
 
     def parse_not(self) -> Expr:
+        if self.depth > MAX_NESTING:
+            _, _, line, col = self.tokens[self.pos - 1]  # the NOT or ( one level too deep
+            raise NetParseError(f"NOTs and parentheses nested deeper than {MAX_NESTING}", line, col)
+        self.depth += 1
         if self._at_keyword("NOT"):
             self.next()
-            return Not(self.parse_not())
-        return self.parse_atom()
+            expr = Not(self.parse_not())
+        else:
+            expr = self.parse_atom()
+        self.depth -= 1
+        return expr
 
     def parse_atom(self) -> Expr:
         tok = self.next()
@@ -375,59 +388,42 @@ def localize(net: Network, cap: int | None = None) -> LocalNetwork:
     return LocalNetwork(net.inputs, tuple(nodes))
 
 
-def _prune_irrelevant(bits: np.ndarray, support: Sequence[str]) -> tuple[np.ndarray, tuple[str, ...]]:
-    fn = BoolFn.from_bit_array(bits, support)
-    rel = relevant_variables(fn)
-    if rel == (1 << fn.arity) - 1:
-        return bits, tuple(support)
-    kept = [i for i in range(fn.arity) if (rel >> i) & 1]
-    return bits[_subset_index(kept)], tuple(support[i] for i in kept)
-
-
 def collapse_local(ln: LocalNetwork, cap: int | None = None) -> CollapsedNetwork:
     """Express every node over input-layer variables only.
 
-    Proceeds in definition order, substituting memoized collapsed tables of
-    earlier nodes, then pruning variables the node does not depend on.  The
-    per-node table is built over the union of the substituted supports; if
-    that union exceeds the cap the offending node is reported.
+    Proceeds in definition order, from every input as the identity table
+    ``[0, 1]`` over itself: each node's table is built over the union of its
+    arguments' relevant inputs (reported if over the cap), then cut to the
+    variables it depends on.
     """
     limit = ARITY_CAP_DEFAULT if cap is None else cap
     input_rank = {name: i for i, name in enumerate(ln.inputs)}
-    memo: dict[str, tuple[tuple[str, ...], np.ndarray]] = {}
+    memo = {name: ((name,), np.arange(2, dtype=np.uint8)) for name in ln.inputs}
     out = []
     for node in ln.nodes:
-        support_set: set[str] = set()
         for a in node.args:
-            if a in memo:
-                support_set.update(memo[a][0])
-            elif a in input_rank:
-                support_set.add(a)
-            else:
+            if a not in memo:
                 raise ValueError(f"node {node.name!r} references unknown name {a!r}")
-        support = tuple(sorted(support_set, key=input_rank.__getitem__))
+        support = tuple(sorted({s for a in node.args for s in memo[a][0]},
+                               key=input_rank.__getitem__))
         if len(support) > limit:
             raise ArityCapError(len(support), limit, node.name)
-        size = 1 << len(support)
-        idx = np.arange(size, dtype=np.int64)
-        pos = {a: j for j, a in enumerate(support)}
-        arg_cols = []
-        for a in node.args:
-            if a in memo:
-                sub_support, sub_bits = memo[a]
-                sub_idx = np.zeros(size, dtype=np.int64)
-                for j, s in enumerate(sub_support):
-                    sub_idx |= ((idx >> pos[s]) & 1) << j
-                arg_cols.append(sub_bits[sub_idx])
-            else:
-                arg_cols.append(((idx >> pos[a]) & 1).astype(np.uint8))
-        node_idx = np.zeros(size, dtype=np.int64)
-        for j, col in enumerate(arg_cols):
-            node_idx |= col.astype(np.int64) << j
+        node_idx = np.zeros(1 << len(support), dtype=np.int64)
+        for j, a in enumerate(node.args):
+            # one axis per variable, highest first; the node's other inputs broadcast
+            sub_support, sub_bits = memo[a]
+            axes = [2 if s in sub_support else 1 for s in reversed(support)]
+            col = np.broadcast_to(sub_bits.reshape(axes), (2,) * len(support))
+            node_idx |= col.reshape(-1).astype(np.int64) << j
         bits = node.fn.bits[node_idx]
-        bits, kept = _prune_irrelevant(bits, support)
-        memo[node.name] = (kept, bits)
-        out.append(CollapsedNode(node.name, kept, BoolFn.from_bit_array(bits, kept)))
+        fn = BoolFn.from_bit_array(bits, support)
+        rel = relevant_variables(fn)
+        if rel != (1 << fn.arity) - 1:
+            kept = [i for i in range(fn.arity) if (rel >> i) & 1]
+            bits = bits[_subset_index(kept)]
+            fn = BoolFn.from_bit_array(bits, [support[i] for i in kept])
+        memo[node.name] = (fn.labels, bits)
+        out.append(CollapsedNode(node.name, fn.labels, fn))
     return CollapsedNetwork(ln.inputs, tuple(out))
 
 

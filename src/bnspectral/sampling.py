@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .boolfn import BoolFn, default_labels
+from .boolfn import BoolFn, _halves, default_labels
 
 UNATE_ENUM_MAX_ARITY = 4
 CHAIN_BLOCK = 1 << 14
@@ -102,14 +102,12 @@ def sample_monotone_mcmc(k: int, rng: np.random.Generator) -> int:
 
 
 def _apply_polarities(table: int, k: int, neg_mask: int) -> int:
-    """Negate the variables in neg_mask: new[b] = old[b ^ neg_mask]."""
-    if neg_mask == 0:
-        return table
-    out = 0
-    for b in range(1 << k):
-        if (table >> (b ^ neg_mask)) & 1:
-            out |= 1 << b
-    return out
+    """Negate the variables in neg_mask (new[b] = old[b ^ neg_mask]) by swapping halves."""
+    for j in range(k):
+        if (neg_mask >> j) & 1:
+            lo, hi = _halves(table, k, j)
+            table = (lo << (1 << j)) | hi
+    return table
 
 
 def sample_random_unate(k: int, rng: np.random.Generator,

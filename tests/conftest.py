@@ -70,6 +70,18 @@ def random_bool_fn(rng: np.random.Generator, n: int) -> BoolFn:
     return BoolFn(n, default_labels(n), int.from_bytes(raw, "little") & ((1 << (1 << n)) - 1))
 
 
+def planted_fn(rng: np.random.Generator, k: int, inner: BoolFn) -> tuple[BoolFn, int]:
+    """``inner`` read through a random set of inner.arity of k variables,
+    ascending; the other variables are irrelevant.  Returns the function
+    and the mask of the variables ``inner`` was planted on."""
+    positions = sorted(int(i) for i in rng.choice(k, size=inner.arity, replace=False))
+    idx = np.arange(1 << k, dtype=np.int64)
+    compact = np.zeros_like(idx)
+    for b, pos in enumerate(positions):
+        compact |= ((idx >> pos) & 1) << b
+    return BoolFn.from_bit_array(inner.bits[compact]), sum(1 << i for i in positions)
+
+
 def random_network(rng: np.random.Generator, max_inputs: int = 12,
                    max_nodes: int = 20, max_depth: int = 4) -> Network:
     """Random feed-forward network with layered definitions."""

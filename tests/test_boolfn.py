@@ -11,6 +11,7 @@ from bnspectral.boolfn import (
     ProductDist,
     _forward_factors,
     _inverse_factors,
+    _halves,
     _product_weights,
     _subset_index,
     basis_eval,
@@ -38,6 +39,7 @@ from conftest import (
     const_fn,
     dictator_fn,
     fn_dist_pairs,
+    planted_fn,
     parity_fn,
     product_dists,
     random_bool_fn,
@@ -379,7 +381,62 @@ class TestConditionalExpectation:
             assert got == pytest.approx(want, abs=1e-9)
 
 
+def relevant_by_reshape(f: BoolFn) -> int:
+    """The former relevance test: compare the x_i = -1 and x_i = +1 halves of
+    the unpacked table through a (-1, 2, 2^i) view."""
+    mask = 0
+    s = f.bits
+    for i in range(f.arity):
+        view = s.reshape(-1, 2, 1 << i)
+        if np.any(view[:, 0, :] != view[:, 1, :]):
+            mask |= 1 << i
+    return mask
+
+
+class TestHalves:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 21])
+    def test_masks_match_assignment_bits(self, n):
+        # the halves of the all-true table are the x_j = -1 mask itself
+        idx = np.arange(1 << n, dtype=np.int64)
+        for j in range(n):
+            want = BoolFn.from_bit_array(((idx >> j) & 1) == 0).table
+            assert _halves((1 << (1 << n)) - 1, n, j) == (want, want)
+
+    def test_halves_are_the_restrictions(self):
+        rng = np.random.default_rng(6)
+        for n in range(1, 9):
+            f = random_bool_fn(rng, n)
+            idx = np.arange(1 << n, dtype=np.int64)
+            for j in range(n):
+                low = ((idx >> j) & 1) == 0
+                lo, hi = (BoolFn.from_bit_array(np.where(low, f.bits[idx | side], 0)).table
+                          for side in (0, 1 << j))
+                assert _halves(f.table, n, j) == (lo, hi)
+
+
 class TestRelevantAndRestrict:
+    def test_matches_reshape_exhaustive(self):
+        for k in range(5):
+            labels = default_labels(k)
+            for t in range(1 << (1 << k)):
+                f = BoolFn(k, labels, t)
+                assert relevant_variables(f) == relevant_by_reshape(f), (k, t)
+
+    def test_matches_reshape_planted(self):
+        rng = np.random.default_rng(7)
+        for k in range(5, 13):
+            for _ in range(20):
+                inner = random_bool_fn(rng, int(rng.integers(0, k + 1)))
+                f, planted = planted_fn(rng, k, inner)
+                rel = relevant_variables(f)
+                assert rel == relevant_by_reshape(f)
+                assert rel & ~planted == 0
+
+    def test_matches_reshape_n20(self):
+        rng = np.random.default_rng(8)
+        f, planted = planted_fn(rng, 20, random_bool_fn(rng, 9))
+        assert relevant_variables(f) == relevant_by_reshape(f) == planted
+
     def test_relevant_and2(self):
         assert relevant_variables(and_fn(2)) == 0b11
 

@@ -1,10 +1,21 @@
 """End-to-end CLI behavior: outputs, determinism, exit codes."""
 
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bnspectral
 from bnspectral.cli import main
+from bnspectral.netlang import MAX_NESTING
 
 TOY = """\
 @inputs a b c
@@ -47,6 +58,11 @@ class TestSpectrum:
 
     def test_requires_function(self, capsys):
         assert main(["spectrum"]) == 3
+
+    def test_variable_named_f(self, capsys):
+        assert main(["spectrum", "--expr", "f AND g"]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert rows == ["0,0,{},-0.5", "1,1,{f},0.5", "2,1,{g},0.5", "3,2,{f,g},0.5"]
 
 
 class TestMeasures:
@@ -192,3 +208,181 @@ class TestSelftest:
         assert main(["selftest", "--trials", "50", "--seed", "2"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+
+DEEP_NOT = "NOT " * 3000 + "x"
+DEEP_PARENS = "(" * 1200 + "x" + ")" * 1200
+
+
+def run_cli(args: list[str]) -> subprocess.CompletedProcess:
+    """The CLI in a fresh interpreter, so an uncaught error shows as a traceback."""
+    env = dict(os.environ, PYTHONPATH=str(Path(bnspectral.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-m", "bnspectral.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+class TestDeepNesting:
+    @pytest.mark.parametrize("command", ["collapse", "analyze"])
+    @pytest.mark.parametrize("expr", [DEEP_NOT, DEEP_PARENS], ids=["not", "parens"])
+    def test_network_file_is_3(self, tmp_path, command, expr):
+        net = tmp_path / "deep.bnet"
+        net.write_text(f"y = {expr}\n")
+        proc = run_cli([command, str(net), "--out", str(tmp_path / "o")])
+        assert proc.returncode == 3
+        assert "line 1, col" in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command", ["spectrum", "measures"])
+    @pytest.mark.parametrize("expr", [DEEP_NOT, DEEP_PARENS], ids=["not", "parens"])
+    def test_expr_is_3(self, command, expr):
+        proc = run_cli([command, "--expr", expr])
+        assert proc.returncode == 3
+        assert "line 1, col" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_limit_itself_is_accepted(self, capsys):
+        assert main(["spectrum", "--expr", "NOT " * MAX_NESTING + "x"]) == 0
+        expr = "x"
+        for i in range(MAX_NESTING):
+            expr = f"(y{i % 3} {'AND' if i % 2 else 'OR'} {expr})"
+        assert main(["spectrum", "--expr", expr]) == 0
+
+
+# Names the grammar treats specially, or that once collided with the CLI's
+# own node name, next to ordinary ones.
+FUZZ_NAMES = ["f", "g", "x1", "y", "Not", "and", "oR", "TRUE", "false", "1", "0",
+              "@inputs", "glcn_xt>0", "leu-l", "a,b"]
+PLAIN_NAMES = ["f", "g", "x1", "y", "glcn_xt>0", "leu-l", "TRUE", "0"]
+FUZZ_TOKENS = FUZZ_NAMES + ["AND", "OR", "NOT", "(", ")", "=", "#", " # note"]
+
+
+@st.composite
+def often(draw, valid: list, odd: list):
+    """A flag value: one of ``odd`` about one time in eight, else ``None``
+    (flag left out) or a valid value, so most runs get past argument checks.
+    The odd draw is not the lowest integer, which hypothesis favours."""
+    if odd and draw(st.integers(0, 7)) == 5:
+        return draw(st.sampled_from(odd))
+    return draw(st.sampled_from([None] + valid))
+
+
+@st.composite
+def well_formed_exprs(draw, names: list[str], depth: int = 3, nesting: int = MAX_NESTING):
+    """An expression whose NOTs and parentheses nest at most ``nesting`` deep."""
+    kind = draw(st.integers(0, 6))
+    if kind == 0:
+        return "NOT " * draw(st.integers(0, nesting)) + draw(st.sampled_from(names))
+    if kind < 3 or depth == 0 or nesting == 0:
+        return draw(st.sampled_from(names))
+    if kind == 3:
+        return "NOT " + draw(well_formed_exprs(names, depth - 1, nesting - 1))
+    inner = nesting - 1 if kind == 6 else nesting
+    parts = draw(st.lists(well_formed_exprs(names, depth - 1, inner), min_size=2, max_size=3))
+    op = draw(st.sampled_from([" AND ", " OR ", " and ", " Or "]))
+    return "(" + op.join(parts) + ")" if kind == 6 else op.join(parts)
+
+
+@st.composite
+def odd_exprs(draw):
+    """Nesting past the limit, or a soup of names, keywords and punctuation."""
+    kind = draw(st.integers(0, 2))
+    n = draw(st.integers(MAX_NESTING + 1, 30 * MAX_NESTING))
+    if kind == 0:
+        return "NOT " * n + draw(st.sampled_from(FUZZ_NAMES))
+    if kind == 1:
+        return "(" * n + draw(st.sampled_from(FUZZ_NAMES)) + ")" * n
+    return " ".join(draw(st.lists(st.sampled_from(FUZZ_TOKENS), max_size=8)))
+
+
+@st.composite
+def fuzz_exprs(draw):
+    """An expression, and whether it is well formed over plain names."""
+    if draw(st.integers(0, 3)) == 2:
+        return draw(odd_exprs()), False
+    plain = draw(st.booleans())
+    return draw(well_formed_exprs(PLAIN_NAMES if plain else FUZZ_NAMES)), plain
+
+
+@st.composite
+def fuzz_networks(draw):
+    """Feed-forward definitions over plain names, and whether they were left
+    alone: sometimes one odd line goes in, such as a reserved or duplicate
+    name, an odd expression, an ``@inputs`` header or a comment."""
+    lines, pool = [], list(PLAIN_NAMES)
+    for i in range(draw(st.integers(1, 12))):
+        lines.append(f"n{i} = {draw(well_formed_exprs(pool))}")
+        pool.append(f"n{i}")
+    plain = draw(st.integers(0, 3)) != 2
+    if not plain:
+        names = draw(st.lists(st.sampled_from(FUZZ_NAMES), max_size=4))
+        odd = draw(st.sampled_from([
+            "@inputs " + " ".join(names), "# comment", "", "=", "y =", "= x", "n0 = f",
+            f"{draw(st.sampled_from(FUZZ_NAMES))} = {draw(well_formed_exprs(FUZZ_NAMES))}",
+            f"n99 = {draw(odd_exprs())}"]))
+        lines.insert(draw(st.integers(0, len(lines))), odd)
+    return "\n".join(lines) + "\n", plain
+
+
+FUZZ_P = often(["0.5", "0.3", "0.2,0.7"], ["0", "1.5", "abc", ""])
+FUZZ_CAP = often(["25", "6"], ["-1", "0", "2"])
+
+
+def flag(name: str, value) -> list[str]:
+    return [] if value is None else [name, value]
+
+
+def run_in_process(argv: list[str]) -> tuple[int, str]:
+    """Exit code and stderr of ``main``; argparse's SystemExit counts as an
+    exit, any other exception escaping ``main`` fails the test."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+class TestFuzz:
+    """Random DSL text and flags end in a documented exit code, never a
+    traceback; well-formed text with flags valid at any arity ends in 0."""
+
+    @pytest.mark.parametrize("command", ["collapse", "analyze"])
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(net=fuzz_networks(), cap=FUZZ_CAP, p=FUZZ_P, L=often(["0", "2"], ["-1"]),
+           top=often(["3"], ["-1"]),
+           baseline=often(["exchange-random", "exchange-unate", "random-topology-random",
+                           "random-topology-unate"], ["none"]),
+           trials=often(["1", "2"], ["0", "-1", "x"]), extra=often(["--svg"], ["--bogus"]))
+    def test_network_commands(self, command, net, cap, p, L, top, baseline, trials, extra):
+        text, plain = net
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "net.bnet"
+            path.write_text(text)
+            argv = [command, str(path), "--out", str(Path(tmp) / "out")] + flag("--cap", cap)
+            if command == "analyze":
+                argv += flag("--p", p) + flag("--L", L) + flag("--top", top)
+                argv += flag("--baseline", baseline) + flag("--trials", trials)
+                argv += [extra] if extra else []
+                plain = plain and p in (None, "0.5", "0.3") and L is None and top != "-1" \
+                    and baseline in (None, "exchange-random", "exchange-unate") \
+                    and trials in (None, "1", "2") and extra != "--bogus"
+            code, err = run_in_process(argv)
+        assert code in (0, 2, 3, 4), (argv, text, err)
+        assert "Traceback" not in err
+        if plain and cap in (None, "25"):
+            assert code == 0, (argv, text, err)
+
+    @pytest.mark.parametrize("command", ["spectrum", "measures"])
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(expr=fuzz_exprs(), cap=FUZZ_CAP, p=FUZZ_P, A=often(["", "f", "f,g"], ["nope"]),
+           fmt=often(["json", "csv"], ["xml"]), extra=often([], ["--bogus"]))
+    def test_expr_commands(self, command, expr, cap, p, A, fmt, extra):
+        text, plain = expr
+        argv = [command, "--expr", text] + flag("--cap", cap) + flag("--p", p)
+        argv += flag("--A", A) if command == "measures" else flag("--format", fmt)
+        argv += [extra] if extra else []
+        code, err = run_in_process(argv)
+        assert code in (0, 2, 3, 4), (argv, err)
+        assert "Traceback" not in err
+        if plain and cap in (None, "25") and p in (None, "0.5", "0.3") and not A \
+                and fmt != "xml" and not extra:
+            assert code == 0, (argv, err)

@@ -41,6 +41,7 @@ from conftest import (
     fn_dist_mask_triples,
     fn_dist_pairs,
     parity_fn,
+    planted_fn,
     random_bool_fn,
     random_product_dist,
 )
@@ -169,6 +170,13 @@ class TestMutualInformation:
             mask = sum(1 << i for i in others if rng.random() < 0.5) or 1 << others[0]
             d = random_product_dist(rng, n)
             assert mutual_information(f, d, mask) == 0.0
+
+    def test_constant_under_float_noise(self):
+        # these weights of the always-true table sum to 1 + 2.2e-16
+        d = ProductDist((0.578125, 0.533351293543044, 0.5, 0.5703125, 1 / 3, 0.5, 0.5))
+        f = const_fn(7, 1)
+        assert output_entropy(f, d) == 0.0
+        assert mutual_information(f, d, (1 << 7) - 1) == 0.0
 
     @settings(max_examples=60, deadline=None)
     @given(fn_dist_pairs(1, 8))
@@ -345,7 +353,61 @@ class TestIndependence:
             reference.independent_definitional(f, d, mask, tol=1e-9)
 
 
+def unateness_by_signs(f: BoolFn) -> tuple[bool, tuple[int | None, ...]]:
+    """The former unateness test: compare the two restrictions of each
+    variable pointwise over the float signs, through a (-1, 2, 2^i) view."""
+    polarity: list[int | None] = []
+    is_unate = True
+    for i in range(f.arity):
+        view = f.signs.reshape(-1, 2, 1 << i)
+        lo, hi = view[:, 0, :], view[:, 1, :]
+        up = bool(np.all(lo <= hi))
+        down = bool(np.all(hi <= lo))
+        if up and down:
+            polarity.append(None)
+        elif up:
+            polarity.append(1)
+        elif down:
+            polarity.append(-1)
+        else:
+            polarity.append(0)
+            is_unate = False
+    return is_unate, tuple(polarity)
+
+
+def check_against_signs(f: BoolFn) -> None:
+    prof = unateness(f)
+    assert (prof.is_unate, prof.polarity) == unateness_by_signs(f)
+
+
 class TestUnateness:
+    def test_matches_signs_exhaustive(self):
+        for k in range(5):
+            labels = default_labels(k)
+            for t in range(1 << (1 << k)):
+                check_against_signs(BoolFn(k, labels, t))
+
+    def test_matches_signs_planted(self):
+        # planted threshold functions are unate with every polarity showing;
+        # planted random tables are almost never unate
+        rng = np.random.default_rng(11)
+        for k in range(5, 13):
+            for _ in range(10):
+                r = int(rng.integers(0, k + 1))
+                check_against_signs(planted_fn(rng, k, random_threshold_fn(r, rng)[0])[0])
+                check_against_signs(planted_fn(rng, k, random_bool_fn(rng, r))[0])
+
+    def test_matches_signs_n20(self):
+        rng = np.random.default_rng(12)
+        inner, signs = random_threshold_fn(8, rng)
+        f, planted = planted_fn(rng, 20, inner)
+        prof = unateness(f)
+        assert (prof.is_unate, prof.polarity) == unateness_by_signs(f)
+        assert prof.is_unate and {1, -1} <= set(prof.polarity)
+        planted_at = [i for i in range(20) if (planted >> i) & 1]
+        assert all(prof.polarity[i] in (None, a) for i, a in zip(planted_at, signs))
+        assert all(prof.polarity[i] is None for i in range(20) if i not in planted_at)
+
     def test_and2(self):
         prof = unateness(and_fn(2))
         assert prof.is_unate

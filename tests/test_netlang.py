@@ -3,15 +3,19 @@
 import numpy as np
 import pytest
 
-from bnspectral.boolfn import ArityCapError, evaluate
+from bnspectral.analysis import _exchanged_local, _random_topology_local
+from bnspectral.boolfn import ArityCapError, evaluate, relevant_variables
 from bnspectral.netlang import (
     And,
     Const,
+    LocalNetwork,
     NetParseError,
+    Network,
     Not,
     Or,
     Var,
     collapse,
+    collapse_local,
     collapsed_to_json,
     effective_inputs,
     evaluate_assignment,
@@ -205,27 +209,70 @@ class TestCollapse:
         assert effective_inputs(c) == (("x", "y", "z"), ())
 
 
+def assert_matches_node_tables(c, net: Network) -> None:
+    """Every collapsed node, read over the full input space, equals the
+    layer-by-layer tabulation of ``net``."""
+    tables = node_tables(net)
+    rank = {name: i for i, name in enumerate(net.inputs)}
+    idx = np.arange(1 << len(net.inputs), dtype=np.int64)
+    for node in c.nodes:
+        sub = np.zeros_like(idx)
+        for j, name in enumerate(node.inputs):
+            sub |= ((idx >> rank[name]) & 1) << j
+        assert np.array_equal(node.fn.bits[sub], tables[node.name])
+
+
+def as_network(ln: LocalNetwork) -> Network:
+    """Each local table written as a disjunction of its minterms, so that
+    ``node_tables`` can tabulate it independently of collapse."""
+    defs = []
+    for node in ln.nodes:
+        terms = []
+        for b in np.flatnonzero(node.fn.bits):
+            lits = [Var(a) if (b >> j) & 1 else Not(Var(a)) for j, a in enumerate(node.args)]
+            terms.append(lits[0] if len(lits) == 1 else And(tuple(lits)))
+        if not terms or len(terms) == 1 << len(node.args):
+            defs.append((node.name, Const(1 if terms else -1)))
+        else:
+            defs.append((node.name, terms[0] if len(terms) == 1 else Or(tuple(terms))))
+    return Network(ln.inputs, tuple(defs))
+
+
 class TestCollapseSoundness:
     def test_random_networks(self):
         rng = np.random.default_rng(41)
         for _ in range(60):
             net = random_network(rng, max_inputs=8, max_nodes=12, max_depth=4)
-            c = collapse(net)
-            tables = node_tables(net)
-            rank = {name: i for i, name in enumerate(net.inputs)}
-            for node in c.nodes:
-                full = tables[node.name]
-                # gather the collapsed function over the full input space
-                idx = np.arange(1 << len(net.inputs), dtype=np.int64)
-                sub = np.zeros_like(idx)
-                for j, name in enumerate(node.inputs):
-                    sub |= ((idx >> rank[name]) & 1) << j
-                assert np.array_equal(node.fn.bits[sub], full)
+            assert_matches_node_tables(collapse(net), net)
+
+    @pytest.mark.parametrize("mode", ["exchange-random", "exchange-unate",
+                                      "random-topology-random", "random-topology-unate"])
+    def test_baseline_trials(self, mode):
+        rng = np.random.default_rng(44)
+        pruned = constants = 0
+        for _ in range(25):
+            net = random_network(rng, max_inputs=8, max_nodes=12, max_depth=4)
+            ln = localize(net)
+            unate = mode.endswith("unate")
+            if mode.startswith("exchange"):
+                trial = _exchanged_local(ln, rng, unate)
+            else:
+                names = tuple(n.name for n in ln.nodes)
+                trial = _random_topology_local(ln.inputs, names, rng, unate,
+                                               out_degree=min(2, len(names)))
+            c = collapse_local(trial)
+            assert_matches_node_tables(c, as_network(trial))
+            support = {name: {name} for name in trial.inputs}
+            for local, node in zip(trial.nodes, c.nodes):
+                assert relevant_variables(node.fn) == (1 << node.fn.arity) - 1
+                union = set().union(*(support[a] for a in local.args))
+                pruned += len(node.inputs) < len(union)
+                constants += node.fn.arity == 0
+                support[node.name] = set(node.inputs)
+        assert pruned and constants
 
     def test_no_irrelevant_variables_retained(self):
         rng = np.random.default_rng(43)
-        from bnspectral.boolfn import relevant_variables
-
         for _ in range(40):
             net = random_network(rng, max_inputs=8, max_nodes=10)
             for node in collapse(net).nodes:

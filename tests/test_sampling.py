@@ -6,6 +6,7 @@ import pytest
 from bnspectral.boolfn import BoolFn, default_labels
 from bnspectral.measures import unateness
 from bnspectral.sampling import (
+    _apply_polarities,
     _monotone_tables,
     enumerate_unate_tables,
     sample_monotone_mcmc,
@@ -165,3 +166,41 @@ class TestMonotoneChain:
         rng = np.random.default_rng(9)
         tables = {sample_monotone_mcmc(3, rng) for _ in range(30)}
         assert len(tables) > 5
+
+
+def polarities_per_bit(table: int, k: int, neg_mask: int) -> int:
+    """The former polarity map, one table bit at a time."""
+    if neg_mask == 0:
+        return table
+    out = 0
+    for b in range(1 << k):
+        if (table >> (b ^ neg_mask)) & 1:
+            out |= 1 << b
+    return out
+
+
+class TestPolarities:
+    def test_matches_per_bit_exhaustive(self):
+        for k in range(5):
+            for table in range(1 << (1 << k)):
+                for neg_mask in range(1 << k):
+                    assert _apply_polarities(table, k, neg_mask) == \
+                        polarities_per_bit(table, k, neg_mask), (k, table, neg_mask)
+
+    def test_matches_per_bit_random(self):
+        rng = np.random.default_rng(10)
+        for k in range(5, 13):
+            for _ in range(10):
+                table = sample_random_function(k, rng).table
+                neg_mask = int(rng.integers(0, 1 << k))
+                assert _apply_polarities(table, k, neg_mask) == \
+                    polarities_per_bit(table, k, neg_mask)
+
+    def test_gather_n20(self):
+        # the per-bit loop is quadratic here, so compare with new[b] = old[b ^ neg]
+        rng = np.random.default_rng(11)
+        f = sample_random_function(20, rng)
+        neg_mask = int(rng.integers(0, 1 << 20)) | 1 | 1 << 19
+        idx = np.arange(1 << 20, dtype=np.int64)
+        want = BoolFn.from_bit_array(f.bits[idx ^ neg_mask]).table
+        assert _apply_polarities(f.table, 20, neg_mask) == want
