@@ -28,7 +28,7 @@ from .netlang import (
     LocalNode,
     Network,
     collapse_local,
-    localize,
+    references,
 )
 from .sampling import sample_random_function, sample_random_unate
 
@@ -230,15 +230,16 @@ def sensitivity_scatter(c: CollapsedNetwork, d: ProductDist) -> list[Sensitivity
             for node, (avg, p1, lower) in zip(c.nodes, stats)]
 
 
-def _exchanged_local(ln: LocalNetwork, rng: np.random.Generator, unate: bool) -> LocalNetwork:
-    """Swap every node's function for a random one of the same in-degree."""
+def _exchanged_local(inputs: tuple[str, ...], defs: list[tuple[str, tuple[str, ...]]],
+                     rng: np.random.Generator, unate: bool) -> LocalNetwork:
+    """Give every (name, args) definition a random function of its in-degree."""
     nodes = []
-    for node in ln.nodes:
-        k = len(node.args)
-        fn = (sample_random_unate(k, rng, node.args) if unate
-              else sample_random_function(k, rng, node.args))
-        nodes.append(LocalNode(node.name, node.args, fn))
-    return LocalNetwork(ln.inputs, tuple(nodes))
+    for name, args in defs:
+        k = len(args)
+        fn = (sample_random_unate(k, rng, args) if unate
+              else sample_random_function(k, rng, args))
+        nodes.append(LocalNode(name, args, fn))
+    return LocalNetwork(inputs, tuple(nodes))
 
 
 def _random_topology_local(inputs: tuple[str, ...], node_names: tuple[str, ...],
@@ -280,8 +281,11 @@ def baseline_curves(net: Network, spec: BaselineSpec, d: ProductDist,
     inputs by its own determinative power, and computes its own curve.  A
     trial whose collapse exceeds the arity cap is resampled and counted;
     after ``MAX_TRIAL_RESAMPLES`` of them the last ``ArityCapError`` is raised.
+    A definition whose direct arity is over the cap is refused in every mode.
     """
-    ln = localize(net, cap)
+    defs = [(name, references(expr)) for name, expr in net.defs]
+    for name, args in defs:
+        _check_cap(len(args), cap, name)
     if L is None:
         L = len(net.inputs)
     seq = np.random.SeedSequence(spec.seed)
@@ -293,13 +297,13 @@ def baseline_curves(net: Network, spec: BaselineSpec, d: ProductDist,
         rng = np.random.default_rng(child)
         try:
             if spec.mode == "exchange-random":
-                trial_ln = _exchanged_local(ln, rng, unate=False)
+                trial_ln = _exchanged_local(net.inputs, defs, rng, unate=False)
             elif spec.mode == "exchange-unate":
-                trial_ln = _exchanged_local(ln, rng, unate=True)
+                trial_ln = _exchanged_local(net.inputs, defs, rng, unate=True)
             else:
-                node_names = tuple(n.name for n in ln.nodes)
+                node_names = tuple(name for name, _ in defs)
                 trial_ln = _random_topology_local(
-                    ln.inputs, node_names, rng,
+                    net.inputs, node_names, rng,
                     unate=spec.mode.endswith("unate"),
                     out_degree=RANDOM_TOPOLOGY_OUT_DEGREE, cap=cap)
             collapsed = collapse_local(trial_ln, cap)

@@ -204,15 +204,22 @@ def sign_rows(fns: Sequence[BoolFn]) -> np.ndarray:
     return bits * 2.0 - 1.0
 
 
-def _halves(t: int, n: int, j: int) -> tuple[int, int]:
-    """The x_j = -1 and x_j = +1 halves of an n-variable truth table t, both
-    at the x_j = -1 bit positions.  Their mask is built by doubling a run of
-    ones, as big-int division is quadratic in 2^n at n >= 20."""
+def _low_mask(n: int, j: int) -> int:
+    """The x_j = -1 bit positions of an n-variable truth table, built by
+    doubling a run of ones, as big-int division is quadratic in 2^n at
+    n >= 20.  Shifted up by 2^j it is the table of x_j itself."""
     width = 2 << j
     m = (1 << (1 << j)) - 1
     while width < 1 << n:
         m |= m << width
         width <<= 1
+    return m
+
+
+def _halves(t: int, n: int, j: int) -> tuple[int, int]:
+    """The x_j = -1 and x_j = +1 halves of an n-variable truth table t, both
+    at the x_j = -1 bit positions."""
+    m = _low_mask(n, j)
     return t & m, (t >> (1 << j)) & m
 
 

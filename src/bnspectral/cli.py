@@ -1,7 +1,8 @@
 """Command-line front-end.
 
 Subcommands: spectrum, measures, collapse, analyze, baseline, selftest.
-Exit codes: 0 success, 2 usage error, 3 input error, 4 arity cap exceeded.
+Exit codes: 0 success, 2 usage error, 3 input error, 4 arity cap exceeded;
+1 when standard output closes before the output is written.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -67,6 +69,7 @@ from .reports import (
 from .selftest import format_reports, run_selftest
 
 EXIT_OK = 0
+EXIT_CLOSED_STDOUT = 1
 EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_CAP = 4
@@ -120,10 +123,11 @@ def _mask_from_names(arg: str | None, labels: tuple[str, ...]) -> int:
         return (1 << len(labels)) - 1
     if arg.strip() == "":
         return 0
-    try:
-        return mask_of(labels.index(name) for name in arg.split(","))
-    except ValueError as exc:
-        raise InputError(f"unknown variable in --A: {exc}") from exc
+    names = arg.split(",")
+    for name in names:
+        if name not in labels:
+            raise InputError(f"unknown variable in --A: {name!r}")
+    return mask_of(labels.index(name) for name in names)
 
 
 def _subset_label(mask: int, labels: tuple[str, ...]) -> str:
@@ -373,11 +377,19 @@ def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader is gone: send what is still buffered, and the flush at
+        # interpreter exit, to the null device instead of failing again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
     except ArityCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (NetParseError, InputError, FileNotFoundError, ValueError, KeyError) as exc:
+    except (NetParseError, InputError, FileNotFoundError, IsADirectoryError,
+            NotADirectoryError, FileExistsError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

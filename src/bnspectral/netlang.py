@@ -20,12 +20,15 @@ defined nodes (no feedback).
 
 from __future__ import annotations
 
+import operator
+import re
 from dataclasses import dataclass
+from functools import reduce
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .boolfn import ARITY_CAP_DEFAULT, ArityCapError, BoolFn, _subset_index, relevant_variables
+from .boolfn import BoolFn, _check_cap, _low_mask, _subset_index, relevant_variables
 
 KEYWORDS = {"NOT", "AND", "OR"}
 CONST_TRUE = {"1", "TRUE"}
@@ -101,28 +104,24 @@ class Network:
 # ---------------------------------------------------------------------------
 # Tokenizer and parser
 
-_Token = tuple[str, str, int, int]  # kind, text, line, col
+# kind, text, line, col; the kind is the punctuation itself, the upper-cased
+# keyword, or "name"
+_Token = tuple[str, str, int, int]
+PUNCTUATION = {"(", ")", "="}
+# a lone "#" ends the line; re's \s and str.isspace agree on every code point
+_TOKEN_RE = re.compile(r"[()=]|[^\s()=#]+|#")
 
 
 def _tokenize_line(text: str, lineno: int) -> list[_Token]:
     tokens: list[_Token] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "#":
+    for match in _TOKEN_RE.finditer(text):
+        tok = match.group()
+        if tok == "#":
             break
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "()=":
-            tokens.append((ch, ch, lineno, i + 1))
-            i += 1
-            continue
-        j = i
-        while j < len(text) and not text[j].isspace() and text[j] not in "()=#":
-            j += 1
-        tokens.append(("name", text[i:j], lineno, i + 1))
-        i = j
+        kind = tok.upper()
+        if kind not in KEYWORDS and kind not in PUNCTUATION:
+            kind = "name"
+        tokens.append((kind, tok, lineno, match.start() + 1))
     return tokens
 
 
@@ -204,10 +203,10 @@ class _ExprParser:
                 raise NetParseError("missing closing parenthesis", line, col)
             self.next()
             return expr
+        if kind in KEYWORDS:
+            raise NetParseError(f"keyword {text!r} cannot start an operand", line, col)
         if kind == "name":
             upper = text.upper()
-            if upper in KEYWORDS:
-                raise NetParseError(f"keyword {text!r} cannot start an operand", line, col)
             if upper in CONST_TRUE:
                 return Const(1)
             if upper in CONST_FALSE:
@@ -217,7 +216,7 @@ class _ExprParser:
 
     def _at_keyword(self, kw: str) -> bool:
         tok = self.peek()
-        return tok is not None and tok[0] == "name" and tok[1].upper() == kw
+        return tok is not None and tok[0] == kw
 
 
 def parse_expression(text: str, lineno: int = 1) -> Expr:
@@ -239,14 +238,14 @@ def parse(text: str) -> Network:
         if stripped == "@inputs" or stripped.startswith("@inputs ") or stripped.startswith("@inputs\t"):
             rest = stripped[len("@inputs"):]
             for tok in _tokenize_line(rest, lineno):
-                if tok[0] != "name":
+                if tok[0] in PUNCTUATION:
                     raise NetParseError("only names may follow @inputs", lineno, tok[3])
                 if tok[1] in declared_inputs:
                     raise NetParseError(f"input {tok[1]!r} declared twice", lineno, tok[3])
                 declared_inputs.append(tok[1])
             continue
         tokens = _tokenize_line(line, lineno)
-        if len(tokens) < 2 or tokens[0][0] != "name" or tokens[1][0] != "=":
+        if len(tokens) < 2 or tokens[0][0] in PUNCTUATION or tokens[1][0] != "=":
             raise NetParseError("expected 'name = expr'", lineno,
                                 tokens[0][3] if tokens else 1)
         name = tokens[0][1]
@@ -372,19 +371,29 @@ def _eval_expr_bits(expr: Expr, columns: Mapping[str, np.ndarray], size: int) ->
     return np.maximum.reduce(parts)
 
 
+def _eval_expr_table(expr: Expr, columns: Mapping[str, int], full: int) -> int:
+    """Evaluate over all assignments at once on packed truth tables; ``full``
+    has a bit set for every assignment."""
+    if isinstance(expr, Var):
+        return columns[expr.name]
+    if isinstance(expr, Const):
+        return full if expr.sign == 1 else 0
+    if isinstance(expr, Not):
+        return _eval_expr_table(expr.child, columns, full) ^ full
+    parts = [_eval_expr_table(c, columns, full) for c in expr.children]
+    return reduce(operator.and_ if isinstance(expr, And) else operator.or_, parts)
+
+
 def localize(net: Network, cap: int | None = None) -> LocalNetwork:
     """Tabulate each definition over its direct arguments."""
-    limit = ARITY_CAP_DEFAULT if cap is None else cap
     nodes = []
     for name, expr in net.defs:
         args = references(expr)
-        if len(args) > limit:
-            raise ArityCapError(len(args), limit, name)
-        size = 1 << len(args)
-        idx = np.arange(size, dtype=np.int64)
-        columns = {a: ((idx >> j) & 1).astype(np.uint8) for j, a in enumerate(args)}
-        bits = _eval_expr_bits(expr, columns, size)
-        nodes.append(LocalNode(name, args, BoolFn.from_bit_array(bits, args)))
+        k = len(args)
+        _check_cap(k, cap, name)
+        columns = {a: _low_mask(k, j) << (1 << j) for j, a in enumerate(args)}
+        table = _eval_expr_table(expr, columns, (1 << (1 << k)) - 1)
+        nodes.append(LocalNode(name, args, BoolFn(k, args, table)))
     return LocalNetwork(net.inputs, tuple(nodes))
 
 
@@ -396,7 +405,6 @@ def collapse_local(ln: LocalNetwork, cap: int | None = None) -> CollapsedNetwork
     arguments' relevant inputs (reported if over the cap), then cut to the
     variables it depends on.
     """
-    limit = ARITY_CAP_DEFAULT if cap is None else cap
     input_rank = {name: i for i, name in enumerate(ln.inputs)}
     memo = {name: ((name,), np.arange(2, dtype=np.uint8)) for name in ln.inputs}
     out = []
@@ -406,16 +414,14 @@ def collapse_local(ln: LocalNetwork, cap: int | None = None) -> CollapsedNetwork
                 raise ValueError(f"node {node.name!r} references unknown name {a!r}")
         support = tuple(sorted({s for a in node.args for s in memo[a][0]},
                                key=input_rank.__getitem__))
-        if len(support) > limit:
-            raise ArityCapError(len(support), limit, node.name)
-        node_idx = np.zeros(1 << len(support), dtype=np.int64)
-        for j, a in enumerate(node.args):
-            # one axis per variable, highest first; the node's other inputs broadcast
-            sub_support, sub_bits = memo[a]
-            axes = [2 if s in sub_support else 1 for s in reversed(support)]
-            col = np.broadcast_to(sub_bits.reshape(axes), (2,) * len(support))
-            node_idx |= col.reshape(-1).astype(np.int64) << j
-        bits = node.fn.bits[node_idx]
+        _check_cap(len(support), cap, node.name)
+        # One axis per variable, highest first: the node's table gets one per
+        # argument, and each argument's table one per support input, of
+        # length 1 for the inputs it lacks, so a single gather broadcasts.
+        axes = support[::-1]
+        index = tuple(sub_bits.reshape([2 if s in sub_support else 1 for s in axes])
+                      for sub_support, sub_bits in (memo[a] for a in reversed(node.args)))
+        bits = node.fn.bits.reshape((2,) * len(node.args))[index].flatten()
         fn = BoolFn.from_bit_array(bits, support)
         rel = relevant_variables(fn)
         if rel != (1 << fn.arity) - 1:

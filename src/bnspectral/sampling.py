@@ -56,10 +56,11 @@ def enumerate_unate_tables(k: int) -> tuple[int, ...]:
                          for neg_mask in range(1 << k)}))
 
 
-@lru_cache(maxsize=None)
 def _neighbour_masks(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Per point t of the cube: the table bits of its immediate predecessors
-    (t with one set bit cleared) and of its immediate successors."""
+    (t with one set bit cleared) and of its immediate successors.  Built per
+    draw: k 2^k steps against the chain's 32 k 2^k, and nothing kept after
+    it (2 x 2^k ints of up to 2^k bits, about 3 MB at k = 12)."""
     pred, succ = [], []
     for t in range(1 << k):
         below = above = 0

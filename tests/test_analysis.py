@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from bnspectral import analysis, netlang
 from bnspectral.analysis import (
+    BASELINE_MODES,
     BaselineSpec,
     baseline_curves,
     determinative_power,
@@ -271,6 +273,24 @@ class TestBaselines:
             assert len(res.mean.values) == 3
             assert res.resampled >= 0
 
+    @pytest.mark.parametrize("mode", BASELINE_MODES)
+    def test_trials_do_not_localize(self, monkeypatch, mode):
+        # every mode reads only names and argument lists, never the tables
+        def refuse(*args, **kwargs):
+            raise AssertionError("baseline_curves tabulated the network")
+
+        monkeypatch.setattr(netlang, "localize", refuse)
+        monkeypatch.setattr(analysis, "localize", refuse, raising=False)
+        text = "".join(f"y{k} = a AND (b OR NOT c)\n" for k in range(8))
+        d = ProductDist.uniform(3)
+        res = baseline_curves(parse(text), BaselineSpec(mode, trials=2, seed=5), d)
+        assert len(res.mean.values) == 4
+        wide = parse(text + "w = " + " OR ".join(f"v{i}" for i in range(7)) + "\n")
+        with pytest.raises(ArityCapError) as err:
+            baseline_curves(wide, BaselineSpec(mode, trials=2, seed=5),
+                            ProductDist.uniform(10), cap=6)
+        assert (err.value.arity, err.value.cap, err.value.name) == (7, 6, "w")
+
     def test_single_trial_zero_stddev(self):
         res = baseline_curves(toy_network(), BaselineSpec("exchange-random", 1, 3),
                               ProductDist.uniform(4), L=2)
@@ -280,7 +300,8 @@ class TestBaselines:
         from bnspectral.analysis import _exchanged_local
 
         ln = localize(toy_network())
-        swapped = _exchanged_local(ln, np.random.default_rng(2), unate=False)
+        swapped = _exchanged_local(ln.inputs, [(n.name, n.args) for n in ln.nodes],
+                                   np.random.default_rng(2), unate=False)
         for before, after in zip(ln.nodes, swapped.nodes):
             assert before.args == after.args
             assert after.fn.arity == len(before.args)

@@ -202,6 +202,32 @@ class TestExitCodes:
             main(["baseline", "whatever"])  # --mode is required
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("mistake", ["directory as network", "directory as --p @file",
+                                         "file as --out", "file as directory"])
+    def test_path_mistake_is_3(self, toy_file, tmp_path, capsys, mistake):
+        argv = {
+            "directory as network": ["collapse", str(tmp_path)],
+            "directory as --p @file": ["spectrum", "--expr", "a AND b", "--p", f"@{tmp_path}"],
+            "file as --out": ["analyze", str(toy_file), "--out", str(toy_file)],
+            "file as directory": ["collapse", str(toy_file / "toy.bnet")],
+        }[mistake]
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_unknown_A_name_is_named(self, capsys):
+        assert main(["measures", "--expr", "f AND g", "--A", "f,q"]) == 3
+        assert capsys.readouterr().err.strip() == "error: unknown variable in --A: 'q'"
+
+    def test_closed_stdout_is_quiet(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(bnspectral.__file__).resolve().parents[1]))
+        proc = subprocess.Popen([sys.executable, "-m", "bnspectral.cli", "measures",
+                                 "--expr", "f AND g"], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()  # the reader is gone before the first write
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 1
+        assert err.decode() == ""
+
 
 class TestSelftest:
     def test_passes(self, capsys):

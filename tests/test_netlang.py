@@ -1,19 +1,30 @@
 """DSL parsing, network validation, and collapse."""
 
+import re
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bnspectral.analysis import _exchanged_local, _random_topology_local
-from bnspectral.boolfn import ArityCapError, evaluate, relevant_variables
+from bnspectral.boolfn import ArityCapError, BoolFn, _subset_index, evaluate, relevant_variables
 from bnspectral.netlang import (
+    KEYWORDS,
     And,
+    CollapsedNetwork,
+    CollapsedNode,
     Const,
     LocalNetwork,
+    LocalNode,
     NetParseError,
     Network,
     Not,
     Or,
     Var,
+    _eval_expr_bits,
+    _tokenize_line,
     collapse,
     collapse_local,
     collapsed_to_json,
@@ -24,6 +35,7 @@ from bnspectral.netlang import (
     out_degree,
     parse,
     parse_expression,
+    references,
     to_text,
 )
 
@@ -255,12 +267,14 @@ class TestCollapseSoundness:
             ln = localize(net)
             unate = mode.endswith("unate")
             if mode.startswith("exchange"):
-                trial = _exchanged_local(ln, rng, unate)
+                trial = _exchanged_local(ln.inputs, [(n.name, n.args) for n in ln.nodes],
+                                         rng, unate)
             else:
                 names = tuple(n.name for n in ln.nodes)
                 trial = _random_topology_local(ln.inputs, names, rng, unate,
                                                out_degree=min(2, len(names)))
             c = collapse_local(trial)
+            assert c == collapse_local_spread(trial)
             assert_matches_node_tables(c, as_network(trial))
             support = {name: {name} for name in trial.inputs}
             for local, node in zip(trial.nodes, c.nodes):
@@ -308,3 +322,105 @@ class TestJsonDump:
         assert {"name": "mara", "value": 1} in payload["constants"]
         fnr = payload["nodes"][0]
         assert fnr["inputs"] == ["o2_xt"] and fnr["table_hex"] == "01"
+
+
+# Oracles: the direct forms that the regex tokenizer, the packed-int
+# localize and the single-gather collapse replaced.
+
+def tokenize_walk(text: str, lineno: int) -> list[tuple[str, str, int, int]]:
+    """Character walk; every run of name characters has the kind "name"."""
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "#":
+            break
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in "()=":
+            tokens.append((ch, ch, lineno, i + 1))
+            i += 1
+            continue
+        j = i
+        while j < len(text) and not text[j].isspace() and text[j] not in "()=#":
+            j += 1
+        tokens.append(("name", text[i:j], lineno, i + 1))
+        i = j
+    return tokens
+
+
+def localize_columns(net: Network) -> LocalNetwork:
+    """Each definition evaluated on NumPy 0/1 columns of its arguments."""
+    nodes = []
+    for name, expr in net.defs:
+        args = references(expr)
+        idx = np.arange(1 << len(args), dtype=np.int64)
+        columns = {a: ((idx >> j) & 1).astype(np.uint8) for j, a in enumerate(args)}
+        bits = _eval_expr_bits(expr, columns, len(idx))
+        nodes.append(LocalNode(name, args, BoolFn.from_bit_array(bits, args)))
+    return LocalNetwork(net.inputs, tuple(nodes))
+
+
+def collapse_local_spread(ln: LocalNetwork) -> CollapsedNetwork:
+    """Each argument's table spread over the node's support with
+    ``np.broadcast_to`` and packed into an index, one argument at a time."""
+    rank = {name: i for i, name in enumerate(ln.inputs)}
+    memo = {name: ((name,), np.arange(2, dtype=np.uint8)) for name in ln.inputs}
+    nodes = []
+    for node in ln.nodes:
+        support = tuple(sorted({s for a in node.args for s in memo[a][0]}, key=rank.__getitem__))
+        node_idx = np.zeros(1 << len(support), dtype=np.int64)
+        for j, a in enumerate(node.args):
+            sub_support, sub_bits = memo[a]
+            axes = [2 if s in sub_support else 1 for s in reversed(support)]
+            col = np.broadcast_to(sub_bits.reshape(axes), (2,) * len(support))
+            node_idx |= col.reshape(-1).astype(np.int64) << j
+        bits = node.fn.bits[node_idx]
+        fn = BoolFn.from_bit_array(bits, support)
+        rel = relevant_variables(fn)
+        if rel != (1 << fn.arity) - 1:
+            kept = [i for i in range(fn.arity) if (rel >> i) & 1]
+            bits = bits[_subset_index(kept)]
+            fn = BoolFn.from_bit_array(bits, [support[i] for i in kept])
+        memo[node.name] = (fn.labels, bits)
+        nodes.append(CollapsedNode(node.name, fn.labels, fn))
+    return CollapsedNetwork(ln.inputs, tuple(nodes))
+
+
+WHITESPACE = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+LINE_PIECES = st.one_of(
+    st.sampled_from(WHITESPACE + list("#()=")),
+    st.sampled_from(["not", "NOT", "nOt", "And", "aNd", "OR", "oR", "oRx", "1", "True",
+                     "glcn_xt>0", "leu-l_xt", "\u01f9ot"]),
+    st.text(max_size=3),
+)
+
+
+class TestOracles:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(text=st.lists(LINE_PIECES, max_size=12).map("".join))
+    def test_tokenizer_matches_walk(self, text):
+        want = []
+        for kind, tok, line, col in tokenize_walk(text, 7):
+            if kind == "name" and tok.upper() in KEYWORDS:
+                kind = tok.upper()
+            want.append((kind, tok, line, col))
+        assert _tokenize_line(text, 7) == want
+
+    def test_regex_whitespace_is_isspace(self):
+        space = re.compile(r"\s")
+        assert all(bool(space.match(ch)) == ch.isspace()
+                   for ch in map(chr, range(sys.maxunicode + 1)))
+
+    def test_localize_and_collapse_match(self):
+        rng = np.random.default_rng(45)
+        nullary = constants = 0
+        for _ in range(60):
+            net = random_network(rng, max_inputs=8, max_nodes=12, max_depth=4)
+            ln = localize(net)
+            assert ln == localize_columns(net)
+            assert collapse_local(ln) == collapse_local_spread(ln)
+            nullary += sum(not node.args for node in ln.nodes)
+            constants += sum("Const(" in repr(expr) for _, expr in net.defs)
+        assert nullary and constants
