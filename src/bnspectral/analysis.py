@@ -28,7 +28,6 @@ from .netlang import (
     LocalNode,
     Network,
     collapse_local,
-    references,
 )
 from .sampling import sample_random_function, sample_random_unate
 
@@ -243,29 +242,24 @@ def _exchanged_local(inputs: tuple[str, ...], defs: list[tuple[str, tuple[str, .
 
 
 def _random_topology_local(inputs: tuple[str, ...], node_names: tuple[str, ...],
-                           rng: np.random.Generator, unate: bool,
-                           out_degree: int, cap: int | None = None) -> LocalNetwork:
-    """Single-layer random wiring: every input feeds ``out_degree`` distinct
-    randomly chosen output nodes; unfed nodes become constants.  Collapse
-    refuses a fan-in over the cap, so that is checked before any draw."""
+                           rng: np.random.Generator, cap: int | None = None
+                           ) -> list[tuple[str, tuple[str, ...]]]:
+    """Single-layer random wiring as (name, args) definitions: every input
+    feeds ``RANDOM_TOPOLOGY_OUT_DEGREE`` distinct randomly chosen nodes;
+    unfed nodes get no arguments.  Collapse refuses a fan-in over the cap,
+    so that is checked here, before any function is drawn."""
     m = len(node_names)
-    if m < out_degree:
-        raise ValueError(f"need at least {out_degree} nodes for out-degree {out_degree}")
+    if m < RANDOM_TOPOLOGY_OUT_DEGREE:
+        raise ValueError(f"need at least {RANDOM_TOPOLOGY_OUT_DEGREE} nodes for "
+                         f"out-degree {RANDOM_TOPOLOGY_OUT_DEGREE}")
     fan_in: dict[str, list[str]] = {name: [] for name in node_names}
     for inp in inputs:
-        targets = rng.choice(m, size=out_degree, replace=False)
+        targets = rng.choice(m, size=RANDOM_TOPOLOGY_OUT_DEGREE, replace=False)
         for t in sorted(int(t) for t in targets):
             fan_in[node_names[t]].append(inp)
     for name in node_names:
         _check_cap(len(fan_in[name]), cap, name)
-    nodes = []
-    for name in node_names:
-        args = tuple(fan_in[name])
-        k = len(args)
-        fn = (sample_random_unate(k, rng, args) if unate
-              else sample_random_function(k, rng, args))
-        nodes.append(LocalNode(name, args, fn))
-    return LocalNetwork(inputs, tuple(nodes))
+    return [(name, tuple(fan_in[name])) for name in node_names]
 
 
 MAX_TRIAL_RESAMPLES = 1000
@@ -283,9 +277,11 @@ def baseline_curves(net: Network, spec: BaselineSpec, d: ProductDist,
     after ``MAX_TRIAL_RESAMPLES`` of them the last ``ArityCapError`` is raised.
     A definition whose direct arity is over the cap is refused in every mode.
     """
-    defs = [(name, references(expr)) for name, expr in net.defs]
+    node_names = tuple(name for name, _ in net.defs)
+    defs = list(zip(node_names, net.args))
     for name, args in defs:
         _check_cap(len(args), cap, name)
+    unate = spec.mode.endswith("unate")
     if L is None:
         L = len(net.inputs)
     seq = np.random.SeedSequence(spec.seed)
@@ -296,17 +292,9 @@ def baseline_curves(net: Network, spec: BaselineSpec, d: ProductDist,
         child = seq.spawn(1)[0]
         rng = np.random.default_rng(child)
         try:
-            if spec.mode == "exchange-random":
-                trial_ln = _exchanged_local(net.inputs, defs, rng, unate=False)
-            elif spec.mode == "exchange-unate":
-                trial_ln = _exchanged_local(net.inputs, defs, rng, unate=True)
-            else:
-                node_names = tuple(name for name, _ in defs)
-                trial_ln = _random_topology_local(
-                    net.inputs, node_names, rng,
-                    unate=spec.mode.endswith("unate"),
-                    out_degree=RANDOM_TOPOLOGY_OUT_DEGREE, cap=cap)
-            collapsed = collapse_local(trial_ln, cap)
+            trial_defs = (defs if spec.mode.startswith("exchange")
+                          else _random_topology_local(net.inputs, node_names, rng, cap))
+            collapsed = collapse_local(_exchanged_local(net.inputs, trial_defs, rng, unate), cap)
         except ArityCapError as exc:
             resampled += 1
             if resampled > MAX_TRIAL_RESAMPLES:

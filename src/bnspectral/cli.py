@@ -58,6 +58,7 @@ from .netlang import (
 )
 from .reports import (
     _rounded,
+    baseline_to_json,
     curve_csv,
     curve_svg,
     ranking_table,
@@ -188,13 +189,20 @@ def cmd_measures(args) -> int:
     return EXIT_OK
 
 
+def _out_dir(path: str) -> Path:
+    """Create the output directory before any work, so a path mistake ends
+    the run at once."""
+    out = Path(path)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def cmd_collapse(args) -> int:
+    out = _out_dir(args.out) if args.out else None
     net = parse(Path(args.network).read_text())
     c = collapse(net, cap=args.cap)
     payload = collapsed_to_json(c)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out:
         write_json(out / "collapsed.json", payload)
         print(f"wrote {out / 'collapsed.json'}")
     else:
@@ -202,22 +210,31 @@ def cmd_collapse(args) -> int:
     return EXIT_OK
 
 
-def cmd_analyze(args) -> int:
-    if args.top < 0:
-        raise InputError(f"--top must be nonnegative, got {args.top}")
-    path = Path(args.network)
-    text = path.read_text()
+def _network_run(args, mode: str | None):
+    """The stages ``analyze`` and ``baseline`` share.  The baseline spec and
+    the output directory come first, so a flag mistake costs no work; then
+    parse, collapse, distribution, D(j) ranking, the A(l) curve and, with a
+    ``mode``, its baseline.  Returns (out, text, c, d, ranking, L, curve,
+    baseline)."""
+    spec = None if mode is None else BaselineSpec(mode=mode, trials=args.trials,
+                                                  seed=args.seed)
+    out = _out_dir(args.out)
+    text = Path(args.network).read_text()
     net = parse(text)
     c = collapse(net, cap=args.cap)
     d = _dist_for(c.inputs, args.p)
     ranking = determinative_power(c, d)
     L = args.L if args.L is not None else len(ranking.tau)
     curve = uncertainty_curve(c, d, ranking.tau, L)
+    baseline = None if spec is None else baseline_curves(net, spec, d, L, cap=args.cap)
+    return out, text, c, d, ranking, L, curve, baseline
+
+
+def cmd_analyze(args) -> int:
+    if args.top < 0:
+        raise InputError(f"--top must be nonnegative, got {args.top}")
+    out, text, c, d, ranking, L, curve, baseline = _network_run(args, args.baseline)
     scatter = sensitivity_scatter(c, d)
-    baseline = None
-    if args.baseline:
-        spec = BaselineSpec(mode=args.baseline, trials=args.trials, seed=args.seed)
-        baseline = baseline_curves(net, spec, d, L, cap=args.cap)
 
     eff, non_eff = effective_inputs(c)
     report = {
@@ -243,14 +260,7 @@ def cmd_analyze(args) -> int:
         "d_values": dict(ranking.d_values),
         "tau": list(ranking.tau),
         "curve": [[l, v] for l, v in curve.points],
-        "baseline": None if baseline is None else {
-            "mode": baseline.mode,
-            "trials": baseline.trials,
-            "seed": baseline.seed,
-            "resampled": baseline.resampled,
-            "mean": list(baseline.mean.values),
-            "stddev": list(baseline.stddev),
-        },
+        "baseline": None if baseline is None else baseline_to_json(baseline),
         "scatter": [
             {"name": r.name, "in_degree": r.in_degree,
              "avg_sensitivity": r.avg_sensitivity, "prob_one": r.prob_one,
@@ -260,8 +270,6 @@ def cmd_analyze(args) -> int:
         "non_effective_inputs": list(non_eff),
     }
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     write_json(out / "report.json", report)
     (out / "curve.csv").write_text(curve_csv(curve, baseline))
     (out / "scatter.csv").write_text(scatter_csv(scatter))
@@ -276,27 +284,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    path = Path(args.network)
-    net = parse(path.read_text())
-    c = collapse(net, cap=args.cap)
-    d = _dist_for(c.inputs, args.p)
-    ranking = determinative_power(c, d)
-    L = args.L if args.L is not None else len(ranking.tau)
-    curve = uncertainty_curve(c, d, ranking.tau, L)
-    spec = BaselineSpec(mode=args.mode, trials=args.trials, seed=args.seed)
-    baseline = baseline_curves(net, spec, d, L, cap=args.cap)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out, *_, curve, baseline = _network_run(args, args.mode)
     (out / "baseline.csv").write_text(curve_csv(curve, baseline))
-    write_json(out / "baseline.json", {
-        "mode": baseline.mode,
-        "trials": baseline.trials,
-        "seed": baseline.seed,
-        "resampled": baseline.resampled,
-        "true_curve": [[l, v] for l, v in curve.points],
-        "mean": list(baseline.mean.values),
-        "stddev": list(baseline.stddev),
-    })
+    write_json(out / "baseline.json", {**baseline_to_json(baseline),
+                                       "true_curve": [[l, v] for l, v in curve.points]})
     print(f"wrote baseline.csv, baseline.json to {out}")
     return EXIT_OK
 
@@ -312,6 +303,14 @@ def _add_function_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--table-hex", help="little-endian truth table hex")
     sub.add_argument("--labels", help="comma list of variable names (with --table-hex)")
     sub.add_argument("--p", help="probabilities: comma list, single value, or @file")
+
+
+def _add_network_args(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("network")
+    sub.add_argument("--p", help="probabilities: comma list, single value, or @file")
+    sub.add_argument("--L", type=int, default=None, help="curve length (default: all inputs)")
+    sub.add_argument("--trials", type=int, default=25)
+    sub.add_argument("--out", default="out")
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -344,24 +343,16 @@ def build_parser() -> argparse.ArgumentParser:
     sc.set_defaults(fn=cmd_collapse)
 
     sa = subs.add_parser("analyze", help="full network analysis with reports")
-    sa.add_argument("network")
-    sa.add_argument("--p", help="probabilities: comma list, single value, or @file")
-    sa.add_argument("--L", type=int, default=None, help="curve length (default: all inputs)")
+    _add_network_args(sa)
     sa.add_argument("--baseline", choices=list(BASELINE_MODES), default=None)
-    sa.add_argument("--trials", type=int, default=25)
     sa.add_argument("--top", type=int, default=10)
-    sa.add_argument("--out", default="out")
     sa.add_argument("--svg", action="store_true", help="also write SVG figures")
     _add_common(sa)
     sa.set_defaults(fn=cmd_analyze)
 
     sb = subs.add_parser("baseline", help="randomized baseline curves for a network")
-    sb.add_argument("network")
-    sb.add_argument("--p", help="probabilities: comma list, single value, or @file")
+    _add_network_args(sb)
     sb.add_argument("--mode", choices=list(BASELINE_MODES), required=True)
-    sb.add_argument("--trials", type=int, default=25)
-    sb.add_argument("--L", type=int, default=None)
-    sb.add_argument("--out", default="out")
     _add_common(sb)
     sb.set_defaults(fn=cmd_baseline)
 

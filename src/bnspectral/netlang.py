@@ -23,7 +23,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -99,6 +99,11 @@ class Network:
     @property
     def names(self) -> tuple[str, ...]:
         return self.inputs + tuple(n for n, _ in self.defs)
+
+    @cached_property
+    def args(self) -> tuple[tuple[str, ...], ...]:
+        """Each definition's ``references``, in definition order."""
+        return tuple(references(expr) for _, expr in self.defs)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +315,7 @@ def out_degree(net: Network, name: str) -> int:
     """Number of definitions referencing ``name`` (once per definition)."""
     if name not in net.names:
         raise KeyError(f"unknown node {name!r}")
-    return sum(1 for _, expr in net.defs if name in references(expr))
+    return sum(1 for args in net.args if name in args)
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +392,7 @@ def _eval_expr_table(expr: Expr, columns: Mapping[str, int], full: int) -> int:
 def localize(net: Network, cap: int | None = None) -> LocalNetwork:
     """Tabulate each definition over its direct arguments."""
     nodes = []
-    for name, expr in net.defs:
-        args = references(expr)
+    for (name, expr), args in zip(net.defs, net.args):
         k = len(args)
         _check_cap(k, cap, name)
         columns = {a: _low_mask(k, j) << (1 << j) for j, a in enumerate(args)}

@@ -31,6 +31,18 @@ def write_json(path: Path, obj: dict) -> None:
     path.write_text(json.dumps(_rounded(obj), indent=2, sort_keys=True) + "\n")
 
 
+def baseline_to_json(baseline: BaselineResult) -> dict:
+    """The fields ``report.json`` and ``baseline.json`` share for a baseline."""
+    return {
+        "mode": baseline.mode,
+        "trials": baseline.trials,
+        "seed": baseline.seed,
+        "resampled": baseline.resampled,
+        "mean": list(baseline.mean.values),
+        "stddev": list(baseline.stddev),
+    }
+
+
 def curve_csv(curve: UncertaintyCurve, baseline: BaselineResult | None = None) -> str:
     if baseline is None:
         lines = ["l,A_l"]

@@ -311,12 +311,12 @@ class TestBaselines:
 
         inputs = tuple(f"i{k}" for k in range(5))
         names = tuple(f"y{k}" for k in range(10))
-        ln = _random_topology_local(inputs, names, np.random.default_rng(3),
-                                    unate=False, out_degree=8)
+        defs = _random_topology_local(inputs, names, np.random.default_rng(3))
+        assert [name for name, _ in defs] == list(names)
         counts = {name: 0 for name in inputs}
-        for node in ln.nodes:
-            assert len(set(node.args)) == len(node.args)
-            for a in node.args:
+        for _, args in defs:
+            assert len(set(args)) == len(args)
+            for a in args:
                 counts[a] += 1
         assert all(v == 8 for v in counts.values())
 
@@ -333,10 +333,8 @@ class TestBaselines:
         monkeypatch.setattr(analysis, "sample_random_unate", sampler)
         inputs = tuple(f"i{k}" for k in range(12))
         names = tuple(f"y{k}" for k in range(8))
-        for unate in (False, True):
-            with pytest.raises(ArityCapError):
-                analysis._random_topology_local(inputs, names, np.random.default_rng(1),
-                                                unate=unate, out_degree=8, cap=10)
+        with pytest.raises(ArityCapError):
+            analysis._random_topology_local(inputs, names, np.random.default_rng(1), cap=10)
         assert drawn == []
         # through the baseline, every node of every trial has fan-in 12: no
         # function is drawn, and the run gives up with the cap error
@@ -347,8 +345,9 @@ class TestBaselines:
                 baseline_curves(net, BaselineSpec(mode, 1, 4),
                                 ProductDist.uniform(len(net.inputs)), L=1, cap=10)
         assert drawn == []
-        ln = analysis._random_topology_local(inputs, names, np.random.default_rng(1),
-                                             unate=False, out_degree=8, cap=12)
+        rng = np.random.default_rng(1)
+        defs = analysis._random_topology_local(inputs, names, rng, cap=12)
+        ln = analysis._exchanged_local(inputs, defs, rng, unate=False)
         assert drawn == [12] * 8 and len(ln.nodes) == 8
 
     def test_random_topology_needs_enough_nodes(self):

@@ -9,13 +9,16 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bnspectral
 from bnspectral.cli import main
-from bnspectral.netlang import MAX_NESTING
+from bnspectral.netlang import MAX_NESTING, to_text
+
+from conftest import random_network
 
 TOY = """\
 @inputs a b c
@@ -158,6 +161,28 @@ class TestBaselineCmd:
         payload = json.loads((out / "baseline.json").read_text())
         assert payload["trials"] == 2
 
+    @pytest.mark.parametrize("mode", ["exchange-random", "exchange-unate",
+                                      "random-topology-random", "random-topology-unate"])
+    def test_matches_analyze(self, tmp_path, capsys, mode):
+        rng = np.random.default_rng(7)
+        net = random_network(rng, max_inputs=6, max_nodes=12)
+        while len(net.defs) < 8:  # random topology needs 8 nodes
+            net = random_network(rng, max_inputs=6, max_nodes=12)
+        path = tmp_path / "net.bnet"
+        path.write_text(to_text(net))
+        common = ["--trials", "2", "--seed", "3"]
+        assert main(["analyze", str(path), "--baseline", mode, "--out", str(tmp_path / "a")]
+                    + common) == 0
+        assert main(["baseline", str(path), "--mode", mode, "--out", str(tmp_path / "b")]
+                    + common) == 0
+        assert (tmp_path / "b" / "baseline.csv").read_bytes() == \
+            (tmp_path / "a" / "curve.csv").read_bytes()
+        report = json.loads((tmp_path / "a" / "report.json").read_text())
+        payload = json.loads((tmp_path / "b" / "baseline.json").read_text())
+        assert report["baseline"]["mode"] == mode
+        assert {k: payload[k] for k in report["baseline"]} == report["baseline"]
+        assert payload["true_curve"] == report["curve"]
+
 
 class TestExitCodes:
     def test_parse_error_is_3(self, tmp_path, capsys):
@@ -227,6 +252,36 @@ class TestExitCodes:
         _, err = proc.communicate(timeout=120)
         assert proc.returncode == 1
         assert err.decode() == ""
+
+
+class TestFlagsBeforeWork:
+    """A bad ``--out`` or ``--trials`` ends the run before the network is read."""
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "{net}", "--out", "{file}"],
+        ["analyze", "{net}", "--baseline", "exchange-unate", "--out", "{file}"],
+        ["analyze", "{net}", "--baseline", "exchange-random", "--trials", "0", "--out", "{dir}"],
+        ["baseline", "{net}", "--mode", "exchange-unate", "--out", "{file}"],
+        ["baseline", "{net}", "--mode", "random-topology-random", "--trials", "0",
+         "--out", "{dir}"],
+        ["collapse", "{net}", "--out", "{file}"],
+    ], ids=["analyze out", "analyze baseline out", "analyze trials", "baseline out",
+            "baseline trials", "collapse out"])
+    def test_exits_3_before_parse(self, argv, toy_file, tmp_path, monkeypatch, capsys):
+        import bnspectral.cli as cli
+
+        called = []
+
+        def never(*args, **kwargs):
+            called.append(args)
+            raise AssertionError("the network was read before the flags were checked")
+
+        monkeypatch.setattr(cli, "parse", never)
+        monkeypatch.setattr(cli, "collapse", never)
+        argv = [a.format(net=toy_file, file=toy_file, dir=tmp_path / "o") for a in argv]
+        assert main(argv) == 3
+        assert called == []
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestSelftest:

@@ -8,8 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bnspectral import analysis
 from bnspectral.analysis import _exchanged_local, _random_topology_local
-from bnspectral.boolfn import ArityCapError, BoolFn, _subset_index, evaluate, relevant_variables
+from bnspectral.boolfn import (
+    ArityCapError,
+    BoolFn,
+    ProductDist,
+    _subset_index,
+    evaluate,
+    relevant_variables,
+)
 from bnspectral.netlang import (
     KEYWORDS,
     And,
@@ -259,7 +267,7 @@ class TestCollapseSoundness:
 
     @pytest.mark.parametrize("mode", ["exchange-random", "exchange-unate",
                                       "random-topology-random", "random-topology-unate"])
-    def test_baseline_trials(self, mode):
+    def test_baseline_trials(self, mode, monkeypatch):
         rng = np.random.default_rng(44)
         pruned = constants = 0
         for _ in range(25):
@@ -271,8 +279,9 @@ class TestCollapseSoundness:
                                          rng, unate)
             else:
                 names = tuple(n.name for n in ln.nodes)
-                trial = _random_topology_local(ln.inputs, names, rng, unate,
-                                               out_degree=min(2, len(names)))
+                monkeypatch.setattr(analysis, "RANDOM_TOPOLOGY_OUT_DEGREE", min(2, len(names)))
+                trial = _exchanged_local(ln.inputs, _random_topology_local(ln.inputs, names, rng),
+                                         rng, unate)
             c = collapse_local(trial)
             assert c == collapse_local_spread(trial)
             assert_matches_node_tables(c, as_network(trial))
@@ -308,6 +317,25 @@ class TestLocalize:
     def test_local_tables(self):
         ln = localize(parse("y = NOT a\n"))
         assert list(ln.nodes[0].fn.bits) == [1, 0]
+
+    def test_definitions_walked_once(self, monkeypatch):
+        """Localizing and then running a baseline walk each definition at
+        most once between them: both read ``Network.args``."""
+        import bnspectral.netlang as netlang
+
+        net = parse(to_text(random_network(np.random.default_rng(46), max_nodes=12)))
+        walked = []
+
+        def spy(expr):
+            walked.append(id(expr))
+            return references(expr)
+
+        monkeypatch.setattr(netlang, "references", spy)
+        monkeypatch.setattr(analysis, "references", spy, raising=False)
+        localize(net)
+        analysis.baseline_curves(net, analysis.BaselineSpec("exchange-random", 2, 0),
+                                 ProductDist.uniform(len(net.inputs)))
+        assert len(walked) == len(set(walked))
 
 
 class TestJsonDump:
