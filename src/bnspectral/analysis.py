@@ -21,7 +21,7 @@ from .boolfn import (
     kron_apply,
     sign_rows,
 )
-from .measures import CLAMP_BUDGET, _entropy_arr, _mi_single
+from .measures import CLAMP_BUDGET, _entropy_of_expectations, _mi_single
 from .netlang import (
     CollapsedNetwork,
     LocalNetwork,
@@ -129,7 +129,7 @@ def _cond_entropy_rows(coeffs: np.ndarray, d: ProductDist, idx: np.ndarray,
     ik = np.take_along_axis(idx, known, axis=1)
     sub = np.take_along_axis(coeffs, _subset_index(known), axis=1)
     cond = kron_apply(sub, d._inverse[ik].swapaxes(0, 1))
-    return _row_dot(_product_weights(d.p[ik]), _entropy_arr((1.0 + cond) / 2.0))
+    return _row_dot(_product_weights(d.p[ik]), _entropy_of_expectations(cond))
 
 
 def determinative_power(c: CollapsedNetwork, d: ProductDist) -> RankingResult:

@@ -37,6 +37,8 @@ INV_LN4 = 1.0 / math.log(4.0)
 # and mutual informations; anything larger raises.
 CLAMP_BUDGET = 1e-9
 
+SMALLEST_SUBNORMAL = np.finfo(np.float64).smallest_subnormal
+
 
 def binary_entropy(p: float) -> float:
     """Entropy in bits of a Bernoulli(p), with 0 log 0 taken as 0."""
@@ -49,17 +51,28 @@ def binary_entropy(p: float) -> float:
 
 
 def _entropy_arr(p: np.ndarray) -> np.ndarray:
-    """Vectorized binary entropy; input may carry <= CLAMP_BUDGET float noise."""
+    """Vectorized binary entropy; input may carry <= CLAMP_BUDGET float noise.
+    Leaves ``p`` untouched."""
     if p.size and (p.min() < -CLAMP_BUDGET or p.max() > 1.0 + CLAMP_BUDGET):
         raise ValueError("probabilities outside [0,1] beyond tolerance")
     p = np.clip(p, 0.0, 1.0)
     q = 1.0 - p
-    # where= guards keep 0 log 0 at exactly 0 without warnings
-    term_p = np.zeros_like(p)
-    term_q = np.zeros_like(p)
-    np.multiply(p, np.log2(p, out=term_p, where=p > 0.0), out=term_p, where=p > 0.0)
-    np.multiply(q, np.log2(q, out=term_q, where=q > 0.0), out=term_q, where=q > 0.0)
-    return -(term_p + term_q)
+    # log2 of the smallest subnormal is finite (-1074), so 0 log 0 comes out
+    # as a zero without a warning, and every p > 0 keeps its own log2(p)
+    log = np.maximum(p, SMALLEST_SUBNORMAL)
+    p *= np.log2(log, out=log)
+    np.maximum(q, SMALLEST_SUBNORMAL, out=log)
+    q *= np.log2(log, out=log)
+    p += q
+    return np.negative(p, out=p)
+
+
+def _entropy_of_expectations(cond: np.ndarray) -> np.ndarray:
+    """Binary entropy of (1 + c) / 2 for each entry c of a table of
+    conditional expectations E[f | X_A], which is overwritten."""
+    cond += 1.0
+    cond *= 0.5
+    return _entropy_arr(cond)
 
 
 def influence(f: BoolFn, d: ProductDist, i: int) -> float:
@@ -124,7 +137,7 @@ def cond_entropy_spectral(s: Spectrum, d: ProductDist, mask: SubsetMask) -> floa
     check_mask(mask, s.arity)
     cond = conditional_expectation_table(s, d, mask)
     w = _product_weights(d.p[list(indices_of(mask))])
-    return float(np.dot(w, _entropy_arr((1.0 + cond) / 2.0)))
+    return float(np.dot(w, _entropy_of_expectations(cond)))
 
 
 def cond_entropy(f: BoolFn, d: ProductDist, mask: SubsetMask) -> float:

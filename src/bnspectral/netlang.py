@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .boolfn import BoolFn, _check_cap, _low_mask, _subset_index, relevant_variables
+from .boolfn import BoolFn, _check_cap, _low_mask, _subset_entries, indices_of, relevant_variables
 
 KEYWORDS = {"NOT", "AND", "OR"}
 CONST_TRUE = {"1", "TRUE"}
@@ -429,9 +429,8 @@ def collapse_local(ln: LocalNetwork, cap: int | None = None) -> CollapsedNetwork
         fn = BoolFn.from_bit_array(bits, support)
         rel = relevant_variables(fn)
         if rel != (1 << fn.arity) - 1:
-            kept = [i for i in range(fn.arity) if (rel >> i) & 1]
-            bits = bits[_subset_index(kept)]
-            fn = BoolFn.from_bit_array(bits, [support[i] for i in kept])
+            bits = _subset_entries(bits, rel)
+            fn = BoolFn.from_bit_array(bits, [support[i] for i in indices_of(rel)])
         memo[node.name] = (fn.labels, bits)
         out.append(CollapsedNode(node.name, fn.labels, fn))
     return CollapsedNetwork(ln.inputs, tuple(out))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bnspectral.boolfn import (
+    GROUPED_MIN_ARITY,
     ArityCapError,
     BoolFn,
     ProductDist,
@@ -13,11 +14,13 @@ from bnspectral.boolfn import (
     _inverse_factors,
     _halves,
     _product_weights,
+    _subset_entries,
     _subset_index,
     basis_eval,
     conditional_expectation,
     default_labels,
     evaluate,
+    indices_of,
     kron_apply,
     mask_of,
     reconstruct,
@@ -158,6 +161,31 @@ class TestSignRows:
             sign_rows([and_fn(2), and_fn(3)])
 
 
+def _yates_2x2(arr: np.ndarray, mats) -> np.ndarray:
+    """One 2x2 Yates stage per factor, top variable first: the kernel's
+    form below the grouped switch, kept as the reference for it."""
+    arr = np.array(arr, dtype=np.float64)
+    lead = arr.shape[:-1]
+    buf = np.empty_like(arr)
+    for m in reversed(mats):
+        if lead:
+            np.matmul(m, arr.reshape(*lead, 2, -1),
+                      out=buf.reshape(*lead, -1, 2).swapaxes(-1, -2))
+        else:
+            np.matmul(m, arr.reshape(2, -1), out=buf.reshape(-1, 2).T)
+        arr, buf = buf, arr
+    return arr
+
+
+def _per_variable(arr: np.ndarray, mats) -> np.ndarray:
+    """mats[i] applied to the index bit of variable i, one variable at a
+    time from the bottom: an order independent of both kernel forms."""
+    out = np.array(arr, dtype=np.float64)
+    for i, m in enumerate(mats):
+        out = (m @ out.reshape(-1, 2, 1 << i)).reshape(-1)
+    return out
+
+
 class TestKronApply:
     def test_matches_dense_kronecker_product(self):
         rng = np.random.default_rng(3)
@@ -181,6 +209,37 @@ class TestKronApply:
             got = kron_apply(rows, shared)
             for r in range(5):
                 assert np.array_equal(got[r], kron_apply(rows[r], shared))
+
+    def test_grouped_stages_match_per_variable_oracle(self):
+        # k = 17 sits below the switch; 18..21 leave remainders 2, 3, 0, 1
+        assert GROUPED_MIN_ARITY == 18
+        rng = np.random.default_rng(9)
+        for k in range(17, 22):
+            mats = [rng.normal(size=(2, 2)) for _ in range(k)]
+            arr = rng.normal(size=1 << k)
+            want = _per_variable(arr, mats)
+            gap = float(np.max(np.abs(kron_apply(arr, mats) - want)))
+            assert gap <= 1e-12 * float(np.linalg.norm(want)), k
+
+    def test_two_by_two_stages_unchanged_below_switch_and_batched(self):
+        rng = np.random.default_rng(10)
+        for k in range(0, GROUPED_MIN_ARITY):
+            mats = [rng.normal(size=(2, 2)) for _ in range(k)]
+            arr = rng.normal(size=1 << k)
+            assert np.array_equal(kron_apply(arr, mats), _yates_2x2(arr, mats)), k
+        for k in (8, GROUPED_MIN_ARITY):
+            rows = rng.normal(size=(2, 1 << k))
+            per_row = rng.normal(size=(k, 2, 2, 2))
+            assert np.array_equal(kron_apply(rows, list(per_row)), _yates_2x2(rows, list(per_row)))
+
+    @pytest.mark.parametrize("n", [18, 20])
+    def test_grouped_round_trip_and_parseval(self, n):
+        rng = np.random.default_rng(n)
+        f = random_bool_fn(rng, n)
+        d = ProductDist(tuple(float(p) for p in rng.uniform(0.05, 0.95, size=n)))
+        s = transform(f, d)
+        assert abs(float(np.dot(s.coeffs, s.coeffs)) - 1.0) < 1e-12
+        assert float(np.max(np.abs(reconstruct_table(s, d) - f.signs))) < 1e-12
 
     def test_leaves_input_untouched(self):
         arr = np.array([1.0, 2.0])
@@ -236,6 +295,23 @@ class TestBasisHelpers:
                 assert [int(m) for m in got[r]] == [
                     mask_of(v for b, v in enumerate(row) if (c >> b) & 1)
                     for c in range(1 << j)]
+
+    def test_subset_entries_match_index_gather(self):
+        rng = np.random.default_rng(11)
+        for k in range(0, 9):
+            arr = rng.normal(size=1 << k)
+            bits = rng.integers(0, 2, size=1 << k, dtype=np.uint8)
+            for mask in range(1 << k):
+                for a in (arr, bits):
+                    got = _subset_entries(a, mask)
+                    want = a[_subset_index(indices_of(mask))]
+                    assert got.dtype == want.dtype
+                    assert got.tobytes() == want.tobytes()
+        n = 20
+        arr = rng.normal(size=1 << n)
+        full = (1 << n) - 1
+        for mask in [0, full, full & ~1, 1 << (n - 1)] + [int(m) for m in rng.integers(0, 1 << n, 6)]:
+            assert _subset_entries(arr, mask).tobytes() == arr[_subset_index(indices_of(mask))].tobytes()
 
     def test_product_weights_rows_match_one_dimensional_calls(self):
         rng = np.random.default_rng(8)

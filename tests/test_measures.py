@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from bnspectral import reference
 from bnspectral.boolfn import ArityCapError, BoolFn, ProductDist, default_labels, transform
 from bnspectral.measures import (
+    CLAMP_BUDGET,
     _entropy_arr,
+    _entropy_of_expectations,
     avg_sensitivity,
     avg_sensitivity_spectral,
     binary_entropy,
@@ -49,6 +51,31 @@ from conftest import (
 H_QUARTER = 0.811278124459133  # binary entropy of 1/4, from the defining sum
 
 
+def _entropy_arr_masked(p: np.ndarray) -> np.ndarray:
+    """Binary entropy with where= guards keeping 0 log 0 at exactly 0: the
+    reference for ``_entropy_arr``'s unmasked form."""
+    p = np.clip(p, 0.0, 1.0)
+    q = 1.0 - p
+    term_p = np.zeros_like(p)
+    term_q = np.zeros_like(p)
+    np.multiply(p, np.log2(p, out=term_p, where=p > 0.0), out=term_p, where=p > 0.0)
+    np.multiply(q, np.log2(q, out=term_q, where=q > 0.0), out=term_q, where=q > 0.0)
+    return -(term_p + term_q)
+
+
+ENTROPY_EDGES = np.array([0.0, -0.0, 1.0, 1e-12, -1e-12, 1.0 + 1e-12, 1.0 - 1e-12,
+                          5e-324, 1e-310, 1.0 - 5e-324, 0.5, 0.25, 0.75])
+
+
+def _entropy_probes(rng: np.random.Generator) -> np.ndarray:
+    """2^16 probabilities: uniform, down to the subnormals near 0, down to
+    the last ulp near 1, and within the clamp budget of 0 and 1."""
+    m = 1 << 14
+    noise = rng.uniform(-CLAMP_BUDGET, CLAMP_BUDGET, size=m // 2)
+    return np.concatenate([rng.random(m), 2.0 ** -rng.uniform(0.0, 1075.0, size=m),
+                           1.0 - 2.0 ** -rng.uniform(1.0, 54.0, size=m), noise, 1.0 + noise])
+
+
 class TestBinaryEntropy:
     def test_half_is_one(self):
         assert binary_entropy(0.5) == 1.0
@@ -72,6 +99,23 @@ class TestBinaryEntropy:
         p = np.random.default_rng(41).random(200_000)
         scalar = np.array([binary_entropy(float(v)) for v in p])
         assert np.array_equal(scalar, _entropy_arr(p))
+
+    def test_bytes_equal_to_masked_entropy(self):
+        p = np.concatenate([ENTROPY_EDGES, _entropy_probes(np.random.default_rng(42))])
+        assert len(p) == len(ENTROPY_EDGES) + (1 << 16)
+        for chunk in (ENTROPY_EDGES, p):
+            assert _entropy_arr(chunk).tobytes() == _entropy_arr_masked(chunk).tobytes()
+
+    def test_leaves_argument_untouched(self):
+        p = np.concatenate([ENTROPY_EDGES, _entropy_probes(np.random.default_rng(43))])
+        before = p.tobytes()
+        _entropy_arr(p)
+        assert p.tobytes() == before
+
+    def test_entropy_of_expectations(self):
+        cond = 2.0 * _entropy_probes(np.random.default_rng(44)) - 1.0
+        want = _entropy_arr((1.0 + cond) / 2.0)
+        assert _entropy_of_expectations(cond.copy()).tobytes() == want.tobytes()
 
 
 class TestInfluence:
