@@ -123,8 +123,7 @@ class BoolFn:
         n = (len(bits) - 1).bit_length()
         if len(bits) != 1 << n:
             raise ValueError("bit count must be a power of two")
-        packed = np.packbits(bits.astype(np.uint8), bitorder="little")
-        table = int.from_bytes(packed.tobytes(), "little")
+        table = _pack_bits(bits.astype(np.uint8))
         return cls(n, tuple(labels) if labels is not None else default_labels(n), table)
 
     @classmethod
@@ -167,10 +166,7 @@ class BoolFn:
     @cached_property
     def bits(self) -> np.ndarray:
         """Output bits as a read-only uint8 array of length 2^arity."""
-        size = 1 << self.arity
-        nbytes = max(1, size + 7 >> 3)
-        raw = np.frombuffer(self.table.to_bytes(nbytes, "little"), dtype=np.uint8)
-        return _frozen(np.unpackbits(raw, bitorder="little")[:size].copy())
+        return _frozen(_table_bits(self.table, self.arity))
 
     @cached_property
     def signs(self) -> np.ndarray:
@@ -234,14 +230,128 @@ def _halves(t: int, n: int, j: int) -> tuple[int, int]:
     return t & m, (t >> (1 << j)) & m
 
 
+def _table_bits(t: int, n: int) -> np.ndarray:
+    """An n-variable truth table as a fresh uint8 array of its 2^n bits."""
+    size = 1 << n
+    raw = np.frombuffer(t.to_bytes(max(1, size + 7 >> 3), "little"), dtype=np.uint8)
+    return np.unpackbits(raw, bitorder="little")[:size].copy()
+
+
+def _pack_bits(bits: np.ndarray) -> int:
+    """A uint8 array of 0/1 values, entry b as bit b of an int."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+# Packed-table surgery.  ``masks`` is ``_low_masks(n)`` for the table's
+# n-variable layout; an empty position is an index bit that no set bit of
+# the table has.
+
+# The widest layout whose masks are all held at once (n 2^n bits, 128 KB
+# at n = 16); a wider one builds each mask when it is read, as n = 24
+# would hold 48 MB.
+HELD_MASKS_MAX_ARITY = 16
+
+
+def _low_masks(n: int) -> Sequence[int]:
+    """``_low_mask(n, j)`` for every j < n.  Held, each mask is the next one
+    up XORed with itself shifted by 2^j, 2n big-int steps in all."""
+    if n > HELD_MASKS_MAX_ARITY:
+        return _LowMasks(n)
+    if not n:
+        return []
+    masks = [(1 << (1 << (n - 1))) - 1]
+    for j in reversed(range(n - 1)):
+        masks.append(masks[-1] ^ masks[-1] << (1 << j))
+    return masks[::-1]
+
+
+class _LowMasks(Sequence[int]):
+    """The masks of a wide layout, each built when it is read."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, j: int) -> int:
+        if not 0 <= j < self.n:
+            raise IndexError(j)
+        return _low_mask(self.n, j)
+
+
+def _move(t: int, masks: Sequence[int], src: int, dst: int) -> int:
+    """Move variable ``src`` of t to the empty position ``dst``: the bits
+    at x_src = +1 shift by 2^dst - 2^src."""
+    m = masks[src]
+    return t & m | ((t >> (1 << src)) & m) << (1 << dst)
+
+
+def _spread(t: int, positions: Sequence[int], masks: Sequence[int]) -> int:
+    """Lift a table over len(positions) variables to the len(masks)-variable
+    layout, variable r going to the ascending ``positions[r]``; the result
+    does not depend on the variables at the other positions."""
+    n = len(masks)
+    if len(positions) == n:
+        return t
+    for r in reversed(range(len(positions))):
+        if positions[r] != r:
+            t = _move(t, masks, r, positions[r])
+    present = mask_of(positions)
+    for q in range(n):
+        if not (present >> q) & 1:
+            t |= t << (1 << q)
+    return t
+
+
+def _compact(t: int, keep: Sequence[int], masks: Sequence[int]) -> int:
+    """The inverse of ``_spread``: cut a table that depends on none of the
+    variables outside the ascending positions ``keep`` to a table over
+    len(keep) variables, ``keep[r]`` going to r."""
+    kept = mask_of(keep)
+    for q, m in enumerate(masks):
+        if not (kept >> q) & 1:
+            t &= m
+    for r, p in enumerate(keep):
+        if p != r:
+            t = _move(t, masks, p, r)
+    return t
+
+
+def _relevant_mask(t: int, masks: Sequence[int]) -> SubsetMask:
+    """Mask of the variables on which the table t depends."""
+    rel = 0
+    for j, m in enumerate(masks):
+        if t & m != (t >> (1 << j)) & m:
+            rel |= 1 << j
+    return rel
+
+
+def _compose(table: int, columns: Sequence[int], full: int) -> int:
+    """The function with truth table ``table`` over len(columns) variables,
+    applied to the packed tables ``columns`` of one layout whose every bit
+    ``full`` has set: the OR of its minterms, minterm b being the AND over j
+    of ``columns[j]`` if bit j of b is 1 and its complement if it is 0.
+    Minterms are multiplied out from the top variable, depth first, so at
+    most one partial product per variable is held, and a block of them that
+    ``table`` holds wholly or not at all ends the descent."""
+    def walk(j: int, t: int, product: int) -> int:
+        # t: the 2^j entries of table whose top variables give product
+        if t == 0:
+            return 0
+        if t == (1 << (1 << j)) - 1:
+            return product
+        c = columns[j - 1]
+        half = 1 << (j - 1)
+        return (walk(j - 1, t & ((1 << half) - 1), product & ~c)
+                | walk(j - 1, t >> half, product & c))
+
+    return walk(len(columns), table, full)
+
+
 def relevant_variables(f: BoolFn) -> SubsetMask:
     """Mask of variables whose flip changes the output for some input."""
-    mask = 0
-    for i in range(f.arity):
-        lo, hi = _halves(f.table, f.arity, i)
-        if lo != hi:
-            mask |= 1 << i
-    return mask
+    return _relevant_mask(f.table, _low_masks(f.arity))
 
 
 def restrict(f: BoolFn, i: int, v: int) -> BoolFn:
@@ -370,16 +480,19 @@ def kron_apply(arr: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
     back as the bottom bit.  A 1-D ``arr`` with k >= ``GROUPED_MIN_ARITY``
     runs the same step on the factors multiplied out ``GROUP`` at a time
     (see ``_grouped``), contracting that many bits per stage; its result
-    differs from the 2x2 stages only by rounding.  Holds the input copy plus
-    one ping-pong buffer.
+    differs from the 2x2 stages only by rounding.  The first stage reads
+    ``arr`` in place, so it is never written; the result is always a new
+    array, and the stages ping-pong between two buffers.
     """
-    arr = np.array(arr, dtype=np.float64)
+    arr = src = np.asarray(arr, dtype=np.float64)
     if arr.shape[-1:] != (1 << len(mats),):
         raise ValueError(f"array of shape {arr.shape} does not match {len(mats)} factors")
+    if len(mats) == 0:
+        return arr.copy()
     lead = arr.shape[:-1]
     if not lead and len(mats) >= GROUPED_MIN_ARITY:
         mats = _grouped(mats)
-    buf = np.empty_like(arr)
+    buf = np.empty(arr.shape)
     for m in reversed(mats):
         if lead:
             np.matmul(m, arr.reshape(*lead, 2, -1),
@@ -387,7 +500,7 @@ def kron_apply(arr: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
         else:
             # the single-function form, kept apart: its views are cheapest to build
             np.matmul(m, arr.reshape(len(m), -1), out=buf.reshape(-1, len(m)).T)
-        arr, buf = buf, arr
+        arr, buf = buf, (np.empty(arr.shape) if arr is src else arr)
     return arr
 
 

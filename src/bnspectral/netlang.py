@@ -16,6 +16,12 @@ as are the constants ``1``/``TRUE`` and ``0``/``FALSE``.  Names never
 appearing on a left-hand side are inputs; an optional ``@inputs`` header
 pins their order.  Definitions may only reference inputs and previously
 defined nodes (no feedback).
+
+Collapse re-expresses every node over the inputs on packed truth tables,
+the ``boolfn`` layout: each argument's table is spread to the node's
+support and the node's table is applied to them as the OR of its minterms,
+with big-int operations only.  A node of more than ``PACKED_MAX_ARGS``
+arguments is applied by one broadcast gather on unpacked tables instead.
 """
 
 from __future__ import annotations
@@ -28,11 +34,27 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .boolfn import BoolFn, _check_cap, _low_mask, _subset_entries, indices_of, relevant_variables
+from .boolfn import (
+    BoolFn,
+    _check_cap,
+    _compact,
+    _compose,
+    _low_mask,
+    _low_masks,
+    _pack_bits,
+    _relevant_mask,
+    _spread,
+    _table_bits,
+    indices_of,
+)
 
 KEYWORDS = {"NOT", "AND", "OR"}
 CONST_TRUE = {"1", "TRUE"}
 CONST_FALSE = {"0", "FALSE"}
+# The most arguments of a node composed as the OR of its 2^k minterms on
+# packed tables; above it one broadcast gather is cheaper (the measured
+# crossover is in ROADMAP item 2).
+PACKED_MAX_ARGS = 6
 
 
 class NetParseError(ValueError):
@@ -404,36 +426,60 @@ def localize(net: Network, cap: int | None = None) -> LocalNetwork:
 def collapse_local(ln: LocalNetwork, cap: int | None = None) -> CollapsedNetwork:
     """Express every node over input-layer variables only.
 
-    Proceeds in definition order, from every input as the identity table
-    ``[0, 1]`` over itself: each node's table is built over the union of its
-    arguments' relevant inputs (reported if over the cap), then cut to the
-    variables it depends on.
+    Proceeds in definition order on packed truth tables, from every input as
+    the identity table ``0b10`` over itself.  A node's support is the union
+    of its arguments' relevant inputs (reported if over the cap); each
+    argument's table is spread to that support, and the node's own table is
+    evaluated on them as the OR of its minterms.  A node of more than
+    ``PACKED_MAX_ARGS`` arguments, with its 2^k minterms, is evaluated by
+    one broadcast gather on the unpacked tables instead.  The result is then
+    cut to the variables it depends on.
     """
-    input_rank = {name: i for i, name in enumerate(ln.inputs)}
-    memo = {name: ((name,), np.arange(2, dtype=np.uint8)) for name in ln.inputs}
+    memo = {name: ((r,), 0b10) for r, name in enumerate(ln.inputs)}
+    masks: dict[int, Sequence[int]] = {}  # _low_masks by support size
     out = []
     for node in ln.nodes:
         for a in node.args:
             if a not in memo:
                 raise ValueError(f"node {node.name!r} references unknown name {a!r}")
-        support = tuple(sorted({s for a in node.args for s in memo[a][0]},
-                               key=input_rank.__getitem__))
-        _check_cap(len(support), cap, node.name)
-        # One axis per variable, highest first: the node's table gets one per
-        # argument, and each argument's table one per support input, of
-        # length 1 for the inputs it lacks, so a single gather broadcasts.
-        axes = support[::-1]
-        index = tuple(sub_bits.reshape([2 if s in sub_support else 1 for s in axes])
-                      for sub_support, sub_bits in (memo[a] for a in reversed(node.args)))
-        bits = node.fn.bits.reshape((2,) * len(node.args))[index].flatten()
-        fn = BoolFn.from_bit_array(bits, support)
-        rel = relevant_variables(fn)
-        if rel != (1 << fn.arity) - 1:
-            bits = _subset_entries(bits, rel)
-            fn = BoolFn.from_bit_array(bits, [support[i] for i in indices_of(rel)])
-        memo[node.name] = (fn.labels, bits)
-        out.append(CollapsedNode(node.name, fn.labels, fn))
+        support, table = _collapse_node(node, [memo[a] for a in node.args], masks, cap)
+        memo[node.name] = (support, table)
+        labels = tuple(ln.inputs[r] for r in support)
+        out.append(CollapsedNode(node.name, labels, BoolFn(len(labels), labels, table)))
     return CollapsedNetwork(ln.inputs, tuple(out))
+
+
+def _collapse_node(node: LocalNode, subs: list[tuple[Sequence[int], int]],
+                   masks_by_size: dict[int, Sequence[int]],
+                   cap: int | None) -> tuple[list[int], int]:
+    """The input ranks a node depends on and its packed table over them,
+    from each argument's (input ranks, packed table).  A function of its
+    own, so that its wide temporaries are freed before the next node."""
+    support = sorted({r for sub_support, _ in subs for r in sub_support})
+    n = len(support)
+    _check_cap(n, cap, node.name)
+    if n not in masks_by_size:
+        masks_by_size[n] = _low_masks(n)
+    masks = masks_by_size[n]
+    if len(node.args) <= PACKED_MAX_ARGS:
+        position = {r: i for i, r in enumerate(support)}
+        columns = [_spread(t, [position[r] for r in sub_support], masks)
+                   for sub_support, t in subs]
+        table = _compose(node.fn.table, columns, (1 << (1 << n)) - 1)
+    else:
+        # One axis per variable, highest first: the node's table gets one
+        # per argument, and each argument's table one per support input,
+        # of length 1 for the inputs it lacks, so one gather broadcasts.
+        axes = support[::-1]
+        index = tuple(_table_bits(t, len(sub_support))
+                      .reshape([2 if r in sub_support else 1 for r in axes])
+                      for sub_support, t in reversed(subs))
+        table = _pack_bits(node.fn.bits.reshape((2,) * len(node.args))[index].ravel())
+    rel = _relevant_mask(table, masks)
+    if rel == (1 << n) - 1:
+        return support, table
+    kept = indices_of(rel)
+    return [support[i] for i in kept], _compact(table, kept, masks)
 
 
 def collapse(net: Network, cap: int | None = None) -> CollapsedNetwork:

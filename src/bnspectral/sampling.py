@@ -87,18 +87,19 @@ def sample_monotone_mcmc(k: int, rng: np.random.Generator) -> int:
     size = 1 << k
     steps = 32 * k * size
     pred, succ = _neighbour_masks(k)
+    one = [1 << t for t in range(size)]
     table = 0
     # Points are drawn a block at a time, so memory stays flat (all of them
     # at once take 12.6 MB at k = 12); the values, and the generator's state
     # after the chain, are those of a single draw.
     for start in range(0, steps, CHAIN_BLOCK):
         points = rng.integers(0, size, size=min(CHAIN_BLOCK, steps - start), dtype=np.int64)
-        for t in memoryview(points):
-            if (table >> t) & 1:
+        for t in points.tolist():
+            if table & one[t]:
                 if not table & pred[t]:
-                    table ^= 1 << t
+                    table ^= one[t]
             elif table & succ[t] == succ[t]:
-                table |= 1 << t
+                table |= one[t]
     return table
 
 

@@ -7,12 +7,15 @@ from hypothesis import strategies as st
 
 from bnspectral.boolfn import (
     GROUPED_MIN_ARITY,
+    HELD_MASKS_MAX_ARITY,
     ArityCapError,
     BoolFn,
     ProductDist,
     _forward_factors,
+    _grouped,
     _inverse_factors,
     _halves,
+    _low_masks,
     _product_weights,
     _subset_entries,
     _subset_index,
@@ -177,6 +180,24 @@ def _yates_2x2(arr: np.ndarray, mats) -> np.ndarray:
     return arr
 
 
+def _kron_apply_copying(arr: np.ndarray, mats) -> np.ndarray:
+    """``kron_apply`` as it was before it read its input in place: the input
+    copied once, then one ping-pong buffer."""
+    arr = np.array(arr, dtype=np.float64)
+    lead = arr.shape[:-1]
+    if not lead and len(mats) >= GROUPED_MIN_ARITY:
+        mats = _grouped(mats)
+    buf = np.empty_like(arr)
+    for m in reversed(mats):
+        if lead:
+            np.matmul(m, arr.reshape(*lead, 2, -1),
+                      out=buf.reshape(*lead, -1, 2).swapaxes(-1, -2))
+        else:
+            np.matmul(m, arr.reshape(len(m), -1), out=buf.reshape(-1, len(m)).T)
+        arr, buf = buf, arr
+    return arr
+
+
 def _per_variable(arr: np.ndarray, mats) -> np.ndarray:
     """mats[i] applied to the index bit of variable i, one variable at a
     time from the bottom: an order independent of both kernel forms."""
@@ -245,6 +266,26 @@ class TestKronApply:
         arr = np.array([1.0, 2.0])
         kron_apply(arr, [np.array([[0.0, 1.0], [1.0, 0.0]])])
         assert list(arr) == [1.0, 2.0]
+
+    def test_reads_input_in_place(self):
+        """Bitwise the copying form, on both sides of the grouped switch and
+        batched; a read-only input is read, never written, and the result
+        is always a new writable array, with no factors too."""
+        rng = np.random.default_rng(12)
+        for k in (0, 1, 3, 8, 17, 18, 21):
+            f = random_bool_fn(rng, k)
+            mats = [rng.normal(size=(2, 2)) for _ in range(k)]
+            got = kron_apply(f.signs, mats)
+            assert np.array_equal(got, _kron_apply_copying(f.signs, mats)), k
+            assert got.flags.writeable and not np.shares_memory(got, f.signs), k
+            assert np.array_equal(f.signs, f.bits * 2.0 - 1.0), k
+        for k in (0, 3, 8, GROUPED_MIN_ARITY):
+            rows = rng.normal(size=(3, 1 << k))
+            before = rows.copy()
+            per_row = list(rng.normal(size=(k, 3, 2, 2)))
+            got = kron_apply(rows, per_row)
+            assert np.array_equal(got, _kron_apply_copying(rows, per_row)), k
+            assert not np.shares_memory(got, rows) and np.array_equal(rows, before), k
 
     def test_length_must_match_factor_count(self):
         with pytest.raises(ValueError):
@@ -470,13 +511,18 @@ def relevant_by_reshape(f: BoolFn) -> int:
 
 
 class TestHalves:
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 21])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, HELD_MASKS_MAX_ARITY,
+                                   HELD_MASKS_MAX_ARITY + 1, 21])
     def test_masks_match_assignment_bits(self, n):
-        # the halves of the all-true table are the x_j = -1 mask itself
+        # the halves of the all-true table are the x_j = -1 mask itself;
+        # _low_masks holds them up to HELD_MASKS_MAX_ARITY, builds them above
         idx = np.arange(1 << n, dtype=np.int64)
+        wants = []
         for j in range(n):
             want = BoolFn.from_bit_array(((idx >> j) & 1) == 0).table
             assert _halves((1 << (1 << n)) - 1, n, j) == (want, want)
+            wants.append(want)
+        assert list(_low_masks(n)) == wants
 
     def test_halves_are_the_restrictions(self):
         rng = np.random.default_rng(6)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from bnspectral import analysis
 from bnspectral.analysis import _exchanged_local, _random_topology_local
 from bnspectral.boolfn import (
+    HELD_MASKS_MAX_ARITY,
     ArityCapError,
     BoolFn,
     ProductDist,
@@ -20,6 +21,7 @@ from bnspectral.boolfn import (
 )
 from bnspectral.netlang import (
     KEYWORDS,
+    PACKED_MAX_ARGS,
     And,
     CollapsedNetwork,
     CollapsedNode,
@@ -46,6 +48,7 @@ from bnspectral.netlang import (
     references,
     to_text,
 )
+from bnspectral.sampling import sample_random_function
 
 from conftest import random_network
 
@@ -452,3 +455,83 @@ class TestOracles:
             nullary += sum(not node.args for node in ln.nodes)
             constants += sum("Const(" in repr(expr) for _, expr in net.defs)
         assert nullary and constants
+
+
+def random_local_network(rng: np.random.Generator, n_inputs: int, n_nodes: int,
+                         max_args: int) -> LocalNetwork:
+    """Uniform random functions on random wiring: each node takes up to
+    ``max_args`` distinct arguments among the inputs and earlier nodes."""
+    inputs = tuple(f"x{i}" for i in range(n_inputs))
+    names = list(inputs)
+    nodes = []
+    for v in range(n_nodes):
+        k = int(rng.integers(0, min(max_args, len(names)) + 1))
+        args = tuple(str(a) for a in rng.choice(names, size=k, replace=False))
+        nodes.append(LocalNode(f"n{v}", args, sample_random_function(k, rng, args)))
+        names.append(f"n{v}")
+    return LocalNetwork(inputs, tuple(nodes))
+
+
+class TestPackedCollapse:
+    """Nodes of at most ``PACKED_MAX_ARGS`` arguments are composed on packed
+    tables, wider ones by a gather; each kind feeds the other here."""
+
+    def test_matches_oracles_across_switch(self):
+        rng = np.random.default_rng(47)
+        edges = set()
+        outcomes = {6: set(), 10: set()}
+        for _ in range(30):
+            ln = random_local_network(rng, int(rng.integers(1, 15)), 10, PACKED_MAX_ARGS + 3)
+            want = collapse_local_spread(ln)
+            assert collapse_local(ln) == want
+            assert_matches_node_tables(want, as_network(ln))
+            wide = {node.name for node in ln.nodes if len(node.args) > PACKED_MAX_ARGS}
+            edges |= {(a in wide, node.name in wide)
+                      for node in ln.nodes for a in node.args if a.startswith("n")}
+            support = {name: {name} for name in ln.inputs}
+            union = {}
+            for node, collapsed in zip(ln.nodes, want.nodes):
+                union[node.name] = len(set().union(*(support[a] for a in node.args)))
+                support[node.name] = set(collapsed.inputs)
+            for cap in outcomes:
+                over = [name for name, size in union.items() if size > cap]
+                if not over:
+                    assert collapse_local(ln, cap) == want
+                    outcomes[cap].add("collapsed")
+                    continue
+                with pytest.raises(ArityCapError) as err:
+                    collapse_local(ln, cap)
+                assert (err.value.name, err.value.arity, err.value.cap) == (
+                    over[0], union[over[0]], cap)
+                outcomes[cap].add("refused")
+        assert edges == {(False, False), (False, True), (True, False), (True, True)}
+        assert all(seen == {"collapsed", "refused"} for seen in outcomes.values())
+
+    def test_wide_supports(self):
+        """Over ``HELD_MASKS_MAX_ARITY`` inputs each mask is built when it
+        is read: spreading, both ways of composing, and compaction."""
+        rng = np.random.default_rng(48)
+        inputs = tuple(f"x{i}" for i in range(HELD_MASKS_MAX_ARITY + 2))
+        thirds = [inputs[v::3] for v in range(3)]
+        nodes = [LocalNode(f"a{v}", args, sample_random_function(len(args), rng, args))
+                 for v, args in enumerate(thirds)]
+        three = ("a0", "a1", "a2")
+        wide = three + inputs[:PACKED_MAX_ARGS + 1 - len(three)]
+        nodes += [LocalNode("p", three, sample_random_function(3, rng, three)),
+                  LocalNode("w", wide, sample_random_function(len(wide), rng, wide)),
+                  LocalNode("q", three, BoolFn(3, three, 0x5A))]  # a0 XOR a2
+        ln = LocalNetwork(inputs, tuple(nodes))
+        c = collapse_local(ln)
+        assert c == collapse_local_spread(ln)
+        assert_matches_node_tables(c, as_network(ln))
+        assert [len(node.inputs) for node in c.nodes[3:]] == [len(inputs)] * 2 + [12]
+
+    def test_cap_error_precedes_later_unknown_name(self):
+        wide = tuple(f"x{i}" for i in range(4))
+        ln = LocalNetwork(wide, (LocalNode("big", wide, BoolFn(4, wide, 1 << 15)),
+                                 LocalNode("bad", ("ghost",), BoolFn(1, ("ghost",), 0b01))))
+        with pytest.raises(ArityCapError) as err:
+            collapse_local(ln, cap=3)
+        assert (err.value.name, err.value.arity) == ("big", 4)
+        with pytest.raises(ValueError, match="node 'bad' references unknown name 'ghost'"):
+            collapse_local(ln)
