@@ -60,6 +60,7 @@ from .analysis import (
     UncertaintyCurve,
     baseline_curves,
     determinative_power,
+    node_spectra,
     sensitivity_scatter,
     uncertainty_curve,
 )

@@ -1,9 +1,9 @@
 """Network-level analyses over a collapsed feed-forward network.
 
-Determinative power of an input is the sum over nodes of the single-input
-mutual information; ranking the inputs by it yields the permutation used
-for the additive uncertainty curve A(l).  Baseline variants rebuild the
-network with randomized functions or topology and repeat the pipeline.
+``node_spectra`` transforms every node once; D(j), A(l) and the sensitivity
+scatter all read that one pass.  D(j), the sum over nodes of the single-input
+mutual information, orders the inputs for the uncertainty curve A(l).  Each
+baseline trial randomizes the functions or topology and makes its own pass.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .boolfn import (
     kron_apply,
     sign_rows,
 )
-from .measures import CLAMP_BUDGET, _entropy_of_expectations, _mi_single
+from .measures import CLAMP_BUDGET, _entropy_of_expectations, _mi_single, _subset_sums
 from .netlang import (
     CollapsedNetwork,
     LocalNetwork,
@@ -88,21 +88,25 @@ class BaselineResult:
     resampled: int
 
 
-def _check_dist(c: CollapsedNetwork, d: ProductDist) -> None:
+@dataclass(frozen=True)
+class NodeSpectra:
+    """Node spectra of a collapsed network ``c`` under ``d``, grouped by
+    arity k and transformed one group at a time.  Each entry of ``groups`` is
+    (k, rows, idx, coeffs): the group's node indices in definition order,
+    each node's input indices into ``d`` as an (m, k) array in the node's
+    input order, and the (m, 2^k) coefficients, row r equal to
+    ``transform(node.fn, d.marginal(idx[r]))``."""
+
+    c: CollapsedNetwork
+    d: ProductDist
+    groups: tuple[tuple[int, list[int], np.ndarray, np.ndarray], ...]
+
+
+def node_spectra(c: CollapsedNetwork, d: ProductDist) -> NodeSpectra:
+    """Transform every node of ``c`` under the marginal of ``d`` on its inputs."""
     if d.arity != len(c.inputs):
         raise ValueError(
             f"distribution covers {d.arity} inputs, network declares {len(c.inputs)}")
-
-
-def _spectra_by_arity(c: CollapsedNetwork, d: ProductDist
-                      ) -> list[tuple[int, list[int], np.ndarray, np.ndarray]]:
-    """Node spectra, grouped by arity k and transformed one group at a time.
-
-    Each entry is (k, rows, idx, coeffs): the group's node indices in
-    definition order, each node's input indices into ``d`` as an (m, k)
-    array in the node's input order, and the (m, 2^k) coefficients, row r
-    equal to ``transform(node.fn, d.marginal(idx[r]))``.
-    """
     rank = {name: i for i, name in enumerate(c.inputs)}
     groups: dict[int, list[int]] = {}
     for i, node in enumerate(c.nodes):
@@ -113,7 +117,7 @@ def _spectra_by_arity(c: CollapsedNetwork, d: ProductDist
                        dtype=np.int64).reshape(len(rows), k)
         signs = sign_rows([c.nodes[i].fn for i in rows])
         out.append((k, rows, idx, kron_apply(signs, d._forward[idx].swapaxes(0, 1))))
-    return out
+    return NodeSpectra(c, d, tuple(out))
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -132,7 +136,7 @@ def _cond_entropy_rows(coeffs: np.ndarray, d: ProductDist, idx: np.ndarray,
     return _row_dot(_product_weights(d.p[ik]), _entropy_of_expectations(cond))
 
 
-def determinative_power(c: CollapsedNetwork, d: ProductDist) -> RankingResult:
+def determinative_power(s: NodeSpectra) -> RankingResult:
     """Sum the single-input mutual information of every node, per input.
 
     MI(f; x_i) needs only the empty-set and singleton coefficients, since
@@ -140,9 +144,9 @@ def determinative_power(c: CollapsedNetwork, d: ProductDist) -> RankingResult:
     have c_i = 0 and contribute nothing.  Ties in the ranking break
     lexicographically by input name.
     """
-    _check_dist(c, d)
+    c, d = s.c, s.d
     node_mi: list[list[float]] = [[] for _ in c.nodes]
-    for k, rows, idx, coeffs in _spectra_by_arity(c, d):
+    for k, rows, idx, coeffs in s.groups:
         mi = _mi_single(coeffs[:, :1], coeffs[:, [1 << t for t in range(k)]], d.p[idx])
         if mi.size and mi.min() < -CLAMP_BUDGET:
             raise ValueError(f"mutual information {mi.min()} below zero beyond tolerance")
@@ -157,8 +161,7 @@ def determinative_power(c: CollapsedNetwork, d: ProductDist) -> RankingResult:
     return RankingResult(totals, tau)
 
 
-def uncertainty_curve(c: CollapsedNetwork, d: ProductDist,
-                      order: tuple[str, ...] | list[str],
+def uncertainty_curve(s: NodeSpectra, order: tuple[str, ...] | list[str],
                       L: int | None = None) -> UncertaintyCurve:
     """A(l) = sum of per-node conditional entropies given the first l inputs
     of ``order``, for l = 0..L.
@@ -167,7 +170,7 @@ def uncertainty_curve(c: CollapsedNetwork, d: ProductDist,
     appear in ``order``, j = 0..k, so those k + 1 entropies are computed per
     node up front and the curve steps through them.
     """
-    _check_dist(c, d)
+    c, d = s.c, s.d
     order = tuple(order)
     if len(set(order)) != len(order) or not set(order) <= set(c.inputs):
         raise ValueError("order must list distinct declared inputs")
@@ -179,7 +182,7 @@ def uncertainty_curve(c: CollapsedNetwork, d: ProductDist,
     known = order[:L]
     position = {name: l for l, name in enumerate(known)}
     node_h: list[list[float]] = [[] for _ in c.nodes]
-    for k, rows, idx, coeffs in _spectra_by_arity(c, d):
+    for k, rows, idx, coeffs in s.groups:
         when = np.array([[position.get(name, L) for name in c.nodes[i].inputs] for i in rows],
                         dtype=np.int64).reshape(len(rows), k)
         first = np.argsort(when, axis=1, kind="stable")
@@ -204,29 +207,22 @@ def uncertainty_curve(c: CollapsedNetwork, d: ProductDist,
     return UncertaintyCurve(tuple(points))
 
 
-def sensitivity_scatter(c: CollapsedNetwork, d: ProductDist) -> list[SensitivityRecord]:
+def sensitivity_scatter(s: NodeSpectra) -> list[SensitivityRecord]:
     """Per node: in-degree, average sensitivity, output bias, and the
     variance-based lower bound Var(f) min_i 1/sigma_i^2.
 
     The average sensitivity is sum_S c_S^2 sum_{i in S} 1/sigma_i^2.
     """
-    _check_dist(c, d)
-    stats: list[tuple[float, float, float]] = [(0.0, 0.0, 0.0)] * len(c.nodes)
-    for k, rows, idx, coeffs in _spectra_by_arity(c, d):
-        sigma = d.sigma[idx]
-        masks = np.arange(1 << k, dtype=np.int64)
-        inv_var = np.zeros((len(rows), 1 << k))
-        for i in range(k):
-            inv_var += ((masks >> i) & 1) / sigma[:, i:i + 1] ** 2
+    c, d = s.c, s.d
+    records: list[SensitivityRecord | None] = [None] * len(c.nodes)
+    for k, rows, idx, coeffs in s.groups:
+        inv_var = 1.0 / d.sigma[idx] ** 2
         p1 = (1.0 + coeffs[:, 0]) / 2.0
-        var = 4.0 * p1 * (1.0 - p1)
-        lower = var * np.min(1.0 / sigma ** 2, axis=1) if k else np.zeros(len(rows))
-        for r, *values in zip(rows, _row_dot(coeffs ** 2, inv_var).tolist(),
-                              p1.tolist(), lower.tolist()):
-            stats[r] = values
-    return [SensitivityRecord(name=node.name, in_degree=node.fn.arity,
-                              avg_sensitivity=avg, prob_one=p1, poincare_lower=lower)
-            for node, (avg, p1, lower) in zip(c.nodes, stats)]
+        lower = 4.0 * p1 * (1.0 - p1) * np.min(inv_var, axis=1) if k else np.zeros(len(rows))
+        avg = _row_dot(coeffs ** 2, _subset_sums(inv_var))
+        for r, *values in zip(rows, avg.tolist(), p1.tolist(), lower.tolist()):
+            records[r] = SensitivityRecord(c.nodes[r].name, k, *values)
+    return records
 
 
 def _exchanged_local(inputs: tuple[str, ...], defs: list[tuple[str, tuple[str, ...]]],
@@ -302,9 +298,8 @@ def baseline_curves(net: Network, spec: BaselineSpec, d: ProductDist,
                             f"last: {exc}",)
                 raise
             continue
-        ranking = determinative_power(collapsed, d)
-        curve = uncertainty_curve(collapsed, d, ranking.tau, L)
-        curves[done] = curve.values
+        spectra = node_spectra(collapsed, d)
+        curves[done] = uncertainty_curve(spectra, determinative_power(spectra).tau, L).values
         done += 1
     mean = curves.mean(axis=0)
     std = curves.std(axis=0, ddof=1) if spec.trials > 1 else np.zeros(L + 1)

@@ -12,7 +12,6 @@ import hashlib
 import json
 import os
 import sys
-from collections import Counter
 from pathlib import Path
 
 from . import __version__
@@ -21,6 +20,7 @@ from .analysis import (
     BaselineSpec,
     baseline_curves,
     determinative_power,
+    node_spectra,
     sensitivity_scatter,
     uncertainty_curve,
 )
@@ -213,28 +213,29 @@ def cmd_collapse(args) -> int:
 def _network_run(args, mode: str | None):
     """The stages ``analyze`` and ``baseline`` share.  The baseline spec and
     the output directory come first, so a flag mistake costs no work; then
-    parse, collapse, distribution, D(j) ranking, the A(l) curve and, with a
-    ``mode``, its baseline.  Returns (out, text, c, d, ranking, L, curve,
-    baseline)."""
+    parse, collapse, distribution, node spectra, D(j) ranking, the A(l) curve
+    and, with a ``mode``, its baseline.  Returns (out, text, spectra, ranking,
+    L, curve, baseline)."""
     spec = None if mode is None else BaselineSpec(mode=mode, trials=args.trials,
                                                   seed=args.seed)
     out = _out_dir(args.out)
     text = Path(args.network).read_text()
     net = parse(text)
     c = collapse(net, cap=args.cap)
-    d = _dist_for(c.inputs, args.p)
-    ranking = determinative_power(c, d)
+    spectra = node_spectra(c, _dist_for(c.inputs, args.p))
+    ranking = determinative_power(spectra)
     L = args.L if args.L is not None else len(ranking.tau)
-    curve = uncertainty_curve(c, d, ranking.tau, L)
-    baseline = None if spec is None else baseline_curves(net, spec, d, L, cap=args.cap)
-    return out, text, c, d, ranking, L, curve, baseline
+    curve = uncertainty_curve(spectra, ranking.tau, L)
+    baseline = None if spec is None else baseline_curves(net, spec, spectra.d, L, cap=args.cap)
+    return out, text, spectra, ranking, L, curve, baseline
 
 
 def cmd_analyze(args) -> int:
     if args.top < 0:
         raise InputError(f"--top must be nonnegative, got {args.top}")
-    out, text, c, d, ranking, L, curve, baseline = _network_run(args, args.baseline)
-    scatter = sensitivity_scatter(c, d)
+    out, text, spectra, ranking, L, curve, baseline = _network_run(args, args.baseline)
+    scatter = sensitivity_scatter(spectra)
+    c, d = spectra.c, spectra.d
 
     eff, non_eff = effective_inputs(c)
     report = {
@@ -277,8 +278,7 @@ def cmd_analyze(args) -> int:
         (out / "curve.svg").write_text(curve_svg(curve, baseline))
         (out / "scatter.svg").write_text(scatter_svg(scatter))
     print(ranking_table(ranking, args.top))
-    degrees = Counter(node.fn.arity for node in c.nodes)
-    print("\ncollapsed in-degree histogram:", dict(sorted(degrees.items())))
+    print("\ncollapsed in-degree histogram:", {k: len(rows) for k, rows, *_ in spectra.groups})
     print(f"\nwrote report.json, curve.csv, scatter.csv to {out}")
     return EXIT_OK
 

@@ -19,6 +19,7 @@ from .boolfn import (
     Spectrum,
     SubsetMask,
     _check_cap,
+    _check_same_arity,
     _halves,
     _phi,
     _product_weights,
@@ -79,8 +80,7 @@ def influence(f: BoolFn, d: ProductDist, i: int) -> float:
     """Probability that flipping input ``i`` changes the output."""
     if not 0 <= i < f.arity:
         raise IndexError(f"variable index {i} out of range for arity {f.arity}")
-    if f.arity != d.arity:
-        raise ValueError("arity mismatch between function and distribution")
+    _check_same_arity(f.arity, d)
     s = f.bits.reshape(-1, 2, 1 << i)
     w = d.weights().reshape(-1, 2, 1 << i)
     differs = s[:, 0, :] != s[:, 1, :]
@@ -110,11 +110,18 @@ def avg_sensitivity_spectral(s: Spectrum, d: ProductDist, mask: SubsetMask | Non
     if mask is None:
         mask = (1 << s.arity) - 1
     check_mask(mask, s.arity)
-    masks = np.arange(1 << s.arity, dtype=np.int64)
-    inv_var = np.zeros(1 << s.arity, dtype=np.float64)
-    for i in indices_of(mask):
-        inv_var += ((masks >> i) & 1) / d.sigma[i] ** 2
-    return float(np.dot(s.coeffs ** 2, inv_var))
+    inv_var = [1.0 / d.sigma[i] ** 2 if mask >> i & 1 else 0.0 for i in range(s.arity)]
+    return float(np.dot(s.coeffs ** 2, _subset_sums(np.array(inv_var))))
+
+
+def _subset_sums(w: np.ndarray) -> np.ndarray:
+    """The (..., 2^k) table of sum_{i in S} w_i over every subset S of the
+    last axis of ``w`` (..., k), added in ascending i."""
+    masks = np.arange(1 << w.shape[-1], dtype=np.int64)
+    sums = np.zeros(w.shape[:-1] + masks.shape)
+    for i in range(w.shape[-1]):
+        sums += ((masks >> i) & 1) * w[..., i:i + 1]
+    return sums
 
 
 def output_entropy(f: BoolFn, d: ProductDist) -> float:
@@ -123,8 +130,7 @@ def output_entropy(f: BoolFn, d: ProductDist) -> float:
 
 
 def prob_one(f: BoolFn, d: ProductDist) -> float:
-    if f.arity != d.arity:
-        raise ValueError("arity mismatch between function and distribution")
+    _check_same_arity(f.arity, d)
     return float(np.dot(d.weights(), f.bits))
 
 
@@ -311,12 +317,10 @@ def noise_sensitivity(f: BoolFn, d: ProductDist, eps: float, mode: str = "exact"
     if not 0.0 <= eps <= 0.5:
         raise ValueError(f"flip probability {eps} outside [0, 1/2]")
     if mode == "monte-carlo":
-        est, _ = noise_sensitivity_mc(f, d, eps, samples=samples, seed=seed)
-        return est
+        return noise_sensitivity_mc(f, d, eps, samples=samples, seed=seed)[0]
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
-    if f.arity != d.arity:
-        raise ValueError("arity mismatch between function and distribution")
+    _check_same_arity(f.arity, d)
     _check_cap(f.arity, None)
     flip = np.array([[1.0 - eps, eps], [eps, 1.0 - eps]])
     tf = kron_apply(f.signs, [flip] * f.arity)
@@ -329,8 +333,7 @@ def noise_sensitivity_mc(f: BoolFn, d: ProductDist, eps: float,
     """Monte-Carlo estimate with its standard error, seedable for reproducibility."""
     if not 0.0 <= eps <= 0.5:
         raise ValueError(f"flip probability {eps} outside [0, 1/2]")
-    if f.arity != d.arity:
-        raise ValueError("arity mismatch between function and distribution")
+    _check_same_arity(f.arity, d)
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     rng = np.random.default_rng(seed)

@@ -14,6 +14,7 @@ from bnspectral.analysis import (
     BaselineSpec,
     baseline_curves,
     determinative_power,
+    node_spectra,
     sensitivity_scatter,
     uncertainty_curve,
 )
@@ -147,8 +148,8 @@ def test_criterion_6_uncertainty_bound():
             net = random_network(rng, max_inputs=10, max_nodes=6, max_depth=3)
             c = collapse(net)
             d = ProductDist.uniform(len(net.inputs))
-            tau = determinative_power(c, d).tau
-            curve = uncertainty_curve(c, d, tau)
+            tau = determinative_power(node_spectra(c, d)).tau
+            curve = uncertainty_curve(node_spectra(c, d), tau)
             values = curve.values
             assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
             tables = np.stack([node_tables(net)[name] for name, _ in net.defs])
@@ -186,10 +187,10 @@ def test_criterion_7_ecoli_reproduction():
         for name, degree in ECOLI_OUT_DEGREES.items():
             assert out_degree(net, name) == degree
         d = ProductDist.uniform(len(c.inputs))
-        ranking = determinative_power(c, d)
+        ranking = determinative_power(node_spectra(c, d))
         for name, (value, tol) in ECOLI_TOP4.items():
             assert abs(ranking.d_values[name] - value) <= tol
-        for rec in sensitivity_scatter(c, d):
+        for rec in sensitivity_scatter(node_spectra(c, d)):
             bound = 4.0 * rec.prob_one * (1.0 - rec.prob_one)
             assert rec.avg_sensitivity >= bound - 1e-9
         elapsed = time.perf_counter() - t0
@@ -205,9 +206,9 @@ def test_criterion_8_baselines_above_true_curve():
         net = parse(path.read_text())
         c = collapse(net)
         d = ProductDist.uniform(len(c.inputs))
-        ranking = determinative_power(c, d)
+        ranking = determinative_power(node_spectra(c, d))
         L = len(ranking.tau)
-        true_curve = uncertainty_curve(c, d, ranking.tau, L)
+        true_curve = uncertainty_curve(node_spectra(c, d), ranking.tau, L)
         for mode in ("exchange-random", "exchange-unate"):
             res = baseline_curves(net, BaselineSpec(mode, trials=25, seed=2012), d, L)
             for (l, true_v), mean_v in zip(true_curve.points, res.mean.values):

@@ -1,5 +1,7 @@
 """Determinative power, uncertainty curves, scatter, and baselines."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -9,10 +11,12 @@ from bnspectral.analysis import (
     BaselineSpec,
     baseline_curves,
     determinative_power,
+    node_spectra,
     sensitivity_scatter,
     uncertainty_curve,
 )
 from bnspectral.boolfn import ArityCapError, ProductDist, mask_of, transform
+from bnspectral.cli import main
 from bnspectral.measures import (
     avg_sensitivity_spectral,
     binary_entropy,
@@ -49,38 +53,38 @@ class TestDeterminativePower:
         c = collapse(parse(text))
         for p in (0.5, 0.3):
             d = ProductDist((p,))
-            r = determinative_power(c, d)
+            r = determinative_power(node_spectra(c, d))
             assert r.d_values["x1"] == pytest.approx(m * binary_entropy(p), abs=1e-9)
 
     def test_input_feeding_constant_scores_zero(self):
         c = collapse(parse("y = x OR NOT x\nz = w\n"))
-        r = determinative_power(c, ProductDist.uniform(2))
+        r = determinative_power(node_spectra(c, ProductDist.uniform(2)))
         assert r.d_values["x"] == 0.0
         assert r.d_values["w"] == pytest.approx(1.0, abs=1e-12)
         assert r.tau == ("w", "x")
 
     def test_tie_break_lexicographic(self):
         c = collapse(parse("y1 = b\ny2 = a\n"))
-        r = determinative_power(c, ProductDist.uniform(2))
+        r = determinative_power(node_spectra(c, ProductDist.uniform(2)))
         assert r.tau == ("a", "b")
 
     def test_parity_node_contributes_nothing(self):
         c = collapse(parse("y = (a AND NOT b) OR (b AND NOT a)\n"))
-        r = determinative_power(c, ProductDist.uniform(2))
+        r = determinative_power(node_spectra(c, ProductDist.uniform(2)))
         assert r.d_values == {"a": 0.0, "b": 0.0}
 
     def test_missing_probabilities(self):
         c = collapse(toy_network())
         with pytest.raises(ValueError, match="declares"):
-            determinative_power(c, ProductDist.uniform(3))
+            determinative_power(node_spectra(c, ProductDist.uniform(3)))
 
 
 class TestUncertaintyCurve:
     def test_endpoints(self):
         c = collapse(toy_network())
         d = ProductDist.uniform(4)
-        r = determinative_power(c, d)
-        curve = uncertainty_curve(c, d, r.tau)
+        r = determinative_power(node_spectra(c, d))
+        curve = uncertainty_curve(node_spectra(c, d), r.tau)
         values = curve.values
         assert values[-1] == pytest.approx(0.0, abs=1e-12)
         assert values[0] <= len(c.nodes)
@@ -89,23 +93,23 @@ class TestUncertaintyCurve:
     def test_a0_is_sum_of_node_entropies(self):
         c = collapse(parse("y = a AND b\nz = NOT a\n"))
         d = ProductDist.uniform(2)
-        curve = uncertainty_curve(c, d, ("a", "b"), L=0)
+        curve = uncertainty_curve(node_spectra(c, d), ("a", "b"), L=0)
         assert curve.values[0] == pytest.approx(binary_entropy(0.25) + 1.0, abs=1e-12)
 
     def test_invalid_permutation(self):
         c = collapse(toy_network())
         d = ProductDist.uniform(4)
         with pytest.raises(ValueError):
-            uncertainty_curve(c, d, ("a", "a", "b"))
+            uncertainty_curve(node_spectra(c, d), ("a", "a", "b"))
         with pytest.raises(ValueError):
-            uncertainty_curve(c, d, ("a", "nope"))
+            uncertainty_curve(node_spectra(c, d), ("a", "nope"))
         with pytest.raises(ValueError):
-            uncertainty_curve(c, d, ("a",), L=2)
+            uncertainty_curve(node_spectra(c, d), ("a",), L=2)
 
     def test_negative_L(self):
         c = collapse(toy_network())
         with pytest.raises(ValueError, match="L = -1"):
-            uncertainty_curve(c, ProductDist.uniform(4), ("a",), L=-1)
+            uncertainty_curve(node_spectra(c, ProductDist.uniform(4)), ("a",), L=-1)
 
     def test_upper_bounds_exact_joint_entropy(self):
         rng = np.random.default_rng(19)
@@ -113,8 +117,8 @@ class TestUncertaintyCurve:
             net = random_network(rng, max_inputs=8, max_nodes=5, max_depth=3)
             c = collapse(net)
             d = ProductDist.uniform(len(net.inputs))
-            tau = determinative_power(c, d).tau
-            curve = uncertainty_curve(c, d, tau)
+            tau = determinative_power(node_spectra(c, d)).tau
+            curve = uncertainty_curve(node_spectra(c, d), tau)
             tables = np.stack([node_tables(net)[name] for name, _ in net.defs])
             rank = {name: i for i, name in enumerate(net.inputs)}
             for l, a_l in curve.points:
@@ -133,7 +137,7 @@ class TestGoldenThreeNode:
         return collapse(parse("y = a AND b\nz = a OR b\nw = NOT a\n"))
 
     def test_d_values(self):
-        r = determinative_power(self.net(), ProductDist.uniform(2))
+        r = determinative_power(node_spectra(self.net(), ProductDist.uniform(2)))
         assert r.d_values["a"] == pytest.approx(1.0 + 2 * self.MI_ONE, abs=1e-12)
         assert r.d_values["b"] == pytest.approx(2 * self.MI_ONE, abs=1e-12)
         assert r.tau == ("a", "b")
@@ -141,13 +145,13 @@ class TestGoldenThreeNode:
     def test_curve(self):
         c = self.net()
         d = ProductDist.uniform(2)
-        curve = uncertainty_curve(c, d, ("a", "b"))
+        curve = uncertainty_curve(node_spectra(c, d), ("a", "b"))
         assert curve.values[0] == pytest.approx(2 * self.H_QUARTER + 1.0, abs=1e-12)
         assert curve.values[1] == pytest.approx(1.0, abs=1e-12)
         assert curve.values[2] == pytest.approx(0.0, abs=1e-12)
 
     def test_scatter(self):
-        recs = {r.name: r for r in sensitivity_scatter(self.net(), ProductDist.uniform(2))}
+        recs = {r.name: r for r in sensitivity_scatter(node_spectra(self.net(), ProductDist.uniform(2)))}
         assert recs["y"].avg_sensitivity == pytest.approx(1.0, abs=1e-12)
         assert recs["y"].prob_one == pytest.approx(0.25, abs=1e-15)
         assert recs["y"].poincare_lower == pytest.approx(0.75, abs=1e-12)
@@ -158,7 +162,7 @@ class TestGoldenThreeNode:
 class TestSensitivityScatter:
     def test_constant_node(self):
         c = collapse(parse("y = 1\n"))
-        rec = sensitivity_scatter(c, ProductDist.uniform(0))[0]
+        rec = sensitivity_scatter(node_spectra(c, ProductDist.uniform(0)))[0]
         assert rec.in_degree == 0
         assert rec.avg_sensitivity == 0.0
         assert rec.prob_one in (0.0, 1.0)
@@ -167,7 +171,7 @@ class TestSensitivityScatter:
     def test_parity3_node(self):
         c = collapse(parse("y = (a AND b AND c) OR (a AND NOT b AND NOT c) "
                            "OR (NOT a AND b AND NOT c) OR (NOT a AND NOT b AND c)\n"))
-        rec = sensitivity_scatter(c, ProductDist.uniform(3))[0]
+        rec = sensitivity_scatter(node_spectra(c, ProductDist.uniform(3)))[0]
         assert rec.in_degree == 3
         assert rec.avg_sensitivity == pytest.approx(3.0, abs=1e-9)
         assert rec.prob_one == pytest.approx(0.5, abs=1e-12)
@@ -180,12 +184,12 @@ class TestSensitivityScatter:
             net = random_network(rng, max_inputs=7, max_nodes=8)
             c = collapse(net)
             d = ProductDist(tuple(rng.uniform(0.1, 0.9, size=len(net.inputs))))
-            for rec in sensitivity_scatter(c, d):
+            for rec in sensitivity_scatter(node_spectra(c, d)):
                 assert rec.avg_sensitivity >= rec.poincare_lower - 1e-12
 
     def test_uniform_bound_is_4p1mp(self):
         c = collapse(parse("y = a AND b\n"))
-        rec = sensitivity_scatter(c, ProductDist.uniform(2))[0]
+        rec = sensitivity_scatter(node_spectra(c, ProductDist.uniform(2)))[0]
         assert rec.poincare_lower == pytest.approx(4 * 0.25 * 0.75, abs=1e-12)
 
 
@@ -219,7 +223,7 @@ class TestAgainstPerNodeMeasures:
                 for t, name in enumerate(node.inputs):
                     want[name] += mi_spectral(spec, sub, 1 << t)
                     brute[name] += mutual_information_definitional(node.fn, sub, 1 << t)
-            got = determinative_power(c, d).d_values
+            got = determinative_power(node_spectra(c, d)).d_values
             assert max(abs(got[name] - want[name]) for name in want) < 1e-12
             assert max(abs(got[name] - brute[name]) for name in brute) < 1e-12
 
@@ -241,14 +245,14 @@ class TestAgainstPerNodeMeasures:
                         hb[i] = cond_entropy_definitional(node.fn, sub, masks[i])
                 want.append(sum(h))
                 brute.append(sum(hb))
-            got = uncertainty_curve(c, d, order, L).values
+            got = uncertainty_curve(node_spectra(c, d), order, L).values
             assert len(got) == L + 1
             assert np.max(np.abs(np.array(got) - want)) < 1e-12
             assert np.max(np.abs(np.array(got) - brute)) < 1e-12
 
     def test_sensitivity_scatter(self):
         for _, c, d in self.cases():
-            for rec, (node, sub, spec) in zip(sensitivity_scatter(c, d), _per_node(c, d)):
+            for rec, (node, sub, spec) in zip(sensitivity_scatter(node_spectra(c, d)), _per_node(c, d)):
                 assert (rec.name, rec.in_degree) == (node.name, node.fn.arity)
                 assert rec.avg_sensitivity == pytest.approx(
                     avg_sensitivity_spectral(spec, sub), abs=1e-12)
@@ -361,3 +365,53 @@ class TestBaselines:
             BaselineSpec("exchange-random", trials=0, seed=1)
         with pytest.raises(ValueError):
             BaselineSpec("bogus", trials=1, seed=1)
+
+
+class TestSinglePass:
+    """Each network is transformed once: ``sign_rows`` runs once per distinct
+    collapsed arity, over every node once, for an ``analyze`` and for each
+    baseline trial, however many analyses read the spectra."""
+
+    @staticmethod
+    def count_sign_rows(monkeypatch) -> list[int]:
+        calls = []
+        real = analysis.sign_rows
+
+        def sign_rows(fns):
+            calls.append(len(fns))
+            return real(fns)
+
+        monkeypatch.setattr(analysis, "sign_rows", sign_rows)
+        return calls
+
+    def test_analyze(self, monkeypatch, tmp_path, capsys):
+        calls = self.count_sign_rows(monkeypatch)
+        path = tmp_path / "net.bnet"
+        path.write_text(netlang.to_text(toy_network()) + "n5 = c OR d\nn6 = b AND NOT d\n")
+        assert main(["analyze", str(path), "--svg", "--out", str(tmp_path / "out")]) == 0
+        c = collapse(parse(path.read_text()))
+        assert len(calls) == len({node.fn.arity for node in c.nodes}) == 4
+        assert sum(calls) == len(c.nodes) == 6
+        # the histogram is read from the arity groups
+        degrees = dict(sorted(Counter(node.fn.arity for node in c.nodes).items()))
+        assert degrees == {0: 1, 1: 1, 2: 3, 3: 1}
+        assert f"collapsed in-degree histogram: {degrees}\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("mode", BASELINE_MODES)
+    def test_baseline_trials(self, monkeypatch, mode):
+        calls = self.count_sign_rows(monkeypatch)
+        arities, nodes = [], []
+        real = analysis.collapse_local
+
+        def collapse_local(ln, cap=None):
+            c = real(ln, cap)
+            arities.append(len({node.fn.arity for node in c.nodes}))
+            nodes.append(len(c.nodes))
+            return c
+
+        monkeypatch.setattr(analysis, "collapse_local", collapse_local)
+        text = "".join(f"y{k} = a AND (b OR NOT c)\n" for k in range(8))
+        baseline_curves(parse(text), BaselineSpec(mode, trials=2, seed=5), ProductDist.uniform(3))
+        assert len(arities) == 2
+        assert len(calls) == sum(arities)
+        assert sum(calls) == sum(nodes)

@@ -8,11 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bnspectral import reference
-from bnspectral.boolfn import ArityCapError, BoolFn, ProductDist, default_labels, transform
+from bnspectral.boolfn import (
+    ArityCapError,
+    BoolFn,
+    ProductDist,
+    default_labels,
+    indices_of,
+    transform,
+)
 from bnspectral.measures import (
     CLAMP_BUDGET,
     _entropy_arr,
     _entropy_of_expectations,
+    _subset_sums,
     avg_sensitivity,
     avg_sensitivity_spectral,
     binary_entropy,
@@ -167,6 +175,75 @@ class TestAvgSensitivity:
         assert avg_sensitivity_spectral(s, d, mask) == pytest.approx(
             avg_sensitivity(f, d, mask), abs=1e-9)
 
+
+
+def _inv_var_masked(sigma: np.ndarray, mask: int, k: int) -> np.ndarray:
+    """The table ``avg_sensitivity_spectral`` built before ``_subset_sums``."""
+    masks = np.arange(1 << k, dtype=np.int64)
+    inv_var = np.zeros(1 << k, dtype=np.float64)
+    for i in indices_of(mask):
+        inv_var += ((masks >> i) & 1) / sigma[i] ** 2
+    return inv_var
+
+
+def _inv_var_group(sigma: np.ndarray, k: int) -> np.ndarray:
+    """The table ``sensitivity_scatter`` built per arity group before it."""
+    masks = np.arange(1 << k, dtype=np.int64)
+    inv_var = np.zeros((len(sigma), 1 << k))
+    for i in range(k):
+        inv_var += ((masks >> i) & 1) / sigma[:, i:i + 1] ** 2
+    return inv_var
+
+
+class TestSubsetSums:
+    """``_subset_sums`` is bitwise equal to the statements it replaced, kept
+    above: a variable left out weighs an exact 0.0, and terms are still added
+    in ascending i."""
+
+    @staticmethod
+    def weights(sigma: np.ndarray, mask: int) -> np.ndarray:
+        # one scalar 1/sigma_i^2 per variable, as avg_sensitivity_spectral takes it
+        return np.array([1.0 / sigma[i] ** 2 if mask >> i & 1 else 0.0
+                         for i in range(len(sigma))])
+
+    def test_bitwise_equal_to_old_statements(self):
+        rng = np.random.default_rng(53)
+        for k in range(9):
+            full = (1 << k) - 1
+            for _ in range(10):
+                sigma = random_product_dist(rng, k).sigma
+                masks = [full, int(rng.integers(0, full + 1))]
+                for mask in masks:  # unbatched, all variables and a mask
+                    got = _subset_sums(self.weights(sigma, mask))
+                    assert got.shape == (1 << k,)
+                    assert np.array_equal(got, _inv_var_masked(sigma, mask, k))
+                # batched over nodes, without a mask, weighed as in sensitivity_scatter
+                group = np.stack([random_product_dist(rng, k).sigma for _ in range(5)])
+                got = _subset_sums(1.0 / group ** 2)
+                assert got.shape == (5, 1 << k)
+                assert np.array_equal(got, _inv_var_group(group, k))
+                # batched with a mask per row
+                row_masks = rng.integers(0, full + 1, size=5).tolist()
+                w = np.stack([self.weights(s, m) for s, m in zip(group, row_masks)])
+                want = np.stack([_inv_var_masked(s, m, k) for s, m in zip(group, row_masks)])
+                assert np.array_equal(_subset_sums(w), want)
+
+    def test_avg_sensitivity_spectral_unchanged(self):
+        # half the probabilities have a sigma whose square as a NumPy scalar
+        # and as an array element differ in the last bit, so a weight taken
+        # in the other form shows
+        rng = np.random.default_rng(59)
+        pool = random_product_dist(rng, 20000)
+        odd = [p for p, x in zip(pool.probs, pool.sigma) if x ** 2 != np.array([x]) ** 2]
+        assert len(odd) >= 4
+        for k in range(9):
+            probs = [odd[i // 2] if i % 2 == 0 else float(rng.uniform(0.05, 0.95))
+                     for i in range(k)]
+            f, d = random_bool_fn(rng, k), ProductDist(tuple(probs))
+            s = transform(f, d)
+            for mask in (None, int(rng.integers(0, 1 << k))):
+                old = _inv_var_masked(d.sigma, (1 << k) - 1 if mask is None else mask, k)
+                assert avg_sensitivity_spectral(s, d, mask) == float(np.dot(s.coeffs ** 2, old))
 
 class TestCondEntropy:
     def test_empty_mask_is_output_entropy(self):
