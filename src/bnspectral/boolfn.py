@@ -110,14 +110,6 @@ class BoolFn:
             raise ValueError("table does not fit in 2^arity bits")
 
     @classmethod
-    def from_bits(cls, bits: Iterable[int], labels: Sequence[str] | None = None) -> BoolFn:
-        """Build from 2^n output bits (1 means +1), index order as above."""
-        bits = list(bits)
-        if any(v not in (0, 1) for v in bits):
-            raise ValueError("bits must be 0 or 1")
-        return cls.from_bit_array(np.array(bits, dtype=np.uint8), labels)
-
-    @classmethod
     def from_bit_array(cls, bits: np.ndarray, labels: Sequence[str] | None = None) -> BoolFn:
         """Packed-int construction from a 0/1 array of length 2^n."""
         n = (len(bits) - 1).bit_length()
@@ -125,13 +117,6 @@ class BoolFn:
             raise ValueError("bit count must be a power of two")
         table = _pack_bits(bits.astype(np.uint8))
         return cls(n, tuple(labels) if labels is not None else default_labels(n), table)
-
-    @classmethod
-    def from_signs(cls, signs: Sequence[int] | np.ndarray, labels: Sequence[str] | None = None) -> BoolFn:
-        arr = np.asarray(signs)
-        if not np.all(np.abs(arr) == 1):
-            raise ValueError("signs must be +1 or -1")
-        return cls.from_bit_array(((arr + 1) // 2).astype(np.uint8), labels)
 
     @classmethod
     def from_callable(cls, n: int, fn: Callable[[tuple[int, ...]], int],
@@ -145,7 +130,7 @@ class BoolFn:
             if v not in (-1, 1):
                 raise ValueError("function must return +1 or -1")
             bits.append((v + 1) // 2)
-        return cls.from_bits(bits, labels)
+        return cls.from_bit_array(np.array(bits, dtype=np.uint8), labels)
 
     @classmethod
     def from_hex(cls, hex_str: str, labels: Sequence[str]) -> BoolFn:
@@ -172,12 +157,6 @@ class BoolFn:
     def signs(self) -> np.ndarray:
         """Outputs as a read-only float64 array of +1/-1 values."""
         return _frozen(self.bits.astype(np.float64) * 2.0 - 1.0)
-
-    def index_of(self, name: str) -> int:
-        try:
-            return self.labels.index(name)
-        except ValueError:
-            raise KeyError(f"unknown variable {name!r}") from None
 
 
 def _sign_index(x: Sequence[int]) -> int:
@@ -454,15 +433,20 @@ def basis_eval(mask: SubsetMask, x: Sequence[int], d: ProductDist) -> float:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Dense coefficient vector of a function in the product-measure basis."""
+    """Dense coefficient vector of ``f`` in the basis induced by ``d``."""
 
-    arity: int
+    f: BoolFn
+    d: ProductDist
     coeffs: np.ndarray
 
     def __post_init__(self):
         if self.coeffs.shape != (1 << self.arity,):
             raise ValueError("coeffs must have length 2^arity")
         self.coeffs.flags.writeable = False
+
+    @property
+    def arity(self) -> int:
+        return self.f.arity
 
     def coeff(self, mask: SubsetMask) -> float:
         check_mask(mask, self.arity)
@@ -576,7 +560,7 @@ def transform(f: BoolFn, d: ProductDist, cap: int | None = None) -> Spectrum:
     """Coefficients of ``f`` in the basis induced by ``d``, in O(n 2^n)."""
     _check_same_arity(f.arity, d)
     _check_cap(f.arity, cap)
-    return Spectrum(f.arity, kron_apply(f.signs, d._forward))
+    return Spectrum(f, d, kron_apply(f.signs, d._forward))
 
 
 def reconstruct(s: Spectrum, d: ProductDist, x: Sequence[int]) -> float:

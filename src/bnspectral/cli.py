@@ -8,10 +8,12 @@ Exit codes: 0 success, 2 usage error, 3 input error, 4 arity cap exceeded;
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
 import sys
+from itertools import takewhile
 from pathlib import Path
 
 from . import __version__
@@ -35,7 +37,6 @@ from .boolfn import (
 )
 from .measures import (
     avg_sensitivity,
-    cond_entropy,
     entropy_bounds,
     influence,
     influence_entropy_identity,
@@ -132,8 +133,6 @@ def _mask_from_names(arg: str | None, labels: tuple[str, ...]) -> int:
 
 
 def _subset_label(mask: int, labels: tuple[str, ...]) -> str:
-    if mask == 0:
-        return "{}"
     return "{" + ",".join(labels[i] for i in indices_of(mask)) + "}"
 
 
@@ -159,10 +158,10 @@ def cmd_measures(args) -> int:
     d = _dist_for(f.labels, args.p)
     mask = _mask_from_names(args.A, f.labels)
     s = transform(f, d, cap=args.cap)
-    bounds = entropy_bounds(f, d, mask)
+    bounds = entropy_bounds(s, mask)
     lhs = rhs = None
     if mask:
-        lhs, rhs = mi_influence_bound_check(f, d, mask)
+        lhs, rhs = mi_influence_bound_check(s, mask)
     prof = unateness(f)
     report = {
         "labels": list(f.labels),
@@ -173,13 +172,13 @@ def cmd_measures(args) -> int:
         "avg_sensitivity": avg_sensitivity(f, d),
         "avg_sensitivity_A": avg_sensitivity(f, d, mask),
         "output_entropy": output_entropy(f, d),
-        "cond_entropy_A": cond_entropy(f, d, mask),
-        "mutual_information_A": mutual_information(f, d, mask),
+        "cond_entropy_A": bounds.exact,
+        "mutual_information_A": mutual_information(s, mask),
         "entropy_bounds_A": {"lower": bounds.lower, "exact": bounds.exact,
                              "upper": bounds.upper},
         "sensitivity_mi_bound_A": None if lhs is None else {"lhs": lhs, "rhs": rhs},
         "influence_entropy_pairs": {
-            f.labels[i]: list(influence_entropy_identity(f, d, i)) for i in range(f.arity)
+            f.labels[i]: list(influence_entropy_identity(s, i)) for i in range(f.arity)
         },
         "independent_of_A": independence_test(s, mask),
         "unate": {"is_unate": prof.is_unate,
@@ -189,16 +188,18 @@ def cmd_measures(args) -> int:
     return EXIT_OK
 
 
-def _out_dir(path: str) -> Path:
-    """Create the output directory before any work, so a path mistake ends
-    the run at once."""
-    out = Path(path)
+def _out_dir(args) -> Path:
+    """Create the output directory ``args.out`` before any work, so a path
+    mistake ends the run at once.  Each missing directory on the path goes
+    into ``args.created``, deepest first, for ``main`` to remove if empty."""
+    out = Path(args.out)
+    args.created += takewhile(lambda p: not p.exists(), (out, *out.parents))
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 def cmd_collapse(args) -> int:
-    out = _out_dir(args.out) if args.out else None
+    out = _out_dir(args) if args.out else None
     net = parse(Path(args.network).read_text())
     c = collapse(net, cap=args.cap)
     payload = collapsed_to_json(c)
@@ -218,7 +219,7 @@ def _network_run(args, mode: str | None):
     L, curve, baseline)."""
     spec = None if mode is None else BaselineSpec(mode=mode, trials=args.trials,
                                                   seed=args.seed)
-    out = _out_dir(args.out)
+    out = _out_dir(args)
     text = Path(args.network).read_text()
     net = parse(text)
     c = collapse(net, cap=args.cap)
@@ -367,6 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    args.created = []
     try:
         code = args.fn(args)
         sys.stdout.flush()
@@ -383,6 +385,12 @@ def main(argv: list[str] | None = None) -> int:
             NotADirectoryError, FileExistsError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        # a successful run has written into each of these, so only a
+        # failed one leaves an empty directory of its own to remove
+        for path in args.created:
+            with contextlib.suppress(OSError):
+                path.rmdir()
 
 
 if __name__ == "__main__":

@@ -4,6 +4,9 @@ Influence and average sensitivity are computed definitionally (weighted
 truth-table sums); their spectral forms are provided separately so each can
 check the other.  Conditional entropy and mutual information go through the
 spectral characterization, with binary entropy in bits throughout.
+
+The measures of a (function, distribution) pair take its ``Spectrum``,
+which carries ``f`` and ``d``, so the pair is transformed once.
 """
 
 from __future__ import annotations
@@ -81,8 +84,13 @@ def influence(f: BoolFn, d: ProductDist, i: int) -> float:
     if not 0 <= i < f.arity:
         raise IndexError(f"variable index {i} out of range for arity {f.arity}")
     _check_same_arity(f.arity, d)
+    return _influence(f, d.weights(), i)
+
+
+def _influence(f: BoolFn, weights: np.ndarray, i: int) -> float:
+    """Influence of ``i`` given the 2^n assignment weights of the distribution."""
     s = f.bits.reshape(-1, 2, 1 << i)
-    w = d.weights().reshape(-1, 2, 1 << i)
+    w = weights.reshape(-1, 2, 1 << i)
     differs = s[:, 0, :] != s[:, 1, :]
     return float(np.sum((w[:, 0, :] + w[:, 1, :]) * differs))
 
@@ -102,7 +110,9 @@ def avg_sensitivity(f: BoolFn, d: ProductDist, mask: SubsetMask | None = None) -
     if mask is None:
         mask = (1 << f.arity) - 1
     check_mask(mask, f.arity)
-    return sum(influence(f, d, i) for i in indices_of(mask))
+    _check_same_arity(f.arity, d)
+    w = d.weights()
+    return sum(_influence(f, w, i) for i in indices_of(mask))
 
 
 def avg_sensitivity_spectral(s: Spectrum, d: ProductDist, mask: SubsetMask | None = None) -> float:
@@ -153,12 +163,10 @@ def cond_entropy(f: BoolFn, d: ProductDist, mask: SubsetMask) -> float:
     return cond_entropy_spectral(transform(f, d), d, live)
 
 
-def mutual_information(f: BoolFn, d: ProductDist, mask: SubsetMask) -> float:
+def mutual_information(s: Spectrum, mask: SubsetMask) -> float:
     """MI(f(X); X_mask) = H(f(X)) - H(f(X) | X_mask), in bits."""
-    check_mask(mask, f.arity)
-    s = transform(f, d)
-    live = mask & relevant_variables(f)
-    return mi_spectral(s, d, live)
+    check_mask(mask, s.arity)
+    return mi_spectral(s, s.d, mask & relevant_variables(s.f))
 
 
 def mi_spectral(s: Spectrum, d: ProductDist, mask: SubsetMask) -> float:
@@ -203,17 +211,16 @@ class EntropyBound:
     upper: float
 
 
-def entropy_bounds(f: BoolFn, d: ProductDist, mask: SubsetMask) -> EntropyBound:
+def entropy_bounds(s: Spectrum, mask: SubsetMask) -> EntropyBound:
     """Lower/upper bounds 1 - W and (1 - W)^(1/ln 4) around the exact value,
     where W is the squared coefficient weight on subsets of ``mask``."""
-    check_mask(mask, f.arity)
-    s = transform(f, d)
+    check_mask(mask, s.arity)
     weight = float(np.sum(subset_coeffs(s, mask) ** 2))
     gap = min(max(1.0 - weight, 0.0), 1.0)
-    live = mask & relevant_variables(f)
+    live = mask & relevant_variables(s.f)
     return EntropyBound(
         lower=gap,
-        exact=cond_entropy_spectral(s, d, live),
+        exact=cond_entropy_spectral(s, s.d, live),
         upper=gap ** INV_LN4,
     )
 
@@ -231,29 +238,29 @@ def variance(f: BoolFn, d: ProductDist) -> float:
     return 4.0 * p1 * (1.0 - p1)
 
 
-def mi_influence_bound_check(f: BoolFn, d: ProductDist, mask: SubsetMask) -> tuple[float, float]:
+def mi_influence_bound_check(s: Spectrum, mask: SubsetMask) -> tuple[float, float]:
     """Both sides of the sensitivity lower bound in terms of MI.
 
     Returns (sensitivity over mask, min 1/sigma^2 times (MI - psi(Var))).
     The caller asserts lhs >= rhs.
     """
-    check_mask(mask, f.arity)
+    check_mask(mask, s.arity)
     if mask == 0:
         raise ValueError("mask must be nonempty")
-    lhs = avg_sensitivity(f, d, mask)
-    mi = mutual_information(f, d, mask)
-    min_inv = min(1.0 / d.sigma[i] ** 2 for i in indices_of(mask))
-    rhs = min_inv * (mi - psi(variance(f, d)))
+    lhs = avg_sensitivity(s.f, s.d, mask)
+    mi = mutual_information(s, mask)
+    min_inv = min(1.0 / s.d.sigma[i] ** 2 for i in indices_of(mask))
+    rhs = min_inv * (mi - psi(variance(s.f, s.d)))
     return lhs, rhs
 
 
-def influence_entropy_identity(f: BoolFn, d: ProductDist, i: int) -> tuple[float, float]:
+def influence_entropy_identity(s: Spectrum, i: int) -> tuple[float, float]:
     """Influence of ``i`` alongside H(f(X)|X_rest) / H(X_i); the two agree."""
-    if not 0 <= i < f.arity:
-        raise IndexError(f"variable index {i} out of range for arity {f.arity}")
-    rest = ((1 << f.arity) - 1) & ~(1 << i)
-    ratio = cond_entropy(f, d, rest) / binary_entropy(d.probs[i])
-    return influence(f, d, i), ratio
+    if not 0 <= i < s.arity:
+        raise IndexError(f"variable index {i} out of range for arity {s.arity}")
+    rest = relevant_variables(s.f) & ~(1 << i)  # the live variables but i
+    ratio = cond_entropy_spectral(s, s.d, rest) / binary_entropy(s.d.probs[i])
+    return influence(s.f, s.d, i), ratio
 
 
 def independence_test(s: Spectrum, mask: SubsetMask, tol: float = 1e-9) -> bool:
@@ -292,16 +299,16 @@ def unateness(f: BoolFn) -> UnatenessProfile:
     return UnatenessProfile(0 not in polarity, tuple(polarity))
 
 
-def unate_coefficient_check(f: BoolFn, d: ProductDist) -> list[tuple[int, float, float]]:
+def unate_coefficient_check(s: Spectrum) -> list[tuple[int, float, float]]:
     """Rows (i, singleton coefficient, a_i sigma_i I_i) for a unate function."""
-    prof = unateness(f)
+    prof = unateness(s.f)
     if not prof.is_unate:
         raise ValueError("function is not unate")
-    s = transform(f, d)
+    w = s.d.weights()
     rows = []
-    for i in range(f.arity):
+    for i in range(s.arity):
         a = prof.polarity[i] if prof.polarity[i] is not None else 1
-        rows.append((i, s.coeff(1 << i), a * float(d.sigma[i]) * influence(f, d, i)))
+        rows.append((i, s.coeff(1 << i), a * float(s.d.sigma[i]) * _influence(s.f, w, i)))
     return rows
 
 

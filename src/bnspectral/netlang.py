@@ -384,20 +384,6 @@ class CollapsedNetwork:
         return sum(1 for n in self.nodes if name in n.inputs)
 
 
-def _eval_expr_bits(expr: Expr, columns: Mapping[str, np.ndarray], size: int) -> np.ndarray:
-    """Evaluate over all assignments at once; columns hold 0/1 arrays."""
-    if isinstance(expr, Var):
-        return columns[expr.name]
-    if isinstance(expr, Const):
-        return np.full(size, 1 if expr.sign == 1 else 0, dtype=np.uint8)
-    if isinstance(expr, Not):
-        return 1 - _eval_expr_bits(expr.child, columns, size)
-    parts = [_eval_expr_bits(c, columns, size) for c in expr.children]
-    if isinstance(expr, And):
-        return np.minimum.reduce(parts)
-    return np.maximum.reduce(parts)
-
-
 def _eval_expr_table(expr: Expr, columns: Mapping[str, int], full: int) -> int:
     """Evaluate over all assignments at once on packed truth tables; ``full``
     has a bit set for every assignment."""
@@ -495,50 +481,6 @@ def effective_inputs(c: CollapsedNetwork) -> tuple[tuple[str, ...], tuple[str, .
     eff = tuple(name for name in c.inputs if name in used)
     non_eff = tuple(name for name in c.inputs if name not in used)
     return eff, non_eff
-
-
-def evaluate_assignment(net: Network, assignment: Mapping[str, int]) -> dict[str, int]:
-    """One synchronous forward pass: node states from input states."""
-    values: dict[str, int] = {}
-    for name in net.inputs:
-        v = assignment[name]
-        if v not in (-1, 1):
-            raise ValueError("input values must be +1 or -1")
-        values[name] = v
-
-    def ev(expr: Expr) -> int:
-        if isinstance(expr, Var):
-            return values[expr.name]
-        if isinstance(expr, Const):
-            return expr.sign
-        if isinstance(expr, Not):
-            return -ev(expr.child)
-        if isinstance(expr, And):
-            return min(ev(c) for c in expr.children)
-        return max(ev(c) for c in expr.children)
-
-    for name, expr in net.defs:
-        values[name] = ev(expr)
-    return values
-
-
-def node_tables(net: Network) -> dict[str, np.ndarray]:
-    """Layer-by-layer outputs of every node over the full input space.
-
-    Brute-force oracle for collapse soundness; cost 2^(number of inputs).
-    """
-    n = len(net.inputs)
-    size = 1 << n
-    idx = np.arange(size, dtype=np.int64)
-    columns: dict[str, np.ndarray] = {
-        name: ((idx >> i) & 1).astype(np.uint8) for i, name in enumerate(net.inputs)
-    }
-    out = {}
-    for name, expr in net.defs:
-        bits = _eval_expr_bits(expr, columns, size)
-        columns[name] = bits
-        out[name] = bits
-    return out
 
 
 def collapsed_to_json(c: CollapsedNetwork) -> dict:

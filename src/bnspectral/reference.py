@@ -1,8 +1,8 @@
 """Brute-force reference computations on small instances.
 
-Everything here works directly from truth tables and joint enumerations,
-never from the fast transform or the spectral entropy formulas, so these
-functions serve as independent cross-checks for the optimized paths.
+Everything here works from truth tables, joint enumerations and expression
+trees, never from the fast transform, the spectral formulas or collapse, so
+they serve as independent cross-checks for the optimized paths.
 Intended for small arities only (cost is 2^n or worse).
 """
 
@@ -20,6 +20,7 @@ from .boolfn import (
     basis_eval,
     indices_of,
 )
+from .netlang import And, Const, Expr, Network, Not, Var
 
 
 def _assignments(n: int) -> list[tuple[int, ...]]:
@@ -42,7 +43,7 @@ def transform_naive(f: BoolFn, d: ProductDist) -> Spectrum:
         bit = (idx >> i) & 1
         phi = (np.where(bit, 1.0, -1.0) - d.mu[i]) / d.sigma[i]
         basis *= np.where(bit, phi[:, None], 1.0)
-    return Spectrum(f.arity, basis.T @ (d.weights() * f.signs))
+    return Spectrum(f, d, basis.T @ (d.weights() * f.signs))
 
 
 def _group_index(n: int, mask: SubsetMask) -> np.ndarray:
@@ -151,3 +152,61 @@ def noise_sensitivity_definitional(f: BoolFn, d: ProductDist, eps: float) -> flo
         k = bin(e).count("1")
         total += eps ** k * (1.0 - eps) ** (n - k) * float(np.dot(w, s != s[idx ^ e]))
     return total
+
+
+def _eval_expr_bits(expr: Expr, columns: dict[str, np.ndarray], size: int) -> np.ndarray:
+    """Evaluate over all assignments at once; columns hold 0/1 arrays."""
+    if isinstance(expr, Var):
+        return columns[expr.name]
+    if isinstance(expr, Const):
+        return np.full(size, 1 if expr.sign == 1 else 0, dtype=np.uint8)
+    if isinstance(expr, Not):
+        return 1 - _eval_expr_bits(expr.child, columns, size)
+    parts = [_eval_expr_bits(c, columns, size) for c in expr.children]
+    if isinstance(expr, And):
+        return np.minimum.reduce(parts)
+    return np.maximum.reduce(parts)
+
+
+def evaluate_assignment(net: Network, assignment: dict[str, int]) -> dict[str, int]:
+    """One synchronous forward pass: node states from input states."""
+    values: dict[str, int] = {}
+    for name in net.inputs:
+        v = assignment[name]
+        if v not in (-1, 1):
+            raise ValueError("input values must be +1 or -1")
+        values[name] = v
+
+    def ev(expr: Expr) -> int:
+        if isinstance(expr, Var):
+            return values[expr.name]
+        if isinstance(expr, Const):
+            return expr.sign
+        if isinstance(expr, Not):
+            return -ev(expr.child)
+        if isinstance(expr, And):
+            return min(ev(c) for c in expr.children)
+        return max(ev(c) for c in expr.children)
+
+    for name, expr in net.defs:
+        values[name] = ev(expr)
+    return values
+
+
+def node_tables(net: Network) -> dict[str, np.ndarray]:
+    """Layer-by-layer outputs of every node over the full input space.
+
+    Brute-force oracle for collapse soundness; cost 2^(number of inputs).
+    """
+    n = len(net.inputs)
+    size = 1 << n
+    idx = np.arange(size, dtype=np.int64)
+    columns: dict[str, np.ndarray] = {
+        name: ((idx >> i) & 1).astype(np.uint8) for i, name in enumerate(net.inputs)
+    }
+    out = {}
+    for name, expr in net.defs:
+        bits = _eval_expr_bits(expr, columns, size)
+        columns[name] = bits
+        out[name] = bits
+    return out

@@ -59,21 +59,21 @@ def run_selftest(trials: int = 2000, max_n: int = 8, seed: int = 0,
         worst["parseval"] = max(worst["parseval"],
                                 abs(float(np.sum(s.coeffs ** 2)) - 1.0))
 
-        h_spec = measures.cond_entropy(f, d, mask)
+        # the exact bound is H(f | X_mask) by the spectral path
+        bounds = measures.entropy_bounds(s, mask)
         h_def = reference.cond_entropy_definitional(f, d, mask)
         worst["cond_entropy_spectral_vs_definitional"] = max(
-            worst["cond_entropy_spectral_vs_definitional"], abs(h_spec - h_def))
+            worst["cond_entropy_spectral_vs_definitional"], abs(bounds.exact - h_def))
 
-        bounds = measures.entropy_bounds(f, d, mask)
         viol = max(bounds.lower - bounds.exact, bounds.exact - bounds.upper)
         worst["entropy_sandwich"] = max(worst["entropy_sandwich"], viol)
 
         if mask:
-            lhs, rhs = measures.mi_influence_bound_check(f, d, mask)
+            lhs, rhs = measures.mi_influence_bound_check(s, mask)
             worst["sensitivity_mi_bound"] = max(worst["sensitivity_mi_bound"], rhs - lhs)
 
         i = int(rng.integers(0, f.arity))
-        inf, ratio = measures.influence_entropy_identity(f, d, i)
+        inf, ratio = measures.influence_entropy_identity(s, i)
         worst["influence_entropy_ratio"] = max(worst["influence_entropy_ratio"],
                                                abs(inf - ratio))
 
@@ -88,20 +88,20 @@ def run_selftest(trials: int = 2000, max_n: int = 8, seed: int = 0,
         worst["conditional_expectation_lemma"] = max(
             worst["conditional_expectation_lemma"], abs(lhs_ce - rhs_ce))
 
-        mi_total = measures.mutual_information(f, d, (1 << f.arity) - 1)
-        mi_sum = sum(measures.mutual_information(f, d, 1 << j) for j in range(f.arity))
+        mi_total = measures.mutual_information(s, (1 << f.arity) - 1)
+        mi_sum = sum(measures.mutual_information(s, 1 << j) for j in range(f.arity))
         worst["mi_chain_bound"] = max(worst["mi_chain_bound"],
                                       mi_sum - mi_total, mi_total - 1.0)
 
         fu, _ = random_threshold_fn(int(rng.integers(1, max_n + 1)), rng)
         du = ProductDist(tuple(rng.uniform(0.05, 0.95, size=fu.arity)))
         su = transform(fu, du)
-        rows = measures.unate_coefficient_check(fu, du)
+        rows = measures.unate_coefficient_check(su)
         via = measures._mi_single(su.coeffs[:1], np.array([row[2] for row in rows]), du.p)
         for (j, coeff, product), mi_via_inf in zip(rows, via.tolist()):
             worst["unate_singleton_coefficient"] = max(
                 worst["unate_singleton_coefficient"], abs(coeff - product))
-            mi_direct = measures.mutual_information(fu, du, 1 << j)
+            mi_direct = measures.mutual_information(su, 1 << j)
             worst["unate_mi_from_influence"] = max(
                 worst["unate_mi_from_influence"], abs(mi_direct - mi_via_inf))
 

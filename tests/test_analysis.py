@@ -24,11 +24,12 @@ from bnspectral.measures import (
     mi_spectral,
     prob_one,
 )
-from bnspectral.netlang import Const, Network, collapse, localize, node_tables, parse
+from bnspectral.netlang import Const, Network, collapse, localize, parse
 from bnspectral.reference import (
     cond_entropy_definitional,
     mutual_information_definitional,
     network_cond_entropy,
+    node_tables,
 )
 from bnspectral.sampling import sample_random_function
 

@@ -68,7 +68,17 @@ class TestSpectrum:
         assert rows == ["0,0,{},-0.5", "1,1,{f},0.5", "2,1,{g},0.5", "3,2,{f,g},0.5"]
 
 
+# CLI ``measures`` stdout recorded when each measure still transformed the
+# pair itself; the one-spectrum path must print the same bytes
+MEASURES_GOLDEN = json.loads((Path(__file__).parent / "data" / "measures_golden.json").read_text())
+
+
 class TestMeasures:
+    @pytest.mark.parametrize("case", MEASURES_GOLDEN, ids=lambda c: " ".join(c["argv"]))
+    def test_golden_stdout(self, case, capsys):
+        assert main(["measures"] + case["argv"]) == 0
+        assert capsys.readouterr().out == case["stdout"]
+
     def test_parity2_single_input(self, capsys):
         code = main(["measures", "--expr",
                      "(x1 AND NOT x2) OR (x2 AND NOT x1)", "--A", "x1"])
@@ -190,6 +200,33 @@ class TestExitCodes:
         bad.write_text("a = b\nb = a\n")
         assert main(["analyze", str(bad), "--out", str(tmp_path / "o")]) == 3
         assert "cycle" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["analyze", "collapse"])
+    def test_failed_run_removes_the_out_dirs_it_made(self, command, tmp_path, capsys):
+        bad = tmp_path / "bad.bnet"
+        bad.write_text("a = b\nb = a\n")
+        assert main([command, str(bad), "--out", str(tmp_path / "new" / "deeper" / "o")]) == 3
+        assert sorted(tmp_path.iterdir()) == [bad]
+
+    def test_failed_run_keeps_dirs_that_existed(self, tmp_path, capsys):
+        bad = tmp_path / "bad.bnet"
+        bad.write_text("a = b\nb = a\n")
+        (tmp_path / "old").mkdir()
+        assert main(["analyze", str(bad), "--out", str(tmp_path / "old")]) == 3
+        assert main(["analyze", str(bad), "--out", str(tmp_path / "old" / "new" / "o")]) == 3
+        assert (tmp_path / "old").is_dir() and not any((tmp_path / "old").iterdir())
+
+    def test_failed_run_keeps_out_dirs_with_files(self, toy_file, tmp_path, monkeypatch,
+                                                  capsys):
+        import bnspectral.cli as cli
+
+        def fail(*args):
+            raise ValueError("failed after report.json")
+
+        monkeypatch.setattr(cli, "curve_csv", fail)
+        out = tmp_path / "new" / "o"
+        assert main(["analyze", str(toy_file), "--out", str(out)]) == 3
+        assert [p.name for p in out.iterdir()] == ["report.json"]
 
     def test_missing_file_is_3(self, tmp_path, capsys):
         assert main(["collapse", str(tmp_path / "nope.bnet")]) == 3

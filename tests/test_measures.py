@@ -1,6 +1,7 @@
 """Influence, entropy, mutual information, bounds, unateness, noise."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -268,14 +269,14 @@ class TestCondEntropy:
 
 class TestMutualInformation:
     def test_parity_single_input_is_zero(self, uniform2):
-        assert mutual_information(parity_fn(2), uniform2, 0b01) == 0.0
+        assert mutual_information(transform(parity_fn(2), uniform2), 0b01) == 0.0
 
     def test_and2_single(self, uniform2):
-        assert mutual_information(and_fn(2), uniform2, 0b01) == pytest.approx(
+        assert mutual_information(transform(and_fn(2), uniform2), 0b01) == pytest.approx(
             H_QUARTER - 0.5, abs=1e-12)
 
     def test_empty_mask(self, uniform2):
-        assert mutual_information(and_fn(2), uniform2, 0) == 0.0
+        assert mutual_information(transform(and_fn(2), uniform2), 0) == 0.0
 
     def test_irrelevant_mask_is_exactly_zero(self):
         # f depends only on the variables in `rel`; a mask of the others
@@ -290,29 +291,29 @@ class TestMutualInformation:
             others = [i for i in range(n) if i not in rel]
             mask = sum(1 << i for i in others if rng.random() < 0.5) or 1 << others[0]
             d = random_product_dist(rng, n)
-            assert mutual_information(f, d, mask) == 0.0
+            assert mutual_information(transform(f, d), mask) == 0.0
 
     def test_constant_under_float_noise(self):
         # these weights of the always-true table sum to 1 + 2.2e-16
         d = ProductDist((0.578125, 0.533351293543044, 0.5, 0.5703125, 1 / 3, 0.5, 0.5))
         f = const_fn(7, 1)
         assert output_entropy(f, d) == 0.0
-        assert mutual_information(f, d, (1 << 7) - 1) == 0.0
+        assert mutual_information(transform(f, d), (1 << 7) - 1) == 0.0
 
     @settings(max_examples=60, deadline=None)
     @given(fn_dist_pairs(1, 8))
     def test_full_mask_equals_output_entropy(self, pair):
         f, d = pair
         full = (1 << f.arity) - 1
-        assert mutual_information(f, d, full) == pytest.approx(
+        assert mutual_information(transform(f, d), full) == pytest.approx(
             output_entropy(f, d), abs=1e-9)
 
     @settings(max_examples=60, deadline=None)
     @given(fn_dist_pairs(1, 8))
     def test_chain_bound(self, pair):
-        f, d = pair
-        total = mutual_information(f, d, (1 << f.arity) - 1)
-        parts = sum(mutual_information(f, d, 1 << i) for i in range(f.arity))
+        s = transform(*pair)
+        total = mutual_information(s, (1 << s.arity) - 1)
+        parts = sum(mutual_information(s, 1 << i) for i in range(s.arity))
         assert parts <= total + 1e-9
         assert total <= 1.0 + 1e-12
 
@@ -341,17 +342,17 @@ class TestMutualInformation:
 
 class TestEntropyBounds:
     def test_full_mask_everything_known(self, uniform2):
-        b = entropy_bounds(and_fn(2), uniform2, 0b11)
+        b = entropy_bounds(transform(and_fn(2), uniform2), 0b11)
         assert b.lower == pytest.approx(0.0, abs=1e-12)
         assert b.exact == pytest.approx(0.0, abs=1e-12)
         assert b.upper == pytest.approx(0.0, abs=1e-12)
 
     def test_parity_single(self, uniform2):
-        b = entropy_bounds(parity_fn(2), uniform2, 0b01)
+        b = entropy_bounds(transform(parity_fn(2), uniform2), 0b01)
         assert (b.lower, b.exact, b.upper) == pytest.approx((1.0, 1.0, 1.0), abs=1e-12)
 
     def test_and_single(self, uniform2):
-        b = entropy_bounds(and_fn(2), uniform2, 0b01)
+        b = entropy_bounds(transform(and_fn(2), uniform2), 0b01)
         assert b.lower == pytest.approx(0.5, abs=1e-12)
         assert b.exact == pytest.approx(0.5, abs=1e-12)
         assert b.upper == pytest.approx(0.5 ** (1.0 / math.log(4)), abs=1e-12)
@@ -361,7 +362,7 @@ class TestEntropyBounds:
     @given(fn_dist_mask_triples(1, 8))
     def test_sandwich(self, triple):
         f, d, mask = triple
-        b = entropy_bounds(f, d, mask)
+        b = entropy_bounds(transform(f, d), mask)
         assert b.lower <= b.exact + 1e-9
         assert b.exact <= b.upper + 1e-9
 
@@ -393,24 +394,24 @@ class TestPsi:
 
 class TestSensitivityMiBound:
     def test_parity_slack_one(self, uniform2):
-        lhs, rhs = mi_influence_bound_check(parity_fn(2), uniform2, 0b01)
+        lhs, rhs = mi_influence_bound_check(transform(parity_fn(2), uniform2), 0b01)
         assert lhs == pytest.approx(1.0, abs=1e-12)
         assert rhs == pytest.approx(0.0, abs=1e-12)
 
     def test_and2_components(self, uniform2):
-        lhs, rhs = mi_influence_bound_check(and_fn(2), uniform2, 0b01)
+        lhs, rhs = mi_influence_bound_check(transform(and_fn(2), uniform2), 0b01)
         assert lhs == pytest.approx(0.5, abs=1e-12)
         assert rhs == pytest.approx((H_QUARTER - 0.5) - psi(0.75), abs=1e-9)
         assert lhs >= rhs
 
     def test_constant_function(self, uniform2):
-        lhs, rhs = mi_influence_bound_check(const_fn(2, 1), uniform2, 0b01)
+        lhs, rhs = mi_influence_bound_check(transform(const_fn(2, 1), uniform2), 0b01)
         assert lhs == 0.0
         assert rhs == pytest.approx(0.0, abs=1e-12)
 
     def test_empty_mask_rejected(self, uniform2):
         with pytest.raises(ValueError):
-            mi_influence_bound_check(and_fn(2), uniform2, 0)
+            mi_influence_bound_check(transform(and_fn(2), uniform2), 0)
 
     @settings(max_examples=80, deadline=None)
     @given(fn_dist_mask_triples(1, 8))
@@ -418,23 +419,23 @@ class TestSensitivityMiBound:
         f, d, mask = triple
         if mask == 0:
             mask = 1
-        lhs, rhs = mi_influence_bound_check(f, d, mask)
+        lhs, rhs = mi_influence_bound_check(transform(f, d), mask)
         assert lhs >= rhs - 1e-12
 
 
 class TestInfluenceEntropyIdentity:
     def test_and2(self, uniform2):
-        inf, ratio = influence_entropy_identity(and_fn(2), uniform2, 0)
+        inf, ratio = influence_entropy_identity(transform(and_fn(2), uniform2), 0)
         assert inf == pytest.approx(0.5, abs=1e-12)
         assert ratio == pytest.approx(0.5, abs=1e-12)
 
     def test_parity2(self, uniform2):
-        assert influence_entropy_identity(parity_fn(2), uniform2, 0) == pytest.approx(
+        assert influence_entropy_identity(transform(parity_fn(2), uniform2), 0) == pytest.approx(
             (1.0, 1.0), abs=1e-12)
 
     def test_dictator_biased(self):
         d = ProductDist((0.85,))
-        inf, ratio = influence_entropy_identity(dictator_fn(1, 0), d, 0)
+        inf, ratio = influence_entropy_identity(transform(dictator_fn(1, 0), d), 0)
         assert inf == pytest.approx(1.0, abs=1e-12)
         assert ratio == pytest.approx(1.0, abs=1e-9)
 
@@ -443,7 +444,7 @@ class TestInfluenceEntropyIdentity:
     def test_identity_holds(self, pair, data):
         f, d = pair
         i = data.draw(st.integers(0, f.arity - 1))
-        inf, ratio = influence_entropy_identity(f, d, i)
+        inf, ratio = influence_entropy_identity(transform(f, d), i)
         assert inf == pytest.approx(ratio, abs=1e-9)
 
 
@@ -553,22 +554,22 @@ class TestUnateness:
 
 class TestUnateCoefficients:
     def test_and2(self, uniform2):
-        rows = unate_coefficient_check(and_fn(2), uniform2)
+        rows = unate_coefficient_check(transform(and_fn(2), uniform2))
         assert rows[0] == pytest.approx((0, 0.5, 0.5), abs=1e-12)
 
     def test_dictator(self):
         d = ProductDist.uniform(1)
-        rows = unate_coefficient_check(dictator_fn(1, 0), d)
+        rows = unate_coefficient_check(transform(dictator_fn(1, 0), d))
         assert rows[0] == pytest.approx((0, 1.0, 1.0), abs=1e-12)
 
     def test_and3(self, uniform3):
-        rows = unate_coefficient_check(and_fn(3), uniform3)
+        rows = unate_coefficient_check(transform(and_fn(3), uniform3))
         # I_1(AND3) = Pr[x2 = x3 = +1] = 1/4
         assert rows[0] == pytest.approx((0, 0.25, 0.25), abs=1e-12)
 
     def test_rejects_non_unate(self, uniform2):
         with pytest.raises(ValueError):
-            unate_coefficient_check(parity_fn(2), uniform2)
+            unate_coefficient_check(transform(parity_fn(2), uniform2))
 
     def test_threshold_functions_random(self):
         rng = np.random.default_rng(17)
@@ -578,12 +579,12 @@ class TestUnateCoefficients:
             d = random_product_dist(rng, n)
             s = transform(f, d)
             rel = 0
-            for i, coeff, product in unate_coefficient_check(f, d):
+            for i, coeff, product in unate_coefficient_check(s):
                 assert coeff == pytest.approx(product, abs=1e-9)
                 if influence(f, d, i) > 0:
                     rel += 1
                     # relevant variable of a unate function carries information
-                    assert mutual_information(f, d, 1 << i) > 1e-12
+                    assert mutual_information(s, 1 << i) > 1e-12
 
     def test_mi_via_influence_matches(self):
         rng = np.random.default_rng(29)
@@ -592,8 +593,8 @@ class TestUnateCoefficients:
             f, _ = random_threshold_fn(n, rng)
             d = random_product_dist(rng, n)
             s = transform(f, d)
-            for i, _, product in unate_coefficient_check(f, d):
-                direct = mutual_information(f, d, 1 << i)
+            for i, _, product in unate_coefficient_check(s):
+                direct = mutual_information(s, 1 << i)
                 via = mi_single_from_coeffs(s.coeff(0), product, d.probs[i])
                 assert direct == pytest.approx(via, abs=1e-9)
 
@@ -693,3 +694,45 @@ def test_variance_matches_spectrum(uniform3):
     f = and_fn(3)
     s = transform(f, uniform3)
     assert variance(f, uniform3) == pytest.approx(1.0 - s.coeff(0) ** 2, abs=1e-12)
+
+
+class TestOneTransformPerPair:
+    """Each (function, distribution) pair is transformed once, and every
+    measure of it reads that spectrum."""
+
+    @pytest.fixture
+    def transforms(self, monkeypatch):
+        """The pairs passed to ``transform`` through any binding of it in the
+        loaded ``bnspectral`` modules."""
+        import bnspectral.cli  # noqa: F401  (loads every module that binds it)
+        from bnspectral import boolfn
+
+        pairs = []
+        original = boolfn.transform
+
+        def counted(f, d, *args, **kwargs):
+            pairs.append((f, d))
+            return original(f, d, *args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name == "bnspectral" or name.startswith("bnspectral."):
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, counted)
+        return pairs
+
+    def test_cli_measures(self, transforms, capsys):
+        from bnspectral.cli import main
+
+        assert main(["measures", "--expr", "(a AND b) OR (c AND NOT d) OR e",
+                     "--A", "a,c"]) == 0
+        assert len(transforms) == 1
+
+    def test_selftest(self, transforms):
+        from bnspectral.selftest import run_selftest
+
+        reports = run_selftest(20, max_n=8, seed=0)
+        assert all(r.passed for r in reports)
+        # the random function and the random unate function of each instance
+        assert len(transforms) == 40
+        assert len({(f.table, f.arity, d.probs) for f, d in transforms}) == 40

@@ -33,21 +33,19 @@ from bnspectral.netlang import (
     Not,
     Or,
     Var,
-    _eval_expr_bits,
     _tokenize_line,
     collapse,
     collapse_local,
     collapsed_to_json,
     effective_inputs,
-    evaluate_assignment,
     localize,
-    node_tables,
     out_degree,
     parse,
     parse_expression,
     references,
     to_text,
 )
+from bnspectral.reference import _eval_expr_bits, evaluate_assignment, node_tables
 from bnspectral.sampling import sample_random_function
 
 from conftest import random_network
