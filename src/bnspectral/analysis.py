@@ -14,6 +14,7 @@ import numpy as np
 
 from .boolfn import (
     ArityCapError,
+    BoolFn,
     ProductDist,
     _check_cap,
     _product_weights,
@@ -29,7 +30,7 @@ from .netlang import (
     Network,
     collapse_local,
 )
-from .sampling import sample_random_function, sample_random_unate
+from .sampling import random_tables, sample_random_unate
 
 BASELINE_MODES = (
     "exchange-random",
@@ -88,14 +89,14 @@ class BaselineResult:
     resampled: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NodeSpectra:
     """Node spectra of a collapsed network ``c`` under ``d``, grouped by
     arity k and transformed one group at a time.  Each entry of ``groups`` is
     (k, rows, idx, coeffs): the group's node indices in definition order,
     each node's input indices into ``d`` as an (m, k) array in the node's
     input order, and the (m, 2^k) coefficients, row r equal to
-    ``transform(node.fn, d.marginal(idx[r]))``."""
+    ``transform(node.fn, d.marginal(idx[r]))``; compared and hashed by identity."""
 
     c: CollapsedNetwork
     d: ProductDist
@@ -123,17 +124,6 @@ def node_spectra(c: CollapsedNetwork, d: ProductDist) -> NodeSpectra:
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise dot products; each row is summed exactly as ``np.dot`` would."""
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
-def _cond_entropy_rows(coeffs: np.ndarray, d: ProductDist, idx: np.ndarray,
-                       known: np.ndarray) -> np.ndarray:
-    """H(f | X_known) for each row of a group, as ``cond_entropy_spectral``
-    computes it: ``known`` (m, j) holds each row's conditioning variables as
-    ascending positions into its inputs ``idx``."""
-    ik = np.take_along_axis(idx, known, axis=1)
-    sub = np.take_along_axis(coeffs, _subset_index(known), axis=1)
-    cond = kron_apply(sub, d._inverse[ik].swapaxes(0, 1))
-    return _row_dot(_product_weights(d.p[ik]), _entropy_of_expectations(cond))
 
 
 def determinative_power(s: NodeSpectra) -> RankingResult:
@@ -168,7 +158,9 @@ def uncertainty_curve(s: NodeSpectra, order: tuple[str, ...] | list[str],
 
     A node of arity k only ever conditions on the first j of its inputs to
     appear in ``order``, j = 0..k, so those k + 1 entropies are computed per
-    node up front and the curve steps through them.
+    node up front and the curve steps through them.  They are computed as
+    ``cond_entropy_spectral`` computes them, one batch per j over the nodes
+    of every arity k >= j.
     """
     c, d = s.c, s.d
     order = tuple(order)
@@ -181,13 +173,24 @@ def uncertainty_curve(s: NodeSpectra, order: tuple[str, ...] | list[str],
 
     known = order[:L]
     position = {name: l for l, name in enumerate(known)}
+    pos = np.array([position.get(name, L) for name in c.inputs], dtype=np.int64)
+    firsts = [np.argsort(pos[idx], axis=1, kind="stable") for _, _, idx, _ in s.groups]
+    hs = [np.empty((len(rows), k + 1)) for k, rows, _, _ in s.groups]
+    for j in range(max((k for k, *_ in s.groups), default=-1) + 1):
+        live = [g for g, (k, *_) in enumerate(s.groups) if k >= j]
+        ik, sub = [], []
+        for g in live:
+            _, _, idx, coeffs = s.groups[g]
+            first = np.sort(firsts[g][:, :j], axis=1)
+            ik.append(np.take_along_axis(idx, first, axis=1))
+            sub.append(np.take_along_axis(coeffs, _subset_index(first), axis=1))
+        ik = np.concatenate(ik)
+        cond = kron_apply(np.concatenate(sub), d._inverse[ik].swapaxes(0, 1))
+        h = _row_dot(_product_weights(d.p[ik]), _entropy_of_expectations(cond))
+        for g, part in zip(live, np.split(h, np.cumsum([len(hs[g]) for g in live])[:-1])):
+            hs[g][:, j] = part
     node_h: list[list[float]] = [[] for _ in c.nodes]
-    for k, rows, idx, coeffs in s.groups:
-        when = np.array([[position.get(name, L) for name in c.nodes[i].inputs] for i in rows],
-                        dtype=np.int64).reshape(len(rows), k)
-        first = np.argsort(when, axis=1, kind="stable")
-        h = np.stack([_cond_entropy_rows(coeffs, d, idx, np.sort(first[:, :j], axis=1))
-                      for j in range(k + 1)], axis=1)
+    for (_, rows, _, _), h in zip(s.groups, hs):
         for r, values in zip(rows, h.tolist()):
             node_h[r] = values
 
@@ -228,13 +231,11 @@ def sensitivity_scatter(s: NodeSpectra) -> list[SensitivityRecord]:
 def _exchanged_local(inputs: tuple[str, ...], defs: list[tuple[str, tuple[str, ...]]],
                      rng: np.random.Generator, unate: bool) -> LocalNetwork:
     """Give every (name, args) definition a random function of its in-degree."""
-    nodes = []
-    for name, args in defs:
-        k = len(args)
-        fn = (sample_random_unate(k, rng, args) if unate
-              else sample_random_function(k, rng, args))
-        nodes.append(LocalNode(name, args, fn))
-    return LocalNetwork(inputs, tuple(nodes))
+    fns = ([sample_random_unate(len(args), rng, args) for _, args in defs] if unate
+           else [BoolFn(len(args), args, t) for (_, args), t
+                 in zip(defs, random_tables([len(args) for _, args in defs], rng))])
+    return LocalNetwork(inputs, tuple(LocalNode(name, args, fn)
+                                      for (name, args), fn in zip(defs, fns)))
 
 
 def _random_topology_local(inputs: tuple[str, ...], node_names: tuple[str, ...],

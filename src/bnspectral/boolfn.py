@@ -273,6 +273,9 @@ def _spread(t: int, positions: Sequence[int], masks: Sequence[int]) -> int:
     n = len(masks)
     if len(positions) == n:
         return t
+    if len(positions) == 1 and t in (0b10, 0b01):  # a literal: read off its mask
+        p = positions[0]
+        return masks[p] << (1 << p) if t == 0b10 else masks[p]
     for r in reversed(range(len(positions))):
         if positions[r] != r:
             t = _move(t, masks, r, positions[r])
@@ -431,9 +434,10 @@ def basis_eval(mask: SubsetMask, x: Sequence[int], d: ProductDist) -> float:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Dense coefficient vector of ``f`` in the basis induced by ``d``."""
+    """Dense coefficient vector of ``f`` in the basis induced by ``d``,
+    compared and hashed by identity (an array has no truth value)."""
 
     f: BoolFn
     d: ProductDist
@@ -451,6 +455,12 @@ class Spectrum:
     def coeff(self, mask: SubsetMask) -> float:
         check_mask(mask, self.arity)
         return float(self.coeffs[mask])
+
+
+def _check_spectrum_dist(s: Spectrum, d: ProductDist) -> None:
+    """Refuse a ``d`` other than the one ``s`` was computed under."""
+    if d is not s.d and d != s.d:
+        raise ValueError(f"spectrum of distribution {s.d.probs} read under {d.probs}")
 
 
 def kron_apply(arr: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -572,7 +582,7 @@ def reconstruct(s: Spectrum, d: ProductDist, x: Sequence[int]) -> float:
 
 def reconstruct_table(s: Spectrum, d: ProductDist) -> np.ndarray:
     """Polynomial values at all 2^n assignments (the inverse transform)."""
-    _check_same_arity(s.arity, d)
+    _check_spectrum_dist(s, d)
     return kron_apply(s.coeffs, d._inverse)
 
 
@@ -593,7 +603,7 @@ def conditional_expectation_table(s: Spectrum, d: ProductDist, mask: SubsetMask)
     j-th ascending variable of ``mask``).  Equals the polynomial restricted
     to coefficients of subsets of ``mask``.
     """
-    _check_same_arity(s.arity, d)
+    _check_spectrum_dist(s, d)
     return kron_apply(subset_coeffs(s, mask), d._inverse[list(indices_of(mask))])
 
 

@@ -23,6 +23,7 @@ from .boolfn import (
     SubsetMask,
     _check_cap,
     _check_same_arity,
+    _check_spectrum_dist,
     _halves,
     _phi,
     _product_weights,
@@ -100,6 +101,7 @@ def influence_spectral(s: Spectrum, d: ProductDist, i: int) -> float:
     divided by sigma_i^2."""
     if not 0 <= i < s.arity:
         raise IndexError(f"variable index {i} out of range for arity {s.arity}")
+    _check_spectrum_dist(s, d)
     masks = np.arange(1 << s.arity, dtype=np.int64)
     sel = (masks >> i) & 1 == 1
     return float(np.sum(s.coeffs[sel] ** 2) / d.sigma[i] ** 2)
@@ -120,6 +122,7 @@ def avg_sensitivity_spectral(s: Spectrum, d: ProductDist, mask: SubsetMask | Non
     if mask is None:
         mask = (1 << s.arity) - 1
     check_mask(mask, s.arity)
+    _check_spectrum_dist(s, d)
     inv_var = [1.0 / d.sigma[i] ** 2 if mask >> i & 1 else 0.0 for i in range(s.arity)]
     return float(np.dot(s.coeffs ** 2, _subset_sums(np.array(inv_var))))
 

@@ -1,6 +1,9 @@
 """Random Boolean function generators for network baselines and tests.
 
-Plain functions are drawn uniformly over all 2^(2^k) truth tables.  Unate
+Plain functions are drawn uniformly over all 2^(2^k) truth tables, and
+``random_tables`` draws a trial's tables from one ``rng.bytes`` call: as
+``Generator.bytes(n)`` takes ceil(n / 4) 32-bit words and keeps n bytes,
+each table read at its own word offset is what a call of its own drew.  Unate
 functions are drawn exactly uniformly for k <= 4 by enumerating the class;
 for larger k a Markov chain over monotone functions (single-point flips
 that preserve monotonicity, burned in, then composed with a uniform random
@@ -12,6 +15,7 @@ with irrelevant variables, so the k >= 5 sampler is approximate.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -21,12 +25,24 @@ UNATE_ENUM_MAX_ARITY = 4
 CHAIN_BLOCK = 1 << 14
 
 
+def random_tables(arities: Sequence[int], rng: np.random.Generator) -> list[int]:
+    """Uniform truth tables of the given arities, in order, from one
+    ``rng.bytes`` call of ceil(2^k / 32) words per table.  No tables, no
+    call: ``rng.bytes(0)`` takes a word."""
+    words = [((1 << k) + 31) >> 5 for k in arities]
+    raw = rng.bytes(4 * sum(words)) if words else b""
+    tables, at = [], 0
+    for k, w in zip(arities, words):
+        tables.append(int.from_bytes(raw[at:at + 4 * w], "little") & ((1 << (1 << k)) - 1))
+        at += 4 * w
+    return tables
+
+
 def sample_random_function(k: int, rng: np.random.Generator,
                            labels: tuple[str, ...] | None = None) -> BoolFn:
     """Uniform draw over all Boolean functions of k variables."""
-    table = int.from_bytes(rng.bytes(max(1, (1 << k) + 7 >> 3)), "little")
     return BoolFn(k, labels if labels is not None else default_labels(k),
-                  table & ((1 << (1 << k)) - 1))
+                  random_tables([k], rng)[0])
 
 
 def _monotone_tables(k: int) -> tuple[int, ...]:

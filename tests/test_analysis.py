@@ -31,7 +31,7 @@ from bnspectral.reference import (
     network_cond_entropy,
     node_tables,
 )
-from bnspectral.sampling import sample_random_function
+from bnspectral.sampling import random_tables, sample_random_function
 
 from conftest import random_network, random_product_dist
 
@@ -330,11 +330,15 @@ class TestBaselines:
 
         drawn = []
 
+        def tables(arities, rng):
+            drawn.extend(arities)
+            return random_tables(arities, rng)
+
         def sampler(k, rng, labels=None):
             drawn.append(k)
             return sample_random_function(k, rng, labels)
 
-        monkeypatch.setattr(analysis, "sample_random_function", sampler)
+        monkeypatch.setattr(analysis, "random_tables", tables)
         monkeypatch.setattr(analysis, "sample_random_unate", sampler)
         inputs = tuple(f"i{k}" for k in range(12))
         names = tuple(f"y{k}" for k in range(8))
@@ -416,3 +420,16 @@ class TestSinglePass:
         assert len(arities) == 2
         assert len(calls) == sum(arities)
         assert sum(calls) == sum(nodes)
+
+
+def test_spectra_compare_and_hash_by_identity():
+    # a coefficient array has no truth value, so equality goes by identity
+    c = collapse(toy_network())
+    d = ProductDist.uniform(len(c.inputs))
+    f = c.nodes[1].fn
+    s = transform(f, d.marginal(range(f.arity)))
+    ns = node_spectra(c, d)
+    assert s == s and ns == ns
+    assert s != transform(f, s.d)
+    assert ns != node_spectra(c, d)
+    assert len({s, ns, s}) == 2

@@ -13,8 +13,13 @@ from bnspectral.boolfn import (
     ArityCapError,
     BoolFn,
     ProductDist,
+    Spectrum,
+    conditional_expectation,
+    conditional_expectation_table,
     default_labels,
     indices_of,
+    reconstruct,
+    reconstruct_table,
     transform,
 )
 from bnspectral.measures import (
@@ -26,6 +31,7 @@ from bnspectral.measures import (
     avg_sensitivity_spectral,
     binary_entropy,
     cond_entropy,
+    cond_entropy_spectral,
     entropy_bounds,
     independence_test,
     influence,
@@ -318,12 +324,15 @@ class TestMutualInformation:
         assert total <= 1.0 + 1e-12
 
     def test_negative_mi_raises_value_error(self):
-        # a dictator transformed at p = 1e-12 but evaluated at p = 2.5e-7: the
-        # conditional probabilities stay within CLAMP_BUDGET of [0, 1], yet
-        # the clamped entropies give MI of about -5e-9
-        s = transform(dictator_fn(1, 0), ProductDist((1e-12,)))
+        # under p = 2.5e-7, the coefficients a dictator has at p = 1e-12,
+        # mu and sigma there: the conditional probabilities stay within
+        # CLAMP_BUDGET of [0, 1], yet the clamped entropies give MI of
+        # about -5e-9
+        p = 1e-12
+        d = ProductDist((2.5e-7,))
+        s = Spectrum(dictator_fn(1, 0), d, np.array([2.0 * p - 1.0, 2.0 * math.sqrt(p * (1.0 - p))]))
         with pytest.raises(ValueError, match="below zero"):
-            mi_spectral(s, ProductDist((2.5e-7,)), 0b1)
+            mi_spectral(s, d, 0b1)
 
     def test_monotone_in_singleton_coefficient(self):
         # at fixed bias the single-variable MI grows with the magnitude of
@@ -694,6 +703,39 @@ def test_variance_matches_spectrum(uniform3):
     f = and_fn(3)
     s = transform(f, uniform3)
     assert variance(f, uniform3) == pytest.approx(1.0 - s.coeff(0) ** 2, abs=1e-12)
+
+
+class TestSpectrumDistribution:
+    """A spectral form reads its spectrum only under the distribution the
+    spectrum was computed under."""
+
+    D45 = ProductDist((0.45, 0.45))
+    READS = {
+        "cond_entropy_spectral": lambda s, d: cond_entropy_spectral(s, d, 0b01),
+        "mi_spectral": lambda s, d: mi_spectral(s, d, 0b01),
+        "influence_spectral": lambda s, d: influence_spectral(s, d, 0),
+        "avg_sensitivity_spectral": lambda s, d: avg_sensitivity_spectral(s, d),
+        "reconstruct": lambda s, d: reconstruct(s, d, (1, -1)),
+        "reconstruct_table": lambda s, d: reconstruct_table(s, d),
+        "conditional_expectation": lambda s, d: conditional_expectation(s, d, 0b01, {0: 1}),
+        "conditional_expectation_table": lambda s, d: conditional_expectation_table(s, d, 0b01),
+    }
+
+    @pytest.mark.parametrize("name", READS)
+    def test_other_distribution_raises(self, name, uniform2):
+        read = self.READS[name]
+        s = transform(and_fn(2), uniform2)
+        read(s, s.d)
+        read(s, ProductDist.uniform(2))  # an equal distribution is the same one
+        for d in (self.D45, ProductDist.uniform(3)):
+            with pytest.raises(ValueError, match="spectrum of distribution"):
+                read(s, d)
+
+    def test_and2_under_its_own_distribution(self):
+        # H(AND | x1) = 0.45 h(0.45) under (0.45, 0.45)
+        s = transform(and_fn(2), self.D45)
+        assert cond_entropy_spectral(s, self.D45, 0b01) == pytest.approx(
+            0.45 * binary_entropy(0.45), abs=1e-12)
 
 
 class TestOneTransformPerPair:

@@ -9,6 +9,7 @@ from bnspectral.sampling import (
     _apply_polarities,
     _monotone_tables,
     enumerate_unate_tables,
+    random_tables,
     sample_monotone_mcmc,
     sample_random_function,
     sample_random_unate,
@@ -44,6 +45,39 @@ class TestRandomFunction:
         for _ in range(draws):
             counts[sample_random_function(2, rng).table] += 1
         assert chi_square_stat(counts, draws / 16) < CHI2_99[15]
+
+
+class TestRandomTables:
+    """One ``rng.bytes`` call per trial draws what one call per table drew.
+    A NumPy change to how ``Generator.bytes`` consumes the stream fails here."""
+
+    @staticmethod
+    def per_table(arities, rng):
+        return [int.from_bytes(rng.bytes(max(1, (1 << k) + 7 >> 3)), "little")
+                & ((1 << (1 << k)) - 1) for k in arities]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_table_draws(self, seed):
+        # arities 0..12, twice each, in mixed order: tables of 1 to 512 bytes,
+        # odd and even word counts
+        arities = [int(k) for k in np.random.default_rng(100 + seed).permutation(
+            np.repeat(np.arange(13), 2))][:20 + seed]
+        one, per = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert random_tables(arities, one) == self.per_table(arities, per)
+        # the generator goes on as it would have
+        assert one.bytes(7) == per.bytes(7)
+        assert one.integers(1 << 62) == per.integers(1 << 62)
+
+    def test_single_arities(self):
+        for k in range(13):
+            one, per = np.random.default_rng(k), np.random.default_rng(k)
+            assert random_tables([k], one) == self.per_table([k], per)
+            assert one.bytes(3) == per.bytes(3)
+
+    def test_no_tables_draws_nothing(self):
+        one, fresh = np.random.default_rng(9), np.random.default_rng(9)
+        assert random_tables([], one) == []
+        assert one.bytes(4) == fresh.bytes(4)
 
 
 class TestUnateEnumeration:
