@@ -90,6 +90,8 @@ def _function_from_args(args) -> BoolFn:
         if not args.labels:
             raise InputError("--table-hex requires --labels")
         labels = args.labels.split(",")
+        if "" in labels:
+            raise InputError(f"empty name in --labels {args.labels!r}")
         return BoolFn.from_hex(args.table_hex, labels)
     raise InputError("provide --expr or --table-hex")
 
@@ -107,6 +109,8 @@ def _dist_for(labels: tuple[str, ...], p_spec: str | None) -> ProductDist:
             parts = line.replace("=", " ").split()
             if len(parts) != 2:
                 raise InputError(f"{p_spec[1:]}:{lineno}: expected 'name p'")
+            if parts[0] in by_name:
+                raise InputError(f"{p_spec[1:]}:{lineno}: {parts[0]!r} listed twice")
             by_name[parts[0]] = float(parts[1])
         missing = [name for name in labels if name not in by_name]
         if missing:
@@ -370,6 +374,10 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     args.created = []
     try:
+        if getattr(args, "trials", 1) < 1:
+            raise InputError(f"--trials must be at least 1, got {args.trials}")
+        if getattr(args, "cap", None) is not None and args.cap < 0:
+            raise InputError(f"--cap must be nonnegative, got {args.cap}")
         code = args.fn(args)
         sys.stdout.flush()
         return code

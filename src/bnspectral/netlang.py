@@ -49,11 +49,10 @@ from .boolfn import (
 )
 
 KEYWORDS = {"NOT", "AND", "OR"}
-CONST_TRUE = {"1", "TRUE"}
-CONST_FALSE = {"0", "FALSE"}
+CONSTANTS = {"1": 1, "TRUE": 1, "0": -1, "FALSE": -1}  # upper-cased name: sign
 # The most arguments of a node composed as the OR of its 2^k minterms on
 # packed tables; above it one broadcast gather is cheaper (the measured
-# crossover is in ROADMAP item 2).
+# crossover is in the "Collapse on packed truth tables" entry of CHANGES.md).
 PACKED_MAX_ARGS = 6
 
 
@@ -152,98 +151,72 @@ def _tokenize_line(text: str, lineno: int) -> list[_Token]:
     return tokens
 
 
-# The parser and each walk of an Expr recurse at most four frames per level,
-# so this stays far below the interpreter's default recursion limit of 1000.
+# NOTs plus parentheses enclosing an operand.  The parser recurses three
+# frames per parenthesis level and one per NOT, and each walk of an Expr at
+# most three per level, far below the interpreter's default limit of 1000.
 MAX_NESTING = 100
 
 
-class _ExprParser:
-    def __init__(self, tokens: Sequence[_Token], lineno: int):
-        self.tokens = list(tokens)
-        self.pos = 0
-        self.lineno = lineno
-        self.depth = 0  # enclosing NOTs and parentheses
+def _flat(parts: list[Expr], cls: type[And] | type[Or]) -> Expr:
+    """One operand as is, else an n-ary ``cls`` with nested ``cls`` spliced."""
+    if len(parts) == 1:
+        return parts[0]
+    return cls(tuple(c for p in parts for c in (p.children if isinstance(p, cls) else (p,))))
 
-    def peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def next(self) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            raise NetParseError("unexpected end of expression", self.lineno,
-                                self.tokens[-1][3] if self.tokens else 1)
-        self.pos += 1
-        return tok
+def _parse_tokens(tokens: Sequence[_Token], lineno: int) -> Expr:
+    """Recursive descent over one expression's tokens: one closure per
+    grammar level, all sharing the position ``pos``."""
+    end = len(tokens)
+    pos = 0
 
-    def parse(self) -> Expr:
-        expr = self.parse_or()
-        tok = self.peek()
-        if tok is not None:
-            raise NetParseError(f"unexpected token {tok[1]!r}", tok[2], tok[3])
-        return expr
+    def disjunction(depth: int) -> Expr:
+        nonlocal pos
+        parts = [conjunction(depth)]
+        while pos < end and tokens[pos][0] == "OR":
+            pos += 1
+            parts.append(conjunction(depth))
+        return _flat(parts, Or)
 
-    def parse_or(self) -> Expr:
-        parts = [self.parse_and()]
-        while self._at_keyword("OR"):
-            self.next()
-            parts.append(self.parse_and())
-        if len(parts) == 1:
-            return parts[0]
-        # splice directly nested disjunctions so OR is flat n-ary
-        flat: list[Expr] = []
-        for p in parts:
-            flat.extend(p.children if isinstance(p, Or) else [p])
-        return Or(tuple(flat))
+    def conjunction(depth: int) -> Expr:
+        nonlocal pos
+        parts = [operand(depth)]
+        while pos < end and tokens[pos][0] == "AND":
+            pos += 1
+            parts.append(operand(depth))
+        return _flat(parts, And)
 
-    def parse_and(self) -> Expr:
-        parts = [self.parse_not()]
-        while self._at_keyword("AND"):
-            self.next()
-            parts.append(self.parse_not())
-        if len(parts) == 1:
-            return parts[0]
-        flat: list[Expr] = []
-        for p in parts:
-            flat.extend(p.children if isinstance(p, And) else [p])
-        return And(tuple(flat))
-
-    def parse_not(self) -> Expr:
-        if self.depth > MAX_NESTING:
-            _, _, line, col = self.tokens[self.pos - 1]  # the NOT or ( one level too deep
+    def operand(depth: int) -> Expr:
+        # depth: the NOTs and parentheses enclosing this operand
+        nonlocal pos
+        if depth > MAX_NESTING:
+            _, _, line, col = tokens[pos - 1]  # the NOT or ( one level too deep
             raise NetParseError(f"NOTs and parentheses nested deeper than {MAX_NESTING}", line, col)
-        self.depth += 1
-        if self._at_keyword("NOT"):
-            self.next()
-            expr = Not(self.parse_not())
-        else:
-            expr = self.parse_atom()
-        self.depth -= 1
-        return expr
-
-    def parse_atom(self) -> Expr:
-        tok = self.next()
-        kind, text, line, col = tok
+        if pos == end:
+            raise NetParseError("unexpected end of expression", lineno,
+                                tokens[-1][3] if tokens else 1)
+        kind, text, line, col = tokens[pos]
+        pos += 1
+        if kind == "name":
+            sign = CONSTANTS.get(text.upper())
+            return Var(text) if sign is None else Const(sign)
+        if kind == "NOT":
+            return Not(operand(depth + 1))
         if kind == "(":
-            expr = self.parse_or()
-            closing = self.peek()
-            if closing is None or closing[0] != ")":
+            expr = disjunction(depth + 1)
+            if pos == end or tokens[pos][0] != ")":
                 raise NetParseError("missing closing parenthesis", line, col)
-            self.next()
+            pos += 1
             return expr
         if kind in KEYWORDS:
             raise NetParseError(f"keyword {text!r} cannot start an operand", line, col)
-        if kind == "name":
-            upper = text.upper()
-            if upper in CONST_TRUE:
-                return Const(1)
-            if upper in CONST_FALSE:
-                return Const(-1)
-            return Var(text)
         raise NetParseError(f"unexpected token {text!r}", line, col)
 
-    def _at_keyword(self, kw: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok[0] == kw
+    expr = disjunction(0)
+    if pos < end:
+        _, text, line, col = tokens[pos]
+        raise NetParseError(f"unexpected token {text!r}", line, col)
+    return expr
 
 
 def parse_expression(text: str, lineno: int = 1) -> Expr:
@@ -251,7 +224,7 @@ def parse_expression(text: str, lineno: int = 1) -> Expr:
     tokens = _tokenize_line(text, lineno)
     if not tokens:
         raise NetParseError("empty expression", lineno, 1)
-    return _ExprParser(tokens, lineno).parse()
+    return _parse_tokens(tokens, lineno)
 
 
 def parse(text: str) -> Network:
@@ -276,9 +249,9 @@ def parse(text: str) -> Network:
             raise NetParseError("expected 'name = expr'", lineno,
                                 tokens[0][3] if tokens else 1)
         name = tokens[0][1]
-        if name.upper() in KEYWORDS | CONST_TRUE | CONST_FALSE:
+        if name.upper() in KEYWORDS | CONSTANTS.keys():
             raise NetParseError(f"{name!r} is reserved", lineno, tokens[0][3])
-        expr = _ExprParser(tokens[2:], lineno).parse()
+        expr = _parse_tokens(tokens[2:], lineno)
         raw_defs.append((name, expr, lineno))
 
     defined = {}
@@ -292,10 +265,10 @@ def parse(text: str) -> Network:
                                 defined[name], 1)
 
     inputs: list[str] = list(declared_inputs)
-    seen_defs: set[str] = set()
+    known = set(inputs)  # inputs and the definitions read so far
     for name, expr, lineno in raw_defs:
         for ref in references(expr):
-            if ref in seen_defs or ref in inputs:
+            if ref in known:
                 continue
             if ref in defined:
                 raise NetParseError(
@@ -304,7 +277,8 @@ def parse(text: str) -> Network:
             if declared_inputs:
                 raise NetParseError(f"undefined name {ref!r}", lineno, 1)
             inputs.append(ref)
-        seen_defs.add(name)
+            known.add(ref)
+        known.add(name)
 
     return Network(tuple(inputs), tuple((n, e) for n, e, _ in raw_defs))
 

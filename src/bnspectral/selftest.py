@@ -38,6 +38,8 @@ def _random_instance(rng: np.random.Generator, max_n: int):
 
 def run_selftest(trials: int = 2000, max_n: int = 8, seed: int = 0,
                  tol: float = TOL) -> list[IdentityReport]:
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed)
     worst = {
         "parseval": 0.0,

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import bnspectral
 from bnspectral.cli import main
 from bnspectral.netlang import MAX_NESTING, to_text
+from bnspectral.selftest import run_selftest
 
 from conftest import random_network
 
@@ -276,6 +277,17 @@ class TestExitCodes:
         assert main(argv) == 3
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_p_file_name_listed_twice_is_3(self, tmp_path, capsys):
+        probs = tmp_path / "p.txt"
+        probs.write_text("a 0.3\nb 0.5\na 0.9\n")
+        assert main(["spectrum", "--expr", "a AND b", "--p", f"@{probs}"]) == 3
+        assert capsys.readouterr().err.strip() == f"error: {probs}:3: 'a' listed twice"
+
+    @pytest.mark.parametrize("labels", ["a,", "a,,b", ",a"])
+    def test_empty_label_is_3(self, labels, capsys):
+        assert main(["spectrum", "--table-hex", "08", "--labels", labels]) == 3
+        assert "empty name in --labels" in capsys.readouterr().err
+
     def test_unknown_A_name_is_named(self, capsys):
         assert main(["measures", "--expr", "f AND g", "--A", "f,q"]) == 3
         assert capsys.readouterr().err.strip() == "error: unknown variable in --A: 'q'"
@@ -292,7 +304,9 @@ class TestExitCodes:
 
 
 class TestFlagsBeforeWork:
-    """A bad ``--out`` or ``--trials`` ends the run before the network is read."""
+    """A bad ``--out``, ``--trials`` or ``--cap`` ends the run before the
+    network or expression is read, and a bad ``--trials`` before ``selftest``
+    runs."""
 
     @pytest.mark.parametrize("argv", [
         ["analyze", "{net}", "--out", "{file}"],
@@ -302,8 +316,17 @@ class TestFlagsBeforeWork:
         ["baseline", "{net}", "--mode", "random-topology-random", "--trials", "0",
          "--out", "{dir}"],
         ["collapse", "{net}", "--out", "{file}"],
+        ["analyze", "{net}", "--trials", "0", "--out", "{dir}"],
+        ["analyze", "{net}", "--cap", "-1", "--out", "{dir}"],
+        ["baseline", "{net}", "--mode", "exchange-random", "--cap", "-1", "--out", "{dir}"],
+        ["collapse", "{net}", "--cap", "-1"],
+        ["spectrum", "--expr", "a AND b", "--cap", "-1"],
+        ["selftest", "--trials", "0"],
+        ["selftest", "--trials", "-3"],
     ], ids=["analyze out", "analyze baseline out", "analyze trials", "baseline out",
-            "baseline trials", "collapse out"])
+            "baseline trials", "collapse out", "analyze trials without baseline",
+            "analyze cap", "baseline cap", "collapse cap", "spectrum cap",
+            "selftest trials 0", "selftest trials -3"])
     def test_exits_3_before_parse(self, argv, toy_file, tmp_path, monkeypatch, capsys):
         import bnspectral.cli as cli
 
@@ -311,10 +334,10 @@ class TestFlagsBeforeWork:
 
         def never(*args, **kwargs):
             called.append(args)
-            raise AssertionError("the network was read before the flags were checked")
+            raise AssertionError("work started before the flags were checked")
 
-        monkeypatch.setattr(cli, "parse", never)
-        monkeypatch.setattr(cli, "collapse", never)
+        for name in ("parse", "parse_expression", "collapse", "run_selftest"):
+            monkeypatch.setattr(cli, name, never)
         argv = [a.format(net=toy_file, file=toy_file, dir=tmp_path / "o") for a in argv]
         assert main(argv) == 3
         assert called == []
@@ -326,6 +349,11 @@ class TestSelftest:
         assert main(["selftest", "--trials", "50", "--seed", "2"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_no_trials_is_an_error(self, trials):
+        with pytest.raises(ValueError, match="at least 1"):
+            run_selftest(trials=trials)
 
 
 DEEP_NOT = "NOT " * 3000 + "x"

@@ -2,6 +2,7 @@
 
 import re
 import sys
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -21,11 +22,14 @@ from bnspectral.boolfn import (
 )
 from bnspectral.netlang import (
     KEYWORDS,
+    MAX_NESTING,
     PACKED_MAX_ARGS,
+    PUNCTUATION,
     And,
     CollapsedNetwork,
     CollapsedNode,
     Const,
+    Expr,
     LocalNetwork,
     LocalNode,
     NetParseError,
@@ -33,6 +37,7 @@ from bnspectral.netlang import (
     Not,
     Or,
     Var,
+    _Token,
     _tokenize_line,
     collapse,
     collapse_local,
@@ -426,6 +431,224 @@ LINE_PIECES = st.one_of(
 )
 
 
+# The parser class and the network parse that ``_parse_tokens`` and its
+# set of known names replaced, with the constant names they used.
+CONST_TRUE = {"1", "TRUE"}
+CONST_FALSE = {"0", "FALSE"}
+
+
+class ExprParser:
+    def __init__(self, tokens: Sequence[_Token], lineno: int):
+        self.tokens = list(tokens)
+        self.pos = 0
+        self.lineno = lineno
+        self.depth = 0  # enclosing NOTs and parentheses
+
+    def peek(self) -> _Token | None:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def next(self) -> _Token:
+        tok = self.peek()
+        if tok is None:
+            raise NetParseError("unexpected end of expression", self.lineno,
+                                self.tokens[-1][3] if self.tokens else 1)
+        self.pos += 1
+        return tok
+
+    def parse(self) -> Expr:
+        expr = self.parse_or()
+        tok = self.peek()
+        if tok is not None:
+            raise NetParseError(f"unexpected token {tok[1]!r}", tok[2], tok[3])
+        return expr
+
+    def parse_or(self) -> Expr:
+        parts = [self.parse_and()]
+        while self._at_keyword("OR"):
+            self.next()
+            parts.append(self.parse_and())
+        if len(parts) == 1:
+            return parts[0]
+        # splice directly nested disjunctions so OR is flat n-ary
+        flat: list[Expr] = []
+        for p in parts:
+            flat.extend(p.children if isinstance(p, Or) else [p])
+        return Or(tuple(flat))
+
+    def parse_and(self) -> Expr:
+        parts = [self.parse_not()]
+        while self._at_keyword("AND"):
+            self.next()
+            parts.append(self.parse_not())
+        if len(parts) == 1:
+            return parts[0]
+        flat: list[Expr] = []
+        for p in parts:
+            flat.extend(p.children if isinstance(p, And) else [p])
+        return And(tuple(flat))
+
+    def parse_not(self) -> Expr:
+        if self.depth > MAX_NESTING:
+            _, _, line, col = self.tokens[self.pos - 1]  # the NOT or ( one level too deep
+            raise NetParseError(f"NOTs and parentheses nested deeper than {MAX_NESTING}", line, col)
+        self.depth += 1
+        if self._at_keyword("NOT"):
+            self.next()
+            expr = Not(self.parse_not())
+        else:
+            expr = self.parse_atom()
+        self.depth -= 1
+        return expr
+
+    def parse_atom(self) -> Expr:
+        tok = self.next()
+        kind, text, line, col = tok
+        if kind == "(":
+            expr = self.parse_or()
+            closing = self.peek()
+            if closing is None or closing[0] != ")":
+                raise NetParseError("missing closing parenthesis", line, col)
+            self.next()
+            return expr
+        if kind in KEYWORDS:
+            raise NetParseError(f"keyword {text!r} cannot start an operand", line, col)
+        if kind == "name":
+            upper = text.upper()
+            if upper in CONST_TRUE:
+                return Const(1)
+            if upper in CONST_FALSE:
+                return Const(-1)
+            return Var(text)
+        raise NetParseError(f"unexpected token {text!r}", line, col)
+
+    def _at_keyword(self, kw: str) -> bool:
+        tok = self.peek()
+        return tok is not None and tok[0] == kw
+
+
+def parse_oracle(text: str) -> Network:
+    """``parse`` as it was, on ``ExprParser``."""
+    declared_inputs: list[str] = []
+    raw_defs: list[tuple[str, Expr, int]] = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if stripped == "@inputs" or stripped.startswith("@inputs ") or stripped.startswith("@inputs\t"):
+            rest = stripped[len("@inputs"):]
+            for tok in _tokenize_line(rest, lineno):
+                if tok[0] in PUNCTUATION:
+                    raise NetParseError("only names may follow @inputs", lineno, tok[3])
+                if tok[1] in declared_inputs:
+                    raise NetParseError(f"input {tok[1]!r} declared twice", lineno, tok[3])
+                declared_inputs.append(tok[1])
+            continue
+        tokens = _tokenize_line(line, lineno)
+        if len(tokens) < 2 or tokens[0][0] in PUNCTUATION or tokens[1][0] != "=":
+            raise NetParseError("expected 'name = expr'", lineno,
+                                tokens[0][3] if tokens else 1)
+        name = tokens[0][1]
+        if name.upper() in KEYWORDS | CONST_TRUE | CONST_FALSE:
+            raise NetParseError(f"{name!r} is reserved", lineno, tokens[0][3])
+        expr = ExprParser(tokens[2:], lineno).parse()
+        raw_defs.append((name, expr, lineno))
+
+    defined = {}
+    for name, _, lineno in raw_defs:
+        if name in defined:
+            raise NetParseError(f"duplicate definition of {name!r}", lineno, 1)
+        defined[name] = lineno
+    for name in declared_inputs:
+        if name in defined:
+            raise NetParseError(f"{name!r} is both an input and a definition",
+                                defined[name], 1)
+
+    inputs: list[str] = list(declared_inputs)
+    seen_defs: set[str] = set()
+    for name, expr, lineno in raw_defs:
+        for ref in references(expr):
+            if ref in seen_defs or ref in inputs:
+                continue
+            if ref in defined:
+                raise NetParseError(
+                    f"{ref!r} used before its definition (cycle or forward reference)",
+                    lineno, 1)
+            if declared_inputs:
+                raise NetParseError(f"undefined name {ref!r}", lineno, 1)
+            inputs.append(ref)
+        seen_defs.add(name)
+
+    return Network(tuple(inputs), tuple((n, e) for n, e, _ in raw_defs))
+
+
+ORACLE_NAMES = ["a", "b", "c", "x1", "glcn_xt>0", "f", "g", "tRUE", "0"]
+ORACLE_LHS = ["f", "g", "h", "k", "m", "n", "f", "g", "h", "a", "True"]
+ORACLE_PIECES = ORACLE_NAMES + ["NOT", "nOt", "AND", "aNd", "OR", "oR", "(", ")", "=", "#",
+                                "@inputs"]
+
+
+@st.composite
+def run_lengths(draw, deep: bool):
+    """A run length of NOTs or parentheses: 0 to 2, or when ``deep``,
+    sometimes near the nesting limit or anywhere up to three times it."""
+    k = draw(st.integers(0, 24))  # away from the ends, which hypothesis favours
+    if deep and k == 11:
+        return draw(st.integers(MAX_NESTING - 2, MAX_NESTING + 1))
+    if deep and k == 12:
+        return draw(st.integers(0, 3 * MAX_NESTING))
+    return k % 3
+
+
+@st.composite
+def expr_tokens(draw, deep: bool, levels: int = 2):
+    """Operands joined by mixed-case AND/OR, each behind a run of NOTs and
+    sometimes inside a run of parentheses around a sub-expression."""
+    tokens = []
+    for i in range(draw(st.integers(1, 3))):
+        if i:
+            tokens.append(draw(st.sampled_from(["AND", "and", "aNd", "OR", "or", "Or"])))
+        tokens += [draw(st.sampled_from(["NOT", "not", "nOt"]))] * draw(run_lengths(deep))
+        parens = draw(run_lengths(deep)) if levels else 0
+        if parens:
+            tokens += ["("] * parens + draw(expr_tokens(deep, levels - 1)) + [")"] * parens
+        else:
+            tokens.append(draw(st.sampled_from(ORACLE_NAMES)))
+    return tokens
+
+
+@st.composite
+def dsl_texts(draw):
+    """Definitions over a few shared names, so some lines reference later or
+    undefined ones, mixed with @inputs headers, token soups, a stray token
+    dropped into a definition, comments and blank lines."""
+    lines = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            tokens = ["@inputs"] + draw(st.lists(st.sampled_from(ORACLE_NAMES + ["("]),
+                                                 max_size=4))
+        elif kind == 1:
+            tokens = draw(st.lists(st.sampled_from(ORACLE_PIECES), max_size=8))
+        else:
+            deep = draw(st.integers(0, 3)) == 1  # one definition in four
+            tokens = [draw(st.sampled_from(ORACLE_LHS)), "="] + draw(expr_tokens(deep))
+            if kind == 2:
+                tokens.insert(draw(st.integers(0, len(tokens))),
+                              draw(st.sampled_from(ORACLE_PIECES)))
+        if draw(st.integers(0, 5)) == 0:
+            tokens.append("# " + draw(st.sampled_from(ORACLE_PIECES)))
+        lines.append(" ".join(tokens))
+    return "\n".join(lines)
+
+
+def parse_outcome(parser, text: str):
+    """``repr`` of the network, or the error's message, line and column."""
+    try:
+        return repr(parser(text))
+    except NetParseError as exc:
+        return str(exc), exc.line, exc.col
+
+
 class TestOracles:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(text=st.lists(LINE_PIECES, max_size=12).map("".join))
@@ -436,6 +659,11 @@ class TestOracles:
                 kind = tok.upper()
             want.append((kind, tok, line, col))
         assert _tokenize_line(text, 7) == want
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(text=dsl_texts())
+    def test_parse_matches_class_parser(self, text):
+        assert parse_outcome(parse, text) == parse_outcome(parse_oracle, text)
 
     def test_regex_whitespace_is_isspace(self):
         space = re.compile(r"\s")
