@@ -82,7 +82,10 @@ class InputError(ValueError):
 
 
 def _function_from_args(args) -> BoolFn:
-    if args.expr:
+    if args.expr is not None:
+        for flag, value in (("--table-hex", args.table_hex), ("--labels", args.labels)):
+            if value is not None:
+                raise InputError(f"--expr cannot be combined with {flag}")
         expr = parse_expression(args.expr)
         net = Network(references(expr), (("f", expr),))
         return localize(net, args.cap).nodes[0].fn
@@ -116,12 +119,24 @@ def _dist_for(labels: tuple[str, ...], p_spec: str | None) -> ProductDist:
         if missing:
             raise InputError(f"missing probabilities for: {', '.join(missing)}")
         return ProductDist(tuple(by_name[name] for name in labels))
-    values = [float(v) for v in p_spec.split(",")]
+    values = _p_values(p_spec)
     if len(values) == 1:
         values = values * n
     if len(values) != n:
         raise InputError(f"got {len(values)} probabilities for {n} variables")
     return ProductDist(tuple(values))
+
+
+def _p_values(p_spec: str) -> list[float]:
+    """The probabilities of a comma-list or single-value ``--p``."""
+    try:
+        values = [float(v) for v in p_spec.split(",")]
+    except ValueError:
+        raise InputError(f"--p {p_spec!r} is not a comma list of numbers") from None
+    for v in values:
+        if not 0.0 < v < 1.0:
+            raise InputError(f"--p value {v} outside the open interval (0,1)")
+    return values
 
 
 def _mask_from_names(arg: str | None, labels: tuple[str, ...]) -> int:
@@ -130,9 +145,11 @@ def _mask_from_names(arg: str | None, labels: tuple[str, ...]) -> int:
     if arg.strip() == "":
         return 0
     names = arg.split(",")
-    for name in names:
+    for k, name in enumerate(names):
         if name not in labels:
             raise InputError(f"unknown variable in --A: {name!r}")
+        if name in names[:k]:
+            raise InputError(f"variable listed twice in --A: {name!r}")
     return mask_of(labels.index(name) for name in names)
 
 
@@ -378,6 +395,11 @@ def main(argv: list[str] | None = None) -> int:
             raise InputError(f"--trials must be at least 1, got {args.trials}")
         if getattr(args, "cap", None) is not None and args.cap < 0:
             raise InputError(f"--cap must be nonnegative, got {args.cap}")
+        if getattr(args, "L", None) is not None and args.L < 0:
+            raise InputError(f"--L must be nonnegative, got L = {args.L}")
+        p_spec = getattr(args, "p", None)
+        if p_spec is not None and not p_spec.startswith("@"):
+            _p_values(p_spec)
         code = args.fn(args)
         sys.stdout.flush()
         return code

@@ -292,6 +292,31 @@ class TestExitCodes:
         assert main(["measures", "--expr", "f AND g", "--A", "f,q"]) == 3
         assert capsys.readouterr().err.strip() == "error: unknown variable in --A: 'q'"
 
+    def test_repeated_A_name_is_named(self, capsys):
+        assert main(["measures", "--expr", "f AND g", "--A", "g,f,g"]) == 3
+        assert capsys.readouterr().err.strip() == "error: variable listed twice in --A: 'g'"
+
+    @pytest.mark.parametrize("command", ["spectrum", "measures"])
+    @pytest.mark.parametrize("table_flags", [["--table-hex", "08", "--labels", "a,b"],
+                                             ["--table-hex", "08"], ["--labels", "a,b"]],
+                             ids=["table-hex and labels", "table-hex", "labels"])
+    def test_expr_with_table_flags_is_3(self, command, table_flags, capsys):
+        assert main([command, "--expr", "a"] + table_flags) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: --expr cannot be combined with ")
+        assert table_flags[0] in err
+
+    @pytest.mark.parametrize("p", ["x", "0.3,", "0.3,abc"])
+    def test_p_not_a_number_is_3(self, p, capsys):
+        assert main(["spectrum", "--expr", "a AND b", "--p", p]) == 3
+        assert capsys.readouterr().err.strip() == f"error: --p {p!r} is not a comma list of numbers"
+
+    def test_p_file_out_of_range_is_3(self, tmp_path, capsys):
+        probs = tmp_path / "p.txt"
+        probs.write_text("a 0.3\nb 1.5\n")
+        assert main(["spectrum", "--expr", "a AND b", "--p", f"@{probs}"]) == 3
+        assert "1.5" in capsys.readouterr().err
+
     def test_closed_stdout_is_quiet(self):
         env = dict(os.environ, PYTHONPATH=str(Path(bnspectral.__file__).resolve().parents[1]))
         proc = subprocess.Popen([sys.executable, "-m", "bnspectral.cli", "measures",
@@ -304,9 +329,9 @@ class TestExitCodes:
 
 
 class TestFlagsBeforeWork:
-    """A bad ``--out``, ``--trials`` or ``--cap`` ends the run before the
-    network or expression is read, and a bad ``--trials`` before ``selftest``
-    runs."""
+    """A bad ``--out``, ``--trials``, ``--cap``, ``--L`` or comma-list
+    ``--p`` ends the run before the network or expression is read, and a bad
+    ``--trials`` before ``selftest`` runs."""
 
     @pytest.mark.parametrize("argv", [
         ["analyze", "{net}", "--out", "{file}"],
@@ -323,10 +348,20 @@ class TestFlagsBeforeWork:
         ["spectrum", "--expr", "a AND b", "--cap", "-1"],
         ["selftest", "--trials", "0"],
         ["selftest", "--trials", "-3"],
+        ["analyze", "{net}", "--L", "-1", "--out", "{dir}"],
+        ["baseline", "{net}", "--mode", "exchange-random", "--L", "-2", "--out", "{dir}"],
+        ["analyze", "{net}", "--p", "1.5", "--out", "{dir}"],
+        ["analyze", "{net}", "--p", "0.3,0.5,0", "--out", "{dir}"],
+        ["analyze", "{net}", "--p", "0.3,nan", "--out", "{dir}"],
+        ["baseline", "{net}", "--mode", "exchange-unate", "--p", "1", "--out", "{dir}"],
+        ["baseline", "{net}", "--mode", "exchange-unate", "--p", "0.2,-0.1", "--out", "{dir}"],
+        ["spectrum", "--expr", "a AND b", "--p", "0"],
     ], ids=["analyze out", "analyze baseline out", "analyze trials", "baseline out",
             "baseline trials", "collapse out", "analyze trials without baseline",
             "analyze cap", "baseline cap", "collapse cap", "spectrum cap",
-            "selftest trials 0", "selftest trials -3"])
+            "selftest trials 0", "selftest trials -3", "analyze L", "baseline L",
+            "analyze p single", "analyze p list", "analyze p nan", "baseline p single",
+            "baseline p list", "spectrum p"])
     def test_exits_3_before_parse(self, argv, toy_file, tmp_path, monkeypatch, capsys):
         import bnspectral.cli as cli
 

@@ -14,6 +14,7 @@ from bnspectral.boolfn import (
     BoolFn,
     ProductDist,
     Spectrum,
+    _product_weights,
     conditional_expectation,
     conditional_expectation_table,
     default_labels,
@@ -22,10 +23,13 @@ from bnspectral.boolfn import (
     reconstruct_table,
     transform,
 )
+from bnspectral import measures
 from bnspectral.measures import (
     CLAMP_BUDGET,
+    ENTROPY_BLOCK_BITS,
     _entropy_arr,
     _entropy_of_expectations,
+    _expected_entropy,
     _subset_sums,
     avg_sensitivity,
     avg_sensitivity_spectral,
@@ -271,6 +275,91 @@ class TestCondEntropy:
         f, d, mask = triple
         assert cond_entropy(f, d, mask) == pytest.approx(
             reference.cond_entropy_definitional(f, d, mask), abs=1e-9)
+
+
+B = ENTROPY_BLOCK_BITS
+
+
+def _one_block(s: Spectrum, d: ProductDist, mask: int) -> float:
+    """H(f | X_mask) as one weighted sum over the whole table."""
+    cond = conditional_expectation_table(s, d, mask)
+    p = d.p[list(indices_of(mask))]
+    return float(np.dot(_product_weights(p), _entropy_of_expectations(cond)))
+
+
+class TestBlockedCondEntropy:
+    """``cond_entropy_spectral`` sums over blocks of 2^B table entries above
+    B conditioning variables, and runs the one-block sum at or below it."""
+
+    @pytest.mark.parametrize("extra, skipped", [(1, (0, -1)), (1, (0, 1)), (2, (1, -2)),
+                                                (2, (-2, -1))],
+                             ids=["B+1 low and high", "B+1 low", "B+2 low and high",
+                                  "B+2 high"])
+    def test_matches_definitional(self, extra, skipped):
+        rng = np.random.default_rng(100 + extra)
+        n = B + extra + 2
+        f, d = random_bool_fn(rng, n), random_product_dist(rng, n)
+        mask = (1 << n) - 1
+        for i in skipped:
+            mask &= ~(1 << (i % n))
+        assert bin(mask).count("1") == B + extra
+        got = cond_entropy_spectral(transform(f, d), d, mask)
+        assert got == pytest.approx(reference.cond_entropy_definitional(f, d, mask),
+                                    rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("j", range(B - 1, B + 4))
+    def test_matches_one_block(self, j):
+        rng = np.random.default_rng(200 + j)
+        n = j + 1
+        f, d = random_bool_fn(rng, n), random_product_dist(rng, n)
+        s = transform(f, d)
+        mask = ((1 << n) - 1) & ~(1 << int(rng.integers(n)))
+        got, want = cond_entropy_spectral(s, d, mask), _one_block(s, d, mask)
+        if j <= B:
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        else:
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("j", [0, 3, B])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_constant_keeps_the_sign_of_zero(self, j, sign):
+        f, d = const_fn(j, sign), ProductDist.uniform(j)
+        s = transform(f, d)
+        h = cond_entropy_spectral(s, d, (1 << j) - 1)
+        assert np.float64(h).tobytes() == np.float64(_one_block(s, d, (1 << j) - 1)).tobytes()
+        if j == 0:  # `measures --expr 1` prints this -0.0
+            assert h == 0.0 and math.copysign(1.0, h) == -1.0
+
+    def test_builds_no_full_size_array(self, monkeypatch):
+        rng = np.random.default_rng(300)
+        n = B + 3
+        f, d = random_bool_fn(rng, n), random_product_dist(rng, n)
+        mask = (1 << n) - 2
+        sizes = []
+
+        def spy(fn):
+            def wrapped(arr):
+                out = fn(arr)
+                sizes.append(out.size)
+                return out
+            return wrapped
+
+        monkeypatch.setattr(measures, "_product_weights", spy(measures._product_weights))
+        monkeypatch.setattr(measures, "_entropy_arr", spy(measures._entropy_arr))
+        cond_entropy_spectral(transform(f, d), d, mask)
+        assert max(sizes) == 1 << B
+        assert len(sizes) == 2 + (1 << (n - 1 - B))  # w_low, w_high, one entropy per block
+
+    @pytest.mark.parametrize("bad", [1.0 + 4 * CLAMP_BUDGET, -1.0 - 4 * CLAMP_BUDGET])
+    def test_out_of_range_in_last_block_raises(self, bad):
+        rng = np.random.default_rng(400)
+        j = B + 2
+        cond = rng.uniform(-1.0, 1.0, size=1 << j)
+        p = rng.uniform(0.05, 0.95, size=j)
+        assert 0.0 <= _expected_entropy(cond.copy(), p) <= 1.0
+        cond[-1] = bad
+        with pytest.raises(ValueError, match="beyond tolerance"):
+            _expected_entropy(cond, p)
 
 
 class TestMutualInformation:
