@@ -17,8 +17,10 @@ bottom bit, so after ``n`` stages the index order is restored.  A single
 function of ``GROUPED_MIN_ARITY`` or more variables is transformed in
 grouped stages instead: ``GROUP`` consecutive factors are multiplied out
 into one 16x16 matrix, so each stage contracts four bits and the array is
-passed over about n/4 times rather than n.  Truth tables serialize to
-little-endian hex strings.
+passed over about n/4 times rather than n.  Each group is built by
+broadcast products, which cost far less than the stages they save from 13
+variables on (the sweep is above ``GROUPED_MIN_ARITY``).  Truth tables
+serialize to little-endian hex strings.
 """
 
 from __future__ import annotations
@@ -31,11 +33,14 @@ import numpy as np
 
 ARITY_CAP_DEFAULT = 25
 
-# Grouped stages pay once the array outgrows the L2 cache: against one 2x2
-# stage per variable they measured 1.2-1.3x faster at n = 18 and 4-5x at
-# n = 20, but at n = 16 a threaded OpenBLAS took 20x longer for the 16x16
-# products on 2 cores.
-GROUPED_MIN_ARITY = 18
+# Grouped stages cost their factor build, about 40 us for 16 variables as
+# broadcast products (np.kron took about 230 us), plus n/4 passes where the
+# 2x2 stages make n.  kron_apply medians, 2x2 against grouped stages (2-core
+# Xeon, NumPy 2.4.6): n = 11 36 / 39 us, 12 53 / 48, 13 91 / 69, 14 162 / 97,
+# 15 311 / 148, 16 959 / 660, 17 2267 / 1405 us.  From 13 on grouped stages
+# won at least 96% of interleaved pairs; at 12 the gain is about 10% and did
+# not hold on every machine, so 12 variables stay on 2x2 stages.
+GROUPED_MIN_ARITY = 13
 GROUP = 4
 
 SubsetMask = int
@@ -507,7 +512,8 @@ def _grouped(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
     for lo in range(0, len(mats), GROUP):
         m = mats[lo]
         for f in mats[lo + 1:lo + GROUP]:
-            m = np.kron(f, m)
+            # f kron m: the bits of np.kron(f, m) at about a sixth of its cost
+            m = (f[:, None, :, None] * m[None, :, None, :]).reshape(2 * len(m), -1)
         out.append(m)
     return out
 

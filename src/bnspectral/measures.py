@@ -27,6 +27,7 @@ from .boolfn import (
     _check_cap,
     _check_same_arity,
     _check_spectrum_dist,
+    _factors,
     _halves,
     _phi,
     _product_weights,
@@ -183,13 +184,16 @@ def _expected_entropy(cond: np.ndarray, p: np.ndarray) -> float:
     but the block bookkeeping costs about 10 us a call: run through it, the
     identities benchmark's |A| <= 8 calls made its op_rel 5.9% higher over
     10 seed pairs (2-core Xeon), so one block is summed directly.
+
+    A zero sum is returned as +0.0: the entropy of a certain outcome is
+    computed as -(0.0 + -0.0), and a one-entry dot would keep that sign.
     """
     if len(p) <= ENTROPY_BLOCK_BITS:
-        return float(np.dot(_product_weights(p), _entropy_of_expectations(cond)))
+        return float(np.dot(_product_weights(p), _entropy_of_expectations(cond))) + 0.0
     w_low = _product_weights(p[:ENTROPY_BLOCK_BITS])
     blocks = cond.reshape(-1, len(w_low))
     sums = np.array([np.dot(w_low, _entropy_of_expectations(b)) for b in blocks])
-    return float(np.dot(_product_weights(p[ENTROPY_BLOCK_BITS:]), sums))
+    return float(np.dot(_product_weights(p[ENTROPY_BLOCK_BITS:]), sums)) + 0.0
 
 
 def cond_entropy(f: BoolFn, d: ProductDist, mask: SubsetMask) -> float:
@@ -355,7 +359,11 @@ def noise_sensitivity(f: BoolFn, d: ProductDist, eps: float, mode: str = "exact"
 
     Exact mode costs O(n 2^n) at any arity up to the cap: it equals
     (1 - E[f(X) (T f)(X)]) / 2 with T the tensor power of the one-variable
-    flip matrix [[1 - eps, eps], [eps, 1 - eps]].
+    flip matrix [[1 - eps, eps], [eps, 1 - eps]].  The expectation is the
+    bilinear form f . (W T) f with W = diag(Pr[X = x]), and W T is itself
+    a tensor product, of [[q (1 - eps), q eps], [p eps, p (1 - eps)]] for
+    Pr[X_i = +1] = p and q = 1 - p, so one ``kron_apply`` and one dot give
+    it without a 2^n weight array.
     """
     if not 0.0 <= eps <= 0.5:
         raise ValueError(f"flip probability {eps} outside [0, 1/2]")
@@ -365,10 +373,9 @@ def noise_sensitivity(f: BoolFn, d: ProductDist, eps: float, mode: str = "exact"
         raise ValueError(f"unknown mode {mode!r}")
     _check_same_arity(f.arity, d)
     _check_cap(f.arity, None)
-    flip = np.array([[1.0 - eps, eps], [eps, 1.0 - eps]])
-    tf = kron_apply(f.signs, [flip] * f.arity)
-    tf *= f.signs
-    return max((1.0 - float(np.dot(d.weights(), tf))) / 2.0, 0.0)
+    p, q = d.p, 1.0 - d.p
+    wt = _factors(q * (1.0 - eps), q * eps, p * eps, p * (1.0 - eps), p.shape)
+    return max((1.0 - float(np.dot(f.signs, kron_apply(f.signs, wt)))) / 2.0, 0.0)
 
 
 def noise_sensitivity_mc(f: BoolFn, d: ProductDist, eps: float,

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bnspectral.boolfn import (
+    GROUP,
     GROUPED_MIN_ARITY,
     HELD_MASKS_MAX_ARITY,
     ArityCapError,
@@ -232,10 +233,10 @@ class TestKronApply:
                 assert np.array_equal(got[r], kron_apply(rows[r], shared))
 
     def test_grouped_stages_match_per_variable_oracle(self):
-        # k = 17 sits below the switch; 18..21 leave remainders 2, 3, 0, 1
-        assert GROUPED_MIN_ARITY == 18
+        # one size below the switch, then four sizes that leave every
+        # remainder mod GROUP
         rng = np.random.default_rng(9)
-        for k in range(17, 22):
+        for k in range(GROUPED_MIN_ARITY - 1, GROUPED_MIN_ARITY + 4):
             mats = [rng.normal(size=(2, 2)) for _ in range(k)]
             arr = rng.normal(size=1 << k)
             want = _per_variable(arr, mats)
@@ -253,7 +254,7 @@ class TestKronApply:
             per_row = rng.normal(size=(k, 2, 2, 2))
             assert np.array_equal(kron_apply(rows, list(per_row)), _yates_2x2(rows, list(per_row)))
 
-    @pytest.mark.parametrize("n", [18, 20])
+    @pytest.mark.parametrize("n", [14, 16, 18, 20])
     def test_grouped_round_trip_and_parseval(self, n):
         rng = np.random.default_rng(n)
         f = random_bool_fn(rng, n)
@@ -272,7 +273,7 @@ class TestKronApply:
         batched; a read-only input is read, never written, and the result
         is always a new writable array, with no factors too."""
         rng = np.random.default_rng(12)
-        for k in (0, 1, 3, 8, 17, 18, 21):
+        for k in (0, 1, 3, 8, GROUPED_MIN_ARITY - 1, GROUPED_MIN_ARITY, 21):
             f = random_bool_fn(rng, k)
             mats = [rng.normal(size=(2, 2)) for _ in range(k)]
             got = kron_apply(f.signs, mats)
@@ -286,6 +287,29 @@ class TestKronApply:
             got = kron_apply(rows, per_row)
             assert np.array_equal(got, _kron_apply_copying(rows, per_row)), k
             assert not np.shares_memory(got, rows) and np.array_equal(rows, before), k
+
+    def test_grouped_factors_match_kron_chain_bitwise(self):
+        """``_grouped`` builds each group by a broadcast product, bit for
+        bit the np.kron chain kept here as the oracle, so grouped stages at
+        n >= 18 give the bits they gave when groups were built by np.kron."""
+        def kron_chain(mats):
+            out = []
+            for lo in range(0, len(mats), GROUP):
+                m = mats[lo]
+                for f in mats[lo + 1:lo + GROUP]:
+                    m = np.kron(f, m)
+                out.append(m)
+            return out
+
+        rng = np.random.default_rng(13)
+        p = rng.uniform(0.05, 0.95, size=11)
+        stacks = [list(rng.normal(size=(k, 2, 2))) for k in range(1, GROUP + 1)]
+        stacks += [_forward_factors(p), _inverse_factors(p), _forward_factors(p[:GROUP])]
+        for mats in stacks:  # 11 = 4 + 4 + 3 leaves a remainder group
+            got, want = _grouped(mats), kron_chain(mats)
+            assert len(got) == len(want) == -(-len(mats) // GROUP)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and np.array_equal(g, w)
 
     def test_length_must_match_factor_count(self):
         with pytest.raises(ValueError):

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bnspectral import reference
+from bnspectral import boolfn, reference
 from bnspectral.boolfn import (
+    GROUPED_MIN_ARITY,
     ArityCapError,
     BoolFn,
     ProductDist,
@@ -322,13 +323,13 @@ class TestBlockedCondEntropy:
 
     @pytest.mark.parametrize("j", [0, 3, B])
     @pytest.mark.parametrize("sign", [1, -1])
-    def test_constant_keeps_the_sign_of_zero(self, j, sign):
+    def test_constant_gives_positive_zero(self, j, sign):
         f, d = const_fn(j, sign), ProductDist.uniform(j)
         s = transform(f, d)
         h = cond_entropy_spectral(s, d, (1 << j) - 1)
-        assert np.float64(h).tobytes() == np.float64(_one_block(s, d, (1 << j) - 1)).tobytes()
-        if j == 0:  # `measures --expr 1` prints this -0.0
-            assert h == 0.0 and math.copysign(1.0, h) == -1.0
+        assert h == _one_block(s, d, (1 << j) - 1) == 0.0
+        # at j = 0 the one-entry dot gives -0.0; `measures --expr 1` prints h
+        assert math.copysign(1.0, h) == 1.0
 
     def test_builds_no_full_size_array(self, monkeypatch):
         rng = np.random.default_rng(300)
@@ -767,6 +768,38 @@ class TestNoiseSensitivity:
             want = (1.0 - (1.0 - 2.0 * eps) ** n) / 2.0
             assert noise_sensitivity(parity, d, eps) == pytest.approx(want, abs=1e-12)
             assert noise_sensitivity(dictator, d, eps) == pytest.approx(eps, abs=1e-12)
+
+    def test_exact_builds_no_weight_array(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("2^n weight array built")
+
+        monkeypatch.setattr(ProductDist, "weights", refuse)
+        monkeypatch.setattr(boolfn, "_product_weights", refuse)
+        monkeypatch.setattr(measures, "_product_weights", refuse)
+        rng = np.random.default_rng(42)
+        for n in (10, GROUPED_MIN_ARITY):
+            f, d = random_bool_fn(rng, n), random_product_dist(rng, n)
+            assert 0.0 < noise_sensitivity(f, d, 0.1) < 1.0
+
+    @pytest.mark.parametrize("n", [13, 14, 15, 16, 17])
+    def test_exact_matches_operator_form(self, n):
+        """The folded form f . (W T) f against T applied one flip per
+        variable, then a dot weighted by Pr[X = x]."""
+        rng = np.random.default_rng(500 + n)
+        f, d = random_bool_fn(rng, n), random_product_dist(rng, n, 0.02, 0.3)
+        idx = np.arange(1 << n)
+        w = np.ones(1 << n)
+        for i, p in enumerate(d.probs):
+            w *= np.where((idx >> i) & 1, p, 1.0 - p)
+        for eps in (0.0, 0.03, 0.5):
+            tf = np.array(f.signs)
+            for i in range(n):
+                view = tf.reshape(-1, 2, 1 << i)
+                lo, hi = view[:, 0, :].copy(), view[:, 1, :].copy()
+                view[:, 0, :] = (1.0 - eps) * lo + eps * hi
+                view[:, 1, :] = eps * lo + (1.0 - eps) * hi
+            want = (1.0 - float(np.dot(w, f.signs * tf))) / 2.0
+            assert noise_sensitivity(f, d, eps) == pytest.approx(want, rel=0, abs=1e-12), eps
 
     def test_exact_checks_cap_before_building_tables(self):
         f = BoolFn(26, default_labels(26), 0)
