@@ -14,7 +14,6 @@ import numpy as np
 
 from .boolfn import (
     ArityCapError,
-    BoolFn,
     ProductDist,
     _check_cap,
     _product_weights,
@@ -94,9 +93,8 @@ class NodeSpectra:
     """Node spectra of a collapsed network ``c`` under ``d``, grouped by
     arity k and transformed one group at a time.  Each entry of ``groups`` is
     (k, rows, idx, coeffs): the group's node indices in definition order,
-    each node's input indices into ``d`` as an (m, k) array in the node's
-    input order, and the (m, 2^k) coefficients, row r equal to
-    ``transform(node.fn, d.marginal(idx[r]))``; compared and hashed by identity."""
+    their supports as an (m, k) array, and the (m, 2^k) coefficients, row r
+    equal to ``transform(node.fn, d.marginal(idx[r]))``; compared and hashed by identity."""
 
     c: CollapsedNetwork
     d: ProductDist
@@ -108,15 +106,13 @@ def node_spectra(c: CollapsedNetwork, d: ProductDist) -> NodeSpectra:
     if d.arity != len(c.inputs):
         raise ValueError(
             f"distribution covers {d.arity} inputs, network declares {len(c.inputs)}")
-    rank = {name: i for i, name in enumerate(c.inputs)}
     groups: dict[int, list[int]] = {}
     for i, node in enumerate(c.nodes):
-        groups.setdefault(node.fn.arity, []).append(i)
+        groups.setdefault(len(node.support), []).append(i)
     out = []
     for k, rows in sorted(groups.items()):
-        idx = np.array([[rank[name] for name in c.nodes[i].inputs] for i in rows],
-                       dtype=np.int64).reshape(len(rows), k)
-        signs = sign_rows([c.nodes[i].fn for i in rows])
+        idx = np.array([c.nodes[i].support for i in rows], dtype=np.int64).reshape(len(rows), k)
+        signs = sign_rows([c.nodes[i].table for i in rows], k)
         out.append((k, rows, idx, kron_apply(signs, d._forward[idx].swapaxes(0, 1))))
     return NodeSpectra(c, d, tuple(out))
 
@@ -143,12 +139,12 @@ def determinative_power(s: NodeSpectra) -> RankingResult:
         for r, values in zip(rows, np.maximum(mi, 0.0).tolist()):
             node_mi[r] = values
     # accumulate in definition order, then input order, so sums (and ties) are stable
-    totals = {name: 0.0 for name in c.inputs}
+    totals = [0.0] * len(c.inputs)
     for node, values in zip(c.nodes, node_mi):
-        for name, v in zip(node.inputs, values):
-            totals[name] += v
-    tau = tuple(sorted(totals, key=lambda name: (-totals[name], name)))
-    return RankingResult(totals, tau)
+        for r, v in zip(node.support, values):
+            totals[r] += v
+    d_values = dict(zip(c.inputs, totals))
+    return RankingResult(d_values, tuple(sorted(d_values, key=lambda n: (-d_values[n], n))))
 
 
 def uncertainty_curve(s: NodeSpectra, order: tuple[str, ...] | list[str],
@@ -171,10 +167,9 @@ def uncertainty_curve(s: NodeSpectra, order: tuple[str, ...] | list[str],
     if not 0 <= L <= len(order):
         raise ValueError(f"L = {L} outside 0..{len(order)}, the ordered inputs")
 
-    known = order[:L]
-    position = {name: l for l, name in enumerate(known)}
-    pos = np.array([position.get(name, L) for name in c.inputs], dtype=np.int64)
-    firsts = [np.argsort(pos[idx], axis=1, kind="stable") for _, _, idx, _ in s.groups]
+    position = {name: l for l, name in enumerate(order[:L])}
+    pos = [position.get(name, L) for name in c.inputs]  # by rank; L past the known
+    firsts = [np.argsort(np.take(pos, idx), axis=1, kind="stable") for _, _, idx, _ in s.groups]
     hs = [np.empty((len(rows), k + 1)) for k, rows, _, _ in s.groups]
     for j in range(max((k for k, *_ in s.groups), default=-1) + 1):
         live = [g for g, (k, *_) in enumerate(s.groups) if k >= j]
@@ -194,16 +189,15 @@ def uncertainty_curve(s: NodeSpectra, order: tuple[str, ...] | list[str],
         for r, values in zip(rows, h.tolist()):
             node_h[r] = values
 
-    feeds: dict[str, list[int]] = {name: [] for name in known}
+    feeds: list[list[int]] = [[] for _ in range(L + 1)]  # nodes by position; L unread
     for i, node in enumerate(c.nodes):
-        for name in node.inputs:
-            if name in feeds:
-                feeds[name].append(i)
+        for r in node.support:
+            feeds[pos[r]].append(i)
     steps = [0] * len(c.nodes)
     h_values = [values[0] for values in node_h]
     points = [(0, float(sum(h_values)))]
-    for l, name in enumerate(known, 1):
-        for i in feeds[name]:
+    for l, fed in enumerate(feeds[:L], 1):
+        for i in fed:
             steps[i] += 1
             h_values[i] = node_h[i][steps[i]]
         points.append((l, float(sum(h_values))))
@@ -231,11 +225,10 @@ def sensitivity_scatter(s: NodeSpectra) -> list[SensitivityRecord]:
 def _exchanged_local(inputs: tuple[str, ...], defs: list[tuple[str, tuple[str, ...]]],
                      rng: np.random.Generator, unate: bool) -> LocalNetwork:
     """Give every (name, args) definition a random function of its in-degree."""
-    fns = ([sample_random_unate(len(args), rng, args) for _, args in defs] if unate
-           else [BoolFn(len(args), args, t) for (_, args), t
-                 in zip(defs, random_tables([len(args) for _, args in defs], rng))])
-    return LocalNetwork(inputs, tuple(LocalNode(name, args, fn)
-                                      for (name, args), fn in zip(defs, fns)))
+    tables = ([sample_random_unate(len(args), rng).table for _, args in defs] if unate
+              else random_tables([len(args) for _, args in defs], rng))
+    return LocalNetwork(inputs, tuple(LocalNode(name, args, t)
+                                      for (name, args), t in zip(defs, tables)))
 
 
 def _random_topology_local(inputs: tuple[str, ...], node_names: tuple[str, ...],

@@ -182,16 +182,13 @@ def evaluate(f: BoolFn, x: Sequence[int]) -> int:
     return 1 if (f.table >> _sign_index(x)) & 1 else -1
 
 
-def sign_rows(fns: Sequence[BoolFn]) -> np.ndarray:
-    """Outputs of functions of one arity as an (m, 2^arity) float64 array of
-    +1/-1 values, row r equal to ``fns[r].signs``, unpacked in one pass."""
-    arity = fns[0].arity
-    if any(f.arity != arity for f in fns):
-        raise ValueError("functions must share one arity")
+def sign_rows(tables: Sequence[int], arity: int) -> np.ndarray:
+    """Packed tables of one arity as an (m, 2^arity) float64 array of +1/-1
+    values, row r the signs of ``tables[r]``, unpacked in one pass."""
     size = 1 << arity
     nbytes = max(1, size + 7 >> 3)
-    raw = np.frombuffer(b"".join(f.table.to_bytes(nbytes, "little") for f in fns), dtype=np.uint8)
-    bits = np.unpackbits(raw.reshape(len(fns), nbytes), axis=1, bitorder="little")[:, :size]
+    raw = np.frombuffer(b"".join(t.to_bytes(nbytes, "little") for t in tables), dtype=np.uint8)
+    bits = np.unpackbits(raw.reshape(len(tables), nbytes), axis=1, bitorder="little")[:, :size]
     return bits * 2.0 - 1.0
 
 

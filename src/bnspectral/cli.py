@@ -88,7 +88,7 @@ def _function_from_args(args) -> BoolFn:
                 raise InputError(f"--expr cannot be combined with {flag}")
         expr = parse_expression(args.expr)
         net = Network(references(expr), (("f", expr),))
-        return localize(net, args.cap).nodes[0].fn
+        return BoolFn(len(net.inputs), net.inputs, localize(net, args.cap).nodes[0].table)
     if args.table_hex:
         if not args.labels:
             raise InputError("--table-hex requires --labels")
@@ -395,6 +395,8 @@ def main(argv: list[str] | None = None) -> int:
             raise InputError(f"--trials must be at least 1, got {args.trials}")
         if getattr(args, "cap", None) is not None and args.cap < 0:
             raise InputError(f"--cap must be nonnegative, got {args.cap}")
+        if args.seed < 0:
+            raise InputError(f"--seed must be nonnegative, got {args.seed}")
         if getattr(args, "L", None) is not None and args.L < 0:
             raise InputError(f"--L must be nonnegative, got L = {args.L}")
         p_spec = getattr(args, "p", None)

@@ -20,15 +20,18 @@ defined nodes (no feedback).
 Collapse re-expresses every node over the inputs on packed truth tables,
 the ``boolfn`` layout: each argument's table is spread to the node's
 support and the node's table is applied to them as the OR of its minterms,
-with big-int operations only.  A node of more than ``PACKED_MAX_ARGS``
-arguments is applied by one broadcast gather on unpacked tables instead.
+with big-int operations only; over ``PACKED_MAX_ARGS`` arguments, by one
+broadcast gather on unpacked tables.  From ``localize`` on, a node is a
+packed Python-int table over its argument names, or once collapsed over its
+support, the ascending ranks of the inputs it depends on; a collapsed
+node's input names and ``BoolFn`` are built on first read.
 """
 
 from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from typing import Mapping, Sequence
 
@@ -319,11 +322,11 @@ def out_degree(net: Network, name: str) -> int:
 
 @dataclass(frozen=True)
 class LocalNode:
-    """A node as a truth table over its direct arguments."""
+    """A node as a packed truth table over its direct arguments."""
 
     name: str
     args: tuple[str, ...]
-    fn: BoolFn
+    table: int
 
 
 @dataclass(frozen=True)
@@ -334,11 +337,21 @@ class LocalNetwork:
 
 @dataclass(frozen=True)
 class CollapsedNode:
-    """A node re-expressed over input-layer variables, all of them relevant."""
+    """A node as a packed table over input-layer variables, all of them
+    relevant; ``support`` holds their ascending ranks in ``network_inputs``."""
 
     name: str
-    inputs: tuple[str, ...]
-    fn: BoolFn
+    support: tuple[int, ...]
+    table: int
+    network_inputs: tuple[str, ...] = field(repr=False)
+
+    @cached_property
+    def inputs(self) -> tuple[str, ...]:
+        return tuple(self.network_inputs[r] for r in self.support)
+
+    @cached_property
+    def fn(self) -> BoolFn:
+        return BoolFn(len(self.support), self.inputs, self.table)
 
 
 @dataclass(frozen=True)
@@ -348,8 +361,8 @@ class CollapsedNetwork:
 
     @property
     def constants(self) -> tuple[tuple[str, int], ...]:
-        return tuple((n.name, 1 if n.fn.table & 1 else -1)
-                     for n in self.nodes if n.fn.arity == 0)
+        return tuple((n.name, 1 if n.table & 1 else -1)
+                     for n in self.nodes if not n.support)
 
     def out_degree(self, name: str) -> int:
         """Number of collapsed nodes whose relevant inputs include ``name``."""
@@ -379,7 +392,7 @@ def localize(net: Network, cap: int | None = None) -> LocalNetwork:
         _check_cap(k, cap, name)
         columns = {a: _low_mask(k, j) << (1 << j) for j, a in enumerate(args)}
         table = _eval_expr_table(expr, columns, (1 << (1 << k)) - 1)
-        nodes.append(LocalNode(name, args, BoolFn(k, args, table)))
+        nodes.append(LocalNode(name, args, table))
     return LocalNetwork(net.inputs, tuple(nodes))
 
 
@@ -388,12 +401,12 @@ def collapse_local(ln: LocalNetwork, cap: int | None = None) -> CollapsedNetwork
 
     Proceeds in definition order on packed truth tables, from every input as
     the identity table ``0b10`` over itself.  A node's support is the union
-    of its arguments' relevant inputs (reported if over the cap); each
+    of its arguments' relevant input ranks (reported if over the cap); each
     argument's table is spread to that support, and the node's own table is
-    evaluated on them as the OR of its minterms.  A node of more than
-    ``PACKED_MAX_ARGS`` arguments, with its 2^k minterms, is evaluated by
-    one broadcast gather on the unpacked tables instead.  The result is then
-    cut to the variables it depends on.
+    evaluated on them as the OR of its minterms, or for more than
+    ``PACKED_MAX_ARGS`` arguments by one broadcast gather on unpacked
+    tables.  The result is cut to the ranks it depends on and kept so: a
+    node's input names and ``BoolFn`` are built only where they are read.
     """
     memo = {name: ((r,), 0b10) for r, name in enumerate(ln.inputs)}
     masks: dict[int, Sequence[int]] = {}  # _low_masks by support size
@@ -402,20 +415,18 @@ def collapse_local(ln: LocalNetwork, cap: int | None = None) -> CollapsedNetwork
         for a in node.args:
             if a not in memo:
                 raise ValueError(f"node {node.name!r} references unknown name {a!r}")
-        support, table = _collapse_node(node, [memo[a] for a in node.args], masks, cap)
-        memo[node.name] = (support, table)
-        labels = tuple(ln.inputs[r] for r in support)
-        out.append(CollapsedNode(node.name, labels, BoolFn(len(labels), labels, table)))
+        memo[node.name] = _collapse_node(node, [memo[a] for a in node.args], masks, cap)
+        out.append(CollapsedNode(node.name, *memo[node.name], ln.inputs))
     return CollapsedNetwork(ln.inputs, tuple(out))
 
 
 def _collapse_node(node: LocalNode, subs: list[tuple[Sequence[int], int]],
                    masks_by_size: dict[int, Sequence[int]],
-                   cap: int | None) -> tuple[list[int], int]:
+                   cap: int | None) -> tuple[tuple[int, ...], int]:
     """The input ranks a node depends on and its packed table over them,
     from each argument's (input ranks, packed table).  A function of its
     own, so that its wide temporaries are freed before the next node."""
-    support = sorted({r for sub_support, _ in subs for r in sub_support})
+    support = tuple(sorted({r for sub_support, _ in subs for r in sub_support}))
     n = len(support)
     _check_cap(n, cap, node.name)
     if n not in masks_by_size:
@@ -425,7 +436,7 @@ def _collapse_node(node: LocalNode, subs: list[tuple[Sequence[int], int]],
         position = {r: i for i, r in enumerate(support)}
         columns = [_spread(t, [position[r] for r in sub_support], masks)
                    for sub_support, t in subs]
-        table = _compose(node.fn.table, columns, (1 << (1 << n)) - 1)
+        table = _compose(node.table, columns, (1 << (1 << n)) - 1)
     else:
         # One axis per variable, highest first: the node's table gets one
         # per argument, and each argument's table one per support input,
@@ -434,12 +445,13 @@ def _collapse_node(node: LocalNode, subs: list[tuple[Sequence[int], int]],
         index = tuple(_table_bits(t, len(sub_support))
                       .reshape([2 if r in sub_support else 1 for r in axes])
                       for sub_support, t in reversed(subs))
-        table = _pack_bits(node.fn.bits.reshape((2,) * len(node.args))[index].ravel())
+        k = len(node.args)
+        table = _pack_bits(_table_bits(node.table, k).reshape((2,) * k)[index].ravel())
     rel = _relevant_mask(table, masks)
     if rel == (1 << n) - 1:
         return support, table
     kept = indices_of(rel)
-    return [support[i] for i in kept], _compact(table, kept, masks)
+    return tuple(support[i] for i in kept), _compact(table, kept, masks)
 
 
 def collapse(net: Network, cap: int | None = None) -> CollapsedNetwork:
@@ -449,12 +461,9 @@ def collapse(net: Network, cap: int | None = None) -> CollapsedNetwork:
 
 def effective_inputs(c: CollapsedNetwork) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Split declared inputs by membership in some node's relevant set."""
-    used = set()
-    for node in c.nodes:
-        used.update(node.inputs)
-    eff = tuple(name for name in c.inputs if name in used)
-    non_eff = tuple(name for name in c.inputs if name not in used)
-    return eff, non_eff
+    used = set().union(*(node.support for node in c.nodes))
+    return (tuple(name for r, name in enumerate(c.inputs) if r in used),
+            tuple(name for r, name in enumerate(c.inputs) if r not in used))
 
 
 def collapsed_to_json(c: CollapsedNetwork) -> dict:

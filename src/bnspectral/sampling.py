@@ -128,16 +128,14 @@ def _apply_polarities(table: int, k: int, neg_mask: int) -> int:
     return table
 
 
-def sample_random_unate(k: int, rng: np.random.Generator,
-                        labels: tuple[str, ...] | None = None) -> BoolFn:
+def sample_random_unate(k: int, rng: np.random.Generator) -> BoolFn:
     """Draw a unate function of k variables (exact for k <= 4)."""
-    names = labels if labels is not None else default_labels(k)
     if k <= UNATE_ENUM_MAX_ARITY:
         tables = enumerate_unate_tables(k)
-        return BoolFn(k, names, tables[int(rng.integers(0, len(tables)))])
+        return BoolFn(k, default_labels(k), tables[int(rng.integers(0, len(tables)))])
     monotone = sample_monotone_mcmc(k, rng)
     neg_mask = int(rng.integers(0, 1 << k))
-    return BoolFn(k, names, _apply_polarities(monotone, k, neg_mask))
+    return BoolFn(k, default_labels(k), _apply_polarities(monotone, k, neg_mask))
 
 
 def random_threshold_fn(n: int, rng: np.random.Generator,

@@ -15,7 +15,7 @@ from bnspectral.analysis import (
     sensitivity_scatter,
     uncertainty_curve,
 )
-from bnspectral.boolfn import ArityCapError, ProductDist, mask_of, transform
+from bnspectral.boolfn import ArityCapError, BoolFn, ProductDist, mask_of, transform
 from bnspectral.cli import main
 from bnspectral.measures import (
     avg_sensitivity_spectral,
@@ -309,7 +309,7 @@ class TestBaselines:
                                    np.random.default_rng(2), unate=False)
         for before, after in zip(ln.nodes, swapped.nodes):
             assert before.args == after.args
-            assert after.fn.arity == len(before.args)
+            assert after.table < 1 << (1 << len(after.args))
 
     def test_random_topology_out_degree(self):
         from bnspectral.analysis import _random_topology_local
@@ -334,9 +334,9 @@ class TestBaselines:
             drawn.extend(arities)
             return random_tables(arities, rng)
 
-        def sampler(k, rng, labels=None):
+        def sampler(k, rng):
             drawn.append(k)
-            return sample_random_function(k, rng, labels)
+            return sample_random_function(k, rng)
 
         monkeypatch.setattr(analysis, "random_tables", tables)
         monkeypatch.setattr(analysis, "sample_random_unate", sampler)
@@ -382,9 +382,9 @@ class TestSinglePass:
         calls = []
         real = analysis.sign_rows
 
-        def sign_rows(fns):
-            calls.append(len(fns))
-            return real(fns)
+        def sign_rows(tables, arity):
+            calls.append(len(tables))
+            return real(tables, arity)
 
         monkeypatch.setattr(analysis, "sign_rows", sign_rows)
         return calls
@@ -420,6 +420,25 @@ class TestSinglePass:
         assert len(arities) == 2
         assert len(calls) == sum(arities)
         assert sum(calls) == sum(nodes)
+
+
+@pytest.mark.parametrize("mode", BASELINE_MODES)
+def test_trials_build_no_boolfn(monkeypatch, mode):
+    """A trial carries every node as input ranks and a packed table: the
+    random modes construct no ``BoolFn``, and the unate modes one per node,
+    the one ``sample_random_unate`` draws."""
+    net = parse(netlang.to_text(toy_network()) + "n5 = n1 OR d\nn6 = n2 AND n3\n"
+                "n7 = d\nn8 = NOT n5 AND c\n")
+    built = []
+    real = BoolFn.__post_init__
+
+    def post_init(self):
+        built.append(self.arity)
+        real(self)
+
+    monkeypatch.setattr(BoolFn, "__post_init__", post_init)
+    baseline_curves(net, BaselineSpec(mode, trials=3, seed=5), ProductDist.uniform(4))
+    assert len(built) == (3 * len(net.defs) if mode.endswith("unate") else 0)
 
 
 def test_spectra_compare_and_hash_by_identity():

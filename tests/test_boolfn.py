@@ -158,11 +158,8 @@ class TestSignRows:
         rng = np.random.default_rng(5)
         for k in range(0, 7):
             fns = [random_bool_fn(rng, k) for _ in range(4)]
-            assert np.array_equal(sign_rows(fns), np.stack([f.signs for f in fns]))
-
-    def test_arities_must_agree(self):
-        with pytest.raises(ValueError, match="one arity"):
-            sign_rows([and_fn(2), and_fn(3)])
+            assert np.array_equal(sign_rows([f.table for f in fns], k),
+                                  np.stack([f.signs for f in fns]))
 
 
 def _yates_2x2(arr: np.ndarray, mats) -> np.ndarray:

@@ -329,9 +329,9 @@ class TestExitCodes:
 
 
 class TestFlagsBeforeWork:
-    """A bad ``--out``, ``--trials``, ``--cap``, ``--L`` or comma-list
-    ``--p`` ends the run before the network or expression is read, and a bad
-    ``--trials`` before ``selftest`` runs."""
+    """A bad ``--out``, ``--trials``, ``--cap``, ``--seed``, ``--L`` or
+    comma-list ``--p`` ends the run before the network or expression is read,
+    and a bad ``--trials`` or ``--seed`` before ``selftest`` runs."""
 
     @pytest.mark.parametrize("argv", [
         ["analyze", "{net}", "--out", "{file}"],
@@ -356,12 +356,16 @@ class TestFlagsBeforeWork:
         ["baseline", "{net}", "--mode", "exchange-unate", "--p", "1", "--out", "{dir}"],
         ["baseline", "{net}", "--mode", "exchange-unate", "--p", "0.2,-0.1", "--out", "{dir}"],
         ["spectrum", "--expr", "a AND b", "--p", "0"],
+        ["analyze", "{net}", "--baseline", "exchange-random", "--seed", "-1", "--out", "{dir}"],
+        ["baseline", "{net}", "--mode", "exchange-unate", "--seed", "-1", "--out", "{dir}"],
+        ["selftest", "--seed", "-1"],
     ], ids=["analyze out", "analyze baseline out", "analyze trials", "baseline out",
             "baseline trials", "collapse out", "analyze trials without baseline",
             "analyze cap", "baseline cap", "collapse cap", "spectrum cap",
             "selftest trials 0", "selftest trials -3", "analyze L", "baseline L",
             "analyze p single", "analyze p list", "analyze p nan", "baseline p single",
-            "baseline p list", "spectrum p"])
+            "baseline p list", "spectrum p", "analyze seed", "baseline seed",
+            "selftest seed"])
     def test_exits_3_before_parse(self, argv, toy_file, tmp_path, monkeypatch, capsys):
         import bnspectral.cli as cli
 
@@ -377,6 +381,21 @@ class TestFlagsBeforeWork:
         assert main(argv) == 3
         assert called == []
         assert capsys.readouterr().err.startswith("error: ")
+
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "{net}", "--seed", "-1", "--out", "{dir}"],
+        ["analyze", "{net}", "--baseline", "exchange-random", "--seed", "-1", "--out", "{dir}"],
+        ["baseline", "{net}", "--mode", "random-topology-unate", "--seed", "-2",
+         "--out", "{dir}"],
+        ["selftest", "--trials", "5", "--seed", "-1"],
+    ], ids=["analyze", "analyze baseline", "baseline", "selftest"])
+    def test_negative_seed_is_3(self, argv, toy_file, tmp_path, capsys):
+        argv = [a.format(net=toy_file, dir=tmp_path / "o") for a in argv]
+        assert main(argv) == 3
+        seed = argv[argv.index("--seed") + 1]
+        assert capsys.readouterr().err == f"error: --seed must be nonnegative, got {seed}\n"
+        assert not (tmp_path / "o").exists()
 
 
 class TestSelftest:

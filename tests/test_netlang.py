@@ -254,7 +254,8 @@ def as_network(ln: LocalNetwork) -> Network:
     defs = []
     for node in ln.nodes:
         terms = []
-        for b in np.flatnonzero(node.fn.bits):
+        minterms = [b for b in range(1 << len(node.args)) if node.table >> b & 1]
+        for b in minterms:
             lits = [Var(a) if (b >> j) & 1 else Not(Var(a)) for j, a in enumerate(node.args)]
             terms.append(lits[0] if len(lits) == 1 else And(tuple(lits)))
         if not terms or len(terms) == 1 << len(node.args):
@@ -322,7 +323,7 @@ class TestLocalize:
 
     def test_local_tables(self):
         ln = localize(parse("y = NOT a\n"))
-        assert list(ln.nodes[0].fn.bits) == [1, 0]
+        assert ln.nodes[0].table == 0b01
 
     def test_definitions_walked_once(self, monkeypatch):
         """Localizing and then running a baseline walk each definition at
@@ -392,7 +393,7 @@ def localize_columns(net: Network) -> LocalNetwork:
         idx = np.arange(1 << len(args), dtype=np.int64)
         columns = {a: ((idx >> j) & 1).astype(np.uint8) for j, a in enumerate(args)}
         bits = _eval_expr_bits(expr, columns, len(idx))
-        nodes.append(LocalNode(name, args, BoolFn.from_bit_array(bits, args)))
+        nodes.append(LocalNode(name, args, BoolFn.from_bit_array(bits, args).table))
     return LocalNetwork(net.inputs, tuple(nodes))
 
 
@@ -410,7 +411,7 @@ def collapse_local_spread(ln: LocalNetwork) -> CollapsedNetwork:
             axes = [2 if s in sub_support else 1 for s in reversed(support)]
             col = np.broadcast_to(sub_bits.reshape(axes), (2,) * len(support))
             node_idx |= col.reshape(-1).astype(np.int64) << j
-        bits = node.fn.bits[node_idx]
+        bits = BoolFn(len(node.args), node.args, node.table).bits[node_idx]
         fn = BoolFn.from_bit_array(bits, support)
         rel = relevant_variables(fn)
         if rel != (1 << fn.arity) - 1:
@@ -418,7 +419,8 @@ def collapse_local_spread(ln: LocalNetwork) -> CollapsedNetwork:
             bits = bits[_subset_index(kept)]
             fn = BoolFn.from_bit_array(bits, [support[i] for i in kept])
         memo[node.name] = (fn.labels, bits)
-        nodes.append(CollapsedNode(node.name, fn.labels, fn))
+        nodes.append(CollapsedNode(node.name, tuple(map(rank.__getitem__, fn.labels)),
+                                   fn.table, ln.inputs))
     return CollapsedNetwork(ln.inputs, tuple(nodes))
 
 
@@ -693,9 +695,17 @@ def random_local_network(rng: np.random.Generator, n_inputs: int, n_nodes: int,
     for v in range(n_nodes):
         k = int(rng.integers(0, min(max_args, len(names)) + 1))
         args = tuple(str(a) for a in rng.choice(names, size=k, replace=False))
-        nodes.append(LocalNode(f"n{v}", args, sample_random_function(k, rng, args)))
+        nodes.append(LocalNode(f"n{v}", args, sample_random_function(k, rng).table))
         names.append(f"n{v}")
     return LocalNetwork(inputs, tuple(nodes))
+
+
+def assert_derived_attributes(c: CollapsedNetwork) -> None:
+    """The input names and ``BoolFn`` a collapsed node builds when first
+    read, as reports and the benchmark checks read them."""
+    for node in c.nodes:
+        assert node.inputs == tuple(c.inputs[r] for r in node.support)
+        assert node.fn == BoolFn(len(node.support), node.inputs, node.table)
 
 
 class TestPackedCollapse:
@@ -708,9 +718,10 @@ class TestPackedCollapse:
         outcomes = {6: set(), 10: set()}
         for _ in range(30):
             ln = random_local_network(rng, int(rng.integers(1, 15)), 10, PACKED_MAX_ARGS + 3)
-            want = collapse_local_spread(ln)
-            assert collapse_local(ln) == want
+            want, got = collapse_local_spread(ln), collapse_local(ln)
+            assert got == want
             assert_matches_node_tables(want, as_network(ln))
+            assert_derived_attributes(got)
             wide = {node.name for node in ln.nodes if len(node.args) > PACKED_MAX_ARGS}
             edges |= {(a in wide, node.name in wide)
                       for node in ln.nodes for a in node.args if a.startswith("n")}
@@ -739,23 +750,24 @@ class TestPackedCollapse:
         rng = np.random.default_rng(48)
         inputs = tuple(f"x{i}" for i in range(HELD_MASKS_MAX_ARITY + 2))
         thirds = [inputs[v::3] for v in range(3)]
-        nodes = [LocalNode(f"a{v}", args, sample_random_function(len(args), rng, args))
+        nodes = [LocalNode(f"a{v}", args, sample_random_function(len(args), rng).table)
                  for v, args in enumerate(thirds)]
         three = ("a0", "a1", "a2")
         wide = three + inputs[:PACKED_MAX_ARGS + 1 - len(three)]
-        nodes += [LocalNode("p", three, sample_random_function(3, rng, three)),
-                  LocalNode("w", wide, sample_random_function(len(wide), rng, wide)),
-                  LocalNode("q", three, BoolFn(3, three, 0x5A))]  # a0 XOR a2
+        nodes += [LocalNode("p", three, sample_random_function(3, rng).table),
+                  LocalNode("w", wide, sample_random_function(len(wide), rng).table),
+                  LocalNode("q", three, 0x5A)]  # a0 XOR a2
         ln = LocalNetwork(inputs, tuple(nodes))
         c = collapse_local(ln)
         assert c == collapse_local_spread(ln)
         assert_matches_node_tables(c, as_network(ln))
+        assert_derived_attributes(c)
         assert [len(node.inputs) for node in c.nodes[3:]] == [len(inputs)] * 2 + [12]
 
     def test_cap_error_precedes_later_unknown_name(self):
         wide = tuple(f"x{i}" for i in range(4))
-        ln = LocalNetwork(wide, (LocalNode("big", wide, BoolFn(4, wide, 1 << 15)),
-                                 LocalNode("bad", ("ghost",), BoolFn(1, ("ghost",), 0b01))))
+        ln = LocalNetwork(wide, (LocalNode("big", wide, 1 << 15),
+                                 LocalNode("bad", ("ghost",), 0b01)))
         with pytest.raises(ArityCapError) as err:
             collapse_local(ln, cap=3)
         assert (err.value.name, err.value.arity) == ("big", 4)
