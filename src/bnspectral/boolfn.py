@@ -446,6 +446,7 @@ class Spectrum:
     coeffs: np.ndarray
 
     def __post_init__(self):
+        _check_same_arity(self.arity, self.d)
         if self.coeffs.shape != (1 << self.arity,):
             raise ValueError("coeffs must have length 2^arity")
         self.coeffs.flags.writeable = False
@@ -576,11 +577,11 @@ def transform(f: BoolFn, d: ProductDist, cap: int | None = None) -> Spectrum:
     return Spectrum(f, d, kron_apply(f.signs, d._forward))
 
 
-def reconstruct(s: Spectrum, d: ProductDist, x: Sequence[int]) -> float:
+def reconstruct(s: Spectrum, x: Sequence[int]) -> float:
     """Evaluate the multilinear polynomial with coefficients ``s`` at ``x``."""
     if len(x) != s.arity:
         raise ValueError(f"assignment length {len(x)} != arity {s.arity}")
-    return float(reconstruct_table(s, d)[_sign_index(x)])
+    return float(reconstruct_table(s, s.d)[_sign_index(x)])
 
 
 def reconstruct_table(s: Spectrum, d: ProductDist) -> np.ndarray:
@@ -599,23 +600,21 @@ def subset_coeffs(s: Spectrum, mask: SubsetMask) -> np.ndarray:
     return _subset_entries(s.coeffs, mask)
 
 
-def conditional_expectation_table(s: Spectrum, d: ProductDist, mask: SubsetMask) -> np.ndarray:
+def conditional_expectation_table(s: Spectrum, mask: SubsetMask) -> np.ndarray:
     """E[f | X_mask = x] for every assignment of the masked variables.
 
     Returned in compact index order (bit j of the index is the sign of the
     j-th ascending variable of ``mask``).  Equals the polynomial restricted
     to coefficients of subsets of ``mask``.
     """
-    _check_spectrum_dist(s, d)
-    return kron_apply(subset_coeffs(s, mask), d._inverse[list(indices_of(mask))])
+    return kron_apply(subset_coeffs(s, mask), s.d._inverse[list(indices_of(mask))])
 
 
-def conditional_expectation(s: Spectrum, d: ProductDist, mask: SubsetMask,
-                            xa: Mapping[int, int]) -> float:
+def conditional_expectation(s: Spectrum, mask: SubsetMask, xa: Mapping[int, int]) -> float:
     """E[f(X) | X_A = x_A] as the subset-restricted polynomial at ``x_A``."""
     check_mask(mask, s.arity)
     pos = indices_of(mask)
     if set(xa) != set(pos):
         raise ValueError("partial assignment must cover exactly the masked variables")
     c = _sign_index([xa[p] for p in pos])
-    return float(conditional_expectation_table(s, d, mask)[c])
+    return float(conditional_expectation_table(s, mask)[c])

@@ -109,12 +109,20 @@ def _dist_for(labels: tuple[str, ...], p_spec: str | None) -> ProductDist:
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
+            where = f"{p_spec[1:]}:{lineno}:"
             parts = line.replace("=", " ").split()
             if len(parts) != 2:
-                raise InputError(f"{p_spec[1:]}:{lineno}: expected 'name p'")
-            if parts[0] in by_name:
-                raise InputError(f"{p_spec[1:]}:{lineno}: {parts[0]!r} listed twice")
-            by_name[parts[0]] = float(parts[1])
+                raise InputError(f"{where} expected 'name p'")
+            name, value = parts
+            if name in by_name:
+                raise InputError(f"{where} {name!r} listed twice")
+            try:
+                by_name[name] = p = float(value)
+            except ValueError:
+                raise InputError(f"{where} {name!r}: {value!r} is not a number") from None
+            if not 0.0 < p < 1.0:
+                raise InputError(f"{where} {name!r}: probability {p} "
+                                 "outside the open interval (0,1)")
         missing = [name for name in labels if name not in by_name]
         if missing:
             raise InputError(f"missing probabilities for: {', '.join(missing)}")
@@ -414,7 +422,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     except (NetParseError, InputError, FileNotFoundError, IsADirectoryError,
-            NotADirectoryError, FileExistsError, ValueError, KeyError) as exc:
+            NotADirectoryError, FileExistsError, ValueError, KeyError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     finally:

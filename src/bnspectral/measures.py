@@ -8,8 +8,9 @@ H(f | X_A) is a weighted sum over the 2^|A| entries of E[f | X_A], taken in
 blocks of 2^ENTROPY_BLOCK_BITS entries with factored weights: it builds no
 2^|A| weight array, and its entropy temporaries hold one block.
 
-The measures of a (function, distribution) pair take its ``Spectrum``,
-which carries ``f`` and ``d``, so the pair is transformed once.
+Truth-table measures take ``(f, d)``; spectral forms take the pair's
+``Spectrum``, which carries both, so the pair is transformed once, and
+``cond_entropy_spectral``'s ``d`` must be the spectrum's own.
 """
 
 from __future__ import annotations
@@ -108,15 +109,14 @@ def _influence(f: BoolFn, weights: np.ndarray, i: int) -> float:
     return float(np.sum((w[:, 0, :] + w[:, 1, :]) * differs))
 
 
-def influence_spectral(s: Spectrum, d: ProductDist, i: int) -> float:
+def influence_spectral(s: Spectrum, i: int) -> float:
     """Influence from the coefficients: sum of squares over sets containing i,
     divided by sigma_i^2."""
     if not 0 <= i < s.arity:
         raise IndexError(f"variable index {i} out of range for arity {s.arity}")
-    _check_spectrum_dist(s, d)
     masks = np.arange(1 << s.arity, dtype=np.int64)
     sel = (masks >> i) & 1 == 1
-    return float(np.sum(s.coeffs[sel] ** 2) / d.sigma[i] ** 2)
+    return float(np.sum(s.coeffs[sel] ** 2) / s.d.sigma[i] ** 2)
 
 
 def avg_sensitivity(f: BoolFn, d: ProductDist, mask: SubsetMask | None = None) -> float:
@@ -129,13 +129,12 @@ def avg_sensitivity(f: BoolFn, d: ProductDist, mask: SubsetMask | None = None) -
     return sum(_influence(f, w, i) for i in indices_of(mask))
 
 
-def avg_sensitivity_spectral(s: Spectrum, d: ProductDist, mask: SubsetMask | None = None) -> float:
+def avg_sensitivity_spectral(s: Spectrum, mask: SubsetMask | None = None) -> float:
     """Spectral form: sum over S of coeff^2 times sum_{i in S and mask} 1/sigma_i^2."""
     if mask is None:
         mask = (1 << s.arity) - 1
     check_mask(mask, s.arity)
-    _check_spectrum_dist(s, d)
-    inv_var = [1.0 / d.sigma[i] ** 2 if mask >> i & 1 else 0.0 for i in range(s.arity)]
+    inv_var = [1.0 / s.d.sigma[i] ** 2 if mask >> i & 1 else 0.0 for i in range(s.arity)]
     return float(np.dot(s.coeffs ** 2, _subset_sums(np.array(inv_var))))
 
 
@@ -168,7 +167,8 @@ def cond_entropy_spectral(s: Spectrum, d: ProductDist, mask: SubsetMask) -> floa
     the entropy temporaries hold one block.
     """
     check_mask(mask, s.arity)
-    cond = conditional_expectation_table(s, d, mask)
+    _check_spectrum_dist(s, d)
+    cond = conditional_expectation_table(s, mask)
     return _expected_entropy(cond, d.p[list(indices_of(mask))])
 
 
@@ -206,12 +206,8 @@ def cond_entropy(f: BoolFn, d: ProductDist, mask: SubsetMask) -> float:
 def mutual_information(s: Spectrum, mask: SubsetMask) -> float:
     """MI(f(X); X_mask) = H(f(X)) - H(f(X) | X_mask), in bits."""
     check_mask(mask, s.arity)
-    return mi_spectral(s, s.d, mask & relevant_variables(s.f))
-
-
-def mi_spectral(s: Spectrum, d: ProductDist, mask: SubsetMask) -> float:
     h_out = binary_entropy(_clamp_prob((1.0 + s.coeff(0)) / 2.0))
-    mi = h_out - cond_entropy_spectral(s, d, mask)
+    mi = h_out - cond_entropy_spectral(s, s.d, mask & relevant_variables(s.f))
     if mi < -CLAMP_BUDGET:
         raise ValueError(f"mutual information {mi} below zero beyond tolerance")
     return max(mi, 0.0)

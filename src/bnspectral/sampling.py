@@ -38,11 +38,9 @@ def random_tables(arities: Sequence[int], rng: np.random.Generator) -> list[int]
     return tables
 
 
-def sample_random_function(k: int, rng: np.random.Generator,
-                           labels: tuple[str, ...] | None = None) -> BoolFn:
+def sample_random_function(k: int, rng: np.random.Generator) -> BoolFn:
     """Uniform draw over all Boolean functions of k variables."""
-    return BoolFn(k, labels if labels is not None else default_labels(k),
-                  random_tables([k], rng)[0])
+    return BoolFn(k, default_labels(k), random_tables([k], rng)[0])
 
 
 def _monotone_tables(k: int) -> tuple[int, ...]:
@@ -138,8 +136,7 @@ def sample_random_unate(k: int, rng: np.random.Generator) -> BoolFn:
     return BoolFn(k, default_labels(k), _apply_polarities(monotone, k, neg_mask))
 
 
-def random_threshold_fn(n: int, rng: np.random.Generator,
-                        labels: tuple[str, ...] | None = None) -> tuple[BoolFn, tuple[int, ...]]:
+def random_threshold_fn(n: int, rng: np.random.Generator) -> tuple[BoolFn, tuple[int, ...]]:
     """Random linear threshold function with random polarities.
 
     Returns the function and the polarity vector used; the result is unate
@@ -152,5 +149,4 @@ def random_threshold_fn(n: int, rng: np.random.Generator,
     cols = np.stack([(2.0 * ((idx >> i) & 1) - 1.0) for i in range(n)]) if n else np.zeros((0, 1))
     total = (np.abs(weights)[:, None] * signs_a[:, None] * cols).sum(axis=0) if n else np.zeros(1)
     bits = (total >= theta).astype(int)
-    fn = BoolFn.from_bit_array(bits, labels if labels is not None else default_labels(n))
-    return fn, tuple(int(a) for a in signs_a)
+    return BoolFn.from_bit_array(bits), tuple(int(a) for a in signs_a)

@@ -85,7 +85,7 @@ def run_selftest(trials: int = 2000, max_n: int = 8, seed: int = 0,
             worst["independence_vs_factorization"] = math.inf
 
         xa = {p: (1 if rng.random() < 0.5 else -1) for p in indices_of(mask)}
-        lhs_ce = conditional_expectation(s, d, mask, xa)
+        lhs_ce = conditional_expectation(s, mask, xa)
         rhs_ce = reference.conditional_mean_definitional(f, d, mask, xa)
         worst["conditional_expectation_lemma"] = max(
             worst["conditional_expectation_lemma"], abs(lhs_ce - rhs_ce))

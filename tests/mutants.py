@@ -78,6 +78,34 @@ MUTANTS = (
            "feeds[pos[r] - 1].append(i)",
            ("tests/test_analysis.py::TestAgainstPerNodeMeasures::test_uncertainty_curve",
             "tests/test_analysis.py::TestUncertaintyCurve"), 2),
+    Mutant("grouped stage builds m kron f", "boolfn.py",
+           "m = (f[:, None, :, None] * m[None, :, None, :])",
+           "m = (m[:, None, :, None] * f[None, :, None, :])",
+           ("tests/test_boolfn.py::TestKronApply",), 2),
+    Mutant("blocked entropy drops the w_high factor", "measures.py",
+           "float(np.dot(_product_weights(p[ENTROPY_BLOCK_BITS:]), sums))",
+           "float(np.sum(sums))",
+           ("tests/test_measures.py::TestBlockedCondEntropy",), 10),
+    Mutant("noise factors swap p and q", "measures.py",
+           "_factors(q * (1.0 - eps), q * eps, p * eps, p * (1.0 - eps), p.shape)",
+           "_factors(p * (1.0 - eps), p * eps, q * eps, q * (1.0 - eps), p.shape)",
+           ("tests/test_measures.py::TestNoiseSensitivity",), 6),
+    Mutant("one-block entropy keeps the sign of zero", "measures.py",
+           "_entropy_of_expectations(cond))) + 0.0",
+           "_entropy_of_expectations(cond)))",
+           ("tests/test_measures.py::TestBlockedCondEntropy", "tests/test_golden.py"), 2),
+    Mutant("lazy masks read one variable off", "boolfn.py",
+           "return _low_mask(self.n, j)",
+           "return _low_mask(self.n, (j + 1) % self.n)",
+           ("tests/test_boolfn.py::TestHalves",), 2),
+    Mutant("cond_entropy_spectral reads under any distribution", "measures.py",
+           "    _check_spectrum_dist(s, d)\n    cond = ",
+           "    cond = ",
+           ("tests/test_measures.py::TestSpectrumDistribution",), 1),
+    Mutant("spectrum accepts a distribution of other arity", "boolfn.py",
+           "        _check_same_arity(self.arity, self.d)\n",
+           "",
+           ("tests/test_measures.py::TestSpectrumDistribution",), 1),
 )
 
 

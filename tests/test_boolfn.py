@@ -463,17 +463,17 @@ class TestTransform:
 class TestReconstruct:
     def test_and2_point(self, uniform2):
         s = transform(and_fn(2), uniform2)
-        assert reconstruct(s, uniform2, (1, 1)) == pytest.approx(1.0, abs=1e-12)
+        assert reconstruct(s, (1, 1)) == pytest.approx(1.0, abs=1e-12)
 
     def test_parity2_point(self, uniform2):
         s = transform(parity_fn(2), uniform2)
-        assert reconstruct(s, uniform2, (1, -1)) == pytest.approx(-1.0, abs=1e-12)
+        assert reconstruct(s, (1, -1)) == pytest.approx(-1.0, abs=1e-12)
 
     def test_constant_true_spectrum(self):
         d = ProductDist((0.8,))
         s = transform(const_fn(1, 1), d)
         assert np.allclose(s.coeffs, [1.0, 0.0], atol=1e-15)
-        assert reconstruct(s, d, (-1,)) == pytest.approx(1.0, abs=1e-12)
+        assert reconstruct(s, (-1,)) == pytest.approx(1.0, abs=1e-12)
 
     def test_round_trip_random_up_to_n12(self):
         rng = np.random.default_rng(11)
@@ -488,22 +488,22 @@ class TestReconstruct:
 class TestConditionalExpectation:
     def test_parity_given_one_var(self, uniform2):
         s = transform(parity_fn(2), uniform2)
-        assert conditional_expectation(s, uniform2, 0b01, {0: 1}) == pytest.approx(0.0, abs=1e-12)
+        assert conditional_expectation(s, 0b01, {0: 1}) == pytest.approx(0.0, abs=1e-12)
 
     def test_empty_mask_gives_mean(self):
         d = ProductDist((0.3, 0.6))
         f = and_fn(2)
         s = transform(f, d)
-        assert conditional_expectation(s, d, 0, {}) == pytest.approx(s.coeff(0), abs=1e-15)
+        assert conditional_expectation(s, 0, {}) == pytest.approx(s.coeff(0), abs=1e-15)
 
     def test_fully_conditioned(self, uniform2):
         s = transform(and_fn(2), uniform2)
-        assert conditional_expectation(s, uniform2, 0b11, {0: 1, 1: 1}) == pytest.approx(1.0, abs=1e-12)
+        assert conditional_expectation(s, 0b11, {0: 1, 1: 1}) == pytest.approx(1.0, abs=1e-12)
 
     def test_assignment_must_match_mask(self, uniform2):
         s = transform(and_fn(2), uniform2)
         with pytest.raises(ValueError):
-            conditional_expectation(s, uniform2, 0b01, {1: 1})
+            conditional_expectation(s, 0b01, {1: 1})
 
     def test_against_direct_averaging(self):
         rng = np.random.default_rng(23)
@@ -514,7 +514,7 @@ class TestConditionalExpectation:
             mask = int(rng.integers(0, 1 << n))
             xa = {i: (1 if rng.random() < 0.5 else -1)
                   for i in range(n) if (mask >> i) & 1}
-            got = conditional_expectation(transform(f, d), d, mask, xa)
+            got = conditional_expectation(transform(f, d), mask, xa)
             want = conditional_mean_definitional(f, d, mask, xa)
             assert got == pytest.approx(want, abs=1e-9)
 

@@ -315,7 +315,14 @@ class TestExitCodes:
         probs = tmp_path / "p.txt"
         probs.write_text("a 0.3\nb 1.5\n")
         assert main(["spectrum", "--expr", "a AND b", "--p", f"@{probs}"]) == 3
-        assert "1.5" in capsys.readouterr().err
+        assert capsys.readouterr().err.strip() == (
+            f"error: {probs}:2: 'b': probability 1.5 outside the open interval (0,1)")
+
+    def test_p_file_not_a_number_is_3(self, tmp_path, capsys):
+        probs = tmp_path / "p.txt"
+        probs.write_text("# bias\nb 0.5\na abc\n")
+        assert main(["spectrum", "--expr", "a AND b", "--p", f"@{probs}"]) == 3
+        assert capsys.readouterr().err.strip() == f"error: {probs}:3: 'a': 'abc' is not a number"
 
     def test_closed_stdout_is_quiet(self):
         env = dict(os.environ, PYTHONPATH=str(Path(bnspectral.__file__).resolve().parents[1]))
@@ -396,6 +403,22 @@ class TestFlagsBeforeWork:
         seed = argv[argv.index("--seed") + 1]
         assert capsys.readouterr().err == f"error: --seed must be nonnegative, got {seed}\n"
         assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "{net}", "--baseline", "exchange-random"],
+    ["baseline", "{net}", "--mode", "exchange-random"],
+], ids=["analyze baseline", "baseline"])
+def test_trials_too_many_to_store_is_3(argv, toy_file, tmp_path):
+    # 10^17 trials of a 4-entry curve are 2.8 EiB, more than a 57-bit
+    # address space holds, so the allocation fails on any machine
+    out = tmp_path / "o"
+    proc = run_cli([a.format(net=toy_file) for a in argv]
+                   + ["--trials", str(10 ** 17), "--out", str(out)])
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 class TestSelftest:

@@ -1,6 +1,9 @@
 """Influence, entropy, mutual information, bounds, unateness, noise."""
 
+import importlib
+import inspect
 import math
+import pkgutil
 import sys
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bnspectral
 from bnspectral import boolfn, reference
 from bnspectral.boolfn import (
     GROUPED_MIN_ARITY,
@@ -44,7 +48,6 @@ from bnspectral.measures import (
     influence_spectral,
     mi_influence_bound_check,
     mi_single_from_coeffs,
-    mi_spectral,
     mutual_information,
     noise_sensitivity,
     noise_sensitivity_mc,
@@ -160,7 +163,7 @@ class TestInfluence:
             d = random_product_dist(rng, 10)
             s = transform(f, d)
             i = int(rng.integers(0, 10))
-            assert influence_spectral(s, d, i) == pytest.approx(
+            assert influence_spectral(s, i) == pytest.approx(
                 influence(f, d, i), abs=1e-9)
 
     @settings(max_examples=60, deadline=None)
@@ -169,7 +172,7 @@ class TestInfluence:
         f, d = pair
         i = data.draw(st.integers(0, f.arity - 1))
         s = transform(f, d)
-        assert influence_spectral(s, d, i) == pytest.approx(influence(f, d, i), abs=1e-9)
+        assert influence_spectral(s, i) == pytest.approx(influence(f, d, i), abs=1e-9)
 
 
 class TestAvgSensitivity:
@@ -184,7 +187,7 @@ class TestAvgSensitivity:
     def test_spectral_form_agrees(self, triple):
         f, d, mask = triple
         s = transform(f, d)
-        assert avg_sensitivity_spectral(s, d, mask) == pytest.approx(
+        assert avg_sensitivity_spectral(s, mask) == pytest.approx(
             avg_sensitivity(f, d, mask), abs=1e-9)
 
 
@@ -255,7 +258,7 @@ class TestSubsetSums:
             s = transform(f, d)
             for mask in (None, int(rng.integers(0, 1 << k))):
                 old = _inv_var_masked(d.sigma, (1 << k) - 1 if mask is None else mask, k)
-                assert avg_sensitivity_spectral(s, d, mask) == float(np.dot(s.coeffs ** 2, old))
+                assert avg_sensitivity_spectral(s, mask) == float(np.dot(s.coeffs ** 2, old))
 
 class TestCondEntropy:
     def test_empty_mask_is_output_entropy(self):
@@ -283,7 +286,7 @@ B = ENTROPY_BLOCK_BITS
 
 def _one_block(s: Spectrum, d: ProductDist, mask: int) -> float:
     """H(f | X_mask) as one weighted sum over the whole table."""
-    cond = conditional_expectation_table(s, d, mask)
+    cond = conditional_expectation_table(s, mask)
     p = d.p[list(indices_of(mask))]
     return float(np.dot(_product_weights(p), _entropy_of_expectations(cond)))
 
@@ -422,7 +425,7 @@ class TestMutualInformation:
         d = ProductDist((2.5e-7,))
         s = Spectrum(dictator_fn(1, 0), d, np.array([2.0 * p - 1.0, 2.0 * math.sqrt(p * (1.0 - p))]))
         with pytest.raises(ValueError, match="below zero"):
-            mi_spectral(s, d, 0b1)
+            mutual_information(s, 0b1)
 
     def test_monotone_in_singleton_coefficient(self):
         # at fixed bias the single-variable MI grows with the magnitude of
@@ -834,13 +837,7 @@ class TestSpectrumDistribution:
     D45 = ProductDist((0.45, 0.45))
     READS = {
         "cond_entropy_spectral": lambda s, d: cond_entropy_spectral(s, d, 0b01),
-        "mi_spectral": lambda s, d: mi_spectral(s, d, 0b01),
-        "influence_spectral": lambda s, d: influence_spectral(s, d, 0),
-        "avg_sensitivity_spectral": lambda s, d: avg_sensitivity_spectral(s, d),
-        "reconstruct": lambda s, d: reconstruct(s, d, (1, -1)),
         "reconstruct_table": lambda s, d: reconstruct_table(s, d),
-        "conditional_expectation": lambda s, d: conditional_expectation(s, d, 0b01, {0: 1}),
-        "conditional_expectation_table": lambda s, d: conditional_expectation_table(s, d, 0b01),
     }
 
     @pytest.mark.parametrize("name", READS)
@@ -858,6 +855,25 @@ class TestSpectrumDistribution:
         s = transform(and_fn(2), self.D45)
         assert cond_entropy_spectral(s, self.D45, 0b01) == pytest.approx(
             0.45 * binary_entropy(0.45), abs=1e-12)
+
+    def test_spectrum_refuses_a_distribution_of_other_arity(self):
+        with pytest.raises(ValueError, match="arity mismatch"):
+            Spectrum(BoolFn(2, ("a", "b"), 8), ProductDist.uniform(3), np.zeros(4))
+
+    def test_only_two_spectral_forms_take_a_distribution(self):
+        # every other public function of a spectrum reads the spectrum's own d
+        takes_d = set()
+        for info in pkgutil.iter_modules(bnspectral.__path__):
+            module = importlib.import_module(f"bnspectral.{info.name}")
+            for name, fn in vars(module).items():
+                if (name.startswith("_") or not inspect.isfunction(fn)
+                        or fn.__module__ != module.__name__):
+                    continue
+                kinds = [p.annotation for p in inspect.signature(fn, eval_str=True).parameters.values()]
+                if kinds[:1] == [Spectrum] and ProductDist in kinds:
+                    takes_d.add(name)
+        assert takes_d == {"reconstruct_table", "cond_entropy_spectral"}
+        assert not hasattr(measures, "mi_spectral")
 
 
 class TestOneTransformPerPair:
