@@ -16,12 +16,11 @@ from .boolfn import (
     ArityCapError,
     ProductDist,
     _check_cap,
-    _product_weights,
     _subset_index,
     kron_apply,
     sign_rows,
 )
-from .measures import CLAMP_BUDGET, _entropy_of_expectations, _mi_single, _subset_sums
+from .measures import CLAMP_BUDGET, _expected_entropy, _mi_single, _row_dot, _subset_sums
 from .netlang import (
     CollapsedNetwork,
     LocalNetwork,
@@ -117,11 +116,6 @@ def node_spectra(c: CollapsedNetwork, d: ProductDist) -> NodeSpectra:
     return NodeSpectra(c, d, tuple(out))
 
 
-def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products; each row is summed exactly as ``np.dot`` would."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
 def determinative_power(s: NodeSpectra) -> RankingResult:
     """Sum the single-input mutual information of every node, per input.
 
@@ -131,16 +125,14 @@ def determinative_power(s: NodeSpectra) -> RankingResult:
     lexicographically by input name.
     """
     c, d = s.c, s.d
-    node_mi: list[list[float]] = [[] for _ in c.nodes]
+    mi = np.zeros((len(c.nodes), max((k for k, *_ in s.groups), default=0)))  # node, input
     for k, rows, idx, coeffs in s.groups:
-        mi = _mi_single(coeffs[:, :1], coeffs[:, [1 << t for t in range(k)]], d.p[idx])
-        if mi.size and mi.min() < -CLAMP_BUDGET:
-            raise ValueError(f"mutual information {mi.min()} below zero beyond tolerance")
-        for r, values in zip(rows, np.maximum(mi, 0.0).tolist()):
-            node_mi[r] = values
+        mi[rows, :k] = _mi_single(coeffs[:, :1], coeffs[:, [1 << t for t in range(k)]], d.p[idx])
+    if mi.size and mi.min() < -CLAMP_BUDGET:
+        raise ValueError(f"mutual information {mi.min()} below zero beyond tolerance")
     # accumulate in definition order, then input order, so sums (and ties) are stable
     totals = [0.0] * len(c.inputs)
-    for node, values in zip(c.nodes, node_mi):
+    for node, values in zip(c.nodes, np.maximum(mi, 0.0).tolist()):
         for r, v in zip(node.support, values):
             totals[r] += v
     d_values = dict(zip(c.inputs, totals))
@@ -154,9 +146,9 @@ def uncertainty_curve(s: NodeSpectra, order: tuple[str, ...] | list[str],
 
     A node of arity k only ever conditions on the first j of its inputs to
     appear in ``order``, j = 0..k, so those k + 1 entropies are computed per
-    node up front and the curve steps through them.  They are computed as
-    ``cond_entropy_spectral`` computes them, one batch per j over the nodes
-    of every arity k >= j.
+    node up front and the curve steps through them.  They are summed by
+    ``measures._expected_entropy``, the sum behind ``cond_entropy_spectral``,
+    one batch of rows per j over the nodes of every arity k >= j.
     """
     c, d = s.c, s.d
     order = tuple(order)
@@ -170,24 +162,19 @@ def uncertainty_curve(s: NodeSpectra, order: tuple[str, ...] | list[str],
     position = {name: l for l, name in enumerate(order[:L])}
     pos = [position.get(name, L) for name in c.inputs]  # by rank; L past the known
     firsts = [np.argsort(np.take(pos, idx), axis=1, kind="stable") for _, _, idx, _ in s.groups]
-    hs = [np.empty((len(rows), k + 1)) for k, rows, _, _ in s.groups]
-    for j in range(max((k for k, *_ in s.groups), default=-1) + 1):
-        live = [g for g, (k, *_) in enumerate(s.groups) if k >= j]
-        ik, sub = [], []
-        for g in live:
-            _, _, idx, coeffs = s.groups[g]
-            first = np.sort(firsts[g][:, :j], axis=1)
-            ik.append(np.take_along_axis(idx, first, axis=1))
-            sub.append(np.take_along_axis(coeffs, _subset_index(first), axis=1))
+    h = np.zeros((len(c.nodes), max((k for k, *_ in s.groups), default=-1) + 1))  # node, j
+    for j in range(h.shape[1]):
+        rows, ik, sub = [], [], []
+        for (k, g_rows, idx, coeffs), first in zip(s.groups, firsts):
+            if k >= j:
+                first = np.sort(first[:, :j], axis=1)
+                rows += g_rows
+                ik.append(np.take_along_axis(idx, first, axis=1))
+                sub.append(np.take_along_axis(coeffs, _subset_index(first), axis=1))
         ik = np.concatenate(ik)
         cond = kron_apply(np.concatenate(sub), d._inverse[ik].swapaxes(0, 1))
-        h = _row_dot(_product_weights(d.p[ik]), _entropy_of_expectations(cond))
-        for g, part in zip(live, np.split(h, np.cumsum([len(hs[g]) for g in live])[:-1])):
-            hs[g][:, j] = part
-    node_h: list[list[float]] = [[] for _ in c.nodes]
-    for (_, rows, _, _), h in zip(s.groups, hs):
-        for r, values in zip(rows, h.tolist()):
-            node_h[r] = values
+        h[rows, j] = _expected_entropy(cond, d.p[ik])
+    node_h = h.tolist()
 
     feeds: list[list[int]] = [[] for _ in range(L + 1)]  # nodes by position; L unread
     for i, node in enumerate(c.nodes):
@@ -225,7 +212,7 @@ def sensitivity_scatter(s: NodeSpectra) -> list[SensitivityRecord]:
 def _exchanged_local(inputs: tuple[str, ...], defs: list[tuple[str, tuple[str, ...]]],
                      rng: np.random.Generator, unate: bool) -> LocalNetwork:
     """Give every (name, args) definition a random function of its in-degree."""
-    tables = ([sample_random_unate(len(args), rng).table for _, args in defs] if unate
+    tables = ([sample_random_unate(len(args), rng) for _, args in defs] if unate
               else random_tables([len(args) for _, args in defs], rng))
     return LocalNetwork(inputs, tuple(LocalNode(name, args, t)
                                       for (name, args), t in zip(defs, tables)))

@@ -6,7 +6,8 @@ check the other.  Conditional entropy and mutual information go through the
 spectral characterization, with binary entropy in bits throughout.
 H(f | X_A) is a weighted sum over the 2^|A| entries of E[f | X_A], taken in
 blocks of 2^ENTROPY_BLOCK_BITS entries with factored weights: it builds no
-2^|A| weight array, and its entropy temporaries hold one block.
+2^|A| weight array, and its entropy temporaries hold one block per row: one
+row for a spectrum, one per node for a batch of the network curve A(l).
 
 Truth-table measures take ``(f, d)``; spectral forms take the pair's
 ``Spectrum``, which carries both, so the pair is transformed once, and
@@ -126,7 +127,7 @@ def avg_sensitivity(f: BoolFn, d: ProductDist, mask: SubsetMask | None = None) -
     check_mask(mask, f.arity)
     _check_same_arity(f.arity, d)
     w = d.weights()
-    return sum(_influence(f, w, i) for i in indices_of(mask))
+    return float(sum(_influence(f, w, i) for i in indices_of(mask)))
 
 
 def avg_sensitivity_spectral(s: Spectrum, mask: SubsetMask | None = None) -> float:
@@ -169,31 +170,37 @@ def cond_entropy_spectral(s: Spectrum, d: ProductDist, mask: SubsetMask) -> floa
     check_mask(mask, s.arity)
     _check_spectrum_dist(s, d)
     cond = conditional_expectation_table(s, mask)
-    return _expected_entropy(cond, d.p[list(indices_of(mask))])
+    return float(_expected_entropy(cond, d.p[list(indices_of(mask))]))
 
 
-def _expected_entropy(cond: np.ndarray, p: np.ndarray) -> float:
-    """E_w[H((1 + c) / 2)] over a compact table ``cond`` of 2^j conditional
-    expectations, which is overwritten, with w the product weights of
-    Pr[X_t = +1] = p[t].
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis, each summed as ``np.dot`` would."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _expected_entropy(cond: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """E_w[H((1 + c) / 2)] per row of ``cond`` (..., 2^j), a table of
+    conditional expectations that is overwritten, with w the product weights
+    of Pr[X_t = +1] = p[..., t]; a 1-D table is one row and gives a scalar.
 
     Above ENTROPY_BLOCK_BITS variables the weights factor as w_high (x)
     w_low: the low bits of the index are the first variables, so block h of
-    2^ENTROPY_BLOCK_BITS consecutive entries has weights w_high[h] * w_low.
-    A table of one block gives the same bits either way (w_high is [1.0]),
-    but the block bookkeeping costs about 10 us a call: run through it, the
-    identities benchmark's |A| <= 8 calls made its op_rel 5.9% higher over
-    10 seed pairs (2-core Xeon), so one block is summed directly.
+    a row's 2^ENTROPY_BLOCK_BITS-entry blocks has weights w_high[h] * w_low.
+    A row of one block gives the same bits either way (w_high is [1.0]), but
+    the bookkeeping costs about 10 us a call: run through it, the identities
+    benchmark's |A| <= 8 calls made its op_rel 5.9% higher over 10 seed
+    pairs (2-core Xeon), so one block is summed directly.
 
     A zero sum is returned as +0.0: the entropy of a certain outcome is
-    computed as -(0.0 + -0.0), and a one-entry dot would keep that sign.
+    computed as -(0.0 + -0.0), and np.dot keeps that sign for one entry.
     """
-    if len(p) <= ENTROPY_BLOCK_BITS:
-        return float(np.dot(_product_weights(p), _entropy_of_expectations(cond))) + 0.0
-    w_low = _product_weights(p[:ENTROPY_BLOCK_BITS])
-    blocks = cond.reshape(-1, len(w_low))
-    sums = np.array([np.dot(w_low, _entropy_of_expectations(b)) for b in blocks])
-    return float(np.dot(_product_weights(p[ENTROPY_BLOCK_BITS:]), sums)) + 0.0
+    if p.shape[-1] <= ENTROPY_BLOCK_BITS:
+        return _row_dot(_product_weights(p), _entropy_of_expectations(cond)) + 0.0
+    w_low = _product_weights(p[..., :ENTROPY_BLOCK_BITS])
+    blocks = cond.reshape(*cond.shape[:-1], -1, w_low.shape[-1])
+    sums = np.stack([_row_dot(w_low, _entropy_of_expectations(blocks[..., h, :]))
+                     for h in range(blocks.shape[-2])], axis=-1)
+    return _row_dot(_product_weights(p[..., ENTROPY_BLOCK_BITS:]), sums) + 0.0
 
 
 def cond_entropy(f: BoolFn, d: ProductDist, mask: SubsetMask) -> float:

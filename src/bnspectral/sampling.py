@@ -4,7 +4,7 @@ Plain functions are drawn uniformly over all 2^(2^k) truth tables, and
 ``random_tables`` draws a trial's tables from one ``rng.bytes`` call: as
 ``Generator.bytes(n)`` takes ceil(n / 4) 32-bit words and keeps n bytes,
 each table read at its own word offset is what a call of its own drew.  Unate
-functions are drawn exactly uniformly for k <= 4 by enumerating the class;
+tables, packed alike, are drawn exactly uniformly for k <= 4 by enumeration;
 for larger k a Markov chain over monotone functions (single-point flips
 that preserve monotonicity, burned in, then composed with a uniform random
 polarity vector) is used.  The chain targets the uniform distribution over
@@ -126,14 +126,13 @@ def _apply_polarities(table: int, k: int, neg_mask: int) -> int:
     return table
 
 
-def sample_random_unate(k: int, rng: np.random.Generator) -> BoolFn:
-    """Draw a unate function of k variables (exact for k <= 4)."""
+def sample_random_unate(k: int, rng: np.random.Generator) -> int:
+    """Truth table of a unate function of k variables (exact for k <= 4)."""
     if k <= UNATE_ENUM_MAX_ARITY:
         tables = enumerate_unate_tables(k)
-        return BoolFn(k, default_labels(k), tables[int(rng.integers(0, len(tables)))])
+        return tables[int(rng.integers(0, len(tables)))]
     monotone = sample_monotone_mcmc(k, rng)
-    neg_mask = int(rng.integers(0, 1 << k))
-    return BoolFn(k, default_labels(k), _apply_polarities(monotone, k, neg_mask))
+    return _apply_polarities(monotone, k, int(rng.integers(0, 1 << k)))
 
 
 def random_threshold_fn(n: int, rng: np.random.Generator) -> tuple[BoolFn, tuple[int, ...]]:

@@ -83,16 +83,20 @@ MUTANTS = (
            "m = (m[:, None, :, None] * f[None, :, None, :])",
            ("tests/test_boolfn.py::TestKronApply",), 2),
     Mutant("blocked entropy drops the w_high factor", "measures.py",
-           "float(np.dot(_product_weights(p[ENTROPY_BLOCK_BITS:]), sums))",
-           "float(np.sum(sums))",
+           "_row_dot(_product_weights(p[..., ENTROPY_BLOCK_BITS:]), sums)",
+           "sums.sum(axis=-1)",
            ("tests/test_measures.py::TestBlockedCondEntropy",), 10),
+    Mutant("blocked entropy mixes the rows of its block sums", "measures.py",
+           "for h in range(blocks.shape[-2])], axis=-1)",
+           "for h in range(blocks.shape[-2])], axis=0)",
+           ("tests/test_analysis.py::test_uncertainty_curve_sums_wide_nodes_in_blocks",), 1),
     Mutant("noise factors swap p and q", "measures.py",
            "_factors(q * (1.0 - eps), q * eps, p * eps, p * (1.0 - eps), p.shape)",
            "_factors(p * (1.0 - eps), p * eps, q * eps, q * (1.0 - eps), p.shape)",
            ("tests/test_measures.py::TestNoiseSensitivity",), 6),
     Mutant("one-block entropy keeps the sign of zero", "measures.py",
-           "_entropy_of_expectations(cond))) + 0.0",
-           "_entropy_of_expectations(cond)))",
+           "_entropy_of_expectations(cond)) + 0.0",
+           "_entropy_of_expectations(cond))",
            ("tests/test_measures.py::TestBlockedCondEntropy", "tests/test_golden.py"), 2),
     Mutant("lazy masks read one variable off", "boolfn.py",
            "return _low_mask(self.n, j)",

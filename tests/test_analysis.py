@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from bnspectral import analysis, netlang
+from bnspectral import analysis, measures, netlang
 from bnspectral.analysis import (
     BASELINE_MODES,
     BaselineSpec,
@@ -31,7 +31,7 @@ from bnspectral.reference import (
     network_cond_entropy,
     node_tables,
 )
-from bnspectral.sampling import random_tables, sample_random_function
+from bnspectral.sampling import random_tables
 
 from conftest import random_network, random_product_dist
 
@@ -260,6 +260,45 @@ class TestAgainstPerNodeMeasures:
                 assert rec.prob_one == pytest.approx(prob_one(node.fn, sub), abs=1e-12)
 
 
+def test_uncertainty_curve_sums_wide_nodes_in_blocks(monkeypatch):
+    """Two nodes over 16 and 15 inputs, more than ENTROPY_BLOCK_BITS: A(l)
+    takes the blocked rows of ``_expected_entropy``, whose weight tables
+    never exceed one block, and matches the per-node entropies."""
+    rng = np.random.default_rng(31)
+    inputs = tuple(f"x{r}" for r in range(17))
+    args = (inputs[:16], tuple(rng.permutation(inputs[2:]).tolist()))
+    nodes = tuple(netlang.LocalNode(f"y{i}", a, t)
+                  for i, (a, t) in enumerate(zip(args, random_tables([16, 15], rng))))
+    c = netlang.collapse_local(netlang.LocalNetwork(inputs, nodes))
+    assert [len(node.support) for node in c.nodes] == [16, 15]
+    d = random_product_dist(rng, len(inputs))
+    order = [str(name) for name in rng.permutation(inputs)]
+    setup = list(_per_node(c, d))
+    masks = [0] * len(setup)
+    want = [sum(cond_entropy_spectral(spec, sub, 0) for _, sub, spec in setup)]
+    for name in order:
+        for i, (node, _, _) in enumerate(setup):
+            if name in node.inputs:
+                masks[i] |= 1 << node.inputs.index(name)
+        want.append(sum(cond_entropy_spectral(spec, sub, m)
+                        for (_, sub, spec), m in zip(setup, masks)))
+    s = node_spectra(c, d)
+
+    shapes = []
+
+    def weights(p):
+        out = real(p)
+        shapes.append(out.shape)
+        return out
+
+    real = measures._product_weights
+    monkeypatch.setattr(measures, "_product_weights", weights)
+    got = uncertainty_curve(s, order).values
+    assert np.max(np.abs(np.array(got) - want)) < 1e-12
+    assert (2, 1 << measures.ENTROPY_BLOCK_BITS) in shapes  # both nodes, one batch
+    assert max(shape[-1] for shape in shapes) == 1 << measures.ENTROPY_BLOCK_BITS
+
+
 class TestBaselines:
     def test_reproducible(self):
         net = toy_network()
@@ -336,7 +375,7 @@ class TestBaselines:
 
         def sampler(k, rng):
             drawn.append(k)
-            return sample_random_function(k, rng)
+            return random_tables([k], rng)[0]
 
         monkeypatch.setattr(analysis, "random_tables", tables)
         monkeypatch.setattr(analysis, "sample_random_unate", sampler)
@@ -424,9 +463,8 @@ class TestSinglePass:
 
 @pytest.mark.parametrize("mode", BASELINE_MODES)
 def test_trials_build_no_boolfn(monkeypatch, mode):
-    """A trial carries every node as input ranks and a packed table: the
-    random modes construct no ``BoolFn``, and the unate modes one per node,
-    the one ``sample_random_unate`` draws."""
+    """A trial carries every node as input ranks and a packed table, and
+    both samplers draw packed tables: no mode constructs a ``BoolFn``."""
     net = parse(netlang.to_text(toy_network()) + "n5 = n1 OR d\nn6 = n2 AND n3\n"
                 "n7 = d\nn8 = NOT n5 AND c\n")
     built = []
@@ -438,7 +476,7 @@ def test_trials_build_no_boolfn(monkeypatch, mode):
 
     monkeypatch.setattr(BoolFn, "__post_init__", post_init)
     baseline_curves(net, BaselineSpec(mode, trials=3, seed=5), ProductDist.uniform(4))
-    assert len(built) == (3 * len(net.defs) if mode.endswith("unate") else 0)
+    assert built == []
 
 
 def test_spectra_compare_and_hash_by_identity():

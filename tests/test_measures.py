@@ -190,6 +190,12 @@ class TestAvgSensitivity:
         assert avg_sensitivity_spectral(s, mask) == pytest.approx(
             avg_sensitivity(f, d, mask), abs=1e-9)
 
+    def test_empty_sum_is_a_float(self, uniform2):
+        # `measures --A ''` and `--expr 1` print this value beside floats
+        for f, d, mask in [(and_fn(2), uniform2, 0), (const_fn(0, 1), ProductDist.uniform(0), None)]:
+            got = avg_sensitivity(f, d, mask)
+            assert type(got) is float and got == 0.0
+        assert type(avg_sensitivity(and_fn(2), uniform2, 0b01)) is float
 
 
 def _inv_var_masked(sigma: np.ndarray, mask: int, k: int) -> np.ndarray:
@@ -333,6 +339,21 @@ class TestBlockedCondEntropy:
         assert h == _one_block(s, d, (1 << j) - 1) == 0.0
         # at j = 0 the one-entry dot gives -0.0; `measures --expr 1` prints h
         assert math.copysign(1.0, h) == 1.0
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_positive_zero_whatever_the_row_dot(self, monkeypatch, sign):
+        # np.dot keeps the sign of a one-entry product, and a NumPy whose
+        # matmul sends a 1 x 1 product to the same routine would too
+        def dot_rows(a, b):
+            rows = zip(a.reshape(-1, a.shape[-1]), b.reshape(-1, b.shape[-1]))
+            return np.array([np.dot(x, y) for x, y in rows]).reshape(a.shape[:-1])
+
+        monkeypatch.setattr(measures, "_row_dot", dot_rows)
+        f, d = const_fn(0, sign), ProductDist.uniform(0)
+        h = cond_entropy_spectral(transform(f, d), d, 0)
+        rows = _expected_entropy(np.full((2, 1), float(sign)), np.empty((2, 0)))
+        assert h == 0.0 and math.copysign(1.0, h) == 1.0
+        assert rows.tolist() == [0.0, 0.0] and not np.signbit(rows).any()
 
     def test_builds_no_full_size_array(self, monkeypatch):
         rng = np.random.default_rng(300)

@@ -118,23 +118,27 @@ class TestUnateEnumeration:
             enumerate_unate_tables(5)
 
 
+def _is_unate(k: int, table: int) -> bool:
+    return unateness(BoolFn(k, default_labels(k), table)).is_unate
+
+
 class TestUnateSampler:
     def test_arity_one_support(self):
         rng = np.random.default_rng(3)
-        seen = {sample_random_unate(1, rng).table for _ in range(200)}
+        seen = {sample_random_unate(1, rng) for _ in range(200)}
         assert seen == {0b00, 0b01, 0b10, 0b11}
 
     def test_every_sample_is_unate_small(self):
         rng = np.random.default_rng(4)
         for k in range(0, 5):
             for _ in range(50):
-                assert unateness(sample_random_unate(k, rng)).is_unate
+                assert _is_unate(k, sample_random_unate(k, rng))
 
     def test_every_sample_is_unate_mcmc(self):
         rng = np.random.default_rng(5)
         for k in (5, 6):
             for _ in range(5):
-                assert unateness(sample_random_unate(k, rng)).is_unate
+                assert _is_unate(k, sample_random_unate(k, rng))
 
     def test_arity_two_uniform_chi2(self):
         rng = np.random.default_rng(6)
@@ -143,12 +147,12 @@ class TestUnateSampler:
         counts = np.zeros(len(tables))
         draws = 16_000
         for _ in range(draws):
-            counts[index[sample_random_unate(2, rng).table]] += 1
+            counts[index[sample_random_unate(2, rng)]] += 1
         assert chi_square_stat(counts, draws / len(tables)) < CHI2_99[13]
 
     def test_seeded_reproducibility(self):
-        a = sample_random_unate(6, np.random.default_rng(7)).table
-        b = sample_random_unate(6, np.random.default_rng(7)).table
+        a = sample_random_unate(6, np.random.default_rng(7))
+        b = sample_random_unate(6, np.random.default_rng(7))
         assert a == b
 
 
