@@ -20,7 +20,7 @@ from .boolfn import (
     kron_apply,
     sign_rows,
 )
-from .measures import CLAMP_BUDGET, _expected_entropy, _mi_single, _row_dot, _subset_sums
+from .measures import CLAMP_BUDGET, _expected_entropy, _mi_single, _sensitivity_sum
 from .netlang import (
     CollapsedNetwork,
     LocalNetwork,
@@ -195,7 +195,7 @@ def sensitivity_scatter(s: NodeSpectra) -> list[SensitivityRecord]:
     """Per node: in-degree, average sensitivity, output bias, and the
     variance-based lower bound Var(f) min_i 1/sigma_i^2.
 
-    The average sensitivity is sum_S c_S^2 sum_{i in S} 1/sigma_i^2.
+    The average sensitivity is ``measures._sensitivity_sum``, w_i = 1/sigma_i^2.
     """
     c, d = s.c, s.d
     records: list[SensitivityRecord | None] = [None] * len(c.nodes)
@@ -203,7 +203,7 @@ def sensitivity_scatter(s: NodeSpectra) -> list[SensitivityRecord]:
         inv_var = 1.0 / d.sigma[idx] ** 2
         p1 = (1.0 + coeffs[:, 0]) / 2.0
         lower = 4.0 * p1 * (1.0 - p1) * np.min(inv_var, axis=1) if k else np.zeros(len(rows))
-        avg = _row_dot(coeffs ** 2, _subset_sums(inv_var))
+        avg = _sensitivity_sum(coeffs, inv_var)
         for r, *values in zip(rows, avg.tolist(), p1.tolist(), lower.tolist()):
             records[r] = SensitivityRecord(c.nodes[r].name, k, *values)
     return records

@@ -140,23 +140,24 @@ class BoolFn:
     @classmethod
     def from_hex(cls, hex_str: str, labels: Sequence[str]) -> BoolFn:
         n = len(labels)
-        nbytes = max(1, (1 << n) + 7 >> 3)
-        raw = bytes.fromhex(hex_str)
+        nbytes = _table_bytes(n)
+        # a wrong length is reported as one, not as fromhex's error for an odd length
+        raw = bytes.fromhex(hex_str) if len(hex_str) == 2 * nbytes else b""
         if len(raw) != nbytes:
-            raise ValueError(f"expected {nbytes} bytes of table data, got {len(raw)}")
+            raise ValueError(f"expected {nbytes} bytes of table data ({2 * nbytes} hex "
+                             f"digits), got {len(hex_str)}")
         table = int.from_bytes(raw, "little")
         if table.bit_length() > (1 << n):
             raise ValueError("table data has bits beyond 2^arity")
         return cls(n, tuple(labels), table)
 
     def to_hex(self) -> str:
-        nbytes = max(1, (1 << self.arity) + 7 >> 3)
-        return self.table.to_bytes(nbytes, "little").hex()
+        return self.table.to_bytes(_table_bytes(self.arity), "little").hex()
 
     @cached_property
     def bits(self) -> np.ndarray:
         """Output bits as a read-only uint8 array of length 2^arity."""
-        return _frozen(_table_bits(self.table, self.arity))
+        return _frozen(_unpack_tables([self.table], self.arity)[0])
 
     @cached_property
     def signs(self) -> np.ndarray:
@@ -185,11 +186,20 @@ def evaluate(f: BoolFn, x: Sequence[int]) -> int:
 def sign_rows(tables: Sequence[int], arity: int) -> np.ndarray:
     """Packed tables of one arity as an (m, 2^arity) float64 array of +1/-1
     values, row r the signs of ``tables[r]``, unpacked in one pass."""
-    size = 1 << arity
-    nbytes = max(1, size + 7 >> 3)
+    return _unpack_tables(tables, arity) * 2.0 - 1.0
+
+
+def _table_bytes(n: int) -> int:
+    """Bytes of an n-variable packed table: 2^n bits, and at least one byte."""
+    return max(1, (1 << n) + 7 >> 3)
+
+
+def _unpack_tables(tables: Sequence[int], n: int) -> np.ndarray:
+    """Packed n-variable tables as a new (m, 2^n) uint8 array, row r the
+    bits of ``tables[r]``, bit b in column b."""
+    nbytes = _table_bytes(n)
     raw = np.frombuffer(b"".join(t.to_bytes(nbytes, "little") for t in tables), dtype=np.uint8)
-    bits = np.unpackbits(raw.reshape(len(tables), nbytes), axis=1, bitorder="little")[:, :size]
-    return bits * 2.0 - 1.0
+    return np.unpackbits(raw.reshape(len(tables), nbytes), axis=1, bitorder="little")[:, :1 << n]
 
 
 def _low_mask(n: int, j: int) -> int:
@@ -209,13 +219,6 @@ def _halves(t: int, n: int, j: int) -> tuple[int, int]:
     at the x_j = -1 bit positions."""
     m = _low_mask(n, j)
     return t & m, (t >> (1 << j)) & m
-
-
-def _table_bits(t: int, n: int) -> np.ndarray:
-    """An n-variable truth table as a fresh uint8 array of its 2^n bits."""
-    size = 1 << n
-    raw = np.frombuffer(t.to_bytes(max(1, size + 7 >> 3), "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little")[:size].copy()
 
 
 def _pack_bits(bits: np.ndarray) -> int:

@@ -47,7 +47,6 @@ from .measures import (
     unateness,
 )
 from .netlang import (
-    NetParseError,
     Network,
     collapse,
     collapsed_to_json,
@@ -58,10 +57,10 @@ from .netlang import (
     references,
 )
 from .reports import (
-    _rounded,
     baseline_to_json,
     curve_csv,
     curve_svg,
+    json_text,
     ranking_table,
     round12,
     scatter_csv,
@@ -213,7 +212,7 @@ def cmd_measures(args) -> int:
         "unate": {"is_unate": prof.is_unate,
                   "polarity": {f.labels[i]: prof.polarity[i] for i in range(f.arity)}},
     }
-    print(json.dumps(_rounded(report), indent=2, sort_keys=True))
+    sys.stdout.write(json_text(report))
     return EXIT_OK
 
 
@@ -236,7 +235,7 @@ def cmd_collapse(args) -> int:
         write_json(out / "collapsed.json", payload)
         print(f"wrote {out / 'collapsed.json'}")
     else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        sys.stdout.write(json_text(payload))
     return EXIT_OK
 
 
@@ -292,12 +291,7 @@ def cmd_analyze(args) -> int:
         "tau": list(ranking.tau),
         "curve": [[l, v] for l, v in curve.points],
         "baseline": None if baseline is None else baseline_to_json(baseline),
-        "scatter": [
-            {"name": r.name, "in_degree": r.in_degree,
-             "avg_sensitivity": r.avg_sensitivity, "prob_one": r.prob_one,
-             "poincare_lower": r.poincare_lower}
-            for r in scatter
-        ],
+        "scatter": [vars(r) for r in scatter],
         "non_effective_inputs": list(non_eff),
     }
 
@@ -421,8 +415,7 @@ def main(argv: list[str] | None = None) -> int:
     except ArityCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (NetParseError, InputError, FileNotFoundError, IsADirectoryError,
-            NotADirectoryError, FileExistsError, ValueError, KeyError, MemoryError) as exc:
+    except (OSError, ValueError, KeyError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     finally:

@@ -2,8 +2,10 @@
 
 Influence and average sensitivity are computed definitionally (weighted
 truth-table sums); their spectral forms are provided separately so each can
-check the other.  Conditional entropy and mutual information go through the
-spectral characterization, with binary entropy in bits throughout.
+check the other; both spectral forms, and the network scatter, are the one row
+kernel ``_sensitivity_sum`` of sum_S c_S^2 sum_{i in S} w_i, w_i = 1/sigma_i^2.
+Conditional entropy and mutual information go through the spectral
+characterization, with binary entropy in bits throughout.
 H(f | X_A) is a weighted sum over the 2^|A| entries of E[f | X_A], taken in
 blocks of 2^ENTROPY_BLOCK_BITS entries with factored weights: it builds no
 2^|A| weight array, and its entropy temporaries hold one block per row: one
@@ -111,13 +113,10 @@ def _influence(f: BoolFn, weights: np.ndarray, i: int) -> float:
 
 
 def influence_spectral(s: Spectrum, i: int) -> float:
-    """Influence from the coefficients: sum of squares over sets containing i,
-    divided by sigma_i^2."""
+    """Influence from the coefficients: the average sensitivity over i alone."""
     if not 0 <= i < s.arity:
         raise IndexError(f"variable index {i} out of range for arity {s.arity}")
-    masks = np.arange(1 << s.arity, dtype=np.int64)
-    sel = (masks >> i) & 1 == 1
-    return float(np.sum(s.coeffs[sel] ** 2) / s.d.sigma[i] ** 2)
+    return avg_sensitivity_spectral(s, 1 << i)
 
 
 def avg_sensitivity(f: BoolFn, d: ProductDist, mask: SubsetMask | None = None) -> float:
@@ -136,17 +135,18 @@ def avg_sensitivity_spectral(s: Spectrum, mask: SubsetMask | None = None) -> flo
         mask = (1 << s.arity) - 1
     check_mask(mask, s.arity)
     inv_var = [1.0 / s.d.sigma[i] ** 2 if mask >> i & 1 else 0.0 for i in range(s.arity)]
-    return float(np.dot(s.coeffs ** 2, _subset_sums(np.array(inv_var))))
+    return float(_sensitivity_sum(s.coeffs, np.array(inv_var)))
 
 
-def _subset_sums(w: np.ndarray) -> np.ndarray:
-    """The (..., 2^k) table of sum_{i in S} w_i over every subset S of the
-    last axis of ``w`` (..., k), added in ascending i."""
+def _sensitivity_sum(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_S c_S^2 sum_{i in S} w_i per row of ``coeffs`` (..., 2^k), with
+    weights ``w`` (..., k); a 1-D row gives a scalar.  The inner sums are
+    tabulated over every subset S, added in ascending i."""
     masks = np.arange(1 << w.shape[-1], dtype=np.int64)
     sums = np.zeros(w.shape[:-1] + masks.shape)
     for i in range(w.shape[-1]):
         sums += ((masks >> i) & 1) * w[..., i:i + 1]
-    return sums
+    return _row_dot(coeffs ** 2, sums)
 
 
 def output_entropy(f: BoolFn, d: ProductDist) -> float:

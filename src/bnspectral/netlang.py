@@ -47,7 +47,7 @@ from .boolfn import (
     _pack_bits,
     _relevant_mask,
     _spread,
-    _table_bits,
+    _unpack_tables,
     indices_of,
 )
 
@@ -442,11 +442,11 @@ def _collapse_node(node: LocalNode, subs: list[tuple[Sequence[int], int]],
         # per argument, and each argument's table one per support input,
         # of length 1 for the inputs it lacks, so one gather broadcasts.
         axes = support[::-1]
-        index = tuple(_table_bits(t, len(sub_support))
+        index = tuple(_unpack_tables([t], len(sub_support))
                       .reshape([2 if r in sub_support else 1 for r in axes])
                       for sub_support, t in reversed(subs))
         k = len(node.args)
-        table = _pack_bits(_table_bits(node.table, k).reshape((2,) * k)[index].ravel())
+        table = _pack_bits(_unpack_tables([node.table], k).reshape((2,) * k)[index].ravel())
     rel = _relevant_mask(table, masks)
     if rel == (1 << n) - 1:
         return support, table

@@ -27,8 +27,13 @@ def _rounded(obj):
     return obj
 
 
+def json_text(obj: dict) -> str:
+    """Report JSON: floats rounded, keys sorted, indented, newline-ended."""
+    return json.dumps(_rounded(obj), indent=2, sort_keys=True) + "\n"
+
+
 def write_json(path: Path, obj: dict) -> None:
-    path.write_text(json.dumps(_rounded(obj), indent=2, sort_keys=True) + "\n")
+    path.write_text(json_text(obj))
 
 
 def baseline_to_json(baseline: BaselineResult) -> dict:

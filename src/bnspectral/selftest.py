@@ -36,8 +36,7 @@ def _random_instance(rng: np.random.Generator, max_n: int):
     return f, d, mask
 
 
-def run_selftest(trials: int = 2000, max_n: int = 8, seed: int = 0,
-                 tol: float = TOL) -> list[IdentityReport]:
+def run_selftest(trials: int = 2000, max_n: int = 8, seed: int = 0) -> list[IdentityReport]:
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed)
@@ -79,8 +78,8 @@ def run_selftest(trials: int = 2000, max_n: int = 8, seed: int = 0,
         worst["influence_entropy_ratio"] = max(worst["influence_entropy_ratio"],
                                                abs(inf - ratio))
 
-        spectral_indep = measures.independence_test(s, mask, tol)
-        brute_indep = reference.independent_definitional(f, d, mask, tol)
+        spectral_indep = measures.independence_test(s, mask, TOL)
+        brute_indep = reference.independent_definitional(f, d, mask, TOL)
         if spectral_indep != brute_indep:
             worst["independence_vs_factorization"] = math.inf
 
@@ -107,7 +106,7 @@ def run_selftest(trials: int = 2000, max_n: int = 8, seed: int = 0,
             worst["unate_mi_from_influence"] = max(
                 worst["unate_mi_from_influence"], abs(mi_direct - mi_via_inf))
 
-    return [IdentityReport(name, trials, w, w <= tol) for name, w in worst.items()]
+    return [IdentityReport(name, trials, w, w <= TOL) for name, w in worst.items()]
 
 
 def format_reports(reports: list[IdentityReport]) -> str:

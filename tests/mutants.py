@@ -110,6 +110,16 @@ MUTANTS = (
            "        _check_same_arity(self.arity, self.d)\n",
            "",
            ("tests/test_measures.py::TestSpectrumDistribution",), 1),
+    Mutant("sensitivity kernel weighs variable i at bit i + 1", "measures.py",
+           "sums += ((masks >> i) & 1) * w[..., i:i + 1]",
+           "sums += ((masks >> (i + 1)) & 1) * w[..., i:i + 1]",
+           ("tests/test_measures.py::TestSubsetSums", "tests/test_measures.py::TestInfluence",
+            "tests/test_analysis.py::TestAgainstPerNodeMeasures::test_sensitivity_scatter"), 4),
+    Mutant("unpacker reads bits big-endian", "boolfn.py",
+           'axis=1, bitorder="little")',
+           'axis=1, bitorder="big")',
+           ("tests/test_boolfn.py::TestSignRows",
+            "tests/test_boolfn.py::TestBoolFn::test_hex_and_unpacker_round_trip"), 2),
 )
 
 

@@ -1,6 +1,9 @@
 """Determinative power, uncertainty curves, scatter, and baselines."""
 
+import importlib.util
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -258,6 +261,32 @@ class TestAgainstPerNodeMeasures:
                 assert rec.avg_sensitivity == pytest.approx(
                     avg_sensitivity_spectral(spec), abs=1e-12)
                 assert rec.prob_one == pytest.approx(prob_one(node.fn, sub), abs=1e-12)
+
+
+def _netgen():
+    """The benchmark's seeded generator of E. coli-shaped networks."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "netgen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_netgen", path)
+    module = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_scatter_is_the_per_node_spectral_sum_bit_for_bit():
+    """On the seed-1 netgen network under the uniform distribution, as the
+    ecoli-synth workload analyses it, every scatter row's average
+    sensitivity is ``avg_sensitivity_spectral`` of that node's own spectrum,
+    to the bit: both are ``measures._sensitivity_sum``.  (Under a biased
+    distribution the two take 1/sigma_i^2 from an array and from NumPy
+    scalars, whose squares differ in the last bit for about 0.1% of
+    probabilities.)"""
+    c = collapse(parse(_netgen().generate(1)))
+    d = ProductDist.uniform(len(c.inputs))
+    records = sensitivity_scatter(node_spectra(c, d))
+    assert len(records) == len(c.nodes) > 600
+    for rec, (node, _, spec) in zip(records, _per_node(c, d)):
+        assert rec.name == node.name
+        assert rec.avg_sensitivity.hex() == avg_sensitivity_spectral(spec).hex()
 
 
 def test_uncertainty_curve_sums_wide_nodes_in_blocks(monkeypatch):

@@ -17,9 +17,11 @@ from bnspectral.boolfn import (
     _inverse_factors,
     _halves,
     _low_masks,
+    _pack_bits,
     _product_weights,
     _subset_entries,
     _subset_index,
+    _unpack_tables,
     basis_eval,
     conditional_expectation,
     default_labels,
@@ -86,6 +88,35 @@ class TestBoolFn:
         f = const_fn(0, 1)
         assert evaluate(f, ()) == 1
         assert f.to_hex() == "01"
+
+    def test_hex_and_unpacker_round_trip(self):
+        # every table up to 3 variables, where a table is one byte or less
+        # (the one-byte floor), and a sample at 4
+        rng = np.random.default_rng(13)
+        for n in range(5):
+            labels = default_labels(n)
+            size = 1 << n
+            tables = (range(1 << size) if n <= 3
+                      else rng.integers(0, 1 << size, size=40).tolist())
+            for t in tables:
+                f = BoolFn(n, labels, t)
+                text = f.to_hex()
+                assert len(text) == 2 * max(1, size // 8)
+                assert BoolFn.from_hex(text, labels) == f
+                bits = _unpack_tables([t], n)
+                assert bits.shape == (1, size) and bits.dtype == np.uint8
+                assert bits[0].tolist() == [(t >> b) & 1 for b in range(size)]
+                assert _pack_bits(bits[0]) == t
+
+    @pytest.mark.parametrize("text, digits", [("8", 1), ("080", 3), ("0800", 4), ("", 0)])
+    def test_hex_of_the_wrong_length(self, text, digits):
+        with pytest.raises(ValueError, match=fr"^expected 1 bytes of table data "
+                                             fr"\(2 hex digits\), got {digits}$"):
+            BoolFn.from_hex(text, ("a", "b"))
+
+    def test_hex_of_the_right_length_but_not_hex(self):
+        with pytest.raises(ValueError, match="non-hexadecimal"):
+            BoolFn.from_hex("0g", ("a", "b"))
 
     def test_labels_must_be_unique(self):
         with pytest.raises(ValueError):
@@ -158,8 +189,12 @@ class TestSignRows:
         rng = np.random.default_rng(5)
         for k in range(0, 7):
             fns = [random_bool_fn(rng, k) for _ in range(4)]
-            assert np.array_equal(sign_rows([f.table for f in fns], k),
-                                  np.stack([f.signs for f in fns]))
+            tables = [f.table for f in fns]
+            bits = np.array([[(t >> b) & 1 for b in range(1 << k)] for t in tables])
+            assert np.array_equal(_unpack_tables(tables, k), bits)
+            assert np.array_equal(np.stack([f.bits for f in fns]), bits)
+            assert np.array_equal(sign_rows(tables, k), np.stack([f.signs for f in fns]))
+            assert np.array_equal(sign_rows(tables, k), bits * 2.0 - 1.0)
 
 
 def _yates_2x2(arr: np.ndarray, mats) -> np.ndarray:

@@ -288,6 +288,11 @@ class TestExitCodes:
         assert main(["spectrum", "--table-hex", "08", "--labels", labels]) == 3
         assert "empty name in --labels" in capsys.readouterr().err
 
+    def test_table_hex_of_the_wrong_length_is_3(self, capsys):
+        assert main(["spectrum", "--table-hex", "8", "--labels", "a,b"]) == 3
+        assert capsys.readouterr().err == (
+            "error: expected 1 bytes of table data (2 hex digits), got 1\n")
+
     def test_unknown_A_name_is_named(self, capsys):
         assert main(["measures", "--expr", "f AND g", "--A", "f,q"]) == 3
         assert capsys.readouterr().err.strip() == "error: unknown variable in --A: 'q'"
@@ -419,6 +424,30 @@ def test_trials_too_many_to_store_is_3(argv, toy_file, tmp_path):
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["collapse", "{long}"],
+    ["analyze", "{long}", "--out", "{out}"],
+    ["analyze", "{net}", "--out", "{long}"],
+    ["collapse", "{net}", "--out", "{long}"],
+    ["analyze", "{loop}", "--out", "{out}"],
+    ["analyze", "{net}", "--p", "@{loop}", "--out", "{out}"],
+    ["spectrum", "--expr", "a", "--p", "@{loop}"],
+], ids=["long network", "analyze long network", "analyze long out", "collapse long out",
+        "looped network", "looped p file", "spectrum looped p file"])
+def test_path_errors_are_3(argv, toy_file, tmp_path):
+    # a file name over the 255-byte limit fails with ENAMETOOLONG, and a
+    # symbolic link to itself with ELOOP: plain OSErrors
+    loop = tmp_path / "loop"
+    loop.symlink_to(loop.name)
+    paths = {"net": toy_file, "out": tmp_path / "o", "long": tmp_path / ("n" * 300),
+             "loop": loop}
+    proc = run_cli([a.format(**paths) for a in argv])
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+    assert sorted(tmp_path.iterdir()) == sorted([toy_file, loop])
 
 
 class TestSelftest:

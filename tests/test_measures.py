@@ -35,7 +35,8 @@ from bnspectral.measures import (
     _entropy_arr,
     _entropy_of_expectations,
     _expected_entropy,
-    _subset_sums,
+    _row_dot,
+    _sensitivity_sum,
     avg_sensitivity,
     avg_sensitivity_spectral,
     binary_entropy,
@@ -199,7 +200,7 @@ class TestAvgSensitivity:
 
 
 def _inv_var_masked(sigma: np.ndarray, mask: int, k: int) -> np.ndarray:
-    """The table ``avg_sensitivity_spectral`` built before ``_subset_sums``."""
+    """The table ``avg_sensitivity_spectral`` built before ``_sensitivity_sum``."""
     masks = np.arange(1 << k, dtype=np.int64)
     inv_var = np.zeros(1 << k, dtype=np.float64)
     for i in indices_of(mask):
@@ -217,15 +218,23 @@ def _inv_var_group(sigma: np.ndarray, k: int) -> np.ndarray:
 
 
 class TestSubsetSums:
-    """``_subset_sums`` is bitwise equal to the statements it replaced, kept
-    above: a variable left out weighs an exact 0.0, and terms are still added
-    in ascending i."""
+    """The subset sums inside ``_sensitivity_sum`` are bitwise equal to the
+    statements they replaced, kept above: a variable left out weighs an exact
+    0.0, and terms are still added in ascending i."""
 
     @staticmethod
     def weights(sigma: np.ndarray, mask: int) -> np.ndarray:
         # one scalar 1/sigma_i^2 per variable, as avg_sensitivity_spectral takes it
         return np.array([1.0 / sigma[i] ** 2 if mask >> i & 1 else 0.0
                          for i in range(len(sigma))])
+
+    @staticmethod
+    def table(w: np.ndarray) -> np.ndarray:
+        """The kernel's (..., 2^k) table of sum_{i in S} w_i, read back
+        exactly: a unit coefficient row (c_S = 1 at one S) picks one entry."""
+        size = 1 << w.shape[-1]
+        unit = np.eye(size).reshape((size,) + (1,) * (w.ndim - 1) + (size,))
+        return np.moveaxis(_sensitivity_sum(unit, w), 0, -1)
 
     def test_bitwise_equal_to_old_statements(self):
         rng = np.random.default_rng(53)
@@ -235,19 +244,23 @@ class TestSubsetSums:
                 sigma = random_product_dist(rng, k).sigma
                 masks = [full, int(rng.integers(0, full + 1))]
                 for mask in masks:  # unbatched, all variables and a mask
-                    got = _subset_sums(self.weights(sigma, mask))
+                    got = self.table(self.weights(sigma, mask))
                     assert got.shape == (1 << k,)
                     assert np.array_equal(got, _inv_var_masked(sigma, mask, k))
                 # batched over nodes, without a mask, weighed as in sensitivity_scatter
                 group = np.stack([random_product_dist(rng, k).sigma for _ in range(5)])
-                got = _subset_sums(1.0 / group ** 2)
+                got = self.table(1.0 / group ** 2)
                 assert got.shape == (5, 1 << k)
                 assert np.array_equal(got, _inv_var_group(group, k))
+                # and the sum over them is the row dot sensitivity_scatter took
+                coeffs = rng.standard_normal((5, 1 << k))
+                assert np.array_equal(_sensitivity_sum(coeffs, 1.0 / group ** 2),
+                                      _row_dot(coeffs ** 2, _inv_var_group(group, k)))
                 # batched with a mask per row
                 row_masks = rng.integers(0, full + 1, size=5).tolist()
                 w = np.stack([self.weights(s, m) for s, m in zip(group, row_masks)])
                 want = np.stack([_inv_var_masked(s, m, k) for s, m in zip(group, row_masks)])
-                assert np.array_equal(_subset_sums(w), want)
+                assert np.array_equal(self.table(w), want)
 
     def test_avg_sensitivity_spectral_unchanged(self):
         # half the probabilities have a sigma whose square as a NumPy scalar
