@@ -127,7 +127,8 @@ def determinative_power(s: NodeSpectra) -> RankingResult:
     c, d = s.c, s.d
     mi = np.zeros((len(c.nodes), max((k for k, *_ in s.groups), default=0)))  # node, input
     for k, rows, idx, coeffs in s.groups:
-        mi[rows, :k] = _mi_single(coeffs[:, :1], coeffs[:, [1 << t for t in range(k)]], d.p[idx])
+        mi[rows, :k] = _mi_single(coeffs[:, :1], coeffs[:, [1 << t for t in range(k)]],
+                                  d.p[idx], d._inverse[idx])
     if mi.size and mi.min() < -CLAMP_BUDGET:
         raise ValueError(f"mutual information {mi.min()} below zero beyond tolerance")
     # accumulate in definition order, then input order, so sums (and ties) are stable
@@ -195,12 +196,12 @@ def sensitivity_scatter(s: NodeSpectra) -> list[SensitivityRecord]:
     """Per node: in-degree, average sensitivity, output bias, and the
     variance-based lower bound Var(f) min_i 1/sigma_i^2.
 
-    The average sensitivity is ``measures._sensitivity_sum``, w_i = 1/sigma_i^2.
+    The average sensitivity is ``measures._sensitivity_sum``, w = ``ProductDist.inv_var``.
     """
     c, d = s.c, s.d
     records: list[SensitivityRecord | None] = [None] * len(c.nodes)
     for k, rows, idx, coeffs in s.groups:
-        inv_var = 1.0 / d.sigma[idx] ** 2
+        inv_var = d.inv_var[idx]
         p1 = (1.0 + coeffs[:, 0]) / 2.0
         lower = 4.0 * p1 * (1.0 - p1) * np.min(inv_var, axis=1) if k else np.zeros(len(rows))
         avg = _sensitivity_sum(coeffs, inv_var)

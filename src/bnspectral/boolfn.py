@@ -43,6 +43,10 @@ ARITY_CAP_DEFAULT = 25
 GROUPED_MIN_ARITY = 13
 GROUP = 4
 
+# p (1 - p) below this is refused: 1/sigma^2 = 1 / (4 p (1 - p)) stays at most
+# 2^998, and a sum of them over fewer than 2^25 variables stays finite.
+MIN_P_VARIANCE = 2.0 ** -1000
+
 SubsetMask = int
 
 
@@ -165,8 +169,18 @@ class BoolFn:
         return _frozen(self.bits.astype(np.float64) * 2.0 - 1.0)
 
 
-def _sign_index(x: Sequence[int]) -> int:
-    """Assignment index of a sequence of +1/-1 entries."""
+def check_probability(p: float) -> None:
+    """Refuse a Pr[X_i = +1] outside (0, 1) or with p (1 - p) < MIN_P_VARIANCE."""
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"probability {p} outside the open interval (0,1)")
+    if p * (1.0 - p) < MIN_P_VARIANCE:
+        raise ValueError(f"probability {p} too close to 0 or 1: p(1 - p) is below 2^-1000")
+
+
+def _sign_index(x: Sequence[int], arity: int) -> int:
+    """Assignment index of a sequence of ``arity`` +1/-1 entries."""
+    if len(x) != arity:
+        raise ValueError(f"assignment length {len(x)} != arity {arity}")
     b = 0
     for j, v in enumerate(x):
         if v == 1:
@@ -178,9 +192,7 @@ def _sign_index(x: Sequence[int]) -> int:
 
 def evaluate(f: BoolFn, x: Sequence[int]) -> int:
     """Evaluate ``f`` at a full sign assignment, returning +1 or -1."""
-    if len(x) != f.arity:
-        raise ValueError(f"assignment length {len(x)} != arity {f.arity}")
-    return 1 if (f.table >> _sign_index(x)) & 1 else -1
+    return 1 if (f.table >> _sign_index(x, f.arity)) & 1 else -1
 
 
 def sign_rows(tables: Sequence[int], arity: int) -> np.ndarray:
@@ -345,24 +357,21 @@ def restrict(f: BoolFn, i: int, v: int) -> BoolFn:
     """Fix ``x_i = v`` and drop the variable, giving an arity n-1 function."""
     if not 0 <= i < f.arity:
         raise IndexError(f"variable index {i} out of range for arity {f.arity}")
-    if v not in (-1, 1):
-        raise ValueError("restriction value must be +1 or -1")
-    sel = 1 if v == 1 else 0
-    sub = f.bits.reshape(-1, 2, 1 << i)[:, sel, :].reshape(-1)
+    sub = f.bits.reshape(-1, 2, 1 << i)[:, _sign_index((v,), 1), :].reshape(-1)
     labels = f.labels[:i] + f.labels[i + 1:]
     return BoolFn.from_bit_array(sub, labels)
 
 
 @dataclass(frozen=True)
 class ProductDist:
-    """Independent inputs with Pr[X_i = +1] = probs[i], each strictly in (0,1)."""
+    """Independent inputs with Pr[X_i = +1] = probs[i], each passing ``check_probability``;
+    the one owner of the basis parameters mu, sigma, phi(-1), phi(+1) and 1/sigma^2."""
 
     probs: tuple[float, ...]
 
     def __post_init__(self):
         for p in self.probs:
-            if not 0.0 < p < 1.0:
-                raise ValueError(f"probability {p} outside the open interval (0,1)")
+            check_probability(p)
 
     @classmethod
     def uniform(cls, n: int) -> ProductDist:
@@ -384,15 +393,25 @@ class ProductDist:
     def sigma(self) -> np.ndarray:
         return _frozen(2.0 * np.sqrt(self.p * (1.0 - self.p)))
 
+    @cached_property
+    def inv_var(self) -> np.ndarray:
+        """1/sigma_i^2, the weight of x_i in the spectral sensitivity sum."""
+        return _frozen(1.0 / self.sigma ** 2)
+
     # Built once per distribution: many transforms of tiny functions would
     # otherwise pay more for their factors than for the transform itself.
     @cached_property
     def _forward(self) -> np.ndarray:
-        return _frozen(_forward_factors(self.p))
+        """Transform factor [[1 - p, p], [-sigma/2, sigma/2]] per variable: it maps
+        the values (a, b) at x = -1, +1 to their projections onto {1, phi}."""
+        h = 0.5 * self.sigma
+        return _frozen(_factors(1.0 - self.p, self.p, -h, h, self.p.shape))
 
     @cached_property
     def _inverse(self) -> np.ndarray:
-        return _frozen(_inverse_factors(self.p))
+        """Inverse factor [[1, phi(-1)], [1, phi(+1)]] per variable."""
+        mu, sigma = self.mu, self.sigma
+        return _frozen(_factors(1.0, (-1.0 - mu) / sigma, 1.0, (1.0 - mu) / sigma, self.p.shape))
 
     def marginal(self, indices: Sequence[int]) -> ProductDist:
         return ProductDist(tuple(self.probs[i] for i in indices))
@@ -430,8 +449,7 @@ def basis_eval(mask: SubsetMask, x: Sequence[int], d: ProductDist) -> float:
 
     The empty set gives the constant 1.
     """
-    if len(x) != d.arity:
-        raise ValueError(f"assignment length {len(x)} != arity {d.arity}")
+    _sign_index(x, d.arity)
     check_mask(mask, d.arity)
     out = 1.0
     for i in indices_of(mask):
@@ -526,26 +544,6 @@ def _factors(a, b, c, e, shape: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-def _phi(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Basis factor (x - mu) / sigma at x = -1 and x = +1, for Pr[x = +1] = p."""
-    mu = 2.0 * p - 1.0
-    sigma = 2.0 * np.sqrt(p * (1.0 - p))
-    return (-1.0 - mu) / sigma, (1.0 - mu) / sigma
-
-
-def _forward_factors(p: np.ndarray) -> np.ndarray:
-    """Transform factor [[q, p], [-sigma/2, sigma/2]], q = 1 - p: it maps the
-    values (a, b) at x = -1, +1 to their projections onto {1, phi}."""
-    h = np.sqrt(p * (1.0 - p))
-    return _factors(1.0 - p, p, -h, h, p.shape)
-
-
-def _inverse_factors(p: np.ndarray) -> np.ndarray:
-    """Inverse factor [[1, phi(-1)], [1, phi(+1)]] per variable."""
-    lo, hi = _phi(p)
-    return _factors(1.0, lo, 1.0, hi, p.shape)
-
-
 def _subset_entries(arr: np.ndarray, mask: SubsetMask) -> np.ndarray:
     """The entries of a 2^n array at the indices with no bit outside
     ``mask``, as a copy in compact order (bit b of the position selects the
@@ -582,9 +580,8 @@ def transform(f: BoolFn, d: ProductDist, cap: int | None = None) -> Spectrum:
 
 def reconstruct(s: Spectrum, x: Sequence[int]) -> float:
     """Evaluate the multilinear polynomial with coefficients ``s`` at ``x``."""
-    if len(x) != s.arity:
-        raise ValueError(f"assignment length {len(x)} != arity {s.arity}")
-    return float(reconstruct_table(s, s.d)[_sign_index(x)])
+    b = _sign_index(x, s.arity)
+    return float(reconstruct_table(s, s.d)[b])
 
 
 def reconstruct_table(s: Spectrum, d: ProductDist) -> np.ndarray:
@@ -619,5 +616,5 @@ def conditional_expectation(s: Spectrum, mask: SubsetMask, xa: Mapping[int, int]
     pos = indices_of(mask)
     if set(xa) != set(pos):
         raise ValueError("partial assignment must cover exactly the masked variables")
-    c = _sign_index([xa[p] for p in pos])
+    c = _sign_index([xa[p] for p in pos], len(pos))
     return float(conditional_expectation_table(s, mask)[c])

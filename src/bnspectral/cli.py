@@ -30,6 +30,7 @@ from .boolfn import (
     ArityCapError,
     BoolFn,
     ProductDist,
+    check_probability,
     indices_of,
     mask_of,
     relevant_variables,
@@ -65,6 +66,7 @@ from .reports import (
     round12,
     scatter_csv,
     scatter_svg,
+    spectrum_csv,
     write_json,
 )
 from .selftest import format_reports, run_selftest
@@ -119,9 +121,10 @@ def _dist_for(labels: tuple[str, ...], p_spec: str | None) -> ProductDist:
                 by_name[name] = p = float(value)
             except ValueError:
                 raise InputError(f"{where} {name!r}: {value!r} is not a number") from None
-            if not 0.0 < p < 1.0:
-                raise InputError(f"{where} {name!r}: probability {p} "
-                                 "outside the open interval (0,1)")
+            try:
+                check_probability(p)
+            except ValueError as exc:
+                raise InputError(f"{where} {name!r}: {exc}") from None
         missing = [name for name in labels if name not in by_name]
         if missing:
             raise InputError(f"missing probabilities for: {', '.join(missing)}")
@@ -141,8 +144,7 @@ def _p_values(p_spec: str) -> list[float]:
     except ValueError:
         raise InputError(f"--p {p_spec!r} is not a comma list of numbers") from None
     for v in values:
-        if not 0.0 < v < 1.0:
-            raise InputError(f"--p value {v} outside the open interval (0,1)")
+        check_probability(v)
     return values
 
 
@@ -168,16 +170,13 @@ def cmd_spectrum(args) -> int:
     f = _function_from_args(args)
     d = _dist_for(f.labels, args.p)
     s = transform(f, d, cap=args.cap)
-    order = sorted(range(1 << f.arity), key=lambda m: (bin(m).count("1"), m))
+    rows = [{"mask": m, "subset": _subset_label(m, f.labels),
+             "degree": bin(m).count("1"), "coefficient": round12(s.coeff(m))}
+            for m in sorted(range(1 << f.arity), key=lambda m: (bin(m).count("1"), m))]
     if args.format == "json":
-        rows = [{"mask": m, "subset": _subset_label(m, f.labels),
-                 "degree": bin(m).count("1"), "coefficient": round12(s.coeff(m))}
-                for m in order]
         print(json.dumps(rows, indent=2))
     else:
-        print("mask,degree,subset,coefficient")
-        for m in order:
-            print(f"{m},{bin(m).count('1')},{_subset_label(m, f.labels)},{round12(s.coeff(m))!r}")
+        sys.stdout.write(spectrum_csv(rows))
     return EXIT_OK
 
 

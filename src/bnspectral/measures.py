@@ -3,7 +3,7 @@
 Influence and average sensitivity are computed definitionally (weighted
 truth-table sums); their spectral forms are provided separately so each can
 check the other; both spectral forms, and the network scatter, are the one row
-kernel ``_sensitivity_sum`` of sum_S c_S^2 sum_{i in S} w_i, w_i = 1/sigma_i^2.
+kernel ``_sensitivity_sum`` of sum_S c_S^2 sum_{i in S} w_i, w = ``ProductDist.inv_var``.
 Conditional entropy and mutual information go through the spectral
 characterization, with binary entropy in bits throughout.
 H(f | X_A) is a weighted sum over the 2^|A| entries of E[f | X_A], taken in
@@ -33,7 +33,6 @@ from .boolfn import (
     _check_spectrum_dist,
     _factors,
     _halves,
-    _phi,
     _product_weights,
     check_mask,
     conditional_expectation_table,
@@ -134,8 +133,8 @@ def avg_sensitivity_spectral(s: Spectrum, mask: SubsetMask | None = None) -> flo
     if mask is None:
         mask = (1 << s.arity) - 1
     check_mask(mask, s.arity)
-    inv_var = [1.0 / s.d.sigma[i] ** 2 if mask >> i & 1 else 0.0 for i in range(s.arity)]
-    return float(_sensitivity_sum(s.coeffs, np.array(inv_var)))
+    w = np.where([mask >> i & 1 for i in range(s.arity)], s.d.inv_var, 0.0)
+    return float(_sensitivity_sum(s.coeffs, w))
 
 
 def _sensitivity_sum(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -226,10 +225,11 @@ def _clamp_prob(p: float) -> float:
     return min(max(p, 0.0), 1.0)
 
 
-def _mi_single(c_empty: np.ndarray, c_i: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """MI(f(X); X_i) elementwise from c_empty, c_i and p = Pr[X_i = +1], not
-    clamped at 0: E[f | x_i] = c_empty + c_i phi_i(x_i)."""
-    lo, hi = _phi(p)
+def _mi_single(c_empty: np.ndarray, c_i: np.ndarray, p: np.ndarray,
+               inverse: np.ndarray) -> np.ndarray:
+    """MI(f(X); X_i) elementwise, not clamped at 0, from c_empty, c_i, p = Pr[X_i = +1]
+    and the gathered ``ProductDist._inverse``: E[f | x_i] = c_empty + c_i phi_i(x_i)."""
+    lo, hi = inverse[..., 0, 1], inverse[..., 1, 1]
     return _entropy_arr((1.0 + c_empty) / 2.0) - (
         (1.0 - p) * _entropy_arr((1.0 + (c_empty + c_i * lo)) / 2.0)
         + p * _entropy_arr((1.0 + (c_empty + c_i * hi)) / 2.0))
@@ -241,8 +241,8 @@ def mi_single_from_coeffs(c_empty: float, c_i: float, p_i: float) -> float:
     Useful for studying how the single-variable mutual information varies
     with the singleton coefficient at fixed bias.
     """
-    p = ProductDist((p_i,)).p
-    return float(_mi_single(np.array([c_empty]), np.array([c_i]), p)[0])
+    d = ProductDist((p_i,))
+    return float(_mi_single(np.array([c_empty]), np.array([c_i]), d.p, d._inverse)[0])
 
 
 @dataclass(frozen=True)
@@ -292,7 +292,7 @@ def mi_influence_bound_check(s: Spectrum, mask: SubsetMask) -> tuple[float, floa
         raise ValueError("mask must be nonempty")
     lhs = avg_sensitivity(s.f, s.d, mask)
     mi = mutual_information(s, mask)
-    min_inv = min(1.0 / s.d.sigma[i] ** 2 for i in indices_of(mask))
+    min_inv = s.d.inv_var[list(indices_of(mask))].min()
     rhs = min_inv * (mi - psi(variance(s.f, s.d)))
     return lhs, rhs
 

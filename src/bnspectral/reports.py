@@ -7,8 +7,9 @@ repeated runs with the same seed produce byte-identical artifacts.
 from __future__ import annotations
 
 import json
+from numbers import Integral
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .analysis import BaselineResult, RankingResult, SensitivityRecord, UncertaintyCurve
 
@@ -50,33 +51,34 @@ def baseline_to_json(baseline: BaselineResult) -> dict:
 
 def curve_csv(curve: UncertaintyCurve, baseline: BaselineResult | None = None) -> str:
     if baseline is None:
-        lines = ["l,A_l"]
-        for l, v in curve.points:
-            lines.append(f"{l},{round12(v)!r}")
-    else:
-        lines = ["l,A_l,mean,stddev"]
-        for (l, v), (_, m), sd in zip(curve.points, baseline.mean.points, baseline.stddev):
-            lines.append(f"{l},{round12(v)!r},{round12(m)!r},{round12(sd)!r}")
-    return "\n".join(lines) + "\n"
+        return _csv_text("l,A_l", curve.points)
+    rows = zip(curve.points, baseline.mean.points, baseline.stddev)
+    return _csv_text("l,A_l,mean,stddev", ((l, v, m, sd) for (l, v), (_, m), sd in rows))
 
 
 def scatter_csv(records: Sequence[SensitivityRecord]) -> str:
-    lines = ["node,in_degree,avg_sensitivity,prob_one,poincare_lower"]
-    for r in records:
-        lines.append(",".join([
-            _csv_field(r.name),
-            str(r.in_degree),
-            repr(round12(r.avg_sensitivity)),
-            repr(round12(r.prob_one)),
-            repr(round12(r.poincare_lower)),
-        ]))
-    return "\n".join(lines) + "\n"
+    return _csv_text("node,in_degree,avg_sensitivity,prob_one,poincare_lower",
+                     (vars(r).values() for r in records))
 
 
-def _csv_field(text: str) -> str:
-    if any(ch in text for ch in ',"\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
+def spectrum_csv(rows: Sequence[dict]) -> str:
+    return _csv_text("mask,degree,subset,coefficient",
+                     ((r["mask"], r["degree"], r["subset"], r["coefficient"]) for r in rows))
+
+
+def _csv_text(header: str, rows: Iterable[Iterable]) -> str:
+    return "\n".join([header] + [",".join(map(_csv_field, row)) for row in rows]) + "\n"
+
+
+def _csv_field(value) -> str:
+    """An integer as is, another number by ``round12``, text quoted if it holds , " or \\n."""
+    if isinstance(value, Integral):
+        return str(value)
+    if not isinstance(value, str):
+        return repr(round12(value))
+    if any(ch in value for ch in ',"\n'):
+        return '"' + value.replace('"', '""') + '"'
+    return value
 
 
 def ranking_table(ranking: RankingResult, top: int) -> str:

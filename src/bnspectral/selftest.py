@@ -98,7 +98,8 @@ def run_selftest(trials: int = 2000, max_n: int = 8, seed: int = 0) -> list[Iden
         du = ProductDist(tuple(rng.uniform(0.05, 0.95, size=fu.arity)))
         su = transform(fu, du)
         rows = measures.unate_coefficient_check(su)
-        via = measures._mi_single(su.coeffs[:1], np.array([row[2] for row in rows]), du.p)
+        via = measures._mi_single(su.coeffs[:1], np.array([row[2] for row in rows]),
+                                  du.p, du._inverse)
         for (j, coeff, product), mi_via_inf in zip(rows, via.tolist()):
             worst["unate_singleton_coefficient"] = max(
                 worst["unate_singleton_coefficient"], abs(coeff - product))

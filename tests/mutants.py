@@ -120,6 +120,23 @@ MUTANTS = (
            'axis=1, bitorder="big")',
            ("tests/test_boolfn.py::TestSignRows",
             "tests/test_boolfn.py::TestBoolFn::test_hex_and_unpacker_round_trip"), 2),
+    Mutant("inv_var drops the square", "boolfn.py",
+           "return _frozen(1.0 / self.sigma ** 2)",
+           "return _frozen(1.0 / self.sigma)",
+           ("tests/test_boolfn.py::TestProductDist", "tests/test_measures.py::TestInfluence",
+            "tests/test_measures.py::TestAvgSensitivity", "tests/test_measures.py::TestSubsetSums"),
+           7),
+    Mutant("single-variable MI swaps phi(-1) and phi(+1)", "measures.py",
+           "lo, hi = inverse[..., 0, 1], inverse[..., 1, 1]",
+           "lo, hi = inverse[..., 1, 1], inverse[..., 0, 1]",
+           ("tests/test_measures.py::TestMutualInformation",
+            "tests/test_measures.py::TestUnateCoefficients",
+            "tests/test_analysis.py::TestAgainstPerNodeMeasures::test_determinative_power"), 3),
+    Mutant("probability check drops the p(1 - p) bound", "boolfn.py",
+           "if p * (1.0 - p) < MIN_P_VARIANCE:",
+           "if False:",
+           ("tests/test_boolfn.py::TestProductDist", "tests/test_cli.py::TestExitCodes",
+            "tests/test_cli.py::TestAnalyze"), 7),
 )
 
 

@@ -273,20 +273,22 @@ def _netgen():
 
 
 def test_scatter_is_the_per_node_spectral_sum_bit_for_bit():
-    """On the seed-1 netgen network under the uniform distribution, as the
-    ecoli-synth workload analyses it, every scatter row's average
-    sensitivity is ``avg_sensitivity_spectral`` of that node's own spectrum,
-    to the bit: both are ``measures._sensitivity_sum``.  (Under a biased
-    distribution the two take 1/sigma_i^2 from an array and from NumPy
-    scalars, whose squares differ in the last bit for about 0.1% of
-    probabilities.)"""
+    """On the seed-1 netgen network, under the uniform distribution as the
+    ecoli-synth workload analyses it and under a seed-0 random biased one,
+    every scatter row's average sensitivity is ``avg_sensitivity_spectral``
+    of that node's own spectrum, to the bit: both are
+    ``measures._sensitivity_sum`` with weights from ``ProductDist.inv_var``.
+    (When one side took 1/sigma_i^2 from NumPy scalars, whose squares differ
+    from an array's in the last bit for about 0.1% of probabilities, 4 of
+    the biased rows differed.)"""
     c = collapse(parse(_netgen().generate(1)))
-    d = ProductDist.uniform(len(c.inputs))
-    records = sensitivity_scatter(node_spectra(c, d))
-    assert len(records) == len(c.nodes) > 600
-    for rec, (node, _, spec) in zip(records, _per_node(c, d)):
-        assert rec.name == node.name
-        assert rec.avg_sensitivity.hex() == avg_sensitivity_spectral(spec).hex()
+    n = len(c.inputs)
+    for d in ProductDist.uniform(n), random_product_dist(np.random.default_rng(0), n):
+        records = sensitivity_scatter(node_spectra(c, d))
+        assert len(records) == len(c.nodes) > 600
+        for rec, (node, _, spec) in zip(records, _per_node(c, d)):
+            assert rec.name == node.name
+            assert rec.avg_sensitivity.hex() == avg_sensitivity_spectral(spec).hex()
 
 
 def test_uncertainty_curve_sums_wide_nodes_in_blocks(monkeypatch):

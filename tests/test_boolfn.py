@@ -9,12 +9,11 @@ from bnspectral.boolfn import (
     GROUP,
     GROUPED_MIN_ARITY,
     HELD_MASKS_MAX_ARITY,
+    MIN_P_VARIANCE,
     ArityCapError,
     BoolFn,
     ProductDist,
-    _forward_factors,
     _grouped,
-    _inverse_factors,
     _halves,
     _low_masks,
     _pack_bits,
@@ -133,6 +132,19 @@ class TestProductDist:
             with pytest.raises(ValueError):
                 ProductDist((bad, 0.5))
 
+    def test_rejects_p_too_near_0_or_1(self):
+        # 1/sigma^2 of 2.3e-308 is finite, but a sum of 20 of them was not
+        for bad in (1e-320, 2.3e-308, MIN_P_VARIANCE / 2):
+            with pytest.raises(ValueError, match=f"probability {bad} too close to 0 or 1"):
+                ProductDist((0.5, bad))
+        d = ProductDist((MIN_P_VARIANCE, 1.0 - 2.0 ** -53))
+        assert d.inv_var[0] == 2.0 ** 998 and np.all(np.isfinite(d.inv_var))
+
+    def test_inv_var_is_one_over_sigma_squared(self):
+        d = ProductDist((0.3, 0.5, 0.91))
+        assert np.array_equal(d.inv_var, 1.0 / d.sigma ** 2)
+        assert not d.inv_var.flags.writeable
+
     @given(product_dists(5))
     def test_mu_sigma_identity(self, d):
         assert np.allclose(d.mu ** 2 + d.sigma ** 2, 1.0, atol=1e-12)
@@ -152,6 +164,14 @@ class TestBasis:
     def test_empty_set_is_one(self):
         d = ProductDist((0.37, 0.61))
         assert basis_eval(0, (1, -1), d) == 1.0
+
+    def test_assignment_must_be_signs_of_the_right_length(self):
+        d = ProductDist((0.3,))
+        for x in ((0,), (7,)):
+            with pytest.raises(ValueError, match="entries must be"):
+                basis_eval(0b1, x, d)
+        with pytest.raises(ValueError, match="assignment length 2 != arity 1"):
+            basis_eval(0, (1, 1), d)
 
     def test_uniform_singleton(self):
         d = ProductDist.uniform(1)
@@ -334,9 +354,9 @@ class TestKronApply:
             return out
 
         rng = np.random.default_rng(13)
-        p = rng.uniform(0.05, 0.95, size=11)
+        d = ProductDist(tuple(rng.uniform(0.05, 0.95, size=11)))
         stacks = [list(rng.normal(size=(k, 2, 2))) for k in range(1, GROUP + 1)]
-        stacks += [_forward_factors(p), _inverse_factors(p), _forward_factors(p[:GROUP])]
+        stacks += [d._forward, d._inverse, d.marginal(range(GROUP))._forward]
         for mats in stacks:  # 11 = 4 + 4 + 3 leaves a remainder group
             got, want = _grouped(mats), kron_chain(mats)
             assert len(got) == len(want) == -(-len(mats) // GROUP)
@@ -350,7 +370,8 @@ class TestKronApply:
 
 def _scalar_factors(p: float) -> tuple[np.ndarray, np.ndarray]:
     """Forward and inverse 2x2 factors of one variable, built entry by entry
-    from Python floats: the oracle for the array helpers."""
+    from Python floats: the oracle for ``ProductDist._forward`` and
+    ``_inverse``."""
     d = ProductDist((p,))
     mu, sigma = float(d.mu[0]), float(d.sigma[0])
     h = sigma / 2.0
@@ -365,18 +386,13 @@ class TestBasisHelpers:
         rng = np.random.default_rng(6)
         for k in range(0, 9):
             p = rng.uniform(0.01, 0.99, size=(4, k))
-            fwd, inv = _forward_factors(p), _inverse_factors(p)
-            assert fwd.shape == inv.shape == (4, k, 2, 2)
             for r in range(4):
                 d = ProductDist(tuple(p[r]))
-                assert np.array_equal(_forward_factors(p[r]), fwd[r])
-                assert np.array_equal(_inverse_factors(p[r]), inv[r])
-                assert np.array_equal(d._forward, fwd[r])
-                assert np.array_equal(d._inverse, inv[r])
+                assert d._forward.shape == d._inverse.shape == (k, 2, 2)
                 for t in range(k):
                     want_fwd, want_inv = _scalar_factors(float(p[r, t]))
-                    assert np.array_equal(fwd[r, t], want_fwd)
-                    assert np.array_equal(inv[r, t], want_inv)
+                    assert np.array_equal(d._forward[t], want_fwd)
+                    assert np.array_equal(d._inverse[t], want_inv)
 
     def test_subset_index_rows_match_one_dimensional_calls(self):
         rng = np.random.default_rng(7)
@@ -640,6 +656,10 @@ class TestRelevantAndRestrict:
     def test_restrict_bad_index(self):
         with pytest.raises(IndexError):
             restrict(and_fn(2), 2, 1)
+
+    def test_restrict_bad_value(self):
+        with pytest.raises(ValueError, match="entries must be"):
+            restrict(and_fn(2), 0, 0)
 
     @settings(max_examples=50, deadline=None)
     @given(bool_fns(1, 8), st.data())

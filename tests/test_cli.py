@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: outputs, determinism, exit codes."""
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -39,10 +40,14 @@ def toy_file(tmp_path):
 class TestSpectrum:
     def test_and2_csv(self, capsys):
         assert main(["spectrum", "--expr", "x1 AND x2"]) == 0
-        out = capsys.readouterr().out.strip().splitlines()
+        text = capsys.readouterr().out
+        out = text.strip().splitlines()
         assert out[0] == "mask,degree,subset,coefficient"
         assert out[1] == "0,0,{},-0.5"
-        assert out[4] == "3,2,{x1,x2},0.5"
+        assert out[4] == '3,2,"{x1,x2}",0.5'
+        rows = list(csv.reader(io.StringIO(text)))
+        assert {len(row) for row in rows} == {4}
+        assert rows[4] == ["3", "2", "{x1,x2}", "0.5"]
 
     def test_dictator(self, capsys):
         assert main(["spectrum", "--expr", "x1"]) == 0
@@ -66,7 +71,7 @@ class TestSpectrum:
     def test_variable_named_f(self, capsys):
         assert main(["spectrum", "--expr", "f AND g"]) == 0
         rows = capsys.readouterr().out.strip().splitlines()[1:]
-        assert rows == ["0,0,{},-0.5", "1,1,{f},0.5", "2,1,{g},0.5", "3,2,{f,g},0.5"]
+        assert rows == ["0,0,{},-0.5", "1,1,{f},0.5", "2,1,{g},0.5", '3,2,"{f,g}",0.5']
 
 
 # CLI ``measures`` stdout recorded when each measure still transformed the
@@ -160,6 +165,13 @@ class TestAnalyze:
         pfile.write_text("a 0.3\n")
         assert main(["analyze", str(toy_file), "--p", f"@{pfile}",
                      "--out", str(tmp_path / "x")]) == 3
+
+    def test_p_too_near_0_or_1_writes_nothing(self, toy_file, tmp_path, capsys):
+        # it once wrote "avg_sensitivity": NaN into report.json and exited 0
+        out = tmp_path / "run"
+        assert main(["analyze", str(toy_file), "--out", str(out), "--p", "1e-320"]) == 3
+        assert "probability 1e-320 too close to 0 or 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestBaselineCmd:
@@ -322,6 +334,22 @@ class TestExitCodes:
         assert main(["spectrum", "--expr", "a AND b", "--p", f"@{probs}"]) == 3
         assert capsys.readouterr().err.strip() == (
             f"error: {probs}:2: 'b': probability 1.5 outside the open interval (0,1)")
+
+    @pytest.mark.parametrize("command", ["spectrum", "measures"])
+    @pytest.mark.parametrize("p", ["1e-320", "0.3,2.3e-308"], ids=["single", "list"])
+    def test_p_too_near_0_or_1_is_3(self, command, p, capsys):
+        assert main([command, "--expr", "a AND b", "--p", p]) == 3
+        bad = p.split(",")[-1]
+        assert capsys.readouterr().err.strip() == (
+            f"error: probability {bad} too close to 0 or 1: p(1 - p) is below 2^-1000")
+
+    def test_p_file_too_near_0_or_1_is_3(self, tmp_path, capsys):
+        probs = tmp_path / "p.txt"
+        probs.write_text("a 0.3\nb 1e-320\n")
+        assert main(["measures", "--expr", "a AND b", "--p", f"@{probs}"]) == 3
+        assert capsys.readouterr().err.strip() == (
+            f"error: {probs}:2: 'b': probability 1e-320 too close to 0 or 1: "
+            "p(1 - p) is below 2^-1000")
 
     def test_p_file_not_a_number_is_3(self, tmp_path, capsys):
         probs = tmp_path / "p.txt"

@@ -66,6 +66,7 @@ from conftest import (
     dictator_fn,
     fn_dist_mask_triples,
     fn_dist_pairs,
+    or_fn,
     parity_fn,
     planted_fn,
     random_bool_fn,
@@ -191,6 +192,12 @@ class TestAvgSensitivity:
         assert avg_sensitivity_spectral(s, mask) == pytest.approx(
             avg_sensitivity(f, d, mask), abs=1e-9)
 
+    def test_spectral_form_finite_at_the_probability_bound(self):
+        # at the smallest accepted p, 1/sigma^2 = 2^998: the sum over the
+        # 20 inputs of OR stays finite (ProductDist((2.3e-308,) * 20) gave nan)
+        f, d = or_fn(20), ProductDist((boolfn.MIN_P_VARIANCE,) * 20)
+        assert avg_sensitivity_spectral(transform(f, d)) == avg_sensitivity(f, d) == 20.0
+
     def test_empty_sum_is_a_float(self, uniform2):
         # `measures --A ''` and `--expr 1` print this value beside floats
         for f, d, mask in [(and_fn(2), uniform2, 0), (const_fn(0, 1), ProductDist.uniform(0), None)]:
@@ -224,7 +231,8 @@ class TestSubsetSums:
 
     @staticmethod
     def weights(sigma: np.ndarray, mask: int) -> np.ndarray:
-        # one scalar 1/sigma_i^2 per variable, as avg_sensitivity_spectral takes it
+        # one scalar 1/sigma_i^2 per variable, the form avg_sensitivity_spectral
+        # took before it read ProductDist.inv_var
         return np.array([1.0 / sigma[i] ** 2 if mask >> i & 1 else 0.0
                          for i in range(len(sigma))])
 
@@ -265,7 +273,8 @@ class TestSubsetSums:
     def test_avg_sensitivity_spectral_unchanged(self):
         # half the probabilities have a sigma whose square as a NumPy scalar
         # and as an array element differ in the last bit, so a weight taken
-        # in the other form shows
+        # in the scalar form shows: the weights are the array form
+        # 1.0 / sigma ** 2 of ProductDist.inv_var, the one the scatter takes
         rng = np.random.default_rng(59)
         pool = random_product_dist(rng, 20000)
         odd = [p for p, x in zip(pool.probs, pool.sigma) if x ** 2 != np.array([x]) ** 2]
@@ -276,8 +285,11 @@ class TestSubsetSums:
             f, d = random_bool_fn(rng, k), ProductDist(tuple(probs))
             s = transform(f, d)
             for mask in (None, int(rng.integers(0, 1 << k))):
-                old = _inv_var_masked(d.sigma, (1 << k) - 1 if mask is None else mask, k)
-                assert avg_sensitivity_spectral(s, mask) == float(np.dot(s.coeffs ** 2, old))
+                w = 1.0 / d.sigma ** 2
+                sums = np.zeros(1 << k)
+                for i in indices_of((1 << k) - 1 if mask is None else mask):
+                    sums += ((np.arange(1 << k) >> i) & 1) * w[i]
+                assert avg_sensitivity_spectral(s, mask) == float(np.dot(s.coeffs ** 2, sums))
 
 class TestCondEntropy:
     def test_empty_mask_is_output_entropy(self):
