@@ -146,10 +146,10 @@ def uncertainty_curve(s: NodeSpectra, order: tuple[str, ...] | list[str],
     of ``order``, for l = 0..L.
 
     A node of arity k only ever conditions on the first j of its inputs to
-    appear in ``order``, j = 0..k, so those k + 1 entropies are computed per
-    node up front and the curve steps through them.  They are summed by
-    ``measures._expected_entropy``, the sum behind ``cond_entropy_spectral``,
-    one batch of rows per j over the nodes of every arity k >= j.
+    appear in ``order``, j = 0..k.  The k entropies at j < k are computed per
+    node up front, and the (k + 1)-th is 0: all k inputs known fix the
+    output.  They are summed by ``measures._expected_entropy``, the sum behind
+    ``cond_entropy_spectral``, one batch of rows per j over every k > j.
     """
     c, d = s.c, s.d
     order = tuple(order)
@@ -164,10 +164,10 @@ def uncertainty_curve(s: NodeSpectra, order: tuple[str, ...] | list[str],
     pos = [position.get(name, L) for name in c.inputs]  # by rank; L past the known
     firsts = [np.argsort(np.take(pos, idx), axis=1, kind="stable") for _, _, idx, _ in s.groups]
     h = np.zeros((len(c.nodes), max((k for k, *_ in s.groups), default=-1) + 1))  # node, j
-    for j in range(h.shape[1]):
+    for j in range(h.shape[1] - 1):
         rows, ik, sub = [], [], []
         for (k, g_rows, idx, coeffs), first in zip(s.groups, firsts):
-            if k >= j:
+            if k > j:
                 first = np.sort(first[:, :j], axis=1)
                 rows += g_rows
                 ik.append(np.take_along_axis(idx, first, axis=1))

@@ -5,7 +5,8 @@ truth-table sums); their spectral forms are provided separately so each can
 check the other; both spectral forms, and the network scatter, are the one row
 kernel ``_sensitivity_sum`` of sum_S c_S^2 sum_{i in S} w_i, w = ``ProductDist.inv_var``.
 Conditional entropy and mutual information go through the spectral
-characterization, with binary entropy in bits throughout.
+characterization, in bits, on the relevant variables of the mask alone: a
+mask that holds every relevant variable leaves exactly 0 bits, not float noise.
 H(f | X_A) is a weighted sum over the 2^|A| entries of E[f | X_A], taken in
 blocks of 2^ENTROPY_BLOCK_BITS entries with factored weights: it builds no
 2^|A| weight array, and its entropy temporaries hold one block per row: one
@@ -202,18 +203,25 @@ def _expected_entropy(cond: np.ndarray, p: np.ndarray) -> np.ndarray:
     return _row_dot(_product_weights(p[..., ENTROPY_BLOCK_BITS:]), sums) + 0.0
 
 
+def _cond_entropy_live(s: Spectrum, mask: SubsetMask) -> float:
+    """H(f(X) | X_mask) over the relevant variables of ``mask``; exactly 0.0
+    when ``mask`` holds them all, as f is then known, not the sum's noise."""
+    check_mask(mask, s.arity)
+    rel = relevant_variables(s.f)
+    if not rel & ~mask:
+        return 0.0
+    return cond_entropy_spectral(s, s.d, mask & rel)
+
+
 def cond_entropy(f: BoolFn, d: ProductDist, mask: SubsetMask) -> float:
-    """H(f(X) | X_mask) in bits, iterating only over mask & relevant(f)."""
-    check_mask(mask, f.arity)
-    live = mask & relevant_variables(f)
-    return cond_entropy_spectral(transform(f, d), d, live)
+    """H(f(X) | X_mask) in bits; 0.0 when ``mask`` holds every relevant variable."""
+    return _cond_entropy_live(transform(f, d), mask)
 
 
 def mutual_information(s: Spectrum, mask: SubsetMask) -> float:
     """MI(f(X); X_mask) = H(f(X)) - H(f(X) | X_mask), in bits."""
-    check_mask(mask, s.arity)
     h_out = binary_entropy(_clamp_prob((1.0 + s.coeff(0)) / 2.0))
-    mi = h_out - cond_entropy_spectral(s, s.d, mask & relevant_variables(s.f))
+    mi = h_out - _cond_entropy_live(s, mask)
     if mi < -CLAMP_BUDGET:
         raise ValueError(f"mutual information {mi} below zero beyond tolerance")
     return max(mi, 0.0)
@@ -257,15 +265,9 @@ class EntropyBound:
 def entropy_bounds(s: Spectrum, mask: SubsetMask) -> EntropyBound:
     """Lower/upper bounds 1 - W and (1 - W)^(1/ln 4) around the exact value,
     where W is the squared coefficient weight on subsets of ``mask``."""
-    check_mask(mask, s.arity)
     weight = float(np.sum(subset_coeffs(s, mask) ** 2))
     gap = min(max(1.0 - weight, 0.0), 1.0)
-    live = mask & relevant_variables(s.f)
-    return EntropyBound(
-        lower=gap,
-        exact=cond_entropy_spectral(s, s.d, live),
-        upper=gap ** INV_LN4,
-    )
+    return EntropyBound(lower=gap, exact=_cond_entropy_live(s, mask), upper=gap ** INV_LN4)
 
 
 def psi(x: float) -> float:
@@ -299,11 +301,9 @@ def mi_influence_bound_check(s: Spectrum, mask: SubsetMask) -> tuple[float, floa
 
 def influence_entropy_identity(s: Spectrum, i: int) -> tuple[float, float]:
     """Influence of ``i`` alongside H(f(X)|X_rest) / H(X_i); the two agree."""
-    if not 0 <= i < s.arity:
-        raise IndexError(f"variable index {i} out of range for arity {s.arity}")
-    rest = relevant_variables(s.f) & ~(1 << i)  # the live variables but i
-    ratio = cond_entropy_spectral(s, s.d, rest) / binary_entropy(s.d.probs[i])
-    return influence(s.f, s.d, i), ratio
+    inf = influence(s.f, s.d, i)
+    rest = ((1 << s.arity) - 1) ^ (1 << i)
+    return inf, _cond_entropy_live(s, rest) / binary_entropy(s.d.probs[i])
 
 
 def independence_test(s: Spectrum, mask: SubsetMask, tol: float = 1e-9) -> bool:

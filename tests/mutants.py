@@ -137,6 +137,16 @@ MUTANTS = (
            "if False:",
            ("tests/test_boolfn.py::TestProductDist", "tests/test_cli.py::TestExitCodes",
             "tests/test_cli.py::TestAnalyze"), 7),
+    Mutant("zero rule tests the wrong side of the mask", "measures.py",
+           "if not rel & ~mask:",
+           "if not rel & mask:",
+           ("tests/test_measures.py::TestZeroRule", "tests/test_measures.py::TestCondEntropy",
+            "tests/test_measures.py::TestMutualInformation"), 10),
+    Mutant("uncertainty curve leaves column k - 1 uncomputed", "analysis.py",
+           "for j in range(h.shape[1] - 1):",
+           "for j in range(h.shape[1] - 2):",
+           ("tests/test_analysis.py::TestAgainstPerNodeMeasures::test_uncertainty_curve",
+            "tests/test_analysis.py::TestUncertaintyCurve", "tests/test_golden.py"), 6),
 )
 
 

@@ -291,17 +291,30 @@ def test_scatter_is_the_per_node_spectral_sum_bit_for_bit():
             assert rec.avg_sensitivity.hex() == avg_sensitivity_spectral(spec).hex()
 
 
+def test_uncertainty_curve_ends_at_exactly_zero():
+    """Once every input is known, every node is known: A(L) is 0.0, not the
+    float noise of the entropy of a node's full table (3.1e-12 at p = 0.3
+    on this network, when those tables were summed)."""
+    c = collapse(parse(_netgen().generate(1)))
+    n = len(c.inputs)
+    for d in ProductDist((0.3,) * n), random_product_dist(np.random.default_rng(0), n):
+        s = node_spectra(c, d)
+        assert uncertainty_curve(s, determinative_power(s).tau).values[-1] == 0.0
+
+
 def test_uncertainty_curve_sums_wide_nodes_in_blocks(monkeypatch):
-    """Two nodes over 16 and 15 inputs, more than ENTROPY_BLOCK_BITS: A(l)
+    """Two nodes over 17 and 16 inputs, more than ENTROPY_BLOCK_BITS: A(l)
     takes the blocked rows of ``_expected_entropy``, whose weight tables
-    never exceed one block, and matches the per-node entropies."""
+    never exceed one block, and matches the per-node entropies.  Both nodes
+    are summed at j = 15 inputs known (the j = k entropy is never summed),
+    so one blocked batch holds two rows."""
     rng = np.random.default_rng(31)
-    inputs = tuple(f"x{r}" for r in range(17))
-    args = (inputs[:16], tuple(rng.permutation(inputs[2:]).tolist()))
+    inputs = tuple(f"x{r}" for r in range(18))
+    args = (inputs[:17], tuple(rng.permutation(inputs[2:]).tolist()))
     nodes = tuple(netlang.LocalNode(f"y{i}", a, t)
-                  for i, (a, t) in enumerate(zip(args, random_tables([16, 15], rng))))
+                  for i, (a, t) in enumerate(zip(args, random_tables([17, 16], rng))))
     c = netlang.collapse_local(netlang.LocalNetwork(inputs, nodes))
-    assert [len(node.support) for node in c.nodes] == [16, 15]
+    assert [len(node.support) for node in c.nodes] == [17, 16]
     d = random_product_dist(rng, len(inputs))
     order = [str(name) for name in rng.permutation(inputs)]
     setup = list(_per_node(c, d))

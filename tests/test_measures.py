@@ -311,6 +311,34 @@ class TestCondEntropy:
         assert cond_entropy(f, d, mask) == pytest.approx(
             reference.cond_entropy_definitional(f, d, mask), abs=1e-9)
 
+    @settings(max_examples=80, deadline=None)
+    @given(fn_dist_mask_triples(1, 8))
+    def test_every_relevant_variable_known_leaves_exactly_zero(self, triple):
+        f, d, mask = triple
+        assert cond_entropy(f, d, mask | boolfn.relevant_variables(f)) == 0.0
+
+
+class TestZeroRule:
+    """Given every variable it reads, a function is known: 0 bits exactly.
+    For 88 (a AND b, with c irrelevant) under Pr[+1] = (0.3, 0.6, 0.8), the
+    spectral sum over {a, b} gave float noise of about 1e-15, whose bits
+    depended on the BLAS kernel that ran the inverse transform."""
+
+    f = BoolFn.from_hex("88", ("a", "b", "c"))
+    d = ProductDist((0.3, 0.6, 0.8))
+
+    @pytest.mark.parametrize("mask", [0b011, 0b111], ids=["a,b", "a,b,c"])
+    def test_cond_entropy(self, mask):
+        assert cond_entropy(self.f, self.d, mask) == 0.0
+        assert entropy_bounds(transform(self.f, self.d), mask).exact == 0.0
+
+    def test_identity_of_an_irrelevant_variable(self):
+        assert influence_entropy_identity(transform(self.f, self.d), 2) == (0.0, 0.0)
+
+    def test_mutual_information_of_every_variable_is_output_entropy(self):
+        s = transform(self.f, self.d)
+        assert mutual_information(s, 0b111) == output_entropy(self.f, self.d)
+
 
 B = ENTROPY_BLOCK_BITS
 
@@ -463,15 +491,17 @@ class TestMutualInformation:
         assert total <= 1.0 + 1e-12
 
     def test_negative_mi_raises_value_error(self):
-        # under p = 2.5e-7, the coefficients a dictator has at p = 1e-12,
-        # mu and sigma there: the conditional probabilities stay within
-        # CLAMP_BUDGET of [0, 1], yet the clamped entropies give MI of
-        # about -5e-9
+        # under Pr[x1 = +1] = 2.5e-7, the coefficients a dictator on x1 has
+        # at p = 1e-12, mu and sigma there: the conditional probabilities
+        # stay within CLAMP_BUDGET of [0, 1], yet the clamped entropies give
+        # MI of about -5e-9.  The function is AND, so x2 is relevant and
+        # outside the mask, and the sum is taken: a mask of every relevant
+        # variable would leave 0 bits and MI = H(f) >= 0
         p = 1e-12
-        d = ProductDist((2.5e-7,))
-        s = Spectrum(dictator_fn(1, 0), d, np.array([2.0 * p - 1.0, 2.0 * math.sqrt(p * (1.0 - p))]))
+        d = ProductDist((2.5e-7, 0.5))
+        coeffs = np.array([2.0 * p - 1.0, 2.0 * math.sqrt(p * (1.0 - p)), 0.0, 0.0])
         with pytest.raises(ValueError, match="below zero"):
-            mutual_information(s, 0b1)
+            mutual_information(Spectrum(and_fn(2), d, coeffs), 0b01)
 
     def test_monotone_in_singleton_coefficient(self):
         # at fixed bias the single-variable MI grows with the magnitude of
