@@ -26,7 +26,7 @@ serialize to little-endian hex strings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -143,17 +143,13 @@ class BoolFn:
 
     @classmethod
     def from_hex(cls, hex_str: str, labels: Sequence[str]) -> BoolFn:
-        n = len(labels)
-        nbytes = _table_bytes(n)
+        nbytes = _table_bytes(len(labels))
         # a wrong length is reported as one, not as fromhex's error for an odd length
         raw = bytes.fromhex(hex_str) if len(hex_str) == 2 * nbytes else b""
         if len(raw) != nbytes:
             raise ValueError(f"expected {nbytes} bytes of table data ({2 * nbytes} hex "
                              f"digits), got {len(hex_str)}")
-        table = int.from_bytes(raw, "little")
-        if table.bit_length() > (1 << n):
-            raise ValueError("table data has bits beyond 2^arity")
-        return cls(n, tuple(labels), table)
+        return cls(len(labels), tuple(labels), int.from_bytes(raw, "little"))
 
     def to_hex(self) -> str:
         return self.table.to_bytes(_table_bytes(self.arity), "little").hex()
@@ -229,7 +225,7 @@ def _low_mask(n: int, j: int) -> int:
 def _halves(t: int, n: int, j: int) -> tuple[int, int]:
     """The x_j = -1 and x_j = +1 halves of an n-variable truth table t, both
     at the x_j = -1 bit positions."""
-    m = _low_mask(n, j)
+    m = _low_masks(n)[j]
     return t & m, (t >> (1 << j)) & m
 
 
@@ -242,23 +238,19 @@ def _pack_bits(bits: np.ndarray) -> int:
 # n-variable layout; an empty position is an index bit that no set bit of
 # the table has.
 
-# The widest layout whose masks are all held at once (n 2^n bits, 128 KB
-# at n = 16); a wider one builds each mask when it is read, as n = 24
-# would hold 48 MB.
+# The widest layout whose masks are held (n 2^n bits, 128 KB at n = 16), for
+# the life of the process: about 240 KB for every size up to 16.  A wider
+# layout builds each mask when it is read, as n = 24 would hold 48 MB.
 HELD_MASKS_MAX_ARITY = 16
 
 
+@cache
 def _low_masks(n: int) -> Sequence[int]:
-    """``_low_mask(n, j)`` for every j < n.  Held, each mask is the next one
-    up XORed with itself shifted by 2^j, 2n big-int steps in all."""
+    """``_low_mask(n, j)`` for every j < n, built once per n and held up to
+    ``HELD_MASKS_MAX_ARITY``; above it, each built when it is read."""
     if n > HELD_MASKS_MAX_ARITY:
         return _LowMasks(n)
-    if not n:
-        return []
-    masks = [(1 << (1 << (n - 1))) - 1]
-    for j in reversed(range(n - 1)):
-        masks.append(masks[-1] ^ masks[-1] << (1 << j))
-    return masks[::-1]
+    return tuple(_low_mask(n, j) for j in range(n))
 
 
 class _LowMasks(Sequence[int]):

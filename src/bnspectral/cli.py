@@ -56,6 +56,7 @@ from .netlang import (
     parse,
     parse_expression,
     references,
+    split_lines,
 )
 from .reports import (
     baseline_to_json,
@@ -78,26 +79,22 @@ EXIT_INPUT = 3
 EXIT_CAP = 4
 
 
-class InputError(ValueError):
-    pass
-
-
 def _function_from_args(args) -> BoolFn:
     if args.expr is not None:
         for flag, value in (("--table-hex", args.table_hex), ("--labels", args.labels)):
             if value is not None:
-                raise InputError(f"--expr cannot be combined with {flag}")
+                raise ValueError(f"--expr cannot be combined with {flag}")
         expr = parse_expression(args.expr)
         net = Network(references(expr), (("f", expr),))
         return BoolFn(len(net.inputs), net.inputs, localize(net, args.cap).nodes[0].table)
     if args.table_hex:
         if not args.labels:
-            raise InputError("--table-hex requires --labels")
+            raise ValueError("--table-hex requires --labels")
         labels = args.labels.split(",")
         if "" in labels:
-            raise InputError(f"empty name in --labels {args.labels!r}")
+            raise ValueError(f"empty name in --labels {args.labels!r}")
         return BoolFn.from_hex(args.table_hex, labels)
-    raise InputError("provide --expr or --table-hex")
+    raise ValueError("provide --expr or --table-hex")
 
 
 def _dist_for(labels: tuple[str, ...], p_spec: str | None) -> ProductDist:
@@ -106,34 +103,34 @@ def _dist_for(labels: tuple[str, ...], p_spec: str | None) -> ProductDist:
         return ProductDist.uniform(n)
     if p_spec.startswith("@"):
         by_name = {}
-        for lineno, line in enumerate(Path(p_spec[1:]).read_text().splitlines(), 1):
+        for lineno, line in enumerate(split_lines(Path(p_spec[1:]).read_text()), 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
             where = f"{p_spec[1:]}:{lineno}:"
             parts = line.replace("=", " ").split()
             if len(parts) != 2:
-                raise InputError(f"{where} expected 'name p'")
+                raise ValueError(f"{where} expected 'name p'")
             name, value = parts
             if name in by_name:
-                raise InputError(f"{where} {name!r} listed twice")
+                raise ValueError(f"{where} {name!r} listed twice")
             try:
                 by_name[name] = p = float(value)
             except ValueError:
-                raise InputError(f"{where} {name!r}: {value!r} is not a number") from None
+                raise ValueError(f"{where} {name!r}: {value!r} is not a number") from None
             try:
                 check_probability(p)
             except ValueError as exc:
-                raise InputError(f"{where} {name!r}: {exc}") from None
+                raise ValueError(f"{where} {name!r}: {exc}") from None
         missing = [name for name in labels if name not in by_name]
         if missing:
-            raise InputError(f"missing probabilities for: {', '.join(missing)}")
+            raise ValueError(f"missing probabilities for: {', '.join(missing)}")
         return ProductDist(tuple(by_name[name] for name in labels))
     values = _p_values(p_spec)
     if len(values) == 1:
         values = values * n
     if len(values) != n:
-        raise InputError(f"got {len(values)} probabilities for {n} variables")
+        raise ValueError(f"got {len(values)} probabilities for {n} variables")
     return ProductDist(tuple(values))
 
 
@@ -142,7 +139,7 @@ def _p_values(p_spec: str) -> list[float]:
     try:
         values = [float(v) for v in p_spec.split(",")]
     except ValueError:
-        raise InputError(f"--p {p_spec!r} is not a comma list of numbers") from None
+        raise ValueError(f"--p {p_spec!r} is not a comma list of numbers") from None
     for v in values:
         check_probability(v)
     return values
@@ -156,9 +153,9 @@ def _mask_from_names(arg: str | None, labels: tuple[str, ...]) -> int:
     names = arg.split(",")
     for k, name in enumerate(names):
         if name not in labels:
-            raise InputError(f"unknown variable in --A: {name!r}")
+            raise ValueError(f"unknown variable in --A: {name!r}")
         if name in names[:k]:
-            raise InputError(f"variable listed twice in --A: {name!r}")
+            raise ValueError(f"variable listed twice in --A: {name!r}")
     return mask_of(labels.index(name) for name in names)
 
 
@@ -260,7 +257,7 @@ def _network_run(args, mode: str | None):
 
 def cmd_analyze(args) -> int:
     if args.top < 0:
-        raise InputError(f"--top must be nonnegative, got {args.top}")
+        raise ValueError(f"--top must be nonnegative, got {args.top}")
     out, text, spectra, ranking, L, curve, baseline = _network_run(args, args.baseline)
     scatter = sensitivity_scatter(spectra)
     c, d = spectra.c, spectra.d
@@ -393,13 +390,13 @@ def main(argv: list[str] | None = None) -> int:
     args.created = []
     try:
         if getattr(args, "trials", 1) < 1:
-            raise InputError(f"--trials must be at least 1, got {args.trials}")
+            raise ValueError(f"--trials must be at least 1, got {args.trials}")
         if getattr(args, "cap", None) is not None and args.cap < 0:
-            raise InputError(f"--cap must be nonnegative, got {args.cap}")
+            raise ValueError(f"--cap must be nonnegative, got {args.cap}")
         if args.seed < 0:
-            raise InputError(f"--seed must be nonnegative, got {args.seed}")
+            raise ValueError(f"--seed must be nonnegative, got {args.seed}")
         if getattr(args, "L", None) is not None and args.L < 0:
-            raise InputError(f"--L must be nonnegative, got L = {args.L}")
+            raise ValueError(f"--L must be nonnegative, got L = {args.L}")
         p_spec = getattr(args, "p", None)
         if p_spec is not None and not p_spec.startswith("@"):
             _p_values(p_spec)

@@ -42,7 +42,6 @@ from .boolfn import (
     _check_cap,
     _compact,
     _compose,
-    _low_mask,
     _low_masks,
     _pack_bits,
     _relevant_mask,
@@ -230,17 +229,22 @@ def parse_expression(text: str, lineno: int = 1) -> Expr:
     return _parse_tokens(tokens, lineno)
 
 
+def split_lines(text: str) -> list[str]:
+    """``text`` cut at LF, CRLF and CR only; ``str.splitlines`` also cuts at
+    form feed and other characters that the tokenizer reads as whitespace."""
+    return re.split(r"\r\n?|\n", text)
+
+
 def parse(text: str) -> Network:
     """Parse DSL source into a validated feed-forward network."""
     declared_inputs: list[str] = []
     raw_defs: list[tuple[str, Expr, int]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(split_lines(text), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
-        if stripped == "@inputs" or stripped.startswith("@inputs ") or stripped.startswith("@inputs\t"):
-            rest = stripped[len("@inputs"):]
-            for tok in _tokenize_line(rest, lineno):
+        if stripped.split(maxsplit=1)[0] == "@inputs":
+            for tok in _tokenize_line(stripped[len("@inputs"):], lineno):
                 if tok[0] in PUNCTUATION:
                     raise NetParseError("only names may follow @inputs", lineno, tok[3])
                 if tok[1] in declared_inputs:
@@ -390,7 +394,8 @@ def localize(net: Network, cap: int | None = None) -> LocalNetwork:
     for (name, expr), args in zip(net.defs, net.args):
         k = len(args)
         _check_cap(k, cap, name)
-        columns = {a: _low_mask(k, j) << (1 << j) for j, a in enumerate(args)}
+        masks = _low_masks(k)
+        columns = {a: masks[j] << (1 << j) for j, a in enumerate(args)}
         table = _eval_expr_table(expr, columns, (1 << (1 << k)) - 1)
         nodes.append(LocalNode(name, args, table))
     return LocalNetwork(net.inputs, tuple(nodes))
@@ -409,19 +414,17 @@ def collapse_local(ln: LocalNetwork, cap: int | None = None) -> CollapsedNetwork
     node's input names and ``BoolFn`` are built only where they are read.
     """
     memo = {name: ((r,), 0b10) for r, name in enumerate(ln.inputs)}
-    masks: dict[int, Sequence[int]] = {}  # _low_masks by support size
     out = []
     for node in ln.nodes:
         for a in node.args:
             if a not in memo:
                 raise ValueError(f"node {node.name!r} references unknown name {a!r}")
-        memo[node.name] = _collapse_node(node, [memo[a] for a in node.args], masks, cap)
+        memo[node.name] = _collapse_node(node, [memo[a] for a in node.args], cap)
         out.append(CollapsedNode(node.name, *memo[node.name], ln.inputs))
     return CollapsedNetwork(ln.inputs, tuple(out))
 
 
 def _collapse_node(node: LocalNode, subs: list[tuple[Sequence[int], int]],
-                   masks_by_size: dict[int, Sequence[int]],
                    cap: int | None) -> tuple[tuple[int, ...], int]:
     """The input ranks a node depends on and its packed table over them,
     from each argument's (input ranks, packed table).  A function of its
@@ -429,9 +432,7 @@ def _collapse_node(node: LocalNode, subs: list[tuple[Sequence[int], int]],
     support = tuple(sorted({r for sub_support, _ in subs for r in sub_support}))
     n = len(support)
     _check_cap(n, cap, node.name)
-    if n not in masks_by_size:
-        masks_by_size[n] = _low_masks(n)
-    masks = masks_by_size[n]
+    masks = _low_masks(n)
     if len(node.args) <= PACKED_MAX_ARGS:
         position = {r: i for i, r in enumerate(support)}
         columns = [_spread(t, [position[r] for r in sub_support], masks)

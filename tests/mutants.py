@@ -147,6 +147,23 @@ MUTANTS = (
            "for j in range(h.shape[1] - 2):",
            ("tests/test_analysis.py::TestAgainstPerNodeMeasures::test_uncertainty_curve",
             "tests/test_analysis.py::TestUncertaintyCurve", "tests/test_golden.py"), 6),
+    Mutant("cached held masks read one variable off", "boolfn.py",
+           "return tuple(_low_mask(n, j) for j in range(n))",
+           "return tuple(_low_mask(n, (j + 1) % n) for j in range(n))",
+           ("tests/test_boolfn.py::TestHalves", *PACKED_COLLAPSE), 10),
+    Mutant("check_mask accepts one bit above the arity", "boolfn.py",
+           "if mask < 0 or mask >> arity:",
+           "if mask < 0 or mask >> (arity + 1):",
+           ("tests/test_measures.py::test_mask_one_bit_above_the_arity_is_refused",), 12),
+    Mutant("readers split lines with str.splitlines", "netlang.py",
+           'return re.split(r"\\r\\n?|\\n", text)',
+           "return text.splitlines()",
+           ("tests/test_netlang.py::TestParse",
+            "tests/test_cli.py::TestExitCodes::test_p_file_line_numbers_count_line_ends_only"), 33),
+    Mutant("--table-hex without --labels goes unchecked", "cli.py",
+           '        if not args.labels:\n            raise ValueError("--table-hex requires --labels")\n',
+           "",
+           ("tests/test_cli.py::TestExitCodes::test_table_hex_without_labels_is_3",), 2),
 )
 
 

@@ -82,6 +82,16 @@ class TestDeterminativePower:
         with pytest.raises(ValueError, match="declares"):
             determinative_power(node_spectra(c, ProductDist.uniform(3)))
 
+    def test_negative_mi_beyond_tolerance_raises(self, monkeypatch):
+        # the kernel keeps MI >= 0 by concavity, so the guard is reached
+        # through a stand-in kernel that returns -1e-6 everywhere
+        spectra = node_spectra(collapse(parse("y = a AND b\n")), ProductDist.uniform(2))
+        monkeypatch.setattr(analysis, "_mi_single",
+                            lambda c_empty, c_i, p, inverse: np.full(c_i.shape, -1e-6))
+        with pytest.raises(ValueError) as err:
+            determinative_power(spectra)
+        assert str(err.value) == "mutual information -1e-06 below zero beyond tolerance"
+
 
 class TestUncertaintyCurve:
     def test_endpoints(self):

@@ -13,6 +13,7 @@ from bnspectral.boolfn import (
     ArityCapError,
     BoolFn,
     ProductDist,
+    Spectrum,
     _grouped,
     _halves,
     _low_masks,
@@ -124,6 +125,20 @@ class TestBoolFn:
     def test_table_too_wide(self):
         with pytest.raises(ValueError):
             BoolFn(1, ("a",), 0b100)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: BoolFn(2, ("a",), 0), "labels length must equal arity"),
+        (lambda: BoolFn.from_bit_array(np.zeros(3)), "bit count must be a power of two"),
+        (lambda: BoolFn.from_callable(1, lambda x: 0), "function must return +1 or -1"),
+        (lambda: BoolFn.from_hex("ff", ("a",)), "table does not fit in 2^arity bits"),
+        (lambda: Spectrum(and_fn(2), ProductDist.uniform(2), np.zeros(3)),
+         "coeffs must have length 2^arity"),
+    ], ids=["labels length", "bit count", "callable value", "hex beyond 2^arity",
+            "coefficient count"])
+    def test_constructor_refuses(self, build, message):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
 
 
 class TestProductDist:

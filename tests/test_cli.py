@@ -357,6 +357,27 @@ class TestExitCodes:
         assert main(["spectrum", "--expr", "a AND b", "--p", f"@{probs}"]) == 3
         assert capsys.readouterr().err.strip() == f"error: {probs}:3: 'a': 'abc' is not a number"
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+    @pytest.mark.parametrize("sep", ["\f", "\x85", "\u2029"])
+    def test_p_file_line_numbers_count_line_ends_only(self, tmp_path, capsys, sep, end):
+        probs = tmp_path / "p.txt"
+        probs.write_bytes(f"a 0.3{sep}{end}b 0.4{end}c x{end}".encode())
+        assert main(["spectrum", "--expr", "a AND b AND c", "--p", f"@{probs}"]) == 3
+        assert capsys.readouterr().err == f"error: {probs}:3: 'c': 'x' is not a number\n"
+
+    def test_p_file_line_of_three_fields_is_3(self, tmp_path, capsys):
+        probs = tmp_path / "p.txt"
+        probs.write_text("a 0.3\nb 0.4 0.5\n")
+        assert main(["spectrum", "--expr", "a AND b", "--p", f"@{probs}"]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: {probs}:2: expected 'name p'\n" and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["spectrum", "measures"])
+    def test_table_hex_without_labels_is_3(self, command, capsys):
+        assert main([command, "--table-hex", "08"]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: --table-hex requires --labels\n" and "Traceback" not in err
+
     def test_closed_stdout_is_quiet(self):
         env = dict(os.environ, PYTHONPATH=str(Path(bnspectral.__file__).resolve().parents[1]))
         proc = subprocess.Popen([sys.executable, "-m", "bnspectral.cli", "measures",

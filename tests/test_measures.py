@@ -20,12 +20,14 @@ from bnspectral.boolfn import (
     ProductDist,
     Spectrum,
     _product_weights,
+    basis_eval,
     conditional_expectation,
     conditional_expectation_table,
     default_labels,
     indices_of,
     reconstruct,
     reconstruct_table,
+    subset_coeffs,
     transform,
 )
 from bnspectral import measures
@@ -440,6 +442,30 @@ class TestBlockedCondEntropy:
             _expected_entropy(cond, p)
 
 
+# every reader of a subset mask, each given the mask of x3 on a 2-input AND
+MASK_READERS = {
+    "basis_eval": lambda s, m: basis_eval(m, (1, 1), s.d),
+    "Spectrum.coeff": lambda s, m: s.coeff(m),
+    "subset_coeffs": subset_coeffs,
+    "conditional_expectation_table": conditional_expectation_table,
+    "avg_sensitivity": lambda s, m: avg_sensitivity(s.f, s.d, m),
+    "avg_sensitivity_spectral": avg_sensitivity_spectral,
+    "cond_entropy_spectral": lambda s, m: cond_entropy_spectral(s, s.d, m),
+    "cond_entropy": lambda s, m: cond_entropy(s.f, s.d, m),
+    "mutual_information": mutual_information,
+    "entropy_bounds": entropy_bounds,
+    "independence_test": independence_test,
+    "mi_influence_bound_check": mi_influence_bound_check,
+}
+
+
+@pytest.mark.parametrize("name", MASK_READERS)
+def test_mask_one_bit_above_the_arity_is_refused(name, uniform2):
+    with pytest.raises(ValueError) as err:
+        MASK_READERS[name](transform(and_fn(2), uniform2), 0b100)
+    assert str(err.value) == "mask 0x4 has bits outside arity 2"
+
+
 class TestMutualInformation:
     def test_parity_single_input_is_zero(self, uniform2):
         assert mutual_information(transform(parity_fn(2), uniform2), 0b01) == 0.0
@@ -502,6 +528,14 @@ class TestMutualInformation:
         coeffs = np.array([2.0 * p - 1.0, 2.0 * math.sqrt(p * (1.0 - p)), 0.0, 0.0])
         with pytest.raises(ValueError, match="below zero"):
             mutual_information(Spectrum(and_fn(2), d, coeffs), 0b01)
+
+    def test_output_probability_beyond_one_raises(self, uniform2):
+        # a crafted empty-set coefficient of 1.5 puts Pr[f = +1] at 1.25,
+        # which no clamping may absorb
+        s = Spectrum(and_fn(2), uniform2, np.array([1.5, 0.0, 0.0, 0.0]))
+        with pytest.raises(ValueError) as err:
+            mutual_information(s, 0b11)
+        assert str(err.value) == "probability 1.25 outside [0,1] beyond tolerance"
 
     def test_monotone_in_singleton_coefficient(self):
         # at fixed bias the single-variable MI grows with the magnitude of
@@ -893,6 +927,16 @@ class TestNoiseSensitivity:
         assert abs(est - exact) < 5 * se + 1e-9
         est2, _ = noise_sensitivity_mc(f, uniform2, 0.2, samples=200_000, seed=9)
         assert est == est2
+
+    def test_monte_carlo_eps_range(self, uniform2):
+        with pytest.raises(ValueError) as err:
+            noise_sensitivity_mc(and_fn(2), uniform2, 0.6, samples=10, seed=0)
+        assert str(err.value) == "flip probability 0.6 outside [0, 1/2]"
+
+    def test_unknown_mode(self, uniform2):
+        with pytest.raises(ValueError) as err:
+            noise_sensitivity(and_fn(2), uniform2, 0.2, mode="monte-carlo")
+        assert str(err.value) == "unknown mode 'monte-carlo'"
 
     def test_monte_carlo_rejects_nonpositive_samples(self, uniform2):
         for samples in (0, -5):

@@ -134,6 +134,20 @@ class TestParse:
         net = parse("@inputs b a\ny = a AND b\n")
         assert net.inputs == ("b", "a")
 
+    @pytest.mark.parametrize("space", ["\u00a0", "\u2003"], ids=["NBSP", "em space"])
+    def test_inputs_header_before_any_whitespace(self, space):
+        net = parse(f"@inputs{space}b a\ny = a AND b\n")
+        assert net.inputs == ("b", "a")
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+    @pytest.mark.parametrize("sep", ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                                     "\u2029"])
+    def test_only_line_ends_count_lines(self, sep, end):
+        # a separator that str.splitlines would cut at is whitespace here
+        with pytest.raises(NetParseError) as err:
+            parse(f"a = x{sep}{end}b = (y{end}")
+        assert str(err.value) == "line 2, col 5: missing closing parenthesis"
+
     def test_inputs_header_rejects_unknown_names(self):
         with pytest.raises(NetParseError, match="undefined name"):
             parse("@inputs a\ny = a AND b\n")
@@ -229,6 +243,11 @@ class TestCollapse:
         c = collapse(parse("a = x AND y\nb = x OR z\n"))
         assert c.out_degree("x") == 2
         assert c.out_degree("z") == 1
+
+    def test_collapsed_out_degree_of_unknown_name(self):
+        with pytest.raises(KeyError) as err:
+            collapse(parse("a = x\n")).out_degree("zzz")
+        assert err.value.args == ("unknown node 'zzz'",)
 
     def test_all_inputs_effective(self):
         c = collapse(parse("a = x AND y\nb = y AND z\n"))
