@@ -20,7 +20,7 @@ from .boolfn import (
     kron_apply,
     sign_rows,
 )
-from .measures import CLAMP_BUDGET, _expected_entropy, _mi_single, _sensitivity_sum
+from .measures import _clamped_mi, _expected_entropy, _mi_single, _sensitivity_sum
 from .netlang import (
     CollapsedNetwork,
     LocalNetwork,
@@ -129,11 +129,9 @@ def determinative_power(s: NodeSpectra) -> RankingResult:
     for k, rows, idx, coeffs in s.groups:
         mi[rows, :k] = _mi_single(coeffs[:, :1], coeffs[:, [1 << t for t in range(k)]],
                                   d.p[idx], d._inverse[idx])
-    if mi.size and mi.min() < -CLAMP_BUDGET:
-        raise ValueError(f"mutual information {mi.min()} below zero beyond tolerance")
     # accumulate in definition order, then input order, so sums (and ties) are stable
     totals = [0.0] * len(c.inputs)
-    for node, values in zip(c.nodes, np.maximum(mi, 0.0).tolist()):
+    for node, values in zip(c.nodes, _clamped_mi(mi).tolist()):
         for r, v in zip(node.support, values):
             totals[r] += v
     d_values = dict(zip(c.inputs, totals))

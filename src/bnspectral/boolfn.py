@@ -89,6 +89,11 @@ def check_mask(mask: SubsetMask, arity: int) -> None:
         raise ValueError(f"mask {mask:#x} has bits outside arity {arity}")
 
 
+def check_index(i: int, arity: int) -> None:
+    if not 0 <= i < arity:
+        raise IndexError(f"variable index {i} out of range for arity {arity}")
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -347,8 +352,7 @@ def relevant_variables(f: BoolFn) -> SubsetMask:
 
 def restrict(f: BoolFn, i: int, v: int) -> BoolFn:
     """Fix ``x_i = v`` and drop the variable, giving an arity n-1 function."""
-    if not 0 <= i < f.arity:
-        raise IndexError(f"variable index {i} out of range for arity {f.arity}")
+    check_index(i, f.arity)
     sub = f.bits.reshape(-1, 2, 1 << i)[:, _sign_index((v,), 1), :].reshape(-1)
     labels = f.labels[:i] + f.labels[i + 1:]
     return BoolFn.from_bit_array(sub, labels)

@@ -97,52 +97,54 @@ def _function_from_args(args) -> BoolFn:
     raise ValueError("provide --expr or --table-hex")
 
 
-def _dist_for(labels: tuple[str, ...], p_spec: str | None) -> ProductDist:
+def _read_p(p_spec: str) -> list[float] | dict[str, float]:
+    """``--p`` read and checked: a list for a comma list or single value, a
+    name-to-p dict for ``@file``, whose lines are ``name p`` split on whitespace."""
+    if not p_spec.startswith("@"):
+        try:
+            values = [float(v) for v in p_spec.split(",")]
+        except ValueError:
+            raise ValueError(f"--p {p_spec!r} is not a comma list of numbers") from None
+        for v in values:
+            check_probability(v)
+        return values
+    by_name = {}
+    for lineno, line in enumerate(split_lines(Path(p_spec[1:]).read_text()), 1):
+        parts = line.split("#", 1)[0].split()
+        if not parts:
+            continue
+        where = f"{p_spec[1:]}:{lineno}:"
+        if len(parts) != 2:
+            raise ValueError(f"{where} expected 'name p'")
+        name, value = parts
+        if name in by_name:
+            raise ValueError(f"{where} {name!r} listed twice")
+        try:
+            by_name[name] = p = float(value)
+        except ValueError:
+            raise ValueError(f"{where} {name!r}: {value!r} is not a number") from None
+        try:
+            check_probability(p)
+        except ValueError as exc:
+            raise ValueError(f"{where} {name!r}: {exc}") from None
+    return by_name
+
+
+def _dist_for(labels: tuple[str, ...], p: list[float] | dict[str, float] | None) -> ProductDist:
+    """``ProductDist`` of the ``_read_p`` value ``p`` over ``labels``."""
     n = len(labels)
-    if p_spec is None:
+    if p is None:
         return ProductDist.uniform(n)
-    if p_spec.startswith("@"):
-        by_name = {}
-        for lineno, line in enumerate(split_lines(Path(p_spec[1:]).read_text()), 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            where = f"{p_spec[1:]}:{lineno}:"
-            parts = line.replace("=", " ").split()
-            if len(parts) != 2:
-                raise ValueError(f"{where} expected 'name p'")
-            name, value = parts
-            if name in by_name:
-                raise ValueError(f"{where} {name!r} listed twice")
-            try:
-                by_name[name] = p = float(value)
-            except ValueError:
-                raise ValueError(f"{where} {name!r}: {value!r} is not a number") from None
-            try:
-                check_probability(p)
-            except ValueError as exc:
-                raise ValueError(f"{where} {name!r}: {exc}") from None
-        missing = [name for name in labels if name not in by_name]
+    if isinstance(p, dict):
+        missing = [name for name in labels if name not in p]
         if missing:
             raise ValueError(f"missing probabilities for: {', '.join(missing)}")
-        return ProductDist(tuple(by_name[name] for name in labels))
-    values = _p_values(p_spec)
-    if len(values) == 1:
-        values = values * n
-    if len(values) != n:
-        raise ValueError(f"got {len(values)} probabilities for {n} variables")
-    return ProductDist(tuple(values))
-
-
-def _p_values(p_spec: str) -> list[float]:
-    """The probabilities of a comma-list or single-value ``--p``."""
-    try:
-        values = [float(v) for v in p_spec.split(",")]
-    except ValueError:
-        raise ValueError(f"--p {p_spec!r} is not a comma list of numbers") from None
-    for v in values:
-        check_probability(v)
-    return values
+        return ProductDist(tuple(p[name] for name in labels))
+    if len(p) == 1:
+        p = p * n
+    if len(p) != n:
+        raise ValueError(f"got {len(p)} probabilities for {n} variables")
+    return ProductDist(tuple(p))
 
 
 def _mask_from_names(arg: str | None, labels: tuple[str, ...]) -> int:
@@ -256,8 +258,6 @@ def _network_run(args, mode: str | None):
 
 
 def cmd_analyze(args) -> int:
-    if args.top < 0:
-        raise ValueError(f"--top must be nonnegative, got {args.top}")
     out, text, spectra, ranking, L, curve, baseline = _network_run(args, args.baseline)
     scatter = sensitivity_scatter(spectra)
     c, d = spectra.c, spectra.d
@@ -389,17 +389,14 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     args.created = []
     try:
-        if getattr(args, "trials", 1) < 1:
-            raise ValueError(f"--trials must be at least 1, got {args.trials}")
-        if getattr(args, "cap", None) is not None and args.cap < 0:
-            raise ValueError(f"--cap must be nonnegative, got {args.cap}")
-        if args.seed < 0:
-            raise ValueError(f"--seed must be nonnegative, got {args.seed}")
-        if getattr(args, "L", None) is not None and args.L < 0:
-            raise ValueError(f"--L must be nonnegative, got L = {args.L}")
-        p_spec = getattr(args, "p", None)
-        if p_spec is not None and not p_spec.startswith("@"):
-            _p_values(p_spec)
+        # every flag is checked, and --p read, before any command starts work
+        for flag, least in (("trials", 1), ("cap", 0), ("seed", 0), ("L", 0), ("top", 0)):
+            value = getattr(args, flag, None)
+            if value is not None and value < least:
+                rule = f"at least {least}" if least else "nonnegative"
+                raise ValueError(f"--{flag} must be {rule}, got {value}")
+        if getattr(args, "p", None) is not None:
+            args.p = _read_p(args.p)
         code = args.fn(args)
         sys.stdout.flush()
         return code

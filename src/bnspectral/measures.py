@@ -35,6 +35,7 @@ from .boolfn import (
     _factors,
     _halves,
     _product_weights,
+    check_index,
     check_mask,
     conditional_expectation_table,
     indices_of,
@@ -98,8 +99,7 @@ def _entropy_of_expectations(cond: np.ndarray) -> np.ndarray:
 
 def influence(f: BoolFn, d: ProductDist, i: int) -> float:
     """Probability that flipping input ``i`` changes the output."""
-    if not 0 <= i < f.arity:
-        raise IndexError(f"variable index {i} out of range for arity {f.arity}")
+    check_index(i, f.arity)
     _check_same_arity(f.arity, d)
     return _influence(f, d.weights(), i)
 
@@ -114,8 +114,7 @@ def _influence(f: BoolFn, weights: np.ndarray, i: int) -> float:
 
 def influence_spectral(s: Spectrum, i: int) -> float:
     """Influence from the coefficients: the average sensitivity over i alone."""
-    if not 0 <= i < s.arity:
-        raise IndexError(f"variable index {i} out of range for arity {s.arity}")
+    check_index(i, s.arity)
     return avg_sensitivity_spectral(s, 1 << i)
 
 
@@ -222,9 +221,17 @@ def mutual_information(s: Spectrum, mask: SubsetMask) -> float:
     """MI(f(X); X_mask) = H(f(X)) - H(f(X) | X_mask), in bits."""
     h_out = binary_entropy(_clamp_prob((1.0 + s.coeff(0)) / 2.0))
     mi = h_out - _cond_entropy_live(s, mask)
-    if mi < -CLAMP_BUDGET:
-        raise ValueError(f"mutual information {mi} below zero beyond tolerance")
-    return max(mi, 0.0)
+    # a nonnegative MI, the common case, passes the rule unchanged
+    return mi if mi >= 0.0 else float(_clamped_mi(mi))
+
+
+def _clamped_mi(mi: float | np.ndarray) -> float | np.ndarray:
+    """Mutual information, a float or an array, clamped at 0: float noise may
+    take it down to -CLAMP_BUDGET, and anything lower is an error."""
+    low = np.min(mi, initial=0.0)
+    if low < -CLAMP_BUDGET:
+        raise ValueError(f"mutual information {low} below zero beyond tolerance")
+    return np.maximum(mi, 0.0)
 
 
 def _clamp_prob(p: float) -> float:

@@ -13,9 +13,9 @@ Grammar, one definition per line::
 whitespace and ``()=#``, so dataset names like ``glcn_xt>0`` or ``leu-l_xt``
 are single atoms.  The keywords NOT/AND/OR (case-insensitive) are reserved,
 as are the constants ``1``/``TRUE`` and ``0``/``FALSE``.  Names never
-appearing on a left-hand side are inputs; an optional ``@inputs`` header
-pins their order.  Definitions may only reference inputs and previously
-defined nodes (no feedback).
+appearing on a left-hand side are inputs; an optional ``@inputs`` header,
+a line whose first token is ``@inputs``, pins their order.  Definitions may
+only reference inputs and previously defined nodes (no feedback).
 
 Collapse re-expresses every node over the inputs on packed truth tables,
 the ``boolfn`` layout: each argument's table is spread to the node's
@@ -240,21 +240,19 @@ def parse(text: str) -> Network:
     declared_inputs: list[str] = []
     raw_defs: list[tuple[str, Expr, int]] = []
     for lineno, line in enumerate(split_lines(text), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if stripped.split(maxsplit=1)[0] == "@inputs":
-            for tok in _tokenize_line(stripped[len("@inputs"):], lineno):
-                if tok[0] in PUNCTUATION:
-                    raise NetParseError("only names may follow @inputs", lineno, tok[3])
-                if tok[1] in declared_inputs:
-                    raise NetParseError(f"input {tok[1]!r} declared twice", lineno, tok[3])
-                declared_inputs.append(tok[1])
-            continue
         tokens = _tokenize_line(line, lineno)
+        if not tokens:
+            continue
+        if tokens[0][1] == "@inputs":
+            for kind, name, _, col in tokens[1:]:
+                if kind in PUNCTUATION:
+                    raise NetParseError("only names may follow @inputs", lineno, col)
+                if name in declared_inputs:
+                    raise NetParseError(f"input {name!r} declared twice", lineno, col)
+                declared_inputs.append(name)
+            continue
         if len(tokens) < 2 or tokens[0][0] in PUNCTUATION or tokens[1][0] != "=":
-            raise NetParseError("expected 'name = expr'", lineno,
-                                tokens[0][3] if tokens else 1)
+            raise NetParseError("expected 'name = expr'", lineno, tokens[0][3])
         name = tokens[0][1]
         if name.upper() in KEYWORDS | CONSTANTS.keys():
             raise NetParseError(f"{name!r} is reserved", lineno, tokens[0][3])

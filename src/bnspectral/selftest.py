@@ -36,77 +36,67 @@ def _random_instance(rng: np.random.Generator, max_n: int):
     return f, d, mask
 
 
+def _deviations(rng: np.random.Generator, max_n: int):
+    """(identity, deviation) pairs on one fresh instance; an identity passes
+    when its worst deviation over all instances is at most TOL."""
+    f, d, mask = _random_instance(rng, max_n)
+    s = transform(f, d)
+
+    yield "parseval", abs(float(np.sum(s.coeffs ** 2)) - 1.0)
+
+    # the exact bound is H(f | X_mask) by the spectral path
+    bounds = measures.entropy_bounds(s, mask)
+    h_def = reference.cond_entropy_definitional(f, d, mask)
+    yield "cond_entropy_spectral_vs_definitional", abs(bounds.exact - h_def)
+    yield "entropy_sandwich", max(bounds.lower - bounds.exact, bounds.exact - bounds.upper)
+
+    if mask:
+        lhs, rhs = measures.mi_influence_bound_check(s, mask)
+        yield "sensitivity_mi_bound", rhs - lhs
+
+    i = int(rng.integers(0, f.arity))
+    inf, ratio = measures.influence_entropy_identity(s, i)
+    yield "influence_entropy_ratio", abs(inf - ratio)
+
+    spectral_indep = measures.independence_test(s, mask, TOL)
+    brute_indep = reference.independent_definitional(f, d, mask, TOL)
+    if spectral_indep != brute_indep:
+        yield "independence_vs_factorization", math.inf
+
+    xa = {p: (1 if rng.random() < 0.5 else -1) for p in indices_of(mask)}
+    lhs_ce = conditional_expectation(s, mask, xa)
+    rhs_ce = reference.conditional_mean_definitional(f, d, mask, xa)
+    yield "conditional_expectation_lemma", abs(lhs_ce - rhs_ce)
+
+    mi_total = measures.mutual_information(s, (1 << f.arity) - 1)
+    mi_sum = sum(measures.mutual_information(s, 1 << j) for j in range(f.arity))
+    yield "mi_chain_bound", mi_sum - mi_total
+    yield "mi_chain_bound", mi_total - 1.0
+
+    fu, _ = random_threshold_fn(int(rng.integers(1, max_n + 1)), rng)
+    du = ProductDist(tuple(rng.uniform(0.05, 0.95, size=fu.arity)))
+    su = transform(fu, du)
+    rows = measures.unate_coefficient_check(su)
+    via = measures._mi_single(su.coeffs[:1], np.array([row[2] for row in rows]),
+                              du.p, du._inverse)
+    for (j, coeff, product), mi_via_inf in zip(rows, via.tolist()):
+        yield "unate_singleton_coefficient", abs(coeff - product)
+        mi_direct = measures.mutual_information(su, 1 << j)
+        yield "unate_mi_from_influence", abs(mi_direct - mi_via_inf)
+
+
 def run_selftest(trials: int = 2000, max_n: int = 8, seed: int = 0) -> list[IdentityReport]:
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed)
-    worst = {
-        "parseval": 0.0,
-        "cond_entropy_spectral_vs_definitional": 0.0,
-        "entropy_sandwich": 0.0,
-        "sensitivity_mi_bound": 0.0,
-        "influence_entropy_ratio": 0.0,
-        "independence_vs_factorization": 0.0,
-        "conditional_expectation_lemma": 0.0,
-        "mi_chain_bound": 0.0,
-        "unate_singleton_coefficient": 0.0,
-        "unate_mi_from_influence": 0.0,
-    }
-
+    worst = dict.fromkeys((  # in report order
+        "parseval", "cond_entropy_spectral_vs_definitional", "entropy_sandwich",
+        "sensitivity_mi_bound", "influence_entropy_ratio", "independence_vs_factorization",
+        "conditional_expectation_lemma", "mi_chain_bound", "unate_singleton_coefficient",
+        "unate_mi_from_influence"), 0.0)
     for _ in range(trials):
-        f, d, mask = _random_instance(rng, max_n)
-        s = transform(f, d)
-
-        worst["parseval"] = max(worst["parseval"],
-                                abs(float(np.sum(s.coeffs ** 2)) - 1.0))
-
-        # the exact bound is H(f | X_mask) by the spectral path
-        bounds = measures.entropy_bounds(s, mask)
-        h_def = reference.cond_entropy_definitional(f, d, mask)
-        worst["cond_entropy_spectral_vs_definitional"] = max(
-            worst["cond_entropy_spectral_vs_definitional"], abs(bounds.exact - h_def))
-
-        viol = max(bounds.lower - bounds.exact, bounds.exact - bounds.upper)
-        worst["entropy_sandwich"] = max(worst["entropy_sandwich"], viol)
-
-        if mask:
-            lhs, rhs = measures.mi_influence_bound_check(s, mask)
-            worst["sensitivity_mi_bound"] = max(worst["sensitivity_mi_bound"], rhs - lhs)
-
-        i = int(rng.integers(0, f.arity))
-        inf, ratio = measures.influence_entropy_identity(s, i)
-        worst["influence_entropy_ratio"] = max(worst["influence_entropy_ratio"],
-                                               abs(inf - ratio))
-
-        spectral_indep = measures.independence_test(s, mask, TOL)
-        brute_indep = reference.independent_definitional(f, d, mask, TOL)
-        if spectral_indep != brute_indep:
-            worst["independence_vs_factorization"] = math.inf
-
-        xa = {p: (1 if rng.random() < 0.5 else -1) for p in indices_of(mask)}
-        lhs_ce = conditional_expectation(s, mask, xa)
-        rhs_ce = reference.conditional_mean_definitional(f, d, mask, xa)
-        worst["conditional_expectation_lemma"] = max(
-            worst["conditional_expectation_lemma"], abs(lhs_ce - rhs_ce))
-
-        mi_total = measures.mutual_information(s, (1 << f.arity) - 1)
-        mi_sum = sum(measures.mutual_information(s, 1 << j) for j in range(f.arity))
-        worst["mi_chain_bound"] = max(worst["mi_chain_bound"],
-                                      mi_sum - mi_total, mi_total - 1.0)
-
-        fu, _ = random_threshold_fn(int(rng.integers(1, max_n + 1)), rng)
-        du = ProductDist(tuple(rng.uniform(0.05, 0.95, size=fu.arity)))
-        su = transform(fu, du)
-        rows = measures.unate_coefficient_check(su)
-        via = measures._mi_single(su.coeffs[:1], np.array([row[2] for row in rows]),
-                                  du.p, du._inverse)
-        for (j, coeff, product), mi_via_inf in zip(rows, via.tolist()):
-            worst["unate_singleton_coefficient"] = max(
-                worst["unate_singleton_coefficient"], abs(coeff - product))
-            mi_direct = measures.mutual_information(su, 1 << j)
-            worst["unate_mi_from_influence"] = max(
-                worst["unate_mi_from_influence"], abs(mi_direct - mi_via_inf))
-
+        for name, deviation in _deviations(rng, max_n):
+            worst[name] = max(worst[name], deviation)
     return [IdentityReport(name, trials, w, w <= TOL) for name, w in worst.items()]
 
 

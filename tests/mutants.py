@@ -164,6 +164,21 @@ MUTANTS = (
            '        if not args.labels:\n            raise ValueError("--table-hex requires --labels")\n',
            "",
            ("tests/test_cli.py::TestExitCodes::test_table_hex_without_labels_is_3",), 2),
+    Mutant("header tokenized from after @inputs", "netlang.py",
+           "for kind, name, _, col in tokens[1:]:",
+           'for kind, name, _, col in _tokenize_line(line.split("@inputs", 1)[1], lineno):',
+           ("tests/test_netlang.py::TestParse",
+            "tests/test_netlang.py::TestOracles::test_parse_matches_class_parser"), 4),
+    Mutant("p-file reader rewrites = to a space", "cli.py",
+           'parts = line.split("#", 1)[0].split()',
+           'parts = line.split("#", 1)[0].replace("=", " ").split()',
+           ("tests/test_cli.py::TestExitCodes::test_p_file_fields_are_split_on_whitespace_only",
+            "tests/test_cli.py::test_p_file_round_trip"), 4),
+    Mutant("flag-bounds table skips --top", "cli.py",
+           '("L", 0), ("top", 0))',
+           '("L", 0))',
+           ("tests/test_cli.py::TestExitCodes::test_negative_top_is_3",
+            "tests/test_cli.py::TestFlagsBeforeWork::test_exits_3_before_parse"), 2),
 )
 
 

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bnspectral
-from bnspectral.cli import main
+from bnspectral.cli import _read_p, main
 from bnspectral.netlang import MAX_NESTING, to_text
 from bnspectral.selftest import run_selftest
 
@@ -253,7 +253,7 @@ class TestExitCodes:
     def test_negative_L_is_3(self, toy_file, tmp_path, capsys):
         assert main(["analyze", str(toy_file), "--L", "-1",
                      "--out", str(tmp_path / "o")]) == 3
-        assert "L = -1" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: --L must be nonnegative, got -1\n"
 
     def test_negative_top_is_3(self, toy_file, tmp_path, capsys):
         assert main(["analyze", str(toy_file), "--top", "-3",
@@ -372,6 +372,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"error: {probs}:2: expected 'name p'\n" and "Traceback" not in err
 
+    @pytest.mark.parametrize("text, where", [
+        ("b 0.5\na==0.3\n", "2: expected 'name p'"),
+        ("a 0.3\nb 0.5=\n", "2: 'b': '0.5=' is not a number"),
+        ("a=0.3\nb 0.5\n", "1: expected 'name p'"),
+    ], ids=["double equals", "trailing equals", "name=p"])
+    def test_p_file_fields_are_split_on_whitespace_only(self, tmp_path, capsys, text, where):
+        probs = tmp_path / "p.txt"
+        probs.write_text(text)
+        assert main(["measures", "--expr", "a AND b", "--p", f"@{probs}"]) == 3
+        assert capsys.readouterr() == ("", f"error: {probs}:{where}\n")
+
     @pytest.mark.parametrize("command", ["spectrum", "measures"])
     def test_table_hex_without_labels_is_3(self, command, capsys):
         assert main([command, "--table-hex", "08"]) == 3
@@ -390,9 +401,9 @@ class TestExitCodes:
 
 
 class TestFlagsBeforeWork:
-    """A bad ``--out``, ``--trials``, ``--cap``, ``--seed``, ``--L`` or
-    comma-list ``--p`` ends the run before the network or expression is read,
-    and a bad ``--trials`` or ``--seed`` before ``selftest`` runs."""
+    """A bad ``--out``, ``--trials``, ``--cap``, ``--seed``, ``--L``, ``--top``
+    or ``--p`` in either form ends the run before the network or expression
+    is read, and a bad ``--trials`` or ``--seed`` before ``selftest`` runs."""
 
     @pytest.mark.parametrize("argv", [
         ["analyze", "{net}", "--out", "{file}"],
@@ -420,13 +431,18 @@ class TestFlagsBeforeWork:
         ["analyze", "{net}", "--baseline", "exchange-random", "--seed", "-1", "--out", "{dir}"],
         ["baseline", "{net}", "--mode", "exchange-unate", "--seed", "-1", "--out", "{dir}"],
         ["selftest", "--seed", "-1"],
+        ["analyze", "{net}", "--top", "-1", "--out", "{dir}"],
+        ["analyze", "{net}", "--p", "@{probs}", "--out", "{dir}"],
+        ["baseline", "{net}", "--mode", "exchange-random", "--p", "@{probs}", "--out", "{dir}"],
+        ["spectrum", "--expr", "a AND b", "--p", "@{probs}"],
     ], ids=["analyze out", "analyze baseline out", "analyze trials", "baseline out",
             "baseline trials", "collapse out", "analyze trials without baseline",
             "analyze cap", "baseline cap", "collapse cap", "spectrum cap",
             "selftest trials 0", "selftest trials -3", "analyze L", "baseline L",
             "analyze p single", "analyze p list", "analyze p nan", "baseline p single",
             "baseline p list", "spectrum p", "analyze seed", "baseline seed",
-            "selftest seed"])
+            "selftest seed", "analyze top", "analyze p file", "baseline p file",
+            "spectrum p file"])
     def test_exits_3_before_parse(self, argv, toy_file, tmp_path, monkeypatch, capsys):
         import bnspectral.cli as cli
 
@@ -438,10 +454,14 @@ class TestFlagsBeforeWork:
 
         for name in ("parse", "parse_expression", "collapse", "run_selftest"):
             monkeypatch.setattr(cli, name, never)
-        argv = [a.format(net=toy_file, file=toy_file, dir=tmp_path / "o") for a in argv]
+        probs = tmp_path / "p.txt"
+        probs.write_text("a 0.3\nb 1.5\n")
+        argv = [a.format(net=toy_file, file=toy_file, dir=tmp_path / "new" / "o", probs=probs)
+                for a in argv]
         assert main(argv) == 3
         assert called == []
         assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "new").exists()
 
 
     @pytest.mark.parametrize("argv", [
@@ -497,6 +517,40 @@ def test_path_errors_are_3(argv, toy_file, tmp_path):
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
     assert sorted(tmp_path.iterdir()) == sorted([toy_file, loop])
+
+
+# whitespace that is no line end for the p-file reader, and name characters
+P_FILE_SPACE = " \t\f\v\x1c\x85\u2028\u3000"
+P_FILE_NAME = st.text(st.sampled_from("abxyz019_-=>()@αΩ"), min_size=1, max_size=5)
+
+
+@st.composite
+def p_files(draw):
+    """(text, probabilities) of a ``name p`` file: fields among random
+    whitespace, each line ending in LF, CRLF or CR, some behind comments,
+    with blank and comment-only lines between."""
+    space = st.text(st.sampled_from(P_FILE_SPACE), max_size=3)
+    comment = st.sampled_from(["", "#", "# a 0.5", "#=x"])
+    probs = draw(st.dictionaries(P_FILE_NAME, st.floats(1e-300, 1.0, exclude_max=True),
+                                 max_size=6))
+    text = ""
+    for name, prob in probs.items():
+        for _ in range(draw(st.integers(0, 1))):
+            text += draw(space) + draw(comment) + draw(st.sampled_from(["\n", "\r\n", "\r"]))
+        value = draw(st.sampled_from([repr(prob), f"{prob:.17g}"]))
+        text += (draw(space) + name + draw(space.map(lambda s: s or " ")) + value + draw(space)
+                 + draw(comment) + draw(st.sampled_from(["\n", "\r\n", "\r"])))
+    return text, probs
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(p_file=p_files())
+def test_p_file_round_trip(p_file):
+    text, probs = p_file
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.txt"
+        path.write_bytes(text.encode())
+        assert _read_p(f"@{path}") == probs
 
 
 class TestSelftest:

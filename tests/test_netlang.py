@@ -148,6 +148,16 @@ class TestParse:
             parse(f"a = x{sep}{end}b = (y{end}")
         assert str(err.value) == "line 2, col 5: missing closing parenthesis"
 
+    @pytest.mark.parametrize("text, message", [
+        ("@inputs a (\n", "line 1, col 11: only names may follow @inputs"),
+        ("  @inputs a a\n", "line 1, col 13: input 'a' declared twice"),
+        ("@inputs=x\n", "line 1, col 8: only names may follow @inputs"),
+    ], ids=["parenthesis", "indented repeat", "equals sign"])
+    def test_inputs_header_errors_count_columns_from_the_line_start(self, text, message):
+        with pytest.raises(NetParseError) as err:
+            parse(text)
+        assert str(err.value) == message
+
     def test_inputs_header_rejects_unknown_names(self):
         with pytest.raises(NetParseError, match="undefined name"):
             parse("@inputs a\ny = a AND b\n")
@@ -555,8 +565,10 @@ def parse_oracle(text: str) -> Network:
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
-        if stripped == "@inputs" or stripped.startswith("@inputs ") or stripped.startswith("@inputs\t"):
-            rest = stripped[len("@inputs"):]
+        header = re.match(r"\s*@inputs(?![^\s()=#])", line)
+        if header:
+            # the word blanked out, so columns count from the start of the line
+            rest = " " * header.end() + line[header.end():]
             for tok in _tokenize_line(rest, lineno):
                 if tok[0] in PUNCTUATION:
                     raise NetParseError("only names may follow @inputs", lineno, tok[3])
