@@ -222,8 +222,10 @@ def _random_topology_local(inputs: tuple[str, ...], node_names: tuple[str, ...],
                            ) -> list[tuple[str, tuple[str, ...]]]:
     """Single-layer random wiring as (name, args) definitions: every input
     feeds ``RANDOM_TOPOLOGY_OUT_DEGREE`` distinct randomly chosen nodes;
-    unfed nodes get no arguments.  Collapse refuses a fan-in over the cap,
-    so that is checked here, before any function is drawn."""
+    unfed nodes get no arguments.  Each node lists its arguments in input
+    order, so collapse only prunes its table, with no variable to reorder
+    and nothing to compose.  Collapse refuses a fan-in over the cap, so
+    that is checked here, before any function is drawn."""
     m = len(node_names)
     if m < RANDOM_TOPOLOGY_OUT_DEGREE:
         raise ValueError(f"need at least {RANDOM_TOPOLOGY_OUT_DEGREE} nodes for "

@@ -314,6 +314,22 @@ def _compact(t: int, keep: Sequence[int], masks: Sequence[int]) -> int:
     return t
 
 
+def _sort_variables(t: int, keys: Sequence[int], masks: Sequence[int]) -> int:
+    """Reorder the variables of t so that their distinct ``keys`` ascend:
+    variable r of the result is the variable of t with the r-th smallest
+    key.  A selection sort of delta swaps: swapping variables i < j
+    exchanges each bit at x_i = +1, x_j = -1 with the bit 2^j - 2^i above."""
+    keys = list(keys)
+    for i in range(len(keys) - 1):
+        j = min(range(i, len(keys)), key=keys.__getitem__)
+        if j != i:
+            keys[i], keys[j] = keys[j], keys[i]
+            delta = (1 << j) - (1 << i)
+            x = (t ^ (t >> delta)) & masks[j] & (masks[i] << (1 << i))
+            t ^= x | (x << delta)
+    return t
+
+
 def _relevant_mask(t: int, masks: Sequence[int]) -> SubsetMask:
     """Mask of the variables on which the table t depends."""
     rel = 0

@@ -18,13 +18,16 @@ a line whose first token is ``@inputs``, pins their order.  Definitions may
 only reference inputs and previously defined nodes (no feedback).
 
 Collapse re-expresses every node over the inputs on packed truth tables,
-the ``boolfn`` layout: each argument's table is spread to the node's
-support and the node's table is applied to them as the OR of its minterms,
-with big-int operations only; over ``PACKED_MAX_ARGS`` arguments, by one
-broadcast gather on unpacked tables.  From ``localize`` on, a node is a
-packed Python-int table over its argument names, or once collapsed over its
-support, the ascending ranks of the inputs it depends on; a collapsed
-node's input names and ``BoolFn`` are built on first read.
+the ``boolfn`` layout.  A node that reads only distinct inputs has its
+table's variables swapped into ascending input order.  For any other node,
+each argument's table is spread to the node's support and the node's table
+is applied to them as the OR of its minterms, with big-int operations only;
+over ``PACKED_MAX_ARGS`` arguments, by one broadcast gather on unpacked
+tables.  Either way the result is cut to the inputs it depends on.  From
+``localize`` on, a node is a packed Python-int table over its argument
+names, or once collapsed over its support, the ascending ranks of the
+inputs it depends on; a collapsed node's input names and ``BoolFn`` are
+built on first read.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .boolfn import (
     _low_masks,
     _pack_bits,
     _relevant_mask,
+    _sort_variables,
     _spread,
     _unpack_tables,
     indices_of,
@@ -404,12 +408,15 @@ def collapse_local(ln: LocalNetwork, cap: int | None = None) -> CollapsedNetwork
 
     Proceeds in definition order on packed truth tables, from every input as
     the identity table ``0b10`` over itself.  A node's support is the union
-    of its arguments' relevant input ranks (reported if over the cap); each
-    argument's table is spread to that support, and the node's own table is
-    evaluated on them as the OR of its minterms, or for more than
-    ``PACKED_MAX_ARGS`` arguments by one broadcast gather on unpacked
-    tables.  The result is cut to the ranks it depends on and kept so: a
-    node's input names and ``BoolFn`` are built only where they are read.
+    of its arguments' relevant input ranks (reported if over the cap).  A
+    node whose arguments are all distinct inputs, or nodes equal to one,
+    needs no composition: its own table is reordered into ascending rank
+    order by variable swaps.  Otherwise each argument's table is spread to
+    that support, and the node's own table is evaluated on them as the OR
+    of its minterms, or for more than ``PACKED_MAX_ARGS`` arguments by one
+    broadcast gather on unpacked tables.  The result is cut to the ranks it depends on and kept
+    so: a node's input names and ``BoolFn`` are built only where they are
+    read.
     """
     memo = {name: ((r,), 0b10) for r, name in enumerate(ln.inputs)}
     out = []
@@ -431,7 +438,12 @@ def _collapse_node(node: LocalNode, subs: list[tuple[Sequence[int], int]],
     n = len(support)
     _check_cap(n, cap, node.name)
     masks = _low_masks(n)
-    if len(node.args) <= PACKED_MAX_ARGS:
+    # an input, or a node equal to one, is the identity table 0b10 over its rank
+    ranks = [s[0] for s, t in subs if t == 0b10 and len(s) == 1]
+    if len(ranks) == n == len(subs):
+        # every argument is a distinct input: reorder, nothing to compose
+        table = _sort_variables(node.table, ranks, masks)
+    elif len(node.args) <= PACKED_MAX_ARGS:
         position = {r: i for i, r in enumerate(support)}
         columns = [_spread(t, [position[r] for r in sub_support], masks)
                    for sub_support, t in subs]

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import importlib.util
 import os
+import sys
 from pathlib import Path
+from types import ModuleType
 
 import numpy as np
 import pytest
@@ -114,6 +117,16 @@ def random_network(rng: np.random.Generator, max_inputs: int = 12,
         defs.append((name, rand_expr(3, pool)))
         by_layer.setdefault(layer, []).append(name)
     return Network(inputs, tuple(defs))
+
+
+def netgen() -> ModuleType:
+    """The benchmark's seeded generator of E. coli-shaped networks,
+    ``perfbench/netgen.py``, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "netgen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_netgen", path)
+    module = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(module)
+    return module
 
 
 def ecoli_fixture_path() -> Path | None:

@@ -52,6 +52,14 @@ MUTANTS = (
            "t = _move(t, masks, r, positions[r])",
            "t = _move(t, masks, r, positions[r] + 1)",
            PACKED_COLLAPSE, 3),
+    Mutant("first-layer path skips the rank sort", "netlang.py",
+           "table = _sort_variables(node.table, ranks, masks)",
+           "table = node.table",
+           PACKED_COLLAPSE, 5),
+    Mutant("first-layer path skips the prune", "netlang.py",
+           "table = _sort_variables(node.table, ranks, masks)",
+           "return support, _sort_variables(node.table, ranks, masks)",
+           PACKED_COLLAPSE, 5),
     Mutant("spread swaps its two literal cases", "boolfn.py",
            "if t == 0b10 else masks[p]",
            "if t == 0b01 else masks[p]",

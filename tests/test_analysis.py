@@ -1,9 +1,6 @@
 """Determinative power, uncertainty curves, scatter, and baselines."""
 
-import importlib.util
-import sys
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,7 +33,7 @@ from bnspectral.reference import (
 )
 from bnspectral.sampling import random_tables
 
-from conftest import random_network, random_product_dist
+from conftest import netgen, random_network, random_product_dist
 
 
 def toy_network():
@@ -273,15 +270,6 @@ class TestAgainstPerNodeMeasures:
                 assert rec.prob_one == pytest.approx(prob_one(node.fn, sub), abs=1e-12)
 
 
-def _netgen():
-    """The benchmark's seeded generator of E. coli-shaped networks."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "netgen.py"
-    spec = importlib.util.spec_from_file_location("perfbench_netgen", path)
-    module = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_scatter_is_the_per_node_spectral_sum_bit_for_bit():
     """On the seed-1 netgen network, under the uniform distribution as the
     ecoli-synth workload analyses it and under a seed-0 random biased one,
@@ -291,7 +279,7 @@ def test_scatter_is_the_per_node_spectral_sum_bit_for_bit():
     (When one side took 1/sigma_i^2 from NumPy scalars, whose squares differ
     from an array's in the last bit for about 0.1% of probabilities, 4 of
     the biased rows differed.)"""
-    c = collapse(parse(_netgen().generate(1)))
+    c = collapse(parse(netgen().generate(1)))
     n = len(c.inputs)
     for d in ProductDist.uniform(n), random_product_dist(np.random.default_rng(0), n):
         records = sensitivity_scatter(node_spectra(c, d))
@@ -305,7 +293,7 @@ def test_uncertainty_curve_ends_at_exactly_zero():
     """Once every input is known, every node is known: A(L) is 0.0, not the
     float noise of the entropy of a node's full table (3.1e-12 at p = 0.3
     on this network, when those tables were summed)."""
-    c = collapse(parse(_netgen().generate(1)))
+    c = collapse(parse(netgen().generate(1)))
     n = len(c.inputs)
     for d in ProductDist((0.3,) * n), random_product_dist(np.random.default_rng(0), n):
         s = node_spectra(c, d)

@@ -1,5 +1,7 @@
 """Truth tables, product distributions, and the basis transform."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from bnspectral.boolfn import (
     _low_masks,
     _pack_bits,
     _product_weights,
+    _sort_variables,
     _subset_entries,
     _subset_index,
     _unpack_tables,
@@ -690,3 +693,33 @@ class TestRelevantAndRestrict:
 
 def test_mask_of_round_trip():
     assert mask_of([0, 3]) == 0b1001
+
+
+class TestSortVariables:
+    """``_sort_variables`` against ``np.transpose`` of the unpacked bits."""
+
+    @staticmethod
+    def transposed(f: BoolFn, keys) -> int:
+        n = f.arity
+        order = np.argsort(keys)  # result variable r is variable order[r] of f
+        # axis a of the (2,) * n view holds variable n - 1 - a
+        axes = [n - 1 - order[n - 1 - a] for a in range(n)]
+        return BoolFn.from_bit_array(np.transpose(f.bits.reshape((2,) * n), axes).ravel()).table
+
+    def test_every_permutation(self):
+        rng = np.random.default_rng(14)
+        for n in range(5):
+            for perm in itertools.permutations(range(n)):
+                keys = [3 * k + 2 for k in perm]  # distinct, not 0..n-1
+                f = random_bool_fn(rng, n)
+                assert _sort_variables(f.table, keys, _low_masks(n)) == self.transposed(f, keys)
+
+    @pytest.mark.parametrize("n", [5, 8, 12, HELD_MASKS_MAX_ARITY,
+                                   HELD_MASKS_MAX_ARITY + 1, 18])
+    def test_random_permutations(self, n):
+        # above HELD_MASKS_MAX_ARITY each mask is built when it is read
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            keys = rng.permutation(4 * n)[:n]
+            f = random_bool_fn(rng, n)
+            assert _sort_variables(f.table, keys, _low_masks(n)) == self.transposed(f, keys)

@@ -9,14 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bnspectral import analysis
+from bnspectral import analysis, netlang
 from bnspectral.analysis import _exchanged_local, _random_topology_local
 from bnspectral.boolfn import (
     HELD_MASKS_MAX_ARITY,
     ArityCapError,
     BoolFn,
     ProductDist,
+    _spread,
     _subset_index,
+    _unpack_tables,
+    default_labels,
     evaluate,
     relevant_variables,
 )
@@ -53,7 +56,7 @@ from bnspectral.netlang import (
 from bnspectral.reference import _eval_expr_bits, evaluate_assignment, node_tables
 from bnspectral.sampling import sample_random_function
 
-from conftest import random_network
+from conftest import netgen, random_network
 
 MARA_FRAGMENT = """\
 arca = fnr AND NOT oxyr
@@ -440,7 +443,8 @@ def collapse_local_spread(ln: LocalNetwork) -> CollapsedNetwork:
             axes = [2 if s in sub_support else 1 for s in reversed(support)]
             col = np.broadcast_to(sub_bits.reshape(axes), (2,) * len(support))
             node_idx |= col.reshape(-1).astype(np.int64) << j
-        bits = BoolFn(len(node.args), node.args, node.table).bits[node_idx]
+        # default labels, as an argument may be repeated
+        bits = BoolFn(len(node.args), default_labels(len(node.args)), node.table).bits[node_idx]
         fn = BoolFn.from_bit_array(bits, support)
         rel = relevant_variables(fn)
         if rel != (1 << fn.arity) - 1:
@@ -804,3 +808,70 @@ class TestPackedCollapse:
         assert (err.value.name, err.value.arity) == ("big", 4)
         with pytest.raises(ValueError, match="node 'bad' references unknown name 'ghost'"):
             collapse_local(ln)
+
+    def test_first_layer_forms(self, monkeypatch):
+        """A node whose arguments are all distinct inputs, or nodes equal to
+        one, is reordered and pruned with no spread and no gather: with no
+        arguments, with more than ``PACKED_MAX_ARGS`` unordered ones, or
+        with irrelevant ones.  A repeated input takes the general path, and
+        so does ``mixed``, whose two literal arguments are as many as its
+        distinct inputs while its arguments are three."""
+        rng = np.random.default_rng(49)
+        inputs = tuple(f"x{i}" for i in range(PACKED_MAX_ARGS + 3))
+        unordered = tuple(str(a) for a in rng.permutation(inputs))
+        nodes = (LocalNode("rep", ("x1", "x0", "x1"), sample_random_function(3, rng).table),
+                 LocalNode("none", (), 0b1),
+                 LocalNode("wide", unordered, sample_random_function(len(inputs), rng).table),
+                 LocalNode("cut", ("x5", "x2", "x4"), 0xF0),  # x4 alone
+                 LocalNode("not0", ("x0",), 0b01),
+                 LocalNode("mixed", ("x1", "x1", "not0"), 0x5A),  # x1 XOR NOT x0
+                 LocalNode("id3", ("x3",), 0b10),
+                 LocalNode("via", ("id3", "x2"), 0b0110))  # x2 XOR x3
+        ln = LocalNetwork(inputs, nodes)
+        want = collapse_local_spread(ln)
+        general = []
+        monkeypatch.setattr(netlang, "_spread", lambda t, positions, masks: (
+            general.append(t) or _spread(t, positions, masks)))
+        monkeypatch.setattr(netlang, "_unpack_tables", lambda tables, n: (
+            general.append(n) or _unpack_tables(tables, n)))
+        c = collapse_local(ln)
+        assert c == want
+        assert_matches_node_tables(c, as_network(ln))
+        assert_derived_attributes(c)
+        assert [node.inputs for node in c.nodes[3:]] == [
+            ("x4",), ("x0",), ("x0", "x1"), ("x3",), ("x2", "x3")]
+        # the 3 spreads of rep, the 3 of mixed, and nothing else
+        assert len(general) == 6
+
+    def test_cap_on_a_first_layer_node(self):
+        """The cap is checked on a first-layer node's support before its
+        table is reordered or pruned: ``big`` depends on x5 alone."""
+        inputs = tuple(f"x{i}" for i in range(6))
+        ln = LocalNetwork(inputs, (LocalNode("small", ("x1", "x0"), 0b0110),
+                                   LocalNode("big", ("x5", "x2", "x0", "x3"), 0xAAAA),
+                                   LocalNode("bigger", inputs[::-1], 1)))
+        with pytest.raises(ArityCapError) as err:
+            collapse_local(ln, cap=3)
+        assert (err.value.name, err.value.arity, err.value.cap) == ("big", 4, 3)
+        assert [node.inputs for node in collapse_local(ln).nodes[:2]] == [
+            ("x0", "x1"), ("x5",)]
+
+    def test_netgen_network_and_its_trials(self, monkeypatch):
+        """The seed-1 benchmark network of 150 inputs and 653 nodes, and 5
+        baseline trials in each mode, collapse as the oracle does."""
+        net = parse(netgen().generate(1))
+        ln = localize(net)
+        assert collapse_local(ln) == collapse_local_spread(ln)
+        trials = []
+
+        def checked(trial, cap=None):
+            got = collapse_local(trial, cap)
+            assert got == collapse_local_spread(trial)
+            trials.append(trial)
+            return got
+
+        monkeypatch.setattr(analysis, "collapse_local", checked)
+        for mode in analysis.BASELINE_MODES:
+            analysis.baseline_curves(net, analysis.BaselineSpec(mode, 5, 1),
+                                     ProductDist.uniform(len(net.inputs)))
+        assert len(trials) == 20
