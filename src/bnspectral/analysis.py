@@ -180,13 +180,17 @@ def uncertainty_curve(s: NodeSpectra, order: tuple[str, ...] | list[str],
         for r in node.support:
             feeds[pos[r]].append(i)
     steps = [0] * len(c.nodes)
-    h_values = [values[0] for values in node_h]
-    points = [(0, float(sum(h_values)))]
+    # A(l) adds the nodes' entropies to 0.0 one at a time, in definition order,
+    # on every Python: np.add.accumulate makes those additions, where builtin
+    # sum compensates from Python 3.12 on
+    h_now = np.array([0.0] + [values[0] for values in node_h])
+    sums = np.empty_like(h_now)
+    points = [(0, np.add.accumulate(h_now, out=sums).item(-1))]
     for l, fed in enumerate(feeds[:L], 1):
         for i in fed:
             steps[i] += 1
-            h_values[i] = node_h[i][steps[i]]
-        points.append((l, float(sum(h_values))))
+            h_now[i + 1] = node_h[i][steps[i]]
+        points.append((l, np.add.accumulate(h_now, out=sums).item(-1)))
     return UncertaintyCurve(tuple(points))
 
 

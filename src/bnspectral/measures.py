@@ -7,6 +7,9 @@ kernel ``_sensitivity_sum`` of sum_S c_S^2 sum_{i in S} w_i, w = ``ProductDist.i
 Conditional entropy and mutual information go through the spectral
 characterization, in bits, on the relevant variables of the mask alone: a
 mask that holds every relevant variable leaves exactly 0 bits, not float noise.
+One row kernel, ``_cond_entropy_rows``, computes them for a spectrum: one mask
+is its batch of one, and ``mutual_information`` also takes a sequence of
+masks, whose rows of one live size share one batch.
 H(f | X_A) is a weighted sum over the 2^|A| entries of E[f | X_A], taken in
 blocks of 2^ENTROPY_BLOCK_BITS entries with factored weights: it builds no
 2^|A| weight array, and its entropy temporaries hold one block per row: one
@@ -21,10 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .boolfn import (
+    GROUPED_MIN_ARITY,
     BoolFn,
     ProductDist,
     Spectrum,
@@ -35,6 +40,7 @@ from .boolfn import (
     _factors,
     _halves,
     _product_weights,
+    _subset_index,
     check_index,
     check_mask,
     conditional_expectation_table,
@@ -70,6 +76,16 @@ def binary_entropy(p: float) -> float:
         return 0.0
     # np.log2, as in _entropy_arr, so the two agree to the last bit
     return float(-p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p))
+
+
+def _left_sum(values: Iterable[float]) -> float:
+    """The floats added one at a time, left to right.  Builtin ``sum`` adds
+    floats with compensation from Python 3.12 on, which changes last bits
+    of reported sums between Python versions; this keeps one order."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def _entropy_arr(p: np.ndarray) -> np.ndarray:
@@ -125,7 +141,7 @@ def avg_sensitivity(f: BoolFn, d: ProductDist, mask: SubsetMask | None = None) -
     check_mask(mask, f.arity)
     _check_same_arity(f.arity, d)
     w = d.weights()
-    return float(sum(_influence(f, w, i) for i in indices_of(mask)))
+    return _left_sum(_influence(f, w, i) for i in indices_of(mask))
 
 
 def avg_sensitivity_spectral(s: Spectrum, mask: SubsetMask | None = None) -> float:
@@ -202,14 +218,43 @@ def _expected_entropy(cond: np.ndarray, p: np.ndarray) -> np.ndarray:
     return _row_dot(_product_weights(p[..., ENTROPY_BLOCK_BITS:]), sums) + 0.0
 
 
-def _cond_entropy_live(s: Spectrum, mask: SubsetMask) -> float:
-    """H(f(X) | X_mask) over the relevant variables of ``mask``; exactly 0.0
-    when ``mask`` holds them all, as f is then known, not the sum's noise."""
-    check_mask(mask, s.arity)
+def _cond_entropy_rows(s: Spectrum, masks: Sequence[SubsetMask]) -> np.ndarray:
+    """H(f(X) | X_mask) per mask, in mask order, over the relevant variables
+    of each mask; exactly 0.0 for a mask that holds them all, as f is then
+    known, not the sum's noise.
+
+    The rows of one live size j are one batch, as in ``uncertainty_curve``:
+    one ``kron_apply`` of their gathered subset coefficients with per-row
+    inverse factors, and one ``_expected_entropy``.  A batch of one row is
+    ``cond_entropy_spectral`` on the live mask, and so is every row of
+    GROUPED_MIN_ARITY or more live variables, alone: ``kron_apply`` groups
+    the stages of a 1-D table only, so each row keeps the bits of a call of
+    its own, and wide tables are never stacked.
+    """
     rel = relevant_variables(s.f)
-    if not rel & ~mask:
-        return 0.0
-    return cond_entropy_spectral(s, s.d, mask & rel)
+    h = np.zeros(len(masks))
+    batches: dict[tuple[int, int], list[tuple[int, SubsetMask]]] = {}
+    for r, mask in enumerate(masks):
+        check_mask(mask, s.arity)
+        if rel & ~mask:  # else f is known
+            live = mask & rel
+            j = bin(live).count("1")
+            batches.setdefault((j, r if j >= GROUPED_MIN_ARITY else -1), []).append((r, live))
+    for batch in batches.values():
+        if len(batch) == 1:
+            (r, live), = batch
+            h[r] = cond_entropy_spectral(s, s.d, live)
+            continue
+        rows = [r for r, _ in batch]
+        idx = np.array([indices_of(live) for _, live in batch], dtype=np.int64)
+        cond = kron_apply(s.coeffs[_subset_index(idx)], s.d._inverse[idx].swapaxes(0, 1))
+        h[rows] = _expected_entropy(cond, s.d.p[idx])
+    return h
+
+
+def _cond_entropy_live(s: Spectrum, mask: SubsetMask) -> float:
+    """H(f(X) | X_mask) by ``_cond_entropy_rows`` as a batch of one."""
+    return float(_cond_entropy_rows(s, (mask,))[0])
 
 
 def cond_entropy(f: BoolFn, d: ProductDist, mask: SubsetMask) -> float:
@@ -217,9 +262,14 @@ def cond_entropy(f: BoolFn, d: ProductDist, mask: SubsetMask) -> float:
     return _cond_entropy_live(transform(f, d), mask)
 
 
-def mutual_information(s: Spectrum, mask: SubsetMask) -> float:
-    """MI(f(X); X_mask) = H(f(X)) - H(f(X) | X_mask), in bits."""
+def mutual_information(s: Spectrum, mask: SubsetMask | Sequence[SubsetMask]
+                       ) -> float | np.ndarray:
+    """MI(f(X); X_mask) = H(f(X)) - H(f(X) | X_mask), in bits.  An int mask
+    gives a float; a sequence of masks gives a float64 array in mask order,
+    from one ``_cond_entropy_rows`` call."""
     h_out = binary_entropy(_clamp_prob((1.0 + s.coeff(0)) / 2.0))
+    if not isinstance(mask, (int, np.integer)):
+        return _clamped_mi(h_out - _cond_entropy_rows(s, mask))
     mi = h_out - _cond_entropy_live(s, mask)
     # a nonnegative MI, the common case, passes the rule unchanged
     return mi if mi >= 0.0 else float(_clamped_mi(mi))

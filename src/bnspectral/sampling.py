@@ -145,7 +145,7 @@ def random_threshold_fn(n: int, rng: np.random.Generator) -> tuple[BoolFn, tuple
     signs_a = np.where(rng.random(n) < 0.5, 1, -1)
     theta = rng.standard_normal() * max(1.0, np.sqrt(n))
     idx = np.arange(1 << n, dtype=np.int64)
-    cols = np.stack([(2.0 * ((idx >> i) & 1) - 1.0) for i in range(n)]) if n else np.zeros((0, 1))
-    total = (np.abs(weights)[:, None] * signs_a[:, None] * cols).sum(axis=0) if n else np.zeros(1)
+    cols = ((idx >> np.arange(n)[:, None]) & 1) * 2.0 - 1.0  # (n, 2^n) of +-1
+    total = (np.abs(weights)[:, None] * signs_a[:, None] * cols).sum(axis=0)
     bits = (total >= theta).astype(int)
     return BoolFn.from_bit_array(bits), tuple(int(a) for a in signs_a)

@@ -47,6 +47,8 @@ class Mutant(NamedTuple):
 PACKED_COLLAPSE = ("tests/test_netlang.py::TestPackedCollapse",
                    "tests/test_netlang.py::TestOracles::test_localize_and_collapse_match")
 
+MI_ROWS = "tests/test_measures.py::TestMutualInformationRows"
+
 MUTANTS = (
     Mutant("spread moves a variable one position too far", "boolfn.py",
            "t = _move(t, masks, r, positions[r])",
@@ -146,10 +148,22 @@ MUTANTS = (
            ("tests/test_boolfn.py::TestProductDist", "tests/test_cli.py::TestExitCodes",
             "tests/test_cli.py::TestAnalyze"), 7),
     Mutant("zero rule tests the wrong side of the mask", "measures.py",
-           "if not rel & ~mask:",
-           "if not rel & mask:",
+           "if rel & ~mask:",
+           "if rel & mask:",
            ("tests/test_measures.py::TestZeroRule", "tests/test_measures.py::TestCondEntropy",
             "tests/test_measures.py::TestMutualInformation"), 10),
+    Mutant("batched entropy rows written to the wrong rows", "measures.py",
+           "rows = [r for r, _ in batch]",
+           "rows = [r for r, _ in batch][::-1]",
+           (MI_ROWS,), 13),
+    Mutant("zero rule dropped in the batched path", "measures.py",
+           "if rel & ~mask:",
+           "if rel & ~mask or len(masks) > 1:",
+           (MI_ROWS,), 14),
+    Mutant("live mask not cut to the relevant variables", "measures.py",
+           "live = mask & rel",
+           "live = mask",
+           (MI_ROWS, "tests/test_measures.py::TestMutualInformation"), 2),
     Mutant("uncertainty curve leaves column k - 1 uncomputed", "analysis.py",
            "for j in range(h.shape[1] - 1):",
            "for j in range(h.shape[1] - 2):",

@@ -21,6 +21,7 @@ from bnspectral.measures import (
     avg_sensitivity_spectral,
     binary_entropy,
     cond_entropy_spectral,
+    entropy_bounds,
     mutual_information,
     prob_one,
 )
@@ -298,6 +299,33 @@ def test_uncertainty_curve_ends_at_exactly_zero():
     for d in ProductDist((0.3,) * n), random_product_dist(np.random.default_rng(0), n):
         s = node_spectra(c, d)
         assert uncertainty_curve(s, determinative_power(s).tau).values[-1] == 0.0
+
+
+def test_uncertainty_curve_adds_node_entropies_left_to_right():
+    """On the seed-1 netgen network, every A(l) equals the per-node
+    conditional entropies (``entropy_bounds(...).exact``, zero rule
+    included) added one at a time in definition order, under ``==``.
+    Builtin ``sum`` adds floats with compensation from Python 3.12 on, and
+    gives other last bits for most lists of this length."""
+    c = collapse(parse(netgen().generate(1)))
+    n = len(c.inputs)
+    for d in ProductDist.uniform(n), random_product_dist(np.random.default_rng(2), n):
+        s = node_spectra(c, d)
+        order = determinative_power(s).tau
+        curve = uncertainty_curve(s, order).values
+        setup = list(_per_node(c, d))
+        masks = [0] * len(setup)
+        h = [entropy_bounds(spec, 0).exact for _, _, spec in setup]
+        for l in range(n + 1):
+            if l:
+                for i, (node, _, spec) in enumerate(setup):
+                    if order[l - 1] in node.inputs:
+                        masks[i] |= 1 << node.inputs.index(order[l - 1])
+                        h[i] = entropy_bounds(spec, masks[i]).exact
+            total = 0.0
+            for v in h:
+                total += v
+            assert curve[l] == total, l
 
 
 def test_uncertainty_curve_sums_wide_nodes_in_blocks(monkeypatch):

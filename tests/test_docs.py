@@ -38,7 +38,7 @@ def test_readme_library_example():
             checked += 1
         else:
             exec(code, namespace)
-    assert checked == 5
+    assert checked == 6
 
 
 def test_readme_dsl_example(tmp_path, capsys):

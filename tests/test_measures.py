@@ -25,6 +25,7 @@ from bnspectral.boolfn import (
     conditional_expectation_table,
     default_labels,
     indices_of,
+    kron_apply,
     reconstruct,
     reconstruct_table,
     subset_coeffs,
@@ -37,6 +38,7 @@ from bnspectral.measures import (
     _entropy_arr,
     _entropy_of_expectations,
     _expected_entropy,
+    _left_sum,
     _row_dot,
     _sensitivity_sum,
     avg_sensitivity,
@@ -143,6 +145,26 @@ class TestBinaryEntropy:
         cond = 2.0 * _entropy_probes(np.random.default_rng(44)) - 1.0
         want = _entropy_arr((1.0 + cond) / 2.0)
         assert _entropy_of_expectations(cond.copy()).tobytes() == want.tobytes()
+
+
+class TestLeftSum:
+    """Report sums add their floats left to right on every Python: builtin
+    ``sum`` is compensated from Python 3.12 on, and would change last bits."""
+
+    def test_adds_in_order_without_compensation(self):
+        assert _left_sum([1e16, 1.0, -1e16]) == 0.0
+        assert _left_sum(iter([0.1, 0.2, 0.3])) == (0.1 + 0.2) + 0.3
+        assert _left_sum([]) == 0.0 and type(_left_sum([])) is float
+
+    def test_avg_sensitivity_adds_influences_in_order(self):
+        rng = np.random.default_rng(45)
+        for n in range(9):
+            f, d = random_bool_fn(rng, n), random_product_dist(rng, n)
+            mask = int(rng.integers(0, 1 << n))
+            total = 0.0
+            for i in indices_of(mask):
+                total += influence(f, d, i)
+            assert avg_sensitivity(f, d, mask) == total
 
 
 class TestInfluence:
@@ -550,6 +572,114 @@ class TestMutualInformation:
                     values = [mi_single_from_coeffs(c0, sign * c1, p) for c1 in grid]
                     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
                     assert values[0] == pytest.approx(0.0, abs=1e-12)
+
+
+def _row_masks(rng: np.random.Generator, f: BoolFn) -> list[int]:
+    """Masks of every kind the row kernel meets: random ones, 0, the full
+    mask, every singleton (irrelevant ones included), every relevant
+    variable alone, and a repeat, in an order that mixes live sizes."""
+    n, rel = f.arity, boolfn.relevant_variables(f)
+    masks = [int(m) for m in rng.integers(0, 1 << n, size=6)]
+    masks += [0, (1 << n) - 1, rel, *(1 << i for i in range(n))]
+    masks.append(masks[int(rng.integers(len(masks)))])
+    return [masks[i] for i in rng.permutation(len(masks))]
+
+
+class TestMutualInformationRows:
+    """``mutual_information(s, masks)`` is one ``_cond_entropy_rows`` call,
+    and gives the same bits as one call per mask."""
+
+    @staticmethod
+    def assert_rows_equal_calls(s: Spectrum, masks: list[int]) -> np.ndarray:
+        rows = mutual_information(s, masks)
+        calls = [mutual_information(s, m) for m in masks]
+        assert isinstance(rows, np.ndarray) and rows.dtype == np.float64
+        assert rows.shape == (len(masks),)
+        assert all(type(v) is float for v in calls)
+        assert np.array_equal(rows, calls)
+        return rows
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_random_spectra(self, n):
+        rng = np.random.default_rng(500 + n)
+        for t in range(12):
+            if t < 2:
+                f = const_fn(n, 1 - 2 * t)
+            elif t < 6 and n >= 2:
+                f, _ = planted_fn(rng, n, random_bool_fn(rng, int(rng.integers(1, n))))
+            else:
+                f = random_bool_fn(rng, n)
+            d = random_product_dist(rng, n)
+            self.assert_rows_equal_calls(transform(f, d), _row_masks(rng, f))
+
+    def test_zero_rule_per_row(self):
+        # 88 reads a and b; given both, its spectral sum is float noise
+        f, d = BoolFn.from_hex("88", ("a", "b", "c")), ProductDist((0.3, 0.6, 0.8))
+        s = transform(f, d)
+        rows = self.assert_rows_equal_calls(s, [0b001, 0b011, 0b100, 0b111, 0b011])
+        h = output_entropy(f, d)
+        assert rows[1] == rows[3] == rows[4] == h
+        assert rows[2] == 0.0 and 0.0 < rows[0] < h
+
+    def test_irrelevant_singletons_are_exactly_zero(self):
+        rng = np.random.default_rng(44)
+        for _ in range(200):
+            n = int(rng.integers(2, 9))
+            f, planted = planted_fn(rng, n, random_bool_fn(rng, int(rng.integers(1, n))))
+            rel = boolfn.relevant_variables(f)
+            rows = self.assert_rows_equal_calls(
+                transform(f, random_product_dist(rng, n)), [1 << i for i in range(n)])
+            assert [rows[i] == 0.0 for i in range(n)] == [not rel >> i & 1 for i in range(n)]
+            assert not rel & ~planted
+
+    def test_constants(self):
+        for n in (0, 1, 5):
+            for sign in (1, -1):
+                s = transform(const_fn(n, sign), ProductDist.uniform(n))
+                rows = self.assert_rows_equal_calls(s, [0, (1 << n) - 1, (1 << n) - 1])
+                assert rows.tolist() == [0.0, 0.0, 0.0]
+
+    def test_empty_sequence(self, uniform2):
+        rows = mutual_information(transform(and_fn(2), uniform2), [])
+        assert rows.shape == (0,) and rows.dtype == np.float64
+
+    def test_numpy_integer_mask_is_one_mask(self, uniform2):
+        s = transform(and_fn(2), uniform2)
+        assert mutual_information(s, np.int64(1)) == mutual_information(s, 1)
+        assert type(mutual_information(s, np.int64(1))) is float
+        assert np.array_equal(mutual_information(s, np.array([1, 3])),
+                              mutual_information(s, [1, 3]))
+
+    def test_bad_mask_in_a_sequence_is_refused(self, uniform2):
+        with pytest.raises(ValueError, match="mask 0x4 has bits outside arity 2"):
+            mutual_information(transform(and_fn(2), uniform2), [1, 0b100])
+
+    def test_rows_above_the_block_bits(self, monkeypatch):
+        # live sizes B + 1 and B (twice each), GROUPED_MIN_ARITY, 3 (twice) and 0
+        rng = np.random.default_rng(600)
+        n = B + 2
+        f, d = random_bool_fn(rng, n), random_product_dist(rng, n)
+        s = transform(f, d)
+        assert boolfn.relevant_variables(f) == (1 << n) - 1
+        full = (1 << n) - 1
+        masks = [full ^ 1, full ^ 0b11, 0b111, full ^ 0b110, (1 << GROUPED_MIN_ARITY) - 1,
+                 0, full ^ 1, 0b1011]
+        tables = []
+
+        def spy(arr, mats):
+            tables.append(np.shape(arr))
+            return kron_apply(arr, mats)
+
+        monkeypatch.setattr(measures, "kron_apply", spy)
+        monkeypatch.setattr(boolfn, "kron_apply", spy)
+        rows = self.assert_rows_equal_calls(s, masks)
+        # each wide row goes alone, as a 1-D table; narrow rows share a batch
+        assert tables[:5] == [(1 << (n - 1),), (1 << (n - 2),), (2, 8), (1 << (n - 2),),
+                              (1 << GROUPED_MIN_ARITY,)]
+        assert [shape for shape in tables if len(shape) == 2] == [(2, 8)]
+        h = output_entropy(f, d)
+        want = [h - cond_entropy_spectral(s, d, m) for m in masks]
+        assert rows == pytest.approx(want, rel=0, abs=1e-12)
 
 
 class TestEntropyBounds:

@@ -10,6 +10,7 @@ from bnspectral.sampling import (
     _monotone_tables,
     enumerate_unate_tables,
     random_tables,
+    random_threshold_fn,
     sample_monotone_mcmc,
     sample_random_function,
     sample_random_unate,
@@ -242,3 +243,47 @@ class TestPolarities:
         idx = np.arange(1 << 20, dtype=np.int64)
         want = BoolFn.from_bit_array(f.bits[idx ^ neg_mask]).table
         assert _apply_polarities(f.table, 20, neg_mask) == want
+
+
+class TestThresholdFn:
+    """``random_threshold_fn`` draws from the generator as it always has:
+    tables and polarities recorded when its +-1 columns were stacked one
+    variable at a time."""
+
+    DRAWS = {  # (seed, n): (table, polarities)
+        (0, 0): (0x0,
+                 ()),
+        (0, 1): (0x0,
+                 (1,)),
+        (0, 3): (0x0,
+                 (1, -1, -1)),
+        (0, 6): (0xffffffffffffffff,
+                 (-1, -1, -1, -1, -1, 1)),
+        (0, 8): (0xffffffff1f0fffffffffffffffffffff01000f0f00000703ffffffffff7fffff,
+                 (-1, -1, -1, 1, -1, 1, -1, 1)),
+        (1, 0): (0x0,
+                 ()),
+        (1, 1): (0x1,
+                 (-1,)),
+        (1, 3): (0xfd,
+                 (-1, 1, 1)),
+        (1, 6): (0xff04ffdfffccffff,
+                 (-1, 1, -1, 1, -1, -1)),
+        (1, 8): (0xcdff00dfdfff4cff04ff00ccccff00cd04ff004cccff00cd00cd000404df004c,
+                 (-1, 1, -1, -1, 1, -1, 1, 1)),
+        (7, 0): (0x0,
+                 ()),
+        (7, 1): (0x3,
+                 (-1,)),
+        (7, 3): (0xc,
+                 (1, 1, -1)),
+        (7, 6): (0xff3fff003f000000,
+                 (1, -1, -1, 1, 1, 1)),
+        (7, 8): (0xfffffffffffffffcfffffffffffffffcffffffffffffffffffffffffffffffff,
+                 (-1, 1, 1, 1, 1, 1, -1, -1)),
+    }
+
+    @pytest.mark.parametrize("seed, n", list(DRAWS))
+    def test_draws_are_pinned(self, seed, n):
+        f, polarities = random_threshold_fn(n, np.random.default_rng(seed))
+        assert (f.arity, f.table, polarities) == (n, *self.DRAWS[seed, n])
