@@ -17,7 +17,6 @@ from .boolfn import (
     reconstruct,
     reconstruct_table,
     relevant_variables,
-    restrict,
     transform,
 )
 from .measures import (
@@ -50,7 +49,6 @@ from .netlang import (
     effective_inputs,
     out_degree,
     parse,
-    to_text,
 )
 from .analysis import (
     BaselineResult,

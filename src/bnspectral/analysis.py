@@ -20,7 +20,13 @@ from .boolfn import (
     kron_apply,
     sign_rows,
 )
-from .measures import _clamped_mi, _expected_entropy, _mi_single, _sensitivity_sum
+from .measures import (
+    _clamped_mi,
+    _entropy_given,
+    _entropy_of_expectations,
+    _mi_single,
+    _sensitivity_sum,
+)
 from .netlang import (
     CollapsedNetwork,
     LocalNetwork,
@@ -119,16 +125,19 @@ def node_spectra(c: CollapsedNetwork, d: ProductDist) -> NodeSpectra:
 def determinative_power(s: NodeSpectra) -> RankingResult:
     """Sum the single-input mutual information of every node, per input.
 
-    MI(f; x_i) needs only the empty-set and singleton coefficients, since
-    E[f | x_i] = c_0 + c_i phi_i(x_i).  Inputs outside a node's relevant set
-    have c_i = 0 and contribute nothing.  Ties in the ranking break
-    lexicographically by input name.
+    MI(f; x_i) reads only the empty-set and singleton coefficients: it is
+    ``measures._mi_single``, H(f) less the row kernel
+    ``measures._entropy_given`` on the pair (c_0, c_i), one call per arity
+    group.  A node of one input is known given it, so by the zero rule of
+    ``mutual_information`` its MI is H(f).  Each MI has the bits of
+    ``mutual_information`` on the node's own spectrum.  Ties in the ranking
+    break lexicographically by input name.
     """
     c, d = s.c, s.d
     mi = np.zeros((len(c.nodes), max((k for k, *_ in s.groups), default=0)))  # node, input
     for k, rows, idx, coeffs in s.groups:
-        mi[rows, :k] = _mi_single(coeffs[:, :1], coeffs[:, [1 << t for t in range(k)]],
-                                  d.p[idx], d._inverse[idx])
+        mi[rows, :k] = (_entropy_of_expectations(coeffs[:, :1].copy()) if k == 1 else
+                        _mi_single(coeffs[:, :1], coeffs[:, 1 << np.arange(k)], idx, d))
     # accumulate in definition order, then input order, so sums (and ties) are stable
     totals = [0.0] * len(c.inputs)
     for node, values in zip(c.nodes, _clamped_mi(mi).tolist()):
@@ -146,8 +155,8 @@ def uncertainty_curve(s: NodeSpectra, order: tuple[str, ...] | list[str],
     A node of arity k only ever conditions on the first j of its inputs to
     appear in ``order``, j = 0..k.  The k entropies at j < k are computed per
     node up front, and the (k + 1)-th is 0: all k inputs known fix the
-    output.  They are summed by ``measures._expected_entropy``, the sum behind
-    ``cond_entropy_spectral``, one batch of rows per j over every k > j.
+    output.  They are rows of ``measures._entropy_given``, the kernel behind
+    ``mutual_information``, one batch per j over every k > j.
     """
     c, d = s.c, s.d
     order = tuple(order)
@@ -170,9 +179,7 @@ def uncertainty_curve(s: NodeSpectra, order: tuple[str, ...] | list[str],
                 rows += g_rows
                 ik.append(np.take_along_axis(idx, first, axis=1))
                 sub.append(np.take_along_axis(coeffs, _subset_index(first), axis=1))
-        ik = np.concatenate(ik)
-        cond = kron_apply(np.concatenate(sub), d._inverse[ik].swapaxes(0, 1))
-        h[rows, j] = _expected_entropy(cond, d.p[ik])
+        h[rows, j] = _entropy_given(np.concatenate(sub), np.concatenate(ik), d)
     node_h = h.tolist()
 
     feeds: list[list[int]] = [[] for _ in range(L + 1)]  # nodes by position; L unread

@@ -366,14 +366,6 @@ def relevant_variables(f: BoolFn) -> SubsetMask:
     return _relevant_mask(f.table, _low_masks(f.arity))
 
 
-def restrict(f: BoolFn, i: int, v: int) -> BoolFn:
-    """Fix ``x_i = v`` and drop the variable, giving an arity n-1 function."""
-    check_index(i, f.arity)
-    sub = f.bits.reshape(-1, 2, 1 << i)[:, _sign_index((v,), 1), :].reshape(-1)
-    labels = f.labels[:i] + f.labels[i + 1:]
-    return BoolFn.from_bit_array(sub, labels)
-
-
 @dataclass(frozen=True)
 class ProductDist:
     """Independent inputs with Pr[X_i = +1] = probs[i], each passing ``check_probability``;
@@ -523,10 +515,11 @@ def kron_apply(arr: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
     if not lead and len(mats) >= GROUPED_MIN_ARITY:
         mats = _grouped(mats)
     buf = np.empty(arr.shape)
+    half = arr.shape[-1] // 2  # not -1: a batch of no rows has no size to infer it from
     for m in reversed(mats):
         if lead:
-            np.matmul(m, arr.reshape(*lead, 2, -1),
-                      out=buf.reshape(*lead, -1, 2).swapaxes(-1, -2))
+            np.matmul(m, arr.reshape(*lead, 2, half),
+                      out=buf.reshape(*lead, half, 2).swapaxes(-1, -2))
         else:
             # the single-function form, kept apart: its views are cheapest to build
             np.matmul(m, arr.reshape(len(m), -1), out=buf.reshape(-1, len(m)).T)

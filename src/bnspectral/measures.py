@@ -7,9 +7,12 @@ kernel ``_sensitivity_sum`` of sum_S c_S^2 sum_{i in S} w_i, w = ``ProductDist.i
 Conditional entropy and mutual information go through the spectral
 characterization, in bits, on the relevant variables of the mask alone: a
 mask that holds every relevant variable leaves exactly 0 bits, not float noise.
-One row kernel, ``_cond_entropy_rows``, computes them for a spectrum: one mask
-is its batch of one, and ``mutual_information`` also takes a sequence of
-masks, whose rows of one live size share one batch.
+Every H(f | X_A) is the row kernel ``_entropy_given``: one ``kron_apply``
+gives E[f | X_A], one ``_expected_entropy`` sums it.  ``_cond_entropy_rows``
+runs a spectrum's masks through it (a batch of one as ``cond_entropy_spectral``),
+and so do the network's D(j), by ``_mi_single``, and A(l).
+``mutual_information`` also takes a sequence of masks, whose rows of one
+live size share one batch.
 H(f | X_A) is a weighted sum over the 2^|A| entries of E[f | X_A], taken in
 blocks of 2^ENTROPY_BLOCK_BITS entries with factored weights: it builds no
 2^|A| weight array, and its entropy temporaries hold one block per row: one
@@ -224,12 +227,11 @@ def _cond_entropy_rows(s: Spectrum, masks: Sequence[SubsetMask]) -> np.ndarray:
     known, not the sum's noise.
 
     The rows of one live size j are one batch, as in ``uncertainty_curve``:
-    one ``kron_apply`` of their gathered subset coefficients with per-row
-    inverse factors, and one ``_expected_entropy``.  A batch of one row is
-    ``cond_entropy_spectral`` on the live mask, and so is every row of
-    GROUPED_MIN_ARITY or more live variables, alone: ``kron_apply`` groups
-    the stages of a 1-D table only, so each row keeps the bits of a call of
-    its own, and wide tables are never stacked.
+    one ``_entropy_given`` call on their gathered subset coefficients.  A
+    batch of one row is ``cond_entropy_spectral`` on the live mask, and so
+    is every row of GROUPED_MIN_ARITY or more live variables, alone:
+    ``kron_apply`` groups the stages of a 1-D table only, so each row keeps
+    the bits of a call of its own, and wide tables are never stacked.
     """
     rel = relevant_variables(s.f)
     h = np.zeros(len(masks))
@@ -247,9 +249,17 @@ def _cond_entropy_rows(s: Spectrum, masks: Sequence[SubsetMask]) -> np.ndarray:
             continue
         rows = [r for r, _ in batch]
         idx = np.array([indices_of(live) for _, live in batch], dtype=np.int64)
-        cond = kron_apply(s.coeffs[_subset_index(idx)], s.d._inverse[idx].swapaxes(0, 1))
-        h[rows] = _expected_entropy(cond, s.d.p[idx])
+        h[rows] = _entropy_given(s.coeffs[_subset_index(idx)], idx, s.d)
     return h
+
+
+def _entropy_given(sub: np.ndarray, ranks: np.ndarray, d: ProductDist) -> np.ndarray:
+    """H(f | X_A) per row of the subset coefficients ``sub`` (m, 2^j) of f,
+    gathered on A, the variables ``ranks`` (m, j) of ``d``; a 1-D row gives
+    a scalar.  One ``kron_apply`` with per-row inverse factors gives the
+    rows of E[f | X_A], and one ``_expected_entropy`` sums them."""
+    # gathered by the transposed ranks, the factors come first, as kron_apply takes them
+    return _expected_entropy(kron_apply(sub, d._inverse[ranks.T]), d.p[ranks])
 
 
 def _cond_entropy_live(s: Spectrum, mask: SubsetMask) -> float:
@@ -290,14 +300,15 @@ def _clamp_prob(p: float) -> float:
     return min(max(p, 0.0), 1.0)
 
 
-def _mi_single(c_empty: np.ndarray, c_i: np.ndarray, p: np.ndarray,
-               inverse: np.ndarray) -> np.ndarray:
-    """MI(f(X); X_i) elementwise, not clamped at 0, from c_empty, c_i, p = Pr[X_i = +1]
-    and the gathered ``ProductDist._inverse``: E[f | x_i] = c_empty + c_i phi_i(x_i)."""
-    lo, hi = inverse[..., 0, 1], inverse[..., 1, 1]
-    return _entropy_arr((1.0 + c_empty) / 2.0) - (
-        (1.0 - p) * _entropy_arr((1.0 + (c_empty + c_i * lo)) / 2.0)
-        + p * _entropy_arr((1.0 + (c_empty + c_i * hi)) / 2.0))
+def _mi_single(c_empty: np.ndarray, c_i: np.ndarray, ranks: np.ndarray,
+               d: ProductDist) -> np.ndarray:
+    """MI(f(X); X_i) per variable i = ``ranks`` (..., k) of ``d``, not clamped
+    at 0, from f's empty-set coefficients ``c_empty`` (..., 1) and singleton
+    coefficients ``c_i`` (..., k): H(f) less ``_entropy_given`` on each pair."""
+    pairs = np.empty((*c_i.shape, 2))
+    pairs[..., 0], pairs[..., 1] = c_empty, c_i
+    h = _entropy_given(pairs.reshape(-1, 2), ranks.reshape(-1, 1), d).reshape(c_i.shape)
+    return _entropy_of_expectations(c_empty.copy()) - h
 
 
 def mi_single_from_coeffs(c_empty: float, c_i: float, p_i: float) -> float:
@@ -306,8 +317,8 @@ def mi_single_from_coeffs(c_empty: float, c_i: float, p_i: float) -> float:
     Useful for studying how the single-variable mutual information varies
     with the singleton coefficient at fixed bias.
     """
-    d = ProductDist((p_i,))
-    return float(_mi_single(np.array([c_empty]), np.array([c_i]), d.p, d._inverse)[0])
+    return float(_mi_single(np.array([c_empty]), np.array([c_i]), np.arange(1),
+                            ProductDist((p_i,)))[0])
 
 
 @dataclass(frozen=True)

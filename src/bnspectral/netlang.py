@@ -292,30 +292,6 @@ def parse(text: str) -> Network:
     return Network(tuple(inputs), tuple((n, e) for n, e, _ in raw_defs))
 
 
-def _render(expr: Expr, parent: str = "or") -> str:
-    if isinstance(expr, Var):
-        return expr.name
-    if isinstance(expr, Const):
-        return "1" if expr.sign == 1 else "0"
-    if isinstance(expr, Not):
-        return "NOT " + _render(expr.child, "not")
-    if isinstance(expr, And):
-        body = " AND ".join(_render(c, "and") for c in expr.children)
-        return f"({body})" if parent == "not" else body
-    body = " OR ".join(_render(c, "or") for c in expr.children)
-    return f"({body})" if parent in ("and", "not") else body
-
-
-def to_text(net: Network) -> str:
-    """Render a network back to DSL source (inputs pinned via @inputs)."""
-    lines = []
-    if net.inputs:
-        lines.append("@inputs " + " ".join(net.inputs))
-    for name, expr in net.defs:
-        lines.append(f"{name} = {_render(expr)}")
-    return "\n".join(lines) + "\n"
-
-
 def out_degree(net: Network, name: str) -> int:
     """Number of definitions referencing ``name`` (once per definition)."""
     if name not in net.names:
@@ -369,12 +345,6 @@ class CollapsedNetwork:
     def constants(self) -> tuple[tuple[str, int], ...]:
         return tuple((n.name, 1 if n.table & 1 else -1)
                      for n in self.nodes if not n.support)
-
-    def out_degree(self, name: str) -> int:
-        """Number of collapsed nodes whose relevant inputs include ``name``."""
-        if name not in self.inputs and all(n.name != name for n in self.nodes):
-            raise KeyError(f"unknown node {name!r}")
-        return sum(1 for n in self.nodes if name in n.inputs)
 
 
 def _eval_expr_table(expr: Expr, columns: Mapping[str, int], full: int) -> int:

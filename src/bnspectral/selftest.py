@@ -79,7 +79,7 @@ def _deviations(rng: np.random.Generator, max_n: int):
     su = transform(fu, du)
     rows = measures.unate_coefficient_check(su)
     via = measures._mi_single(su.coeffs[:1], np.array([row[2] for row in rows]),
-                              du.p, du._inverse)
+                              np.arange(fu.arity), du)
     direct = measures.mutual_information(su, [1 << j for j, _, _ in rows])
     for (_, coeff, product), mi_via_inf, mi_direct in zip(rows, via.tolist(), direct.tolist()):
         yield "unate_singleton_coefficient", abs(coeff - product)

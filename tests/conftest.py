@@ -119,6 +119,31 @@ def random_network(rng: np.random.Generator, max_inputs: int = 12,
     return Network(inputs, tuple(defs))
 
 
+def _render(expr: Expr, parent: str = "or") -> str:
+    if isinstance(expr, Var):
+        return expr.name
+    if isinstance(expr, Const):
+        return "1" if expr.sign == 1 else "0"
+    if isinstance(expr, Not):
+        return "NOT " + _render(expr.child, "not")
+    if isinstance(expr, And):
+        body = " AND ".join(_render(c, "and") for c in expr.children)
+        return f"({body})" if parent == "not" else body
+    body = " OR ".join(_render(c, "or") for c in expr.children)
+    return f"({body})" if parent in ("and", "not") else body
+
+
+def to_text(net: Network) -> str:
+    """Render a network back to DSL source (inputs pinned via @inputs), for
+    the parse round trip and for networks written to files."""
+    lines = []
+    if net.inputs:
+        lines.append("@inputs " + " ".join(net.inputs))
+    for name, expr in net.defs:
+        lines.append(f"{name} = {_render(expr)}")
+    return "\n".join(lines) + "\n"
+
+
 def netgen() -> ModuleType:
     """The benchmark's seeded generator of E. coli-shaped networks,
     ``perfbench/netgen.py``, loaded by path."""

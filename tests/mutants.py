@@ -136,12 +136,14 @@ MUTANTS = (
            ("tests/test_boolfn.py::TestProductDist", "tests/test_measures.py::TestInfluence",
             "tests/test_measures.py::TestAvgSensitivity", "tests/test_measures.py::TestSubsetSums"),
            7),
-    Mutant("single-variable MI swaps phi(-1) and phi(+1)", "measures.py",
-           "lo, hi = inverse[..., 0, 1], inverse[..., 1, 1]",
-           "lo, hi = inverse[..., 1, 1], inverse[..., 0, 1]",
+    Mutant("entropy row kernel swaps phi(-1) and phi(+1)", "measures.py",
+           "d._inverse[ranks.T]",
+           "d._inverse[ranks.T][..., ::-1, :]",
            ("tests/test_measures.py::TestMutualInformation",
             "tests/test_measures.py::TestUnateCoefficients",
-            "tests/test_analysis.py::TestAgainstPerNodeMeasures::test_determinative_power"), 3),
+            "tests/test_analysis.py::TestAgainstPerNodeMeasures::test_determinative_power",
+            "tests/test_analysis.py::TestAgainstPerNodeMeasures::test_uncertainty_curve",
+            "tests/test_analysis.py::test_uncertainty_curve_adds_node_entropies_left_to_right"), 5),
     Mutant("probability check drops the p(1 - p) bound", "boolfn.py",
            "if p * (1.0 - p) < MIN_P_VARIANCE:",
            "if False:",

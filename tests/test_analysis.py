@@ -34,7 +34,7 @@ from bnspectral.reference import (
 )
 from bnspectral.sampling import random_tables
 
-from conftest import netgen, random_network, random_product_dist
+from conftest import netgen, random_network, random_product_dist, to_text
 
 
 def toy_network():
@@ -85,7 +85,7 @@ class TestDeterminativePower:
         # through a stand-in kernel that returns -1e-6 everywhere
         spectra = node_spectra(collapse(parse("y = a AND b\n")), ProductDist.uniform(2))
         monkeypatch.setattr(analysis, "_mi_single",
-                            lambda c_empty, c_i, p, inverse: np.full(c_i.shape, -1e-6))
+                            lambda c_empty, c_i, ranks, d: np.full(c_i.shape, -1e-6))
         with pytest.raises(ValueError) as err:
             determinative_power(spectra)
         assert str(err.value) == "mutual information -1e-06 below zero beyond tolerance"
@@ -288,6 +288,41 @@ def test_scatter_is_the_per_node_spectral_sum_bit_for_bit():
         for rec, (node, _, spec) in zip(records, _per_node(c, d)):
             assert rec.name == node.name
             assert rec.avg_sensitivity.hex() == avg_sensitivity_spectral(spec).hex()
+
+
+def test_determinative_power_is_the_per_node_mi_sum_bit_for_bit():
+    """On the seed-1 netgen network, every D(j) is its nodes' own
+    ``mutual_information`` on their singletons, added left to right in
+    definition order, to the bit: both are rows of
+    ``measures._entropy_given``, and a one-input node takes the zero rule.
+    (A hand-expanded E[f | x_i] = c_0 + c_i phi_i(x_i) differed in 48 of 150
+    totals under the uniform(0.1, 0.9) draw; without the zero rule, 6 totals
+    differed under the seed-0 draw.)"""
+    c = collapse(parse(netgen().generate(1)))
+    n = len(c.inputs)
+    for d in (ProductDist.uniform(n),
+              ProductDist(tuple(np.random.default_rng(2).uniform(0.1, 0.9, n))),
+              random_product_dist(np.random.default_rng(0), n)):
+        want = [0.0] * n
+        for node, _, spec in _per_node(c, d):
+            mi = mutual_information(spec, [1 << t for t in range(len(node.support))])
+            for r, v in zip(node.support, mi.tolist()):
+                want[r] += v
+        got = determinative_power(node_spectra(c, d)).d_values
+        assert [got[name].hex() for name in c.inputs] == [v.hex() for v in want]
+
+
+def test_one_input_nodes_take_the_zero_rule():
+    """A node of one input is known given it, so its D is H(f) with the bits
+    of ``mutual_information``: the row kernel on (c_0, c_1) leaves float
+    noise in H(f | x) for 32 of these 400 probabilities."""
+    c = collapse(parse("y = x\nz = NOT x\n"))
+    for p in np.random.default_rng(5).uniform(0.01, 0.99, 400).tolist():
+        d = ProductDist((p,))
+        want = 0.0
+        for node in c.nodes:
+            want += mutual_information(transform(node.fn, d), 1)
+        assert determinative_power(node_spectra(c, d)).d_values["x"].hex() == want.hex()
 
 
 def test_uncertainty_curve_ends_at_exactly_zero():
@@ -501,7 +536,7 @@ class TestSinglePass:
     def test_analyze(self, monkeypatch, tmp_path, capsys):
         calls = self.count_sign_rows(monkeypatch)
         path = tmp_path / "net.bnet"
-        path.write_text(netlang.to_text(toy_network()) + "n5 = c OR d\nn6 = b AND NOT d\n")
+        path.write_text(to_text(toy_network()) + "n5 = c OR d\nn6 = b AND NOT d\n")
         assert main(["analyze", str(path), "--svg", "--out", str(tmp_path / "out")]) == 0
         c = collapse(parse(path.read_text()))
         assert len(calls) == len({node.fn.arity for node in c.nodes}) == 4
@@ -535,7 +570,7 @@ class TestSinglePass:
 def test_trials_build_no_boolfn(monkeypatch, mode):
     """A trial carries every node as input ranks and a packed table, and
     both samplers draw packed tables: no mode constructs a ``BoolFn``."""
-    net = parse(netlang.to_text(toy_network()) + "n5 = n1 OR d\nn6 = n2 AND n3\n"
+    net = parse(to_text(toy_network()) + "n5 = n1 OR d\nn6 = n2 AND n3\n"
                 "n7 = d\nn8 = NOT n5 AND c\n")
     built = []
     real = BoolFn.__post_init__

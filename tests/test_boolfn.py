@@ -35,7 +35,6 @@ from bnspectral.boolfn import (
     reconstruct,
     reconstruct_table,
     relevant_variables,
-    restrict,
     sign_rows,
     transform,
 )
@@ -301,6 +300,13 @@ class TestKronApply:
             got = kron_apply(rows, shared)
             for r in range(5):
                 assert np.array_equal(got[r], kron_apply(rows[r], shared))
+
+    @pytest.mark.parametrize("shape", [(0, 4), (3, 0, 4)])
+    def test_batch_of_no_rows(self, shape):
+        # the half length is written out: a reshape cannot infer -1 at size 0
+        for mats in ProductDist.uniform(2)._inverse, np.ones((2, *shape[:-1], 2, 2)):
+            got = kron_apply(np.zeros(shape), mats)
+            assert got.shape == shape and got.dtype == np.float64
 
     def test_grouped_stages_match_per_variable_oracle(self):
         # one size below the switch, then four sizes that leave every
@@ -657,38 +663,6 @@ class TestRelevantAndRestrict:
 
     def test_relevant_dictator(self):
         assert relevant_variables(dictator_fn(3, 0)) == 0b001
-
-    def test_restrict_and2_low(self):
-        g = restrict(and_fn(2), 0, -1)
-        assert g.arity == 1 and list(g.signs) == [-1.0, -1.0]
-
-    def test_restrict_and2_high(self):
-        g = restrict(and_fn(2), 0, 1)
-        assert list(g.signs) == [-1.0, 1.0]
-        assert g.labels == ("x2",)
-
-    def test_restrict_parity_negates(self):
-        g = restrict(parity_fn(2), 0, -1)
-        assert list(g.signs) == [1.0, -1.0]
-
-    def test_restrict_bad_index(self):
-        with pytest.raises(IndexError):
-            restrict(and_fn(2), 2, 1)
-
-    def test_restrict_bad_value(self):
-        with pytest.raises(ValueError, match="entries must be"):
-            restrict(and_fn(2), 0, 0)
-
-    @settings(max_examples=50, deadline=None)
-    @given(bool_fns(1, 8), st.data())
-    def test_restrict_consistent_with_evaluate(self, f, data):
-        i = data.draw(st.integers(0, f.arity - 1))
-        v = data.draw(st.sampled_from([-1, 1]))
-        g = restrict(f, i, v)
-        for b in range(1 << g.arity):
-            x = [1 if (b >> j) & 1 else -1 for j in range(g.arity)]
-            full = x[:i] + [v] + x[i:]
-            assert evaluate(g, x) == evaluate(f, full)
 
 
 def test_mask_of_round_trip():

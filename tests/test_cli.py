@@ -17,10 +17,10 @@ from hypothesis import strategies as st
 
 import bnspectral
 from bnspectral.cli import _read_p, main
-from bnspectral.netlang import MAX_NESTING, to_text
+from bnspectral.netlang import MAX_NESTING
 from bnspectral.selftest import run_selftest
 
-from conftest import random_network
+from conftest import random_network, to_text
 
 TOY = """\
 @inputs a b c

@@ -20,6 +20,7 @@ from bnspectral.boolfn import (
     ProductDist,
     Spectrum,
     _product_weights,
+    _subset_index,
     basis_eval,
     conditional_expectation,
     conditional_expectation_table,
@@ -36,6 +37,7 @@ from bnspectral.measures import (
     CLAMP_BUDGET,
     ENTROPY_BLOCK_BITS,
     _entropy_arr,
+    _entropy_given,
     _entropy_of_expectations,
     _expected_entropy,
     _left_sum,
@@ -680,6 +682,41 @@ class TestMutualInformationRows:
         h = output_entropy(f, d)
         want = [h - cond_entropy_spectral(s, d, m) for m in masks]
         assert rows == pytest.approx(want, rel=0, abs=1e-12)
+
+
+class TestEntropyGiven:
+    """``_entropy_given``, the H(f | X_A) row kernel behind the measures,
+    D(j) and A(l): a 1-D row is ``cond_entropy_spectral``, and a batch of
+    rows gives each row's bits."""
+
+    def test_one_row_is_cond_entropy_spectral(self):
+        rng = np.random.default_rng(41)
+        for n in range(9):
+            f, d = random_bool_fn(rng, n), random_product_dist(rng, n)
+            s = transform(f, d)
+            for mask in range(1 << n):
+                ranks = np.array(indices_of(mask), dtype=np.int64)
+                got = _entropy_given(subset_coeffs(s, mask), ranks, d)
+                assert got.shape == ()
+                assert float(got).hex() == cond_entropy_spectral(s, d, mask).hex()
+
+    def test_rows_are_one_row_each(self):
+        rng = np.random.default_rng(42)
+        for n in range(1, 9):
+            s = transform(random_bool_fn(rng, n), random_product_dist(rng, n))
+            for j in range(n + 1):
+                ranks = np.sort(np.array([rng.choice(n, j, replace=False) for _ in range(5)],
+                                         dtype=np.int64).reshape(5, j), axis=1)
+                got = _entropy_given(s.coeffs[_subset_index(ranks)], ranks, s.d)
+                assert got.shape == (5,)
+                for row, r in zip(got.tolist(), ranks):
+                    assert row == _entropy_given(s.coeffs[_subset_index(r)], r, s.d)
+
+    @pytest.mark.parametrize("j", range(3))
+    def test_no_rows(self, j):
+        got = _entropy_given(np.zeros((0, 1 << j)), np.zeros((0, j), dtype=np.int64),
+                             ProductDist.uniform(3))
+        assert got.shape == (0,) and got.dtype == np.float64
 
 
 class TestEntropyBounds:

@@ -51,12 +51,11 @@ from bnspectral.netlang import (
     parse,
     parse_expression,
     references,
-    to_text,
 )
 from bnspectral.reference import _eval_expr_bits, evaluate_assignment, node_tables
 from bnspectral.sampling import sample_random_function
 
-from conftest import netgen, random_network
+from conftest import netgen, random_network, to_text
 
 MARA_FRAGMENT = """\
 arca = fnr AND NOT oxyr
@@ -251,16 +250,6 @@ class TestCollapse:
             collapse(net, cap=5)
         assert err.value.name == "big"
         assert err.value.arity == 6
-
-    def test_collapsed_out_degree(self):
-        c = collapse(parse("a = x AND y\nb = x OR z\n"))
-        assert c.out_degree("x") == 2
-        assert c.out_degree("z") == 1
-
-    def test_collapsed_out_degree_of_unknown_name(self):
-        with pytest.raises(KeyError) as err:
-            collapse(parse("a = x\n")).out_degree("zzz")
-        assert err.value.args == ("unknown node 'zzz'",)
 
     def test_all_inputs_effective(self):
         c = collapse(parse("a = x AND y\nb = y AND z\n"))
