@@ -1,9 +1,9 @@
 """Perturbation and information measures of Boolean functions.
 
-Influence and average sensitivity are computed definitionally (weighted
-truth-table sums); their spectral forms are provided separately so each can
-check the other; both spectral forms, and the network scatter, are the one row
-kernel ``_sensitivity_sum`` of sum_S c_S^2 sum_{i in S} w_i, w = ``ProductDist.inv_var``.
+Influence and average sensitivity are truth-table sums weighted by
+``ProductDist.weights()``, built once per distribution.  Their spectral forms,
+kept apart so each can check the other, and the network scatter are the one
+row kernel ``_sensitivity_sum`` of sum_S c_S^2 sum_{i in S} w_i, w = ``ProductDist.inv_var``.
 Conditional entropy and mutual information go through the spectral
 characterization, in bits, on the relevant variables of the mask alone: a
 mask that holds every relevant variable leaves exactly 0 bits, not float noise.
@@ -120,15 +120,9 @@ def influence(f: BoolFn, d: ProductDist, i: int) -> float:
     """Probability that flipping input ``i`` changes the output."""
     check_index(i, f.arity)
     _check_same_arity(f.arity, d)
-    return _influence(f, d.weights(), i)
-
-
-def _influence(f: BoolFn, weights: np.ndarray, i: int) -> float:
-    """Influence of ``i`` given the 2^n assignment weights of the distribution."""
     s = f.bits.reshape(-1, 2, 1 << i)
-    w = weights.reshape(-1, 2, 1 << i)
-    differs = s[:, 0, :] != s[:, 1, :]
-    return float(np.sum((w[:, 0, :] + w[:, 1, :]) * differs))
+    w = d.weights().reshape(-1, 2, 1 << i)
+    return float(np.sum((w[:, 0, :] + w[:, 1, :]) * (s[:, 0, :] != s[:, 1, :])))
 
 
 def influence_spectral(s: Spectrum, i: int) -> float:
@@ -143,8 +137,7 @@ def avg_sensitivity(f: BoolFn, d: ProductDist, mask: SubsetMask | None = None) -
         mask = (1 << f.arity) - 1
     check_mask(mask, f.arity)
     _check_same_arity(f.arity, d)
-    w = d.weights()
-    return _left_sum(_influence(f, w, i) for i in indices_of(mask))
+    return _left_sum(influence(f, d, i) for i in indices_of(mask))
 
 
 def avg_sensitivity_spectral(s: Spectrum, mask: SubsetMask | None = None) -> float:
@@ -334,7 +327,7 @@ def entropy_bounds(s: Spectrum, mask: SubsetMask) -> EntropyBound:
     """Lower/upper bounds 1 - W and (1 - W)^(1/ln 4) around the exact value,
     where W is the squared coefficient weight on subsets of ``mask``."""
     weight = float(np.sum(subset_coeffs(s, mask) ** 2))
-    gap = min(max(1.0 - weight, 0.0), 1.0)
+    gap = _clamp_prob(1.0 - weight)
     return EntropyBound(lower=gap, exact=_cond_entropy_live(s, mask), upper=gap ** INV_LN4)
 
 
@@ -346,7 +339,7 @@ def psi(x: float) -> float:
 
 
 def variance(f: BoolFn, d: ProductDist) -> float:
-    """Var f(X) = 1 - coeff(empty)^2, clamped against float noise."""
+    """Var f(X) = 4 p (1 - p) from p = ``prob_one(f, d)``, clamped against float noise."""
     p1 = _clamp_prob(prob_one(f, d))
     return 4.0 * p1 * (1.0 - p1)
 
@@ -413,12 +406,9 @@ def unate_coefficient_check(s: Spectrum) -> list[tuple[int, float, float]]:
     prof = unateness(s.f)
     if not prof.is_unate:
         raise ValueError("function is not unate")
-    w = s.d.weights()
-    rows = []
-    for i in range(s.arity):
-        a = prof.polarity[i] if prof.polarity[i] is not None else 1
-        rows.append((i, s.coeff(1 << i), a * float(s.d.sigma[i]) * _influence(s.f, w, i)))
-    return rows
+    a = [1 if pol is None else pol for pol in prof.polarity]
+    return [(i, s.coeff(1 << i), a[i] * float(s.d.sigma[i]) * influence(s.f, s.d, i))
+            for i in range(s.arity)]
 
 
 def noise_sensitivity(f: BoolFn, d: ProductDist, eps: float, mode: str = "exact") -> float:
@@ -441,7 +431,7 @@ def noise_sensitivity(f: BoolFn, d: ProductDist, eps: float, mode: str = "exact"
     _check_cap(f.arity, None)
     p, q = d.p, 1.0 - d.p
     wt = _factors(q * (1.0 - eps), q * eps, p * eps, p * (1.0 - eps), p.shape)
-    return max((1.0 - float(np.dot(f.signs, kron_apply(f.signs, wt)))) / 2.0, 0.0)
+    return _clamp_prob((1.0 - float(np.dot(f.signs, kron_apply(f.signs, wt)))) / 2.0)
 
 
 def noise_sensitivity_mc(f: BoolFn, d: ProductDist, eps: float,

@@ -59,6 +59,8 @@ CONSTANTS = {"1": 1, "TRUE": 1, "0": -1, "FALSE": -1}  # upper-cased name: sign
 # The most arguments of a node composed as the OR of its 2^k minterms on
 # packed tables; above it one broadcast gather is cheaper (the measured
 # crossover is in the "Collapse on packed truth tables" entry of CHANGES.md).
+# Only a node that reads another node reaches it, since one that reads distinct
+# inputs alone is reordered, and no benchmark network has one of more than 6 arguments.
 PACKED_MAX_ARGS = 6
 
 

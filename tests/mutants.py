@@ -49,6 +49,8 @@ PACKED_COLLAPSE = ("tests/test_netlang.py::TestPackedCollapse",
 
 MI_ROWS = "tests/test_measures.py::TestMutualInformationRows"
 
+WEIGHTS = "tests/test_boolfn.py::TestProductDist::test_weights_are_built_once_and_read_only"
+
 MUTANTS = (
     Mutant("spread moves a variable one position too far", "boolfn.py",
            "t = _move(t, masks, r, positions[r])",
@@ -198,6 +200,18 @@ MUTANTS = (
            'parts = line.split("#", 1)[0].replace("=", " ").split()',
            ("tests/test_cli.py::TestExitCodes::test_p_file_fields_are_split_on_whitespace_only",
             "tests/test_cli.py::test_p_file_round_trip"), 4),
+    Mutant("assignment weights left writable", "boolfn.py",
+           "return _frozen(_product_weights(self.p))",
+           "return _product_weights(self.p)",
+           (WEIGHTS,), 1),
+    Mutant("weights rebuilt on every call", "boolfn.py",
+           "return self._weights",
+           "return _product_weights(self.p)",
+           (WEIGHTS, "tests/test_measures.py::test_truth_table_measures_share_one_weight_array"), 2),
+    Mutant("noise sensitivity clamps without a budget", "measures.py",
+           "return _clamp_prob((1.0 - float(np.dot(f.signs, kron_apply(f.signs, wt)))) / 2.0)",
+           "return max((1.0 - float(np.dot(f.signs, kron_apply(f.signs, wt)))) / 2.0, 0.0)",
+           ("tests/test_measures.py::TestNoiseSensitivity",), 1),
     Mutant("flag-bounds table skips --top", "cli.py",
            '("L", 0), ("top", 0))',
            '("L", 0))',

@@ -172,6 +172,15 @@ class TestProductDist:
         assert w.shape == (8,)
         assert abs(w.sum() - 1.0) < 1e-12
 
+    def test_weights_are_built_once_and_read_only(self):
+        d = ProductDist((0.3, 0.9, 0.42, 0.05))
+        w = d.weights()
+        assert d.weights() is w
+        assert not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+        assert np.array_equal(w, _product_weights(d.p))
+
     def test_marginal(self):
         d = ProductDist((0.1, 0.2, 0.3))
         assert d.marginal([2, 0]).probs == (0.3, 0.1)

@@ -745,6 +745,14 @@ class TestEntropyBounds:
         assert b.lower <= b.exact + 1e-9
         assert b.exact <= b.upper + 1e-9
 
+    def test_parseval_weight_beyond_the_budget_raises(self, uniform2):
+        f = and_fn(2)
+        coeffs = transform(f, uniform2).coeffs
+        noise = Spectrum(f, uniform2, coeffs * math.sqrt(1.0 + 1e-12))
+        assert entropy_bounds(noise, 0b11).lower == 0.0  # absorbed within CLAMP_BUDGET
+        with pytest.raises(ValueError, match="beyond tolerance"):
+            entropy_bounds(Spectrum(f, uniform2, coeffs * math.sqrt(1.0 + 1e-6)), 0b11)
+
 
 class TestPsi:
     def test_endpoints(self):
@@ -1027,6 +1035,16 @@ class TestNoiseSensitivity:
         with pytest.raises(ValueError):
             noise_sensitivity(and_fn(2), uniform2, 0.6)
 
+    def test_form_beyond_the_budget_raises(self, monkeypatch, uniform2):
+        def kernel(excess):  # a stand-in whose f . (W T) f is 1 + excess
+            return lambda arr, mats: arr * (1.0 + excess) / arr.size
+
+        monkeypatch.setattr(measures, "kron_apply", kernel(1e-12))
+        assert noise_sensitivity(and_fn(2), uniform2, 0.2) == 0.0  # absorbed
+        monkeypatch.setattr(measures, "kron_apply", kernel(1e-6))
+        with pytest.raises(ValueError, match="beyond tolerance"):
+            noise_sensitivity(and_fn(2), uniform2, 0.2)
+
     def test_exact_matches_definitional(self):
         rng = np.random.default_rng(41)
         for _ in range(60):
@@ -1109,6 +1127,30 @@ class TestNoiseSensitivity:
         for samples in (0, -5):
             with pytest.raises(ValueError, match="samples"):
                 noise_sensitivity_mc(and_fn(2), uniform2, 0.2, samples=samples)
+
+
+def test_truth_table_measures_share_one_weight_array(monkeypatch):
+    """``ProductDist.weights()`` builds Pr[X = x] once per distribution, and
+    every truth-table measure of one (f, d) reads that array."""
+    f = and_fn(3)
+    d = ProductDist((0.3, 0.6, 0.8))
+    s = transform(f, d)
+    builds = []
+    original = boolfn._product_weights
+
+    def counted(p):
+        builds.append(p)
+        return original(p)
+
+    monkeypatch.setattr(boolfn, "_product_weights", counted)
+    for i in range(3):
+        influence(f, d, i)
+    avg_sensitivity(f, d)
+    measures.prob_one(f, d)
+    variance(f, d)
+    output_entropy(f, d)
+    unate_coefficient_check(s)
+    assert len(builds) == 1 and builds[0] is d.p
 
 
 def test_variance_matches_spectrum(uniform3):
