@@ -18,7 +18,6 @@ from .boolfn import (
     _check_cap,
     _subset_index,
     kron_apply,
-    sign_rows,
 )
 from .measures import (
     _clamped_mi,
@@ -95,11 +94,11 @@ class BaselineResult:
 
 @dataclass(frozen=True, eq=False)
 class NodeSpectra:
-    """Node spectra of a collapsed network ``c`` under ``d``, grouped by
-    arity k and transformed one group at a time.  Each entry of ``groups`` is
-    (k, rows, idx, coeffs): the group's node indices in definition order,
-    their supports as an (m, k) array, and the (m, 2^k) coefficients, row r
-    equal to ``transform(node.fn, d.marginal(idx[r]))``; compared and hashed by identity."""
+    """Node spectra of a collapsed network ``c`` under ``d``, one group per
+    block of ``c``.  Each entry of ``groups`` is (k, rows, idx, coeffs): the
+    block's node positions in definition order, their supports as an (m, k)
+    array, and the (m, 2^k) coefficients, row r equal to
+    ``transform(node.fn, d.marginal(idx[r]))``; compared and hashed by identity."""
 
     c: CollapsedNetwork
     d: ProductDist
@@ -107,19 +106,14 @@ class NodeSpectra:
 
 
 def node_spectra(c: CollapsedNetwork, d: ProductDist) -> NodeSpectra:
-    """Transform every node of ``c`` under the marginal of ``d`` on its inputs."""
+    """Transform every node of ``c`` under the marginal of ``d`` on its
+    inputs: one ``kron_apply`` per block of ``c``, on its table rows as signs."""
     if d.arity != len(c.inputs):
         raise ValueError(
             f"distribution covers {d.arity} inputs, network declares {len(c.inputs)}")
-    groups: dict[int, list[int]] = {}
-    for i, node in enumerate(c.nodes):
-        groups.setdefault(len(node.support), []).append(i)
-    out = []
-    for k, rows in sorted(groups.items()):
-        idx = np.array([c.nodes[i].support for i in rows], dtype=np.int64).reshape(len(rows), k)
-        signs = sign_rows([c.nodes[i].table for i in rows], k)
-        out.append((k, rows, idx, kron_apply(signs, d._forward[idx].swapaxes(0, 1))))
-    return NodeSpectra(c, d, tuple(out))
+    return NodeSpectra(c, d, tuple(
+        (k, rows, idx, kron_apply(bits * 2.0 - 1.0, d._forward[idx].swapaxes(0, 1)))
+        for k, rows, idx, bits in c.blocks))
 
 
 def determinative_power(s: NodeSpectra) -> RankingResult:
@@ -134,14 +128,14 @@ def determinative_power(s: NodeSpectra) -> RankingResult:
     break lexicographically by input name.
     """
     c, d = s.c, s.d
-    mi = np.zeros((len(c.nodes), max((k for k, *_ in s.groups), default=0)))  # node, input
+    mi = np.zeros((len(c.names), max((k for k, *_ in s.groups), default=0)))  # node, input
     for k, rows, idx, coeffs in s.groups:
         mi[rows, :k] = (_entropy_of_expectations(coeffs[:, :1].copy()) if k == 1 else
                         _mi_single(coeffs[:, :1], coeffs[:, 1 << np.arange(k)], idx, d))
     # accumulate in definition order, then input order, so sums (and ties) are stable
     totals = [0.0] * len(c.inputs)
-    for node, values in zip(c.nodes, _clamped_mi(mi).tolist()):
-        for r, v in zip(node.support, values):
+    for support, values in zip(c.supports, _clamped_mi(mi).tolist()):
+        for r, v in zip(support, values):
             totals[r] += v
     d_values = dict(zip(c.inputs, totals))
     return RankingResult(d_values, tuple(sorted(d_values, key=lambda n: (-d_values[n], n))))
@@ -170,23 +164,23 @@ def uncertainty_curve(s: NodeSpectra, order: tuple[str, ...] | list[str],
     position = {name: l for l, name in enumerate(order[:L])}
     pos = [position.get(name, L) for name in c.inputs]  # by rank; L past the known
     firsts = [np.argsort(np.take(pos, idx), axis=1, kind="stable") for _, _, idx, _ in s.groups]
-    h = np.zeros((len(c.nodes), max((k for k, *_ in s.groups), default=-1) + 1))  # node, j
+    h = np.zeros((len(c.names), max((k for k, *_ in s.groups), default=-1) + 1))  # node, j
     for j in range(h.shape[1] - 1):
         rows, ik, sub = [], [], []
         for (k, g_rows, idx, coeffs), first in zip(s.groups, firsts):
             if k > j:
                 first = np.sort(first[:, :j], axis=1)
-                rows += g_rows
+                rows.append(g_rows)
                 ik.append(np.take_along_axis(idx, first, axis=1))
                 sub.append(np.take_along_axis(coeffs, _subset_index(first), axis=1))
-        h[rows, j] = _entropy_given(np.concatenate(sub), np.concatenate(ik), d)
+        h[np.concatenate(rows), j] = _entropy_given(np.concatenate(sub), np.concatenate(ik), d)
     node_h = h.tolist()
 
     feeds: list[list[int]] = [[] for _ in range(L + 1)]  # nodes by position; L unread
-    for i, node in enumerate(c.nodes):
-        for r in node.support:
+    for i, support in enumerate(c.supports):
+        for r in support:
             feeds[pos[r]].append(i)
-    steps = [0] * len(c.nodes)
+    steps = [0] * len(c.names)
     # A(l) adds the nodes' entropies to 0.0 one at a time, in definition order,
     # on every Python: np.add.accumulate makes those additions, where builtin
     # sum compensates from Python 3.12 on
@@ -208,14 +202,14 @@ def sensitivity_scatter(s: NodeSpectra) -> list[SensitivityRecord]:
     The average sensitivity is ``measures._sensitivity_sum``, w = ``ProductDist.inv_var``.
     """
     c, d = s.c, s.d
-    records: list[SensitivityRecord | None] = [None] * len(c.nodes)
+    records: list[SensitivityRecord | None] = [None] * len(c.names)
     for k, rows, idx, coeffs in s.groups:
         inv_var = d.inv_var[idx]
         p1 = (1.0 + coeffs[:, 0]) / 2.0
         lower = 4.0 * p1 * (1.0 - p1) * np.min(inv_var, axis=1) if k else np.zeros(len(rows))
         avg = _sensitivity_sum(coeffs, inv_var)
-        for r, *values in zip(rows, avg.tolist(), p1.tolist(), lower.tolist()):
-            records[r] = SensitivityRecord(c.nodes[r].name, k, *values)
+        for r, *values in zip(rows.tolist(), avg.tolist(), p1.tolist(), lower.tolist()):
+            records[r] = SensitivityRecord(c.names[r], k, *values)
     return records
 
 

@@ -196,12 +196,6 @@ def evaluate(f: BoolFn, x: Sequence[int]) -> int:
     return 1 if (f.table >> _sign_index(x, f.arity)) & 1 else -1
 
 
-def sign_rows(tables: Sequence[int], arity: int) -> np.ndarray:
-    """Packed tables of one arity as an (m, 2^arity) float64 array of +1/-1
-    values, row r the signs of ``tables[r]``, unpacked in one pass."""
-    return _unpack_tables(tables, arity) * 2.0 - 1.0
-
-
 def _table_bytes(n: int) -> int:
     """Bytes of an n-variable packed table: 2^n bits, and at least one byte."""
     return max(1, (1 << n) + 7 >> 3)
@@ -237,6 +231,14 @@ def _halves(t: int, n: int, j: int) -> tuple[int, int]:
 def _pack_bits(bits: np.ndarray) -> int:
     """A uint8 array of 0/1 values, entry b as bit b of an int."""
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def _pack_rows(bits: np.ndarray) -> list[int]:
+    """``_pack_bits`` of each row of an (m, 2^n) uint8 array, packed in one
+    pass: the inverse of ``_unpack_tables``."""
+    raw = np.packbits(bits, axis=1, bitorder="little")
+    data, width = raw.tobytes(), raw.shape[1]
+    return [int.from_bytes(data[at:at + width], "little") for at in range(0, len(data), width)]
 
 
 # Packed-table surgery.  ``masks`` is ``_low_masks(n)`` for the table's
@@ -311,22 +313,6 @@ def _compact(t: int, keep: Sequence[int], masks: Sequence[int]) -> int:
     for r, p in enumerate(keep):
         if p != r:
             t = _move(t, masks, p, r)
-    return t
-
-
-def _sort_variables(t: int, keys: Sequence[int], masks: Sequence[int]) -> int:
-    """Reorder the variables of t so that their distinct ``keys`` ascend:
-    variable r of the result is the variable of t with the r-th smallest
-    key.  A selection sort of delta swaps: swapping variables i < j
-    exchanges each bit at x_i = +1, x_j = -1 with the bit 2^j - 2^i above."""
-    keys = list(keys)
-    for i in range(len(keys) - 1):
-        j = min(range(i, len(keys)), key=keys.__getitem__)
-        if j != i:
-            keys[i], keys[j] = keys[j], keys[i]
-            delta = (1 << j) - (1 << i)
-            x = (t ^ (t >> delta)) & masks[j] & (masks[i] << (1 << i))
-            t ^= x | (x << delta)
     return t
 
 
@@ -571,14 +557,11 @@ def _subset_index(known: Sequence[int] | np.ndarray) -> np.ndarray:
     """Subset mask of every subset of ``known``, shape (..., j) to (..., 2^j):
     compact bit b of entry c selects ``known[..., b]``."""
     known = np.asarray(known, dtype=np.int64)
-    j = known.shape[-1]
-    compact = np.arange(1 << j, dtype=np.int64)
-    full = np.zeros((*known.shape[:-1], 1 << j), dtype=np.int64)
-    bit = np.empty_like(full)
-    for b in range(j):
-        # into a buffer: a broadcast shift that allocates its result is 2-3x slower
-        np.left_shift((compact >> b) & 1, known[..., b:b + 1], out=bit)
-        full |= bit
+    bits = 1 << known
+    full = np.zeros((*known.shape[:-1], 1 << known.shape[-1]), dtype=np.int64)
+    for b in range(known.shape[-1]):
+        # doubling: entries [2^b, 2^(b+1)) are entries [0, 2^b) with bit b set
+        np.bitwise_or(full[..., :1 << b], bits[..., b:b + 1], out=full[..., 1 << b:2 << b])
     return full
 
 

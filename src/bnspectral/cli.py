@@ -275,7 +275,7 @@ def cmd_analyze(args) -> int:
                                                       in zip(c.inputs, d.probs)}},
             "counts": {
                 "inputs": len(c.inputs),
-                "nodes": len(c.nodes),
+                "nodes": len(c.names),
                 "effective_inputs": len(eff),
                 "non_effective_inputs": len(non_eff),
                 "constants": len(c.constants),

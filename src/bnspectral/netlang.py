@@ -17,17 +17,19 @@ appearing on a left-hand side are inputs; an optional ``@inputs`` header,
 a line whose first token is ``@inputs``, pins their order.  Definitions may
 only reference inputs and previously defined nodes (no feedback).
 
-Collapse re-expresses every node over the inputs on packed truth tables,
-the ``boolfn`` layout.  A node that reads only distinct inputs has its
-table's variables swapped into ascending input order.  For any other node,
-each argument's table is spread to the node's support and the node's table
-is applied to them as the OR of its minterms, with big-int operations only;
-over ``PACKED_MAX_ARGS`` arguments, by one broadcast gather on unpacked
-tables.  Either way the result is cut to the inputs it depends on.  From
-``localize`` on, a node is a packed Python-int table over its argument
-names, or once collapsed over its support, the ascending ranks of the
-inputs it depends on; a collapsed node's input names and ``BoolFn`` are
-built on first read.
+Collapse re-expresses every node over the inputs, cut to the inputs it
+depends on.  The first-layer nodes, those that read only distinct inputs,
+are collapsed together per argument count on unpacked table rows: one
+gather sorts their variables into ascending input order and one index per
+relevant mask prunes them.  For any other node, each argument's table is
+spread to the node's support and the node's table is applied to them as
+the OR of its minterms on packed tables, with big-int operations only; over
+``PACKED_MAX_ARGS`` arguments, by one broadcast gather on unpacked tables.
+From ``localize`` on, a node is a packed Python-int table over its argument
+names.  A collapsed network is one block per arity: node positions, input
+ranks and table rows as arrays, which ``analysis.node_spectra`` transforms
+as they are.  Per-node records, with input names and ``BoolFn``, are built
+on first read.
 """
 
 from __future__ import annotations
@@ -35,21 +37,25 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
+from itertools import chain, repeat
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .boolfn import (
+    ARITY_CAP_DEFAULT,
     BoolFn,
     _check_cap,
     _compact,
     _compose,
+    _frozen,
     _low_masks,
     _pack_bits,
+    _pack_rows,
     _relevant_mask,
-    _sort_variables,
     _spread,
+    _subset_index,
     _unpack_tables,
     indices_of,
 )
@@ -59,8 +65,9 @@ CONSTANTS = {"1": 1, "TRUE": 1, "0": -1, "FALSE": -1}  # upper-cased name: sign
 # The most arguments of a node composed as the OR of its 2^k minterms on
 # packed tables; above it one broadcast gather is cheaper (the measured
 # crossover is in the "Collapse on packed truth tables" entry of CHANGES.md).
-# Only a node that reads another node reaches it, since one that reads distinct
-# inputs alone is reordered, and no benchmark network has one of more than 6 arguments.
+# Only a node that reads another node, or an input twice, reaches it: a
+# first-layer node is collapsed in its block at any argument count.  No
+# benchmark network has a definition of more than 6 arguments.
 PACKED_MAX_ARGS = 6
 
 
@@ -338,15 +345,42 @@ class CollapsedNode:
         return BoolFn(len(self.support), self.inputs, self.table)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CollapsedNetwork:
+    """A collapsed network as one read-only block (k, rows, supports, bits)
+    per arity k, ascending: the definition positions of the nodes that
+    depend on k inputs, ascending; their ascending input ranks as an (m, k)
+    int64 array; their tables as (m, 2^k) uint8 rows, bit b in column b.
+    Per-node views are built the first time they are read.  Compared and
+    hashed by identity, as the blocks are arrays."""
+
     inputs: tuple[str, ...]
-    nodes: tuple[CollapsedNode, ...]
+    names: tuple[str, ...]
+    blocks: tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray], ...]
+
+    @cached_property
+    def supports(self) -> tuple[tuple[int, ...], ...]:
+        """Each node's input ranks, in definition order."""
+        out: list[tuple[int, ...]] = [()] * len(self.names)
+        for _, rows, supports, _ in self.blocks:
+            for r, support in zip(rows.tolist(), supports.tolist()):
+                out[r] = tuple(support)
+        return tuple(out)
+
+    @cached_property
+    def nodes(self) -> tuple[CollapsedNode, ...]:
+        tables = [0] * len(self.names)
+        for _, rows, _, bits in self.blocks:
+            for r, table in zip(rows.tolist(), _pack_rows(bits)):
+                tables[r] = table
+        return tuple(CollapsedNode(*node, self.inputs)
+                     for node in zip(self.names, self.supports, tables))
 
     @property
     def constants(self) -> tuple[tuple[str, int], ...]:
-        return tuple((n.name, 1 if n.table & 1 else -1)
-                     for n in self.nodes if not n.support)
+        return tuple((self.names[r], 1 if bit else -1)
+                     for k, rows, _, bits in self.blocks if k == 0
+                     for r, bit in zip(rows.tolist(), bits[:, 0].tolist()))
 
 
 def _eval_expr_table(expr: Expr, columns: Mapping[str, int], full: int) -> int:
@@ -376,29 +410,109 @@ def localize(net: Network, cap: int | None = None) -> LocalNetwork:
 
 
 def collapse_local(ln: LocalNetwork, cap: int | None = None) -> CollapsedNetwork:
-    """Express every node over input-layer variables only.
+    """Express every node over input-layer variables only, as blocks.
 
-    Proceeds in definition order on packed truth tables, from every input as
-    the identity table ``0b10`` over itself.  A node's support is the union
-    of its arguments' relevant input ranks (reported if over the cap).  A
-    node whose arguments are all distinct inputs, or nodes equal to one,
-    needs no composition: its own table is reordered into ascending rank
-    order by variable swaps.  Otherwise each argument's table is spread to
-    that support, and the node's own table is evaluated on them as the OR
-    of its minterms, or for more than ``PACKED_MAX_ARGS`` arguments by one
-    broadcast gather on unpacked tables.  The result is cut to the ranks it depends on and kept
-    so: a node's input names and ``BoolFn`` are built only where they are
-    read.
+    A first-layer node, one whose arguments are distinct inputs, needs no
+    composition: its support is its arguments (reported if over the cap),
+    and the first-layer nodes of each argument count are collapsed together
+    by ``_first_layer``, in NumPy calls per group, not per node.  Every
+    other node is collapsed after them, in definition order, by
+    ``_collapse_deeper``.  Each result joins its arity's block in definition
+    order.  A cap error or an unknown name is the first offending node's in
+    definition order.
     """
+    nodes = ln.nodes
+    rank = {name: r for r, name in enumerate(ln.inputs)}
+    args = [node.args for node in nodes]
+    count = np.fromiter(map(len, args), np.int64, len(nodes))
+    flat = np.fromiter(map(rank.get, chain.from_iterable(args), repeat(-1)), np.int64,
+                       int(count.sum()))  # argument ranks, -1 for a name not an input
+    start = np.cumsum(count) - count  # each node's first argument in flat
+    # first layer: no argument repeated, and every argument an input
+    first = np.fromiter(map(len, map(set, args)), np.int64, len(nodes)) == count
+    first[np.repeat(np.arange(len(nodes)), count)[flat < 0]] = False
+    limit = ARITY_CAP_DEFAULT if cap is None else cap
+    stop = min(np.flatnonzero(first & (count > limit)).tolist(), default=len(nodes))
+    first[stop:] = False  # nothing from the first node over the cap on
+
+    pieces: dict[int, list[tuple[np.ndarray, ...]]] = {}  # (rows, supports, bits) by arity
+    for k in sorted(set(count[first].tolist())):
+        rows = np.flatnonzero(first & (count == k))
+        ranks = flat[start[rows, None] + np.arange(k)]
+        bits = _unpack_tables([nodes[i].table for i in rows.tolist()], k)
+        for piece in _first_layer(rows, ranks, bits):
+            pieces.setdefault(piece[1].shape[1], []).append(piece)
+    _collapse_deeper(ln, np.flatnonzero(~first[:stop]).tolist(), pieces, cap)
+    if stop < len(nodes):
+        _check_cap(len(nodes[stop].args), cap, nodes[stop].name)
+    blocks = []
+    for k in sorted(pieces):
+        rows, supports, bits = (np.concatenate(part) for part in zip(*pieces[k]))
+        order = np.argsort(rows, kind="stable")
+        blocks.append((k, *(_frozen(part[order]) for part in (rows, supports, bits))))
+    return CollapsedNetwork(ln.inputs, tuple(node.name for node in nodes), tuple(blocks))
+
+
+def _first_layer(rows: np.ndarray, ranks: np.ndarray, bits: np.ndarray):
+    """Collapse the first-layer nodes at positions ``rows`` that read k
+    inputs each: their (m, k) argument ranks and (m, 2^k) tables.  One
+    gather sorts every row's variables by rank; a variable is relevant where
+    the two halves of the table along its axis differ; the rows of each
+    relevant mask are cut to their relevant variables by that mask's cached
+    compaction index.  Yields (rows, supports, bits) per relevant mask."""
+    m, k = ranks.shape
+    # stable, the sort uncertainty_curve runs: the default sort's first call
+    # added about 0.4 MB to the resident set of a benchmark process
+    order = np.argsort(ranks, axis=1, kind="stable")
+    ranks = np.take_along_axis(ranks, order, axis=1)
+    bits = np.take_along_axis(bits, _subset_index(order), axis=1)
+    rel = np.zeros(m, dtype=np.int64)
+    for j in range(k):
+        halves = bits.reshape(m, -1, 2, 1 << j)
+        rel |= (halves[:, :, 0] != halves[:, :, 1]).any(axis=(1, 2)) << j
+    for mask in sorted(set(rel.tolist())):
+        sel = np.flatnonzero(rel == mask)
+        kept, index = _kept(mask)
+        yield rows[sel], ranks[sel][:, kept], bits[sel][:, index]
+
+
+@lru_cache(maxsize=256)
+def _kept(mask: int) -> tuple[np.ndarray, np.ndarray]:
+    """The positions of the variables in ``mask``, and the index that cuts a
+    table that depends on no other variable to them.  The 256 held masks
+    cover every mask of up to 8 variables, the widest the benchmark
+    networks reach; the index of r variables holds 2^r int64s."""
+    kept = np.array(indices_of(mask), dtype=np.int64)
+    return _frozen(kept), _frozen(_subset_index(kept))
+
+
+def _collapse_deeper(ln: LocalNetwork, deeper: list[int],
+                     pieces: dict[int, list[tuple[np.ndarray, ...]]], cap: int | None) -> None:
+    """Collapse the nodes at positions ``deeper`` in order by
+    ``_collapse_node``, from their arguments' (input ranks, packed table),
+    and add them to ``pieces``.  An input is the identity table ``0b10``
+    over its rank; the first-layer rows in ``pieces`` are packed back to
+    ints, one pass per piece.  A name that is neither an input nor an
+    earlier node is refused."""
+    if not deeper:
+        return
     memo = {name: ((r,), 0b10) for r, name in enumerate(ln.inputs)}
-    out = []
-    for node in ln.nodes:
+    for rows, supports, bits in (piece for group in pieces.values() for piece in group):
+        for i, support, table in zip(rows.tolist(), supports.tolist(), _pack_rows(bits)):
+            memo[ln.nodes[i].name] = tuple(support), table
+    position = {node.name: i for i, node in enumerate(ln.nodes)}
+    done: dict[int, list[tuple[int, tuple[int, ...], int]]] = {}  # by arity
+    for i in deeper:
+        node = ln.nodes[i]
         for a in node.args:
-            if a not in memo:
+            if a not in memo or position.get(a, -1) >= i:
                 raise ValueError(f"node {node.name!r} references unknown name {a!r}")
-        memo[node.name] = _collapse_node(node, [memo[a] for a in node.args], cap)
-        out.append(CollapsedNode(node.name, *memo[node.name], ln.inputs))
-    return CollapsedNetwork(ln.inputs, tuple(out))
+        support, table = memo[node.name] = _collapse_node(node, [memo[a] for a in node.args], cap)
+        done.setdefault(len(support), []).append((i, support, table))
+    for k, results in done.items():
+        rows, supports, tables = zip(*results)
+        pieces.setdefault(k, []).append((np.array(rows), np.array(supports, dtype=np.int64)
+                                         .reshape(len(rows), k), _unpack_tables(tables, k)))
 
 
 def _collapse_node(node: LocalNode, subs: list[tuple[Sequence[int], int]],
@@ -410,12 +524,7 @@ def _collapse_node(node: LocalNode, subs: list[tuple[Sequence[int], int]],
     n = len(support)
     _check_cap(n, cap, node.name)
     masks = _low_masks(n)
-    # an input, or a node equal to one, is the identity table 0b10 over its rank
-    ranks = [s[0] for s, t in subs if t == 0b10 and len(s) == 1]
-    if len(ranks) == n == len(subs):
-        # every argument is a distinct input: reorder, nothing to compose
-        table = _sort_variables(node.table, ranks, masks)
-    elif len(node.args) <= PACKED_MAX_ARGS:
+    if len(node.args) <= PACKED_MAX_ARGS:
         position = {r: i for i, r in enumerate(support)}
         columns = [_spread(t, [position[r] for r in sub_support], masks)
                    for sub_support, t in subs]
@@ -444,7 +553,7 @@ def collapse(net: Network, cap: int | None = None) -> CollapsedNetwork:
 
 def effective_inputs(c: CollapsedNetwork) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Split declared inputs by membership in some node's relevant set."""
-    used = set().union(*(node.support for node in c.nodes))
+    used = set().union(*c.supports)
     return (tuple(name for r, name in enumerate(c.inputs) if r in used),
             tuple(name for r, name in enumerate(c.inputs) if r not in used))
 

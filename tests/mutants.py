@@ -47,6 +47,8 @@ class Mutant(NamedTuple):
 PACKED_COLLAPSE = ("tests/test_netlang.py::TestPackedCollapse",
                    "tests/test_netlang.py::TestOracles::test_localize_and_collapse_match")
 
+BLOCKS = ("tests/test_netlang.py::TestBlocks",)
+
 MI_ROWS = "tests/test_measures.py::TestMutualInformationRows"
 
 WEIGHTS = "tests/test_boolfn.py::TestProductDist::test_weights_are_built_once_and_read_only"
@@ -57,13 +59,21 @@ MUTANTS = (
            "t = _move(t, masks, r, positions[r] + 1)",
            PACKED_COLLAPSE, 3),
     Mutant("first-layer path skips the rank sort", "netlang.py",
-           "table = _sort_variables(node.table, ranks, masks)",
-           "table = node.table",
-           PACKED_COLLAPSE, 5),
+           "bits = np.take_along_axis(bits, _subset_index(order), axis=1)",
+           "bits = bits",
+           PACKED_COLLAPSE + BLOCKS, 7),
     Mutant("first-layer path skips the prune", "netlang.py",
-           "table = _sort_variables(node.table, ranks, masks)",
-           "return support, _sort_variables(node.table, ranks, masks)",
-           PACKED_COLLAPSE, 5),
+           "kept, index = _kept(mask)",
+           "kept, index = _kept((1 << k) - 1)",
+           PACKED_COLLAPSE + BLOCKS, 7),
+    Mutant("block rows put back out of definition order", "netlang.py",
+           'order = np.argsort(rows, kind="stable")',
+           "order = np.arange(len(rows))",
+           PACKED_COLLAPSE + BLOCKS, 6),
+    Mutant("relevant-by-halves compares the wrong axis", "netlang.py",
+           "halves = bits.reshape(m, -1, 2, 1 << j)",
+           "halves = bits.reshape(m, 1 << j, 2, -1)",
+           PACKED_COLLAPSE + BLOCKS, 6),
     Mutant("spread swaps its two literal cases", "boolfn.py",
            "if t == 0b10 else masks[p]",
            "if t == 0b01 else masks[p]",
@@ -128,8 +138,8 @@ MUTANTS = (
            ("tests/test_measures.py::TestSubsetSums", "tests/test_measures.py::TestInfluence",
             "tests/test_analysis.py::TestAgainstPerNodeMeasures::test_sensitivity_scatter"), 4),
     Mutant("unpacker reads bits big-endian", "boolfn.py",
-           'axis=1, bitorder="little")',
-           'axis=1, bitorder="big")',
+           'nbytes), axis=1, bitorder="little")',
+           'nbytes), axis=1, bitorder="big")',
            ("tests/test_boolfn.py::TestSignRows",
             "tests/test_boolfn.py::TestBoolFn::test_hex_and_unpacker_round_trip"), 2),
     Mutant("inv_var drops the square", "boolfn.py",

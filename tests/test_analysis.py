@@ -517,24 +517,24 @@ class TestBaselines:
 
 
 class TestSinglePass:
-    """Each network is transformed once: ``sign_rows`` runs once per distinct
-    collapsed arity, over every node once, for an ``analyze`` and for each
+    """Each network is transformed once: ``kron_apply`` runs once per
+    collapsed block, over every node once, for an ``analyze`` and for each
     baseline trial, however many analyses read the spectra."""
 
     @staticmethod
-    def count_sign_rows(monkeypatch) -> list[int]:
+    def count_transforms(monkeypatch) -> list[int]:
         calls = []
-        real = analysis.sign_rows
+        real = analysis.kron_apply
 
-        def sign_rows(tables, arity):
-            calls.append(len(tables))
-            return real(tables, arity)
+        def kron_apply(signs, mats):
+            calls.append(len(signs))
+            return real(signs, mats)
 
-        monkeypatch.setattr(analysis, "sign_rows", sign_rows)
+        monkeypatch.setattr(analysis, "kron_apply", kron_apply)
         return calls
 
     def test_analyze(self, monkeypatch, tmp_path, capsys):
-        calls = self.count_sign_rows(monkeypatch)
+        calls = self.count_transforms(monkeypatch)
         path = tmp_path / "net.bnet"
         path.write_text(to_text(toy_network()) + "n5 = c OR d\nn6 = b AND NOT d\n")
         assert main(["analyze", str(path), "--svg", "--out", str(tmp_path / "out")]) == 0
@@ -548,7 +548,7 @@ class TestSinglePass:
 
     @pytest.mark.parametrize("mode", BASELINE_MODES)
     def test_baseline_trials(self, monkeypatch, mode):
-        calls = self.count_sign_rows(monkeypatch)
+        calls = self.count_transforms(monkeypatch)
         arities, nodes = [], []
         real = analysis.collapse_local
 

@@ -21,7 +21,6 @@ from bnspectral.boolfn import (
     _low_masks,
     _pack_bits,
     _product_weights,
-    _sort_variables,
     _subset_entries,
     _subset_index,
     _unpack_tables,
@@ -35,7 +34,6 @@ from bnspectral.boolfn import (
     reconstruct,
     reconstruct_table,
     relevant_variables,
-    sign_rows,
     transform,
 )
 from bnspectral.reference import (
@@ -231,6 +229,9 @@ class TestBasis:
 
 
 class TestSignRows:
+    """Packed tables unpacked as the uint8 rows of a collapsed block, and
+    their signs as ``node_spectra`` forms them."""
+
     def test_rows_match_signs(self):
         rng = np.random.default_rng(5)
         for k in range(0, 7):
@@ -239,8 +240,7 @@ class TestSignRows:
             bits = np.array([[(t >> b) & 1 for b in range(1 << k)] for t in tables])
             assert np.array_equal(_unpack_tables(tables, k), bits)
             assert np.array_equal(np.stack([f.bits for f in fns]), bits)
-            assert np.array_equal(sign_rows(tables, k), np.stack([f.signs for f in fns]))
-            assert np.array_equal(sign_rows(tables, k), bits * 2.0 - 1.0)
+            assert np.array_equal(np.stack([f.signs for f in fns]), bits * 2.0 - 1.0)
 
 
 def _yates_2x2(arr: np.ndarray, mats) -> np.ndarray:
@@ -679,7 +679,13 @@ def test_mask_of_round_trip():
 
 
 class TestSortVariables:
-    """``_sort_variables`` against ``np.transpose`` of the unpacked bits."""
+    """A table gathered at ``_subset_index`` of its keys' argsort has its
+    variables sorted by key, as ``np.transpose`` of the unpacked bits has:
+    the gather that sorts first-layer nodes in collapse."""
+
+    @staticmethod
+    def gathered(f: BoolFn, keys) -> int:
+        return BoolFn.from_bit_array(f.bits[_subset_index(np.argsort(keys))]).table
 
     @staticmethod
     def transposed(f: BoolFn, keys) -> int:
@@ -695,14 +701,13 @@ class TestSortVariables:
             for perm in itertools.permutations(range(n)):
                 keys = [3 * k + 2 for k in perm]  # distinct, not 0..n-1
                 f = random_bool_fn(rng, n)
-                assert _sort_variables(f.table, keys, _low_masks(n)) == self.transposed(f, keys)
+                assert self.gathered(f, keys) == self.transposed(f, keys)
 
     @pytest.mark.parametrize("n", [5, 8, 12, HELD_MASKS_MAX_ARITY,
                                    HELD_MASKS_MAX_ARITY + 1, 18])
     def test_random_permutations(self, n):
-        # above HELD_MASKS_MAX_ARITY each mask is built when it is read
         rng = np.random.default_rng(n)
         for _ in range(3):
             keys = rng.permutation(4 * n)[:n]
             f = random_bool_fn(rng, n)
-            assert _sort_variables(f.table, keys, _low_masks(n)) == self.transposed(f, keys)
+            assert self.gathered(f, keys) == self.transposed(f, keys)

@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bnspectral
@@ -533,6 +533,9 @@ class TestMutualInformation:
 
     @settings(max_examples=60, deadline=None)
     @given(fn_dist_pairs(1, 8))
+    # a AND b with c irrelevant: MI(f; x_c) is 0, and the full mask holds
+    # every relevant variable plus an irrelevant one
+    @example((BoolFn.from_hex("88", ("a", "b", "c")), ProductDist((0.3, 0.6, 0.8))))
     def test_chain_bound(self, pair):
         s = transform(*pair)
         total = mutual_information(s, (1 << s.arity) - 1)

@@ -1,5 +1,6 @@
 """DSL parsing, network validation, and collapse."""
 
+import hashlib
 import re
 import sys
 from typing import Sequence
@@ -18,7 +19,6 @@ from bnspectral.boolfn import (
     ProductDist,
     _spread,
     _subset_index,
-    _unpack_tables,
     default_labels,
     evaluate,
     relevant_variables,
@@ -311,7 +311,7 @@ class TestCollapseSoundness:
                 trial = _exchanged_local(ln.inputs, _random_topology_local(ln.inputs, names, rng),
                                          rng, unate)
             c = collapse_local(trial)
-            assert c == collapse_local_spread(trial)
+            assert_collapses_as_oracle(c, trial)
             assert_matches_node_tables(c, as_network(trial))
             support = {name: {name} for name in trial.inputs}
             for local, node in zip(trial.nodes, c.nodes):
@@ -418,9 +418,10 @@ def localize_columns(net: Network) -> LocalNetwork:
     return LocalNetwork(net.inputs, tuple(nodes))
 
 
-def collapse_local_spread(ln: LocalNetwork) -> CollapsedNetwork:
+def collapse_local_spread(ln: LocalNetwork) -> tuple[CollapsedNode, ...]:
     """Each argument's table spread over the node's support with
-    ``np.broadcast_to`` and packed into an index, one argument at a time."""
+    ``np.broadcast_to`` and packed into an index, one argument at a time;
+    one node record per definition."""
     rank = {name: i for i, name in enumerate(ln.inputs)}
     memo = {name: ((name,), np.arange(2, dtype=np.uint8)) for name in ln.inputs}
     nodes = []
@@ -443,7 +444,22 @@ def collapse_local_spread(ln: LocalNetwork) -> CollapsedNetwork:
         memo[node.name] = (fn.labels, bits)
         nodes.append(CollapsedNode(node.name, tuple(map(rank.__getitem__, fn.labels)),
                                    fn.table, ln.inputs))
-    return CollapsedNetwork(ln.inputs, tuple(nodes))
+    return tuple(nodes)
+
+
+def assert_collapses_as_oracle(c: CollapsedNetwork, ln: LocalNetwork) -> None:
+    """``c`` holds the oracle's nodes, as read-only blocks of ascending
+    arity whose rows are node positions in definition order."""
+    assert c.nodes == collapse_local_spread(ln)
+    assert c.names == tuple(node.name for node in ln.nodes)
+    assert [k for k, *_ in c.blocks] == sorted({len(s) for s in c.supports})
+    assert sorted(r for _, rows, _, _ in c.blocks for r in rows.tolist()) == list(
+        range(len(ln.nodes)))
+    for k, rows, supports, bits in c.blocks:
+        assert rows.dtype == supports.dtype == np.int64 and bits.dtype == np.uint8
+        assert supports.shape == (len(rows), k) and bits.shape == (len(rows), 1 << k)
+        assert np.all(np.diff(rows) > 0)
+        assert not any(a.flags.writeable for a in (rows, supports, bits))
 
 
 WHITESPACE = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
@@ -703,7 +719,7 @@ class TestOracles:
             net = random_network(rng, max_inputs=8, max_nodes=12, max_depth=4)
             ln = localize(net)
             assert ln == localize_columns(net)
-            assert collapse_local(ln) == collapse_local_spread(ln)
+            assert_collapses_as_oracle(collapse_local(ln), ln)
             nullary += sum(not node.args for node in ln.nodes)
             constants += sum("Const(" in repr(expr) for _, expr in net.defs)
         assert nullary and constants
@@ -743,21 +759,21 @@ class TestPackedCollapse:
         for _ in range(30):
             ln = random_local_network(rng, int(rng.integers(1, 15)), 10, PACKED_MAX_ARGS + 3)
             want, got = collapse_local_spread(ln), collapse_local(ln)
-            assert got == want
-            assert_matches_node_tables(want, as_network(ln))
+            assert_collapses_as_oracle(got, ln)
+            assert_matches_node_tables(got, as_network(ln))
             assert_derived_attributes(got)
             wide = {node.name for node in ln.nodes if len(node.args) > PACKED_MAX_ARGS}
             edges |= {(a in wide, node.name in wide)
                       for node in ln.nodes for a in node.args if a.startswith("n")}
             support = {name: {name} for name in ln.inputs}
             union = {}
-            for node, collapsed in zip(ln.nodes, want.nodes):
+            for node, collapsed in zip(ln.nodes, want):
                 union[node.name] = len(set().union(*(support[a] for a in node.args)))
                 support[node.name] = set(collapsed.inputs)
             for cap in outcomes:
                 over = [name for name, size in union.items() if size > cap]
                 if not over:
-                    assert collapse_local(ln, cap) == want
+                    assert collapse_local(ln, cap).nodes == want
                     outcomes[cap].add("collapsed")
                     continue
                 with pytest.raises(ArityCapError) as err:
@@ -783,7 +799,7 @@ class TestPackedCollapse:
                   LocalNode("q", three, 0x5A)]  # a0 XOR a2
         ln = LocalNetwork(inputs, tuple(nodes))
         c = collapse_local(ln)
-        assert c == collapse_local_spread(ln)
+        assert_collapses_as_oracle(c, ln)
         assert_matches_node_tables(c, as_network(ln))
         assert_derived_attributes(c)
         assert [len(node.inputs) for node in c.nodes[3:]] == [len(inputs)] * 2 + [12]
@@ -799,12 +815,11 @@ class TestPackedCollapse:
             collapse_local(ln)
 
     def test_first_layer_forms(self, monkeypatch):
-        """A node whose arguments are all distinct inputs, or nodes equal to
-        one, is reordered and pruned with no spread and no gather: with no
-        arguments, with more than ``PACKED_MAX_ARGS`` unordered ones, or
-        with irrelevant ones.  A repeated input takes the general path, and
-        so does ``mixed``, whose two literal arguments are as many as its
-        distinct inputs while its arguments are three."""
+        """A node whose arguments are all distinct inputs is collapsed in its
+        fan-in block, with no spread and no gather: with no arguments, with
+        more than ``PACKED_MAX_ARGS`` unordered ones, or with irrelevant
+        ones.  A repeated input takes the general path, as do ``mixed`` and
+        ``via``, which read nodes equal to an input or its negation."""
         rng = np.random.default_rng(49)
         inputs = tuple(f"x{i}" for i in range(PACKED_MAX_ARGS + 3))
         unordered = tuple(str(a) for a in rng.permutation(inputs))
@@ -817,20 +832,21 @@ class TestPackedCollapse:
                  LocalNode("id3", ("x3",), 0b10),
                  LocalNode("via", ("id3", "x2"), 0b0110))  # x2 XOR x3
         ln = LocalNetwork(inputs, nodes)
-        want = collapse_local_spread(ln)
-        general = []
+        general, spreads = [], []
+        real = netlang._collapse_node
+        monkeypatch.setattr(netlang, "_collapse_node", lambda node, subs, cap: (
+            general.append(node.name) or real(node, subs, cap)))
         monkeypatch.setattr(netlang, "_spread", lambda t, positions, masks: (
-            general.append(t) or _spread(t, positions, masks)))
-        monkeypatch.setattr(netlang, "_unpack_tables", lambda tables, n: (
-            general.append(n) or _unpack_tables(tables, n)))
+            spreads.append(t) or _spread(t, positions, masks)))
         c = collapse_local(ln)
-        assert c == want
+        assert_collapses_as_oracle(c, ln)
         assert_matches_node_tables(c, as_network(ln))
         assert_derived_attributes(c)
         assert [node.inputs for node in c.nodes[3:]] == [
             ("x4",), ("x0",), ("x0", "x1"), ("x3",), ("x2", "x3")]
-        # the 3 spreads of rep, the 3 of mixed, and nothing else
-        assert len(general) == 6
+        assert general == ["rep", "mixed", "via"]
+        # the 3 spreads of rep, the 3 of mixed, the 2 of via
+        assert len(spreads) == 8
 
     def test_cap_on_a_first_layer_node(self):
         """The cap is checked on a first-layer node's support before its
@@ -850,12 +866,12 @@ class TestPackedCollapse:
         baseline trials in each mode, collapse as the oracle does."""
         net = parse(netgen().generate(1))
         ln = localize(net)
-        assert collapse_local(ln) == collapse_local_spread(ln)
+        assert_collapses_as_oracle(collapse_local(ln), ln)
         trials = []
 
         def checked(trial, cap=None):
             got = collapse_local(trial, cap)
-            assert got == collapse_local_spread(trial)
+            assert_collapses_as_oracle(got, trial)
             trials.append(trial)
             return got
 
@@ -864,3 +880,99 @@ class TestPackedCollapse:
             analysis.baseline_curves(net, analysis.BaselineSpec(mode, 5, 1),
                                      ProductDist.uniform(len(net.inputs)))
         assert len(trials) == 20
+
+
+class TestBlocks:
+    """First-layer nodes are collapsed per fan-in group into arity blocks,
+    deeper nodes one at a time; every form lands in its block with the
+    bits the per-node collapse gave (recorded from it)."""
+
+    FORMS = (
+        ("zero", (), 0x0),  # arity 0, constant -1
+        ("one", (), 0x1),  # arity 0, constant +1
+        ("cut0", ("x3", "x1"), 0xF),  # first layer, pruned to no variable
+        ("cut1", ("x4", "x2"), 0xA),  # first layer, pruned to x4
+        ("nine", ("x4", "x3", "x9", "x5", "x1", "x2", "x8", "x7", "x6"),
+         0x5415B4772EF63F2465B69C54A0527336FC973612B036A37B441655A1A7841C6D
+         << 256 | 0x6700E667034FC8438E3A5582F5AEA09E10A58C70ABD3B237A59CC4AA4756AF3F),
+        ("id5", ("x5",), 0x2),  # equal to an input
+        ("reader", ("id5", "x7", "x6"), 0x86),  # reads it
+        ("rep", ("x8", "x8", "x9"), 0xDC),  # a repeated input
+        ("wide", ("cut1", "nine", "x0", "x1", "x2", "x3", "x4"),  # over PACKED_MAX_ARGS
+         0xFC0D00A24C4075A21C887F98FFF6EDF9),
+    )
+    WANT = (
+        ("zero", (), 0x0),
+        ("one", (), 0x1),
+        ("cut0", (), 0x1),
+        ("cut1", (4,), 0x2),
+        ("nine", tuple(range(1, 10)),
+         0x478D276E5CD00470BF8E831F7309AD676B95896FB3667A0922C56518D960C52B
+         << 256 | 0x33F106FC1ECA276785C11FA96342039B41C90BD088E6BF3012F618B513FBD7B1),
+        ("id5", (5,), 0x2),
+        ("reader", (5, 6, 7), 0x92),
+        ("rep", (8, 9), 0xE),
+        ("wide", tuple(range(10)),
+         0x93024EF683028EFF924B4CE7830B8CE7C2424EFFC3028CFE92028EE6C34A8EFE
+         << 768 | 0x93424CF6C34A8EFEC2028EFF92438EE683034EF6930A8CE7D24A8EE7D30A8EEE
+         << 512 | 0x82024CE683034CF782434EEF83028EFEC30A4EE682424EE693028EEF83024CEE
+         << 256 | 0x930A4EE683424CE7C34B4EFFC2428CE782034CFF824B4CF682024CEED2024CE6),
+    )
+
+    def test_every_form(self, monkeypatch):
+        assert len(self.WANT[-1][1]) > PACKED_MAX_ARGS
+        ln = LocalNetwork(tuple(f"x{i}" for i in range(10)),
+                          tuple(LocalNode(*form) for form in self.FORMS))
+        general = []
+        real = netlang._collapse_node
+        monkeypatch.setattr(netlang, "_collapse_node", lambda node, subs, cap: (
+            general.append(node.name) or real(node, subs, cap)))
+        c = collapse_local(ln)
+        assert_collapses_as_oracle(c, ln)
+        assert_matches_node_tables(c, as_network(ln))
+        assert [(n.name, n.support, n.table) for n in c.nodes] == list(self.WANT)
+        assert general == ["reader", "rep", "wide"]
+        assert c.constants == (("zero", -1), ("one", 1), ("cut0", 1))
+        assert [(k, rows.tolist()) for k, rows, _, _ in c.blocks] == [
+            (0, [0, 1, 2]), (1, [3, 5]), (2, [7]), (3, [6]), (9, [4]), (10, [8])]
+        assert c.supports == tuple(support for _, support, _ in self.WANT)
+
+    def test_errors_come_in_definition_order(self):
+        """A deeper node's error comes before a later first-layer node's,
+        though first-layer nodes are collapsed first, and a node defined
+        later is an unknown name even when it is a first-layer node."""
+        inputs = tuple(f"x{i}" for i in range(4))
+        over = LocalNode("over", inputs, 1)  # first layer, 4 inputs
+        ln = LocalNetwork(inputs, (LocalNode("a", ("x0", "x1"), 0x6),
+                                   LocalNode("b", ("a", "x2", "x3"), 0x96), over))
+        with pytest.raises(ArityCapError) as err:
+            collapse_local(ln, cap=3)
+        assert (err.value.name, err.value.arity) == ("b", 4)
+        ln = LocalNetwork(inputs, (LocalNode("d", ("later", "x0"), 0x6), over,
+                                   LocalNode("later", ("x1",), 0b10)))
+        with pytest.raises(ValueError, match="node 'd' references unknown name 'later'"):
+            collapse_local(ln, cap=3)
+
+    def test_netgen_blocks_keep_their_bits(self):
+        """The blocks of the seed-1 benchmark network and of 3 baseline
+        trials per mode hash as the per-node collapse's did, regrouped by
+        arity in definition order."""
+        digest = hashlib.sha256()
+        real = analysis.collapse_local
+
+        def hashed(ln, cap=None):
+            c = real(ln, cap)
+            for k, rows, supports, bits in c.blocks:
+                for part in (repr(k).encode(), rows, supports, bits):
+                    digest.update(part)
+            return c
+
+        net = parse(netgen().generate(1))
+        hashed(localize(net))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "collapse_local", hashed)
+            for mode in analysis.BASELINE_MODES:
+                analysis.baseline_curves(net, analysis.BaselineSpec(mode, 3, 1),
+                                         ProductDist.uniform(len(net.inputs)))
+        assert digest.hexdigest() == (
+            "1bd93975bcc3d27f99a8a9d216ff90e7ed828a2742bafb6f798e56cc36452974")
