@@ -2,17 +2,25 @@
 
 ``node_spectra`` transforms every node once; D(j), A(l) and the sensitivity
 scatter all read that one pass.  D(j), the sum over nodes of the single-input
-mutual information, orders the inputs for the uncertainty curve A(l).  Each
+mutual information, orders the inputs for the uncertainty curve A(l); both
+read one whole-network table of H(f) and every H(f | x_t)
+(``NodeSpectra.whole``) and run no loop per node or per arity.  Each
 baseline trial randomizes the functions or topology and makes its own pass.
+An exchange trial is collapsed from its ``LocalNetwork``; a random-topology
+trial is wired and drawn as arrays, its table rows handed straight to the
+first-layer collapse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .boolfn import (
+    ARITY_CAP_DEFAULT,
     ArityCapError,
     ProductDist,
     _check_cap,
@@ -23,7 +31,6 @@ from .measures import (
     _clamped_mi,
     _entropy_given,
     _entropy_of_expectations,
-    _mi_single,
     _sensitivity_sum,
 )
 from .netlang import (
@@ -31,9 +38,11 @@ from .netlang import (
     LocalNetwork,
     LocalNode,
     Network,
+    _blocks,
+    _first_layer,
     collapse_local,
 )
-from .sampling import random_tables, sample_random_unate
+from .sampling import random_rows, random_tables, sample_random_unate
 
 BASELINE_MODES = (
     "exchange-random",
@@ -92,53 +101,109 @@ class BaselineResult:
     resampled: int
 
 
+class WholeNetwork(NamedTuple):
+    """Every node of a ``NodeSpectra`` as flat arrays, per node in definition
+    order and per entry, one for each input of a node, in (definition,
+    input) order."""
+
+    k: np.ndarray  # per node: the arity
+    start: np.ndarray  # its first entry
+    base: np.ndarray  # the position of its c_0 in NodeSpectra.coeffs
+    h: np.ndarray  # H(f)
+    node: np.ndarray  # per entry: the node
+    ranks: np.ndarray  # the input's rank
+    h_given: np.ndarray  # H(f | x_t); 0.0 for a node of one input, known given it
+
+
 @dataclass(frozen=True, eq=False)
 class NodeSpectra:
     """Node spectra of a collapsed network ``c`` under ``d``, one group per
     block of ``c``.  Each entry of ``groups`` is (k, rows, idx, coeffs): the
     block's node positions in definition order, their supports as an (m, k)
     array, and the (m, 2^k) coefficients, row r equal to
-    ``transform(node.fn, d.marginal(idx[r]))``; compared and hashed by identity."""
+    ``transform(node.fn, d.marginal(idx[r]))``: a view of ``coeffs``, which
+    holds every group's rows one after another.  ``whole`` holds the same
+    nodes, with H(f) and every H(f | x_t), as one ``WholeNetwork``, built
+    the first time it is read.  Compared and hashed by identity."""
 
     c: CollapsedNetwork
     d: ProductDist
     groups: tuple[tuple[int, list[int], np.ndarray, np.ndarray], ...]
+    coeffs: np.ndarray
+
+    @cached_property
+    def whole(self) -> WholeNetwork:
+        """H(f | x_t) is one ``measures._entropy_given`` call on the pairs
+        (c_0, c_t) of the nodes of two or more inputs.  H(f) is the entropy
+        of c_0 plus 0.0, as ``_entropy_given`` gives it at no variable
+        known: a constant's -0.0 becomes 0.0."""
+        k = np.zeros(len(self.c.names), dtype=np.int64)
+        base = np.zeros_like(k)
+        at = 0
+        for kk, rows, _, coeffs in self.groups:
+            k[rows], base[rows] = kk, at + (np.arange(len(rows)) << kk)
+            at += coeffs.size
+        start = np.cumsum(k) - k
+        node = np.repeat(np.arange(len(k)), k)
+        ranks = np.empty(len(node), dtype=np.int64)
+        for kk, rows, idx, _ in self.groups:
+            ranks[start[rows, None] + np.arange(kk)] = idx
+        h_given = np.zeros(len(node))
+        two = np.flatnonzero(k[node] > 1)
+        at0 = base[node[two]]  # c_0 of each pair; c_t at t = the entry's place in its node
+        pairs = np.stack([self.coeffs[at0], self.coeffs[at0 + (1 << (two - start[node[two]]))]],
+                         axis=1)
+        h_given[two] = _entropy_given(pairs, ranks[two, None], self.d)
+        h = _entropy_of_expectations(self.coeffs[base]) + 0.0
+        return WholeNetwork(k, start, base, h, node, ranks, h_given)
+
+
+def _check_dist(d: ProductDist, inputs: tuple[str, ...]) -> None:
+    if d.arity != len(inputs):
+        raise ValueError(f"distribution covers {d.arity} inputs, network declares {len(inputs)}")
+
+
+def _check_L(L: int, n: int) -> None:
+    if not 0 <= L <= n:
+        raise ValueError(f"L = {L} outside 0..{n}, the ordered inputs")
 
 
 def node_spectra(c: CollapsedNetwork, d: ProductDist) -> NodeSpectra:
     """Transform every node of ``c`` under the marginal of ``d`` on its
     inputs: one ``kron_apply`` per block of ``c``, on its table rows as signs."""
-    if d.arity != len(c.inputs):
-        raise ValueError(
-            f"distribution covers {d.arity} inputs, network declares {len(c.inputs)}")
-    return NodeSpectra(c, d, tuple(
-        (k, rows, idx, kron_apply(bits * 2.0 - 1.0, d._forward[idx].swapaxes(0, 1)))
-        for k, rows, idx, bits in c.blocks))
+    _check_dist(d, c.inputs)
+    coeffs = np.empty(sum(bits.size for *_, bits in c.blocks))
+    groups, at = [], 0
+    for k, rows, idx, bits in c.blocks:
+        group = coeffs[at:at + bits.size].reshape(bits.shape)
+        group[...] = kron_apply(bits * 2.0 - 1.0, d._forward[idx].swapaxes(0, 1))
+        groups.append((k, rows, idx, group))
+        at += bits.size
+    return NodeSpectra(c, d, tuple(groups), coeffs)
 
 
 def determinative_power(s: NodeSpectra) -> RankingResult:
     """Sum the single-input mutual information of every node, per input.
 
-    MI(f; x_i) reads only the empty-set and singleton coefficients: it is
-    ``measures._mi_single``, H(f) less the row kernel
-    ``measures._entropy_given`` on the pair (c_0, c_i), one call per arity
-    group.  A node of one input is known given it, so by the zero rule of
-    ``mutual_information`` its MI is H(f).  Each MI has the bits of
-    ``mutual_information`` on the node's own spectrum.  Ties in the ranking
-    break lexicographically by input name.
+    MI(f; x_i) = H(f) - H(f | x_i), both read from ``s.whole``: the rows of
+    ``measures._entropy_given`` that ``mutual_information`` takes on the
+    node's own spectrum, zero rule included, so each MI has its bits.  The
+    sums add in definition order, then input order, so they (and ties) are
+    stable.  Ties in the ranking break lexicographically by input name.
     """
-    c, d = s.c, s.d
-    mi = np.zeros((len(c.names), max((k for k, *_ in s.groups), default=0)))  # node, input
-    for k, rows, idx, coeffs in s.groups:
-        mi[rows, :k] = (_entropy_of_expectations(coeffs[:, :1].copy()) if k == 1 else
-                        _mi_single(coeffs[:, :1], coeffs[:, 1 << np.arange(k)], idx, d))
-    # accumulate in definition order, then input order, so sums (and ties) are stable
-    totals = [0.0] * len(c.inputs)
-    for support, values in zip(c.supports, _clamped_mi(mi).tolist()):
-        for r, v in zip(support, values):
-            totals[r] += v
-    d_values = dict(zip(c.inputs, totals))
+    w = s.whole
+    mi = _clamped_mi(w.h[w.node] - w.h_given)
+    totals = np.bincount(w.ranks, mi, minlength=len(s.c.inputs))  # one entry at a time
+    # with no entries, bincount gives int zeros
+    d_values = dict(zip(s.c.inputs, totals.astype(np.float64).tolist()))
     return RankingResult(d_values, tuple(sorted(d_values, key=lambda n: (-d_values[n], n))))
+
+
+# Rows of A(l) summed at a time: the (l, node) tables of one block are
+# CURVE_BLOCK x (N + 1) int64s and float64s, 84 KB each at N = 653, where
+# the whole curve's would be 0.8 MB.  At 32 rows a baseline trial's traced
+# (tracemalloc) peak was 0.3 MB above the per-node curve's, at 16 0.06 MB.
+CURVE_BLOCK = 16
 
 
 def uncertainty_curve(s: NodeSpectra, order: tuple[str, ...] | list[str],
@@ -147,52 +212,54 @@ def uncertainty_curve(s: NodeSpectra, order: tuple[str, ...] | list[str],
     of ``order``, for l = 0..L.
 
     A node of arity k only ever conditions on the first j of its inputs to
-    appear in ``order``, j = 0..k.  The k entropies at j < k are computed per
-    node up front, and the (k + 1)-th is 0: all k inputs known fix the
-    output.  They are rows of ``measures._entropy_given``, the kernel behind
-    ``mutual_information``, one batch per j over every k > j.
+    appear in ``order``, j = 0..k.  Its entropies at j = 0 and 1 are read
+    from ``s.whole``, and at j = k it is 0: all k inputs known fix the
+    output.  For each j from 2 on, one ``measures._entropy_given`` call, the
+    kernel behind ``mutual_information``, covers every node of more than j
+    inputs.  Each A(l) adds its nodes' entropies to 0.0 one at a time, in
+    definition order, by ``np.add.accumulate`` over a table of (l, node)
+    entries, CURVE_BLOCK rows at a time: builtin ``sum`` compensates from
+    Python 3.12 on, and ``np.add.reduce`` sums pairwise.
     """
-    c, d = s.c, s.d
+    c, d, w = s.c, s.d, s.whole
     order = tuple(order)
     if len(set(order)) != len(order) or not set(order) <= set(c.inputs):
         raise ValueError("order must list distinct declared inputs")
     if L is None:
         L = len(order)
-    if not 0 <= L <= len(order):
-        raise ValueError(f"L = {L} outside 0..{len(order)}, the ordered inputs")
+    _check_L(L, len(order))
 
-    position = {name: l for l, name in enumerate(order[:L])}
-    pos = [position.get(name, L) for name in c.inputs]  # by rank; L past the known
-    firsts = [np.argsort(np.take(pos, idx), axis=1, kind="stable") for _, _, idx, _ in s.groups]
-    h = np.zeros((len(c.names), max((k for k, *_ in s.groups), default=-1) + 1))  # node, j
-    for j in range(h.shape[1] - 1):
-        rows, ik, sub = [], [], []
-        for (k, g_rows, idx, coeffs), first in zip(s.groups, firsts):
-            if k > j:
-                first = np.sort(first[:, :j], axis=1)
-                rows.append(g_rows)
-                ik.append(np.take_along_axis(idx, first, axis=1))
-                sub.append(np.take_along_axis(coeffs, _subset_index(first), axis=1))
-        h[np.concatenate(rows), j] = _entropy_given(np.concatenate(sub), np.concatenate(ik), d)
-    node_h = h.tolist()
+    rank = {name: r for r, name in enumerate(c.inputs)}
+    pos = np.full(len(c.inputs), L, dtype=np.int64)  # by rank; L past the known
+    pos[[rank[name] for name in order[:L]]] = np.arange(L)
+    pos = pos[w.ranks]
+    # each node's entries in the order their inputs become known, the rest
+    # last in input order, as a stable argsort per node gives them
+    known = np.argsort(w.node * (L + 1) + pos, kind="stable")
+    # node i's entropy at j inputs known is h[at[i] + j]; h[0] is the 0.0 that A(l) starts from
+    at = w.start + np.arange(1, len(w.k) + 1)
+    h = np.zeros(len(w.node) + len(w.k) + 1)
+    h[at] = w.h
+    many = np.flatnonzero(w.k > 1)
+    h[at[many] + 1] = w.h_given[known[w.start[many]]]
+    for j in range(2, int(w.k.max(initial=0))):
+        many = many[w.k[many] > j]
+        first = np.sort(known[w.start[many, None] + np.arange(j)] - w.start[many, None], axis=1)
+        sub = s.coeffs[w.base[many, None] + _subset_index(first)]
+        h[at[many] + j] = _entropy_given(sub, w.ranks[w.start[many, None] + first], d)
 
-    feeds: list[list[int]] = [[] for _ in range(L + 1)]  # nodes by position; L unread
-    for i, support in enumerate(c.supports):
-        for r in support:
-            feeds[pos[r]].append(i)
-    steps = [0] * len(c.names)
-    # A(l) adds the nodes' entropies to 0.0 one at a time, in definition order,
-    # on every Python: np.add.accumulate makes those additions, where builtin
-    # sum compensates from Python 3.12 on
-    h_now = np.array([0.0] + [values[0] for values in node_h])
-    sums = np.empty_like(h_now)
-    points = [(0, np.add.accumulate(h_now, out=sums).item(-1))]
-    for l, fed in enumerate(feeds[:L], 1):
-        for i in fed:
-            steps[i] += 1
-            h_now[i + 1] = node_h[i][steps[i]]
-        points.append((l, np.add.accumulate(h_now, out=sums).item(-1)))
-    return UncertaintyCurve(tuple(points))
+    # entry e counts from row pos[e] + 1 of the curve on; the column of node i is i + 1
+    row, col = pos + 1, w.node + 1
+    now = np.concatenate([[0], at])  # each column's index into h before a block
+    sums = np.empty(L + 1)
+    for top in range(0, L + 1, CURVE_BLOCK):
+        steps = np.zeros((min(CURVE_BLOCK, L + 1 - top), len(now)), dtype=np.int64)
+        fed = (row >= top) & (row < top + len(steps))
+        steps[row[fed] - top, col[fed]] = 1
+        steps[0] += now
+        now = np.cumsum(steps, axis=0, out=steps)[-1]
+        sums[top:top + len(steps)] = np.add.accumulate(h[steps], axis=1)[:, -1]
+    return UncertaintyCurve(tuple(enumerate(sums.tolist())))
 
 
 def sensitivity_scatter(s: NodeSpectra) -> list[SensitivityRecord]:
@@ -222,27 +289,34 @@ def _exchanged_local(inputs: tuple[str, ...], defs: list[tuple[str, tuple[str, .
                                       for (name, args), t in zip(defs, tables)))
 
 
-def _random_topology_local(inputs: tuple[str, ...], node_names: tuple[str, ...],
-                           rng: np.random.Generator, cap: int | None = None
-                           ) -> list[tuple[str, tuple[str, ...]]]:
-    """Single-layer random wiring as (name, args) definitions: every input
-    feeds ``RANDOM_TOPOLOGY_OUT_DEGREE`` distinct randomly chosen nodes;
-    unfed nodes get no arguments.  Each node lists its arguments in input
-    order, so collapse only prunes its table, with no variable to reorder
-    and nothing to compose.  Collapse refuses a fan-in over the cap, so
-    that is checked here, before any function is drawn."""
+def _random_topology(inputs: tuple[str, ...], node_names: tuple[str, ...],
+                     rng: np.random.Generator, unate: bool, cap: int | None = None
+                     ) -> CollapsedNetwork:
+    """Single-layer random wiring with random functions, collapsed: every
+    input feeds ``RANDOM_TOPOLOGY_OUT_DEGREE`` distinct randomly chosen
+    nodes, and each node reads its inputs in input order (an unfed node
+    reads none).  Every node is first-layer, so its table rows go straight
+    to ``netlang._first_layer``, which only prunes them.  A fan-in over the
+    cap is refused, the first in node order, before any function is drawn."""
     m = len(node_names)
     if m < RANDOM_TOPOLOGY_OUT_DEGREE:
         raise ValueError(f"need at least {RANDOM_TOPOLOGY_OUT_DEGREE} nodes for "
                          f"out-degree {RANDOM_TOPOLOGY_OUT_DEGREE}")
-    fan_in: dict[str, list[str]] = {name: [] for name in node_names}
-    for inp in inputs:
-        targets = rng.choice(m, size=RANDOM_TOPOLOGY_OUT_DEGREE, replace=False)
-        for t in sorted(int(t) for t in targets):
-            fan_in[node_names[t]].append(inp)
-    for name in node_names:
-        _check_cap(len(fan_in[name]), cap, name)
-    return [(name, tuple(fan_in[name])) for name in node_names]
+    targets = np.array([rng.choice(m, size=RANDOM_TOPOLOGY_OUT_DEGREE, replace=False)
+                        for _ in inputs], dtype=np.int64).reshape(-1)
+    # stable by node, so each node's inputs stay in input order
+    ranks = np.argsort(targets, kind="stable") // RANDOM_TOPOLOGY_OUT_DEGREE
+    count = np.bincount(targets, minlength=m)
+    over = count > (ARITY_CAP_DEFAULT if cap is None else cap)
+    if over.any():
+        i = int(over.argmax())
+        _check_cap(int(count[i]), cap, node_names[i])
+    start = np.cumsum(count) - count
+    pieces = []
+    for k, bits in random_rows(count, rng, unate).items():
+        rows = np.flatnonzero(count == k)
+        pieces += _first_layer(rows, ranks[start[rows, None] + np.arange(k)], bits)
+    return CollapsedNetwork(inputs, node_names, _blocks(pieces))
 
 
 MAX_TRIAL_RESAMPLES = 1000
@@ -265,8 +339,10 @@ def baseline_curves(net: Network, spec: BaselineSpec, d: ProductDist,
     for name, args in defs:
         _check_cap(len(args), cap, name)
     unate = spec.mode.endswith("unate")
+    _check_dist(d, net.inputs)
     if L is None:
         L = len(net.inputs)
+    _check_L(L, len(net.inputs))
     seq = np.random.SeedSequence(spec.seed)
     curves = np.zeros((spec.trials, L + 1))
     resampled = 0
@@ -275,9 +351,9 @@ def baseline_curves(net: Network, spec: BaselineSpec, d: ProductDist,
         child = seq.spawn(1)[0]
         rng = np.random.default_rng(child)
         try:
-            trial_defs = (defs if spec.mode.startswith("exchange")
-                          else _random_topology_local(net.inputs, node_names, rng, cap))
-            collapsed = collapse_local(_exchanged_local(net.inputs, trial_defs, rng, unate), cap)
+            collapsed = (collapse_local(_exchanged_local(net.inputs, defs, rng, unate), cap)
+                         if spec.mode.startswith("exchange")
+                         else _random_topology(net.inputs, node_names, rng, unate, cap))
         except ArityCapError as exc:
             resampled += 1
             if resampled > MAX_TRIAL_RESAMPLES:

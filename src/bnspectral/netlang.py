@@ -28,8 +28,9 @@ the OR of its minterms on packed tables, with big-int operations only; over
 From ``localize`` on, a node is a packed Python-int table over its argument
 names.  A collapsed network is one block per arity: node positions, input
 ranks and table rows as arrays, which ``analysis.node_spectra`` transforms
-as they are.  Per-node records, with input names and ``BoolFn``, are built
-on first read.
+as they are.  A random-topology baseline trial has no ``LocalNetwork``: its
+drawn rows go straight to ``_first_layer`` and ``_blocks``.  Per-node
+records, with input names and ``BoolFn``, are built on first read.
 """
 
 from __future__ import annotations
@@ -435,22 +436,28 @@ def collapse_local(ln: LocalNetwork, cap: int | None = None) -> CollapsedNetwork
     stop = min(np.flatnonzero(first & (count > limit)).tolist(), default=len(nodes))
     first[stop:] = False  # nothing from the first node over the cap on
 
-    pieces: dict[int, list[tuple[np.ndarray, ...]]] = {}  # (rows, supports, bits) by arity
+    pieces = []  # (rows, supports, bits)
     for k in sorted(set(count[first].tolist())):
         rows = np.flatnonzero(first & (count == k))
         ranks = flat[start[rows, None] + np.arange(k)]
         bits = _unpack_tables([nodes[i].table for i in rows.tolist()], k)
-        for piece in _first_layer(rows, ranks, bits):
-            pieces.setdefault(piece[1].shape[1], []).append(piece)
+        pieces += _first_layer(rows, ranks, bits)
     _collapse_deeper(ln, np.flatnonzero(~first[:stop]).tolist(), pieces, cap)
     if stop < len(nodes):
         _check_cap(len(nodes[stop].args), cap, nodes[stop].name)
+    return CollapsedNetwork(ln.inputs, tuple(node.name for node in nodes), _blocks(pieces))
+
+
+def _blocks(pieces: list[tuple[np.ndarray, ...]]) -> tuple[tuple, ...]:
+    """The (rows, supports, bits) pieces joined into one read-only block per
+    arity, ascending, each block's rows in definition order."""
     blocks = []
-    for k in sorted(pieces):
-        rows, supports, bits = (np.concatenate(part) for part in zip(*pieces[k]))
+    for k in sorted({supports.shape[1] for _, supports, _ in pieces}):
+        parts = zip(*(piece for piece in pieces if piece[1].shape[1] == k))
+        rows, supports, bits = map(np.concatenate, parts)
         order = np.argsort(rows, kind="stable")
         blocks.append((k, *(_frozen(part[order]) for part in (rows, supports, bits))))
-    return CollapsedNetwork(ln.inputs, tuple(node.name for node in nodes), tuple(blocks))
+    return tuple(blocks)
 
 
 def _first_layer(rows: np.ndarray, ranks: np.ndarray, bits: np.ndarray):
@@ -487,7 +494,7 @@ def _kept(mask: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _collapse_deeper(ln: LocalNetwork, deeper: list[int],
-                     pieces: dict[int, list[tuple[np.ndarray, ...]]], cap: int | None) -> None:
+                     pieces: list[tuple[np.ndarray, ...]], cap: int | None) -> None:
     """Collapse the nodes at positions ``deeper`` in order by
     ``_collapse_node``, from their arguments' (input ranks, packed table),
     and add them to ``pieces``.  An input is the identity table ``0b10``
@@ -497,7 +504,7 @@ def _collapse_deeper(ln: LocalNetwork, deeper: list[int],
     if not deeper:
         return
     memo = {name: ((r,), 0b10) for r, name in enumerate(ln.inputs)}
-    for rows, supports, bits in (piece for group in pieces.values() for piece in group):
+    for rows, supports, bits in pieces:
         for i, support, table in zip(rows.tolist(), supports.tolist(), _pack_rows(bits)):
             memo[ln.nodes[i].name] = tuple(support), table
     position = {node.name: i for i, node in enumerate(ln.nodes)}
@@ -511,8 +518,8 @@ def _collapse_deeper(ln: LocalNetwork, deeper: list[int],
         done.setdefault(len(support), []).append((i, support, table))
     for k, results in done.items():
         rows, supports, tables = zip(*results)
-        pieces.setdefault(k, []).append((np.array(rows), np.array(supports, dtype=np.int64)
-                                         .reshape(len(rows), k), _unpack_tables(tables, k)))
+        pieces.append((np.array(rows), np.array(supports, dtype=np.int64).reshape(len(rows), k),
+                       _unpack_tables(tables, k)))
 
 
 def _collapse_node(node: LocalNode, subs: list[tuple[Sequence[int], int]],

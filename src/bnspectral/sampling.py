@@ -1,9 +1,11 @@
 """Random Boolean function generators for network baselines and tests.
 
 Plain functions are drawn uniformly over all 2^(2^k) truth tables, and
-``random_tables`` draws a trial's tables from one ``rng.bytes`` call: as
+a trial's tables come from one ``rng.bytes`` call: as
 ``Generator.bytes(n)`` takes ceil(n / 4) 32-bit words and keeps n bytes,
-each table read at its own word offset is what a call of its own drew.  Unate
+each table read at its own word offset is what a call of its own drew.
+``random_tables`` reads them as packed ints, ``random_rows`` as uint8 rows
+grouped by arity, with no int between.  Unate
 tables, packed alike, are drawn exactly uniformly for k <= 4 by enumeration;
 for larger k a Markov chain over monotone functions (single-point flips
 that preserve monotonicity, burned in, then composed with a uniform random
@@ -19,23 +21,47 @@ from typing import Sequence
 
 import numpy as np
 
-from .boolfn import BoolFn, _halves, default_labels
+from .boolfn import BoolFn, _halves, _table_bytes, _unpack_tables, default_labels
 
 UNATE_ENUM_MAX_ARITY = 4
 CHAIN_BLOCK = 1 << 14
 
 
+def _table_words(k):
+    """The 32-bit words of ``rng.bytes`` that a table of arity k takes,
+    ceil(2^k / 32), for an int k or an array of them."""
+    return ((1 << k) + 31) >> 5
+
+
 def random_tables(arities: Sequence[int], rng: np.random.Generator) -> list[int]:
-    """Uniform truth tables of the given arities, in order, from one
-    ``rng.bytes`` call of ceil(2^k / 32) words per table.  No tables, no
-    call: ``rng.bytes(0)`` takes a word."""
-    words = [((1 << k) + 31) >> 5 for k in arities]
+    """Uniform truth tables of the given arities, in order, as packed ints,
+    from one ``rng.bytes`` call.  No tables, no call: ``rng.bytes(0)``
+    takes a word."""
+    words = [_table_words(k) for k in arities]
     raw = rng.bytes(4 * sum(words)) if words else b""
     tables, at = [], 0
     for k, w in zip(arities, words):
         tables.append(int.from_bytes(raw[at:at + 4 * w], "little") & ((1 << (1 << k)) - 1))
         at += 4 * w
     return tables
+
+
+def random_rows(arities: np.ndarray, rng: np.random.Generator,
+                unate: bool = False) -> dict[int, np.ndarray]:
+    """The tables that ``random_tables(arities, rng)`` draws, or with
+    ``unate`` that ``sample_random_unate`` draws per arity in order, as
+    uint8 rows by arity: k maps to the (m, 2^k) rows of the arity-k tables,
+    in order, bit b in column b."""
+    ks = np.flatnonzero(np.bincount(arities)).tolist()  # np.unique's sort costs resident memory
+    if unate:
+        tables = [sample_random_unate(k, rng) for k in arities.tolist()]
+        return {k: _unpack_tables([tables[i] for i in np.flatnonzero(arities == k).tolist()], k)
+                for k in ks}
+    size = 4 * _table_words(arities)
+    raw = np.frombuffer(rng.bytes(int(size.sum())) if len(size) else b"", dtype=np.uint8)
+    at = np.cumsum(size) - size  # each table's first byte
+    return {k: np.unpackbits(raw[at[arities == k, None] + np.arange(_table_bytes(k))],
+                             axis=1, bitorder="little")[:, :1 << k] for k in ks}
 
 
 def sample_random_function(k: int, rng: np.random.Generator) -> BoolFn:

@@ -12,8 +12,21 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from bnspectral.boolfn import BoolFn, ProductDist, default_labels
-from bnspectral.netlang import And, Const, Expr, Network, Not, Or, Var
+from bnspectral import analysis
+from bnspectral.boolfn import BoolFn, ProductDist, _check_cap, default_labels
+from bnspectral.netlang import (
+    And,
+    CollapsedNetwork,
+    Const,
+    Expr,
+    LocalNetwork,
+    LocalNode,
+    Network,
+    Not,
+    Or,
+    Var,
+)
+from bnspectral.sampling import random_tables, sample_random_unate
 
 
 def and_fn(n: int) -> BoolFn:
@@ -152,6 +165,36 @@ def netgen() -> ModuleType:
     module = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
     spec.loader.exec_module(module)
     return module
+
+
+def random_topology_oracle(inputs: tuple[str, ...], names: tuple[str, ...],
+                           rng: np.random.Generator, unate: bool,
+                           cap: int | None = None) -> LocalNetwork:
+    """A random-topology trial built per node: each input's ``rng.choice``
+    of ``analysis.RANDOM_TOPOLOGY_OUT_DEGREE`` nodes appended to their
+    argument lists, the cap checked node by node, then one packed table per
+    node from ``random_tables`` or ``sample_random_unate``, in node order.
+    ``collapse_local`` of it is what ``analysis._random_topology`` gives from
+    the same generator state, which it leaves in the same state."""
+    fan_in: dict[str, list[str]] = {name: [] for name in names}
+    for inp in inputs:
+        for t in rng.choice(len(names), size=analysis.RANDOM_TOPOLOGY_OUT_DEGREE, replace=False):
+            fan_in[names[t]].append(inp)
+    for name in names:
+        _check_cap(len(fan_in[name]), cap, name)
+    args = [tuple(fan_in[name]) for name in names]
+    tables = ([sample_random_unate(len(a), rng) for a in args] if unate
+              else random_tables([len(a) for a in args], rng))
+    return LocalNetwork(inputs, tuple(map(LocalNode, names, args, tables)))
+
+
+def assert_same_blocks(got: CollapsedNetwork, want: CollapsedNetwork) -> None:
+    """Equal inputs, names and blocks, every array with its dtype and shape."""
+    assert (got.inputs, got.names) == (want.inputs, want.names)
+    assert [b[0] for b in got.blocks] == [b[0] for b in want.blocks]
+    for g, w in zip(got.blocks, want.blocks):
+        for a, b in zip(g[1:], w[1:]):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def ecoli_fixture_path() -> Path | None:

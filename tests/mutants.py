@@ -53,6 +53,12 @@ MI_ROWS = "tests/test_measures.py::TestMutualInformationRows"
 
 WEIGHTS = "tests/test_boolfn.py::TestProductDist::test_weights_are_built_once_and_read_only"
 
+TRIAL_BITS = ("tests/test_analysis.py::"
+              "test_random_topology_trials_are_the_per_node_collapse_bit_for_bit")
+
+CURVES = ("tests/test_analysis.py::test_uncertainty_curve_adds_node_entropies_left_to_right",
+          "tests/test_analysis.py::test_trial_rankings_and_curves_are_the_per_node_sums_bit_for_bit")
+
 MUTANTS = (
     Mutant("spread moves a variable one position too far", "boolfn.py",
            "t = _move(t, masks, r, positions[r])",
@@ -89,17 +95,34 @@ MUTANTS = (
     Mutant("random_tables drops the word offset", "sampling.py",
            'int.from_bytes(raw[at:at + 4 * w], "little")',
            'int.from_bytes(raw[:4 * w], "little")',
-           ("tests/test_sampling.py::TestRandomTables", "tests/test_golden.py"), 10),
+           ("tests/test_sampling.py::TestRandomTables", "tests/test_golden.py"), 14),
     Mutant("determinative power sums into the wrong rank", "analysis.py",
-           "totals[r] += v",
-           "totals[r - 1] += v",
+           "np.bincount(w.ranks,",
+           "np.bincount((w.ranks - 1) % len(s.c.inputs),",
            ("tests/test_analysis.py::TestAgainstPerNodeMeasures::test_determinative_power",
             "tests/test_analysis.py::TestDeterminativePower"), 2),
     Mutant("uncertainty curve feeds keyed off by one", "analysis.py",
-           "feeds[pos[r]].append(i)",
-           "feeds[pos[r] - 1].append(i)",
+           "row, col = pos + 1, w.node + 1",
+           "row, col = pos, w.node + 1",
            ("tests/test_analysis.py::TestAgainstPerNodeMeasures::test_uncertainty_curve",
-            "tests/test_analysis.py::TestUncertaintyCurve"), 2),
+            "tests/test_analysis.py::TestUncertaintyCurve"), 3),
+    Mutant("random-topology rows read at the wrong word offset", "sampling.py",
+           "raw[at[arities == k, None] + np.arange(_table_bytes(k))]",
+           "raw[4 * np.flatnonzero(arities == k)[:, None] + np.arange(_table_bytes(k))]",
+           (TRIAL_BITS, "tests/test_sampling.py::TestRandomTables"), 7),
+    Mutant("fan-in not in input order", "analysis.py",
+           'ranks = np.argsort(targets, kind="stable")',
+           'ranks = np.argsort(-targets, kind="stable")[::-1]',
+           (TRIAL_BITS, "tests/test_netlang.py::TestCollapseSoundness::test_baseline_trials"), 4),
+    Mutant("A(l) j = 1 row read for the wrong input", "analysis.py",
+           "h[at[many] + 1] = w.h_given[known[w.start[many]]]",
+           "h[at[many] + 1] = w.h_given[w.start[many]]",
+           (*CURVES, "tests/test_analysis.py::TestAgainstPerNodeMeasures::test_uncertainty_curve"),
+           6),
+    Mutant("curve summed pairwise", "analysis.py",
+           "np.add.accumulate(h[steps], axis=1)[:, -1]",
+           "np.add.reduce(h[steps], axis=1)",
+           CURVES, 5),
     Mutant("grouped stage builds m kron f", "boolfn.py",
            "m = (f[:, None, :, None] * m[None, :, None, :])",
            "m = (m[:, None, :, None] * f[None, :, None, :])",
@@ -179,8 +202,8 @@ MUTANTS = (
            "live = mask",
            (MI_ROWS, "tests/test_measures.py::TestMutualInformation"), 2),
     Mutant("uncertainty curve leaves column k - 1 uncomputed", "analysis.py",
-           "for j in range(h.shape[1] - 1):",
-           "for j in range(h.shape[1] - 2):",
+           "for j in range(2, int(w.k.max(initial=0))):",
+           "for j in range(2, int(w.k.max(initial=0)) - 1):",
            ("tests/test_analysis.py::TestAgainstPerNodeMeasures::test_uncertainty_curve",
             "tests/test_analysis.py::TestUncertaintyCurve", "tests/test_golden.py"), 6),
     Mutant("cached held masks read one variable off", "boolfn.py",

@@ -32,9 +32,16 @@ from bnspectral.reference import (
     network_cond_entropy,
     node_tables,
 )
-from bnspectral.sampling import random_tables
+from bnspectral.sampling import random_rows, random_tables
 
-from conftest import netgen, random_network, random_product_dist, to_text
+from conftest import (
+    assert_same_blocks,
+    netgen,
+    random_network,
+    random_product_dist,
+    random_topology_oracle,
+    to_text,
+)
 
 
 def toy_network():
@@ -82,10 +89,10 @@ class TestDeterminativePower:
 
     def test_negative_mi_beyond_tolerance_raises(self, monkeypatch):
         # the kernel keeps MI >= 0 by concavity, so the guard is reached
-        # through a stand-in kernel that returns -1e-6 everywhere
+        # through stand-in kernels: H(f) = 0, and H(f | x_i) = 1e-6 for every i
         spectra = node_spectra(collapse(parse("y = a AND b\n")), ProductDist.uniform(2))
-        monkeypatch.setattr(analysis, "_mi_single",
-                            lambda c_empty, c_i, ranks, d: np.full(c_i.shape, -1e-6))
+        monkeypatch.setattr(analysis, "_entropy_of_expectations", lambda cond: np.zeros(cond.shape))
+        monkeypatch.setattr(analysis, "_entropy_given", lambda sub, ranks, d: np.full(len(sub), 1e-6))
         with pytest.raises(ValueError) as err:
             determinative_power(spectra)
         assert str(err.value) == "mutual information -1e-06 below zero beyond tolerance"
@@ -363,6 +370,75 @@ def test_uncertainty_curve_adds_node_entropies_left_to_right():
             assert curve[l] == total, l
 
 
+@pytest.mark.parametrize("mode", BASELINE_MODES)
+def test_trial_rankings_and_curves_are_the_per_node_sums_bit_for_bit(mode):
+    """On a baseline trial network of each mode, built from the seed-1
+    netgen network under a biased distribution, every D(j) is the per-node
+    ``mutual_information`` sum and every A(l), l <= 40, the per-node
+    ``entropy_bounds(...).exact`` added left to right in definition order,
+    to the bit.  Random-topology trials have unfed (arity-0) nodes."""
+    net = parse(netgen().generate(1))
+    n = len(net.inputs)
+    d = ProductDist(tuple(np.random.default_rng(4).uniform(0.1, 0.9, n)))
+    rng = np.random.default_rng(7)
+    names = tuple(name for name, _ in net.defs)
+    if mode.startswith("exchange"):
+        ln = analysis._exchanged_local(net.inputs, list(zip(names, net.args)), rng,
+                                       mode.endswith("unate"))
+        c = netlang.collapse_local(ln)
+    else:
+        c = analysis._random_topology(net.inputs, names, rng, mode.endswith("unate"))
+        assert c.blocks[0][0] == 0
+    s = node_spectra(c, d)
+    ranking = determinative_power(s)
+    setup = list(_per_node(c, d))
+    want = [0.0] * n
+    for node, _, spec in setup:
+        mi = mutual_information(spec, [1 << t for t in range(len(node.support))])
+        for r, v in zip(node.support, mi.tolist()):
+            want[r] += v
+    assert [ranking.d_values[name].hex() for name in c.inputs] == [v.hex() for v in want]
+    order = ranking.tau
+    curve = uncertainty_curve(s, order, 40).values
+    masks = [0] * len(setup)
+    h = [entropy_bounds(spec, 0).exact for _, _, spec in setup]
+    for l in range(41):
+        if l:
+            for i, (node, _, spec) in enumerate(setup):
+                if order[l - 1] in node.inputs:
+                    masks[i] |= 1 << node.inputs.index(order[l - 1])
+                    h[i] = entropy_bounds(spec, masks[i]).exact
+        total = 0.0
+        for v in h:
+            total += v
+        assert curve[l] == total, l
+
+
+@pytest.mark.parametrize("unate", [False, True], ids=["random", "unate"])
+def test_random_topology_trials_are_the_per_node_collapse_bit_for_bit(unate):
+    """An array-built random-topology trial has the blocks of
+    ``collapse_local`` on the trial built per node from the same seed
+    (``random_topology_oracle``), under ``np.array_equal`` with dtypes, and
+    leaves the generator where that build left it.  30 seeds on the seed-1
+    netgen network, each with unfed nodes; for plain tables, 30 more on a
+    dense wiring whose tables span up to 128 words of ``rng.bytes``."""
+    net = parse(netgen().generate(1))
+    wirings = [(net.inputs, tuple(name for name, _ in net.defs))]
+    if not unate:
+        wirings.append((tuple(f"x{r}" for r in range(12)), tuple(f"y{i}" for i in range(10))))
+    arities = []
+    for inputs, names in wirings:
+        for seed in range(30):
+            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            trial = random_topology_oracle(inputs, names, twin, unate)
+            assert_same_blocks(analysis._random_topology(inputs, names, rng, unate),
+                               netlang.collapse_local(trial))
+            assert rng.integers(1 << 62) == twin.integers(1 << 62)
+            arities.append([len(node.args) for node in trial.nodes])
+    assert all(0 in a for a in arities[:30])  # unfed nodes on the netgen wiring
+    assert max(map(max, arities)) >= (12 if not unate else 6)
+
+
 def test_uncertainty_curve_sums_wide_nodes_in_blocks(monkeypatch):
     """Two nodes over 17 and 16 inputs, more than ENTROPY_BLOCK_BITS: A(l)
     takes the blocked rows of ``_expected_entropy``, whose weight tables
@@ -455,39 +531,39 @@ class TestBaselines:
             assert before.args == after.args
             assert after.table < 1 << (1 << len(after.args))
 
-    def test_random_topology_out_degree(self):
-        from bnspectral.analysis import _random_topology_local
+    def test_random_topology_out_degree(self, monkeypatch):
+        """Every input feeds 8 distinct nodes.  Parity tables depend on
+        every input they read, so the collapsed supports are the fan-in
+        sets; the order of a node's inputs is checked against the per-node
+        build in ``test_random_topology_trials_are_the_per_node_collapse_bit_for_bit``."""
+        def parities(arities, rng, unate=False):
+            rows = random_rows(arities, rng, unate)
+            return {k: np.tile(BoolFn.from_callable(k, lambda x: np.prod(x)).bits, (len(r), 1))
+                    for k, r in rows.items()}
 
+        monkeypatch.setattr(analysis, "random_rows", parities)
         inputs = tuple(f"i{k}" for k in range(5))
-        names = tuple(f"y{k}" for k in range(10))
-        defs = _random_topology_local(inputs, names, np.random.default_rng(3))
-        assert [name for name, _ in defs] == list(names)
-        counts = {name: 0 for name in inputs}
-        for _, args in defs:
-            assert len(set(args)) == len(args)
-            for a in args:
-                counts[a] += 1
-        assert all(v == 8 for v in counts.values())
+        names = tuple(f"y{k}" for k in range(20))
+        c = analysis._random_topology(inputs, names, np.random.default_rng(2), unate=False)
+        assert c.names == names
+        counts = Counter(r for support in c.supports for r in support)
+        assert counts == {r: 8 for r in range(len(inputs))}
+        assert any(not support for support in c.supports)  # an unfed node
 
     def test_random_topology_checks_cap_before_sampling(self, monkeypatch):
-        import bnspectral.analysis as analysis
-
         drawn = []
 
-        def tables(arities, rng):
-            drawn.extend(arities)
-            return random_tables(arities, rng)
+        def rows(arities, rng, unate=False):
+            drawn.extend(arities.tolist())
+            return random_rows(arities, rng, unate)
 
-        def sampler(k, rng):
-            drawn.append(k)
-            return random_tables([k], rng)[0]
-
-        monkeypatch.setattr(analysis, "random_tables", tables)
-        monkeypatch.setattr(analysis, "sample_random_unate", sampler)
+        monkeypatch.setattr(analysis, "random_rows", rows)
         inputs = tuple(f"i{k}" for k in range(12))
         names = tuple(f"y{k}" for k in range(8))
-        with pytest.raises(ArityCapError):
-            analysis._random_topology_local(inputs, names, np.random.default_rng(1), cap=10)
+        for unate in (False, True):
+            with pytest.raises(ArityCapError) as err:
+                analysis._random_topology(inputs, names, np.random.default_rng(1), unate, cap=10)
+            assert (err.value.name, err.value.arity) == ("y0", 12)
         assert drawn == []
         # through the baseline, every node of every trial has fan-in 12: no
         # function is drawn, and the run gives up with the cap error
@@ -498,10 +574,31 @@ class TestBaselines:
                 baseline_curves(net, BaselineSpec(mode, 1, 4),
                                 ProductDist.uniform(len(net.inputs)), L=1, cap=10)
         assert drawn == []
-        rng = np.random.default_rng(1)
-        defs = analysis._random_topology_local(inputs, names, rng, cap=12)
-        ln = analysis._exchanged_local(inputs, defs, rng, unate=False)
-        assert drawn == [12] * 8 and len(ln.nodes) == 8
+        c = analysis._random_topology(inputs, names, np.random.default_rng(1), False, cap=12)
+        assert drawn == [12] * 8 and len(c.names) == 8
+
+    @pytest.mark.parametrize("mode", BASELINE_MODES)
+    def test_bad_L_and_distribution_refused_before_any_draw(self, monkeypatch, mode):
+        """A bad L, or a distribution of another arity, is refused before
+        the first trial: spies on every sampler and collapse see no call."""
+        seen = []
+
+        def spy(name):
+            real = getattr(analysis, name)
+            monkeypatch.setattr(analysis, name,
+                                lambda *args, **kwargs: seen.append(name) or real(*args, **kwargs))
+
+        for name in ("random_tables", "sample_random_unate", "random_rows", "_exchanged_local",
+                     "_random_topology", "collapse_local", "_first_layer"):
+            spy(name)
+        net = parse("a = x AND y\nb = a OR z\n" + "".join(f"c{k} = x OR NOT z\n" for k in range(6)))
+        with pytest.raises(ValueError, match=r"^L = 5 outside 0\.\.3, the ordered inputs$"):
+            baseline_curves(net, BaselineSpec(mode, 2, 1), ProductDist.uniform(3), L=5)
+        with pytest.raises(ValueError, match="^distribution covers 4 inputs, network declares 3$"):
+            baseline_curves(net, BaselineSpec(mode, 2, 1), ProductDist.uniform(4))
+        assert seen == []
+        baseline_curves(net, BaselineSpec(mode, 1, 1), ProductDist.uniform(3), L=3)
+        assert seen  # the spies are on the path a trial takes
 
     def test_random_topology_needs_enough_nodes(self):
         net = toy_network()  # 4 nodes < 8
@@ -550,15 +647,14 @@ class TestSinglePass:
     def test_baseline_trials(self, monkeypatch, mode):
         calls = self.count_transforms(monkeypatch)
         arities, nodes = [], []
-        real = analysis.collapse_local
+        real = analysis.node_spectra
 
-        def collapse_local(ln, cap=None):
-            c = real(ln, cap)
+        def node_spectra(c, d):
             arities.append(len({node.fn.arity for node in c.nodes}))
             nodes.append(len(c.nodes))
-            return c
+            return real(c, d)
 
-        monkeypatch.setattr(analysis, "collapse_local", collapse_local)
+        monkeypatch.setattr(analysis, "node_spectra", node_spectra)
         text = "".join(f"y{k} = a AND (b OR NOT c)\n" for k in range(8))
         baseline_curves(parse(text), BaselineSpec(mode, trials=2, seed=5), ProductDist.uniform(3))
         assert len(arities) == 2

@@ -1,5 +1,6 @@
 """DSL parsing, network validation, and collapse."""
 
+import copy
 import hashlib
 import re
 import sys
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bnspectral import analysis, netlang
-from bnspectral.analysis import _exchanged_local, _random_topology_local
+from bnspectral.analysis import _exchanged_local, _random_topology
 from bnspectral.boolfn import (
     HELD_MASKS_MAX_ARITY,
     ArityCapError,
@@ -55,7 +56,13 @@ from bnspectral.netlang import (
 from bnspectral.reference import _eval_expr_bits, evaluate_assignment, node_tables
 from bnspectral.sampling import sample_random_function
 
-from conftest import netgen, random_network, to_text
+from conftest import (
+    assert_same_blocks,
+    netgen,
+    random_network,
+    random_topology_oracle,
+    to_text,
+)
 
 MARA_FRAGMENT = """\
 arca = fnr AND NOT oxyr
@@ -308,8 +315,11 @@ class TestCollapseSoundness:
             else:
                 names = tuple(n.name for n in ln.nodes)
                 monkeypatch.setattr(analysis, "RANDOM_TOPOLOGY_OUT_DEGREE", min(2, len(names)))
-                trial = _exchanged_local(ln.inputs, _random_topology_local(ln.inputs, names, rng),
-                                         rng, unate)
+                twin = copy.deepcopy(rng)
+                trial = random_topology_oracle(ln.inputs, names, twin, unate)
+                assert_same_blocks(_random_topology(ln.inputs, names, rng, unate),
+                                   collapse_local(trial))
+                assert rng.integers(1 << 62) == twin.integers(1 << 62)
             c = collapse_local(trial)
             assert_collapses_as_oracle(c, trial)
             assert_matches_node_tables(c, as_network(trial))
@@ -875,7 +885,17 @@ class TestPackedCollapse:
             trials.append(trial)
             return got
 
+        def drawn(inputs, names, rng, unate, cap=None):
+            # a random-topology trial is never a LocalNetwork: check its blocks
+            # against the collapse of the one built per node from a twin generator
+            twin = copy.deepcopy(rng)
+            got = real(inputs, names, rng, unate, cap)
+            assert_same_blocks(got, checked(random_topology_oracle(inputs, names, twin, unate), cap))
+            return got
+
+        real = analysis._random_topology
         monkeypatch.setattr(analysis, "collapse_local", checked)
+        monkeypatch.setattr(analysis, "_random_topology", drawn)
         for mode in analysis.BASELINE_MODES:
             analysis.baseline_curves(net, analysis.BaselineSpec(mode, 5, 1),
                                      ProductDist.uniform(len(net.inputs)))
@@ -956,21 +976,22 @@ class TestBlocks:
     def test_netgen_blocks_keep_their_bits(self):
         """The blocks of the seed-1 benchmark network and of 3 baseline
         trials per mode hash as the per-node collapse's did, regrouped by
-        arity in definition order."""
+        arity in definition order.  Each trial's blocks are read where
+        ``node_spectra`` takes them, as random-topology trials are built
+        without ``collapse_local``."""
         digest = hashlib.sha256()
-        real = analysis.collapse_local
+        real = analysis.node_spectra
 
-        def hashed(ln, cap=None):
-            c = real(ln, cap)
+        def hashed(c):
             for k, rows, supports, bits in c.blocks:
                 for part in (repr(k).encode(), rows, supports, bits):
                     digest.update(part)
             return c
 
         net = parse(netgen().generate(1))
-        hashed(localize(net))
+        hashed(collapse(net))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(analysis, "collapse_local", hashed)
+            mp.setattr(analysis, "node_spectra", lambda c, d: real(hashed(c), d))
             for mode in analysis.BASELINE_MODES:
                 analysis.baseline_curves(net, analysis.BaselineSpec(mode, 3, 1),
                                          ProductDist.uniform(len(net.inputs)))

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from bnspectral.boolfn import BoolFn, default_labels
+from bnspectral.boolfn import BoolFn, _unpack_tables, default_labels
 from bnspectral.measures import unateness
 from bnspectral.sampling import (
     _apply_polarities,
     _monotone_tables,
     enumerate_unate_tables,
+    random_rows,
     random_tables,
     random_threshold_fn,
     sample_monotone_mcmc,
@@ -75,9 +76,27 @@ class TestRandomTables:
             assert random_tables([k], one) == self.per_table([k], per)
             assert one.bytes(3) == per.bytes(3)
 
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("unate", [False, True], ids=["random", "unate"])
+    def test_rows_are_the_tables_unpacked(self, seed, unate):
+        """``random_rows`` gives the tables of ``random_tables``, or of
+        ``sample_random_unate`` per arity in order, as uint8 rows by arity,
+        and leaves the generator as they do."""
+        arities = np.random.default_rng(200 + seed).integers(0, 7 if unate else 13, 25)
+        rows_rng, tables_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        rows = random_rows(arities, rows_rng, unate)
+        tables = ([sample_random_unate(k, tables_rng) for k in arities.tolist()] if unate
+                  else random_tables(arities.tolist(), tables_rng))
+        assert sorted(rows) == sorted(set(arities.tolist()))
+        for k, got in rows.items():
+            want = _unpack_tables([t for t, a in zip(tables, arities.tolist()) if a == k], k)
+            assert got.dtype == np.uint8 and np.array_equal(got, want)
+        assert rows_rng.integers(1 << 62) == tables_rng.integers(1 << 62)
+
     def test_no_tables_draws_nothing(self):
         one, fresh = np.random.default_rng(9), np.random.default_rng(9)
         assert random_tables([], one) == []
+        assert random_rows(np.zeros(0, dtype=np.int64), one) == {}
         assert one.bytes(4) == fresh.bytes(4)
 
 
