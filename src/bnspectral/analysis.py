@@ -6,9 +6,9 @@ mutual information, orders the inputs for the uncertainty curve A(l); both
 read one whole-network table of H(f) and every H(f | x_t)
 (``NodeSpectra.whole``) and run no loop per node or per arity.  Each
 baseline trial randomizes the functions or topology and makes its own pass.
-An exchange trial is collapsed from its ``LocalNetwork``; a random-topology
-trial is wired and drawn as arrays, its table rows handed straight to the
-first-layer collapse.
+An exchange trial draws new table rows and runs the network's compiled
+collapse (``Network.program``) on them; a random-topology trial is wired
+and drawn as arrays, its table rows handed straight to the prune.
 """
 
 from __future__ import annotations
@@ -36,13 +36,12 @@ from .measures import (
 from .netlang import (
     CollapsedNetwork,
     LocalNetwork,
-    LocalNode,
     Network,
     _blocks,
-    _first_layer,
+    _prune,
     collapse_local,
 )
-from .sampling import random_rows, random_tables, sample_random_unate
+from .sampling import random_rows
 
 BASELINE_MODES = (
     "exchange-random",
@@ -280,24 +279,15 @@ def sensitivity_scatter(s: NodeSpectra) -> list[SensitivityRecord]:
     return records
 
 
-def _exchanged_local(inputs: tuple[str, ...], defs: list[tuple[str, tuple[str, ...]]],
-                     rng: np.random.Generator, unate: bool) -> LocalNetwork:
-    """Give every (name, args) definition a random function of its in-degree."""
-    tables = ([sample_random_unate(len(args), rng) for _, args in defs] if unate
-              else random_tables([len(args) for _, args in defs], rng))
-    return LocalNetwork(inputs, tuple(LocalNode(name, args, t)
-                                      for (name, args), t in zip(defs, tables)))
-
-
 def _random_topology(inputs: tuple[str, ...], node_names: tuple[str, ...],
                      rng: np.random.Generator, unate: bool, cap: int | None = None
                      ) -> CollapsedNetwork:
     """Single-layer random wiring with random functions, collapsed: every
     input feeds ``RANDOM_TOPOLOGY_OUT_DEGREE`` distinct randomly chosen
     nodes, and each node reads its inputs in input order (an unfed node
-    reads none).  Every node is first-layer, so its table rows go straight
-    to ``netlang._first_layer``, which only prunes them.  A fan-in over the
-    cap is refused, the first in node order, before any function is drawn."""
+    reads none).  Every node reads distinct inputs in ascending order, so
+    its table rows go straight to ``netlang._prune``.  A fan-in over the cap
+    is refused, the first in node order, before any function is drawn."""
     m = len(node_names)
     if m < RANDOM_TOPOLOGY_OUT_DEGREE:
         raise ValueError(f"need at least {RANDOM_TOPOLOGY_OUT_DEGREE} nodes for "
@@ -315,7 +305,7 @@ def _random_topology(inputs: tuple[str, ...], node_names: tuple[str, ...],
     pieces = []
     for k, bits in random_rows(count, rng, unate).items():
         rows = np.flatnonzero(count == k)
-        pieces += _first_layer(rows, ranks[start[rows, None] + np.arange(k)], bits)
+        pieces += _prune(rows, ranks[start[rows, None] + np.arange(k)], bits)
     return CollapsedNetwork(inputs, node_names, _blocks(pieces))
 
 
@@ -335,9 +325,9 @@ def baseline_curves(net: Network, spec: BaselineSpec, d: ProductDist,
     A definition whose direct arity is over the cap is refused in every mode.
     """
     node_names = tuple(name for name, _ in net.defs)
-    defs = list(zip(node_names, net.args))
-    for name, args in defs:
-        _check_cap(len(args), cap, name)
+    arities = np.fromiter(map(len, net.args), np.int64, len(node_names))
+    for name, k in zip(node_names, arities.tolist()):
+        _check_cap(k, cap, name)
     unate = spec.mode.endswith("unate")
     _check_dist(d, net.inputs)
     if L is None:
@@ -351,9 +341,11 @@ def baseline_curves(net: Network, spec: BaselineSpec, d: ProductDist,
         child = seq.spawn(1)[0]
         rng = np.random.default_rng(child)
         try:
-            collapsed = (collapse_local(_exchanged_local(net.inputs, defs, rng, unate), cap)
-                         if spec.mode.startswith("exchange")
-                         else _random_topology(net.inputs, node_names, rng, unate, cap))
+            if spec.mode.startswith("exchange"):
+                trial = LocalNetwork(net.program, random_rows(arities, rng, unate))
+                collapsed = collapse_local(trial, cap)
+            else:
+                collapsed = _random_topology(net.inputs, node_names, rng, unate, cap)
         except ArityCapError as exc:
             resampled += 1
             if resampled > MAX_TRIAL_RESAMPLES:

@@ -241,10 +241,6 @@ def _pack_rows(bits: np.ndarray) -> list[int]:
     return [int.from_bytes(data[at:at + width], "little") for at in range(0, len(data), width)]
 
 
-# Packed-table surgery.  ``masks`` is ``_low_masks(n)`` for the table's
-# n-variable layout; an empty position is an index bit that no set bit of
-# the table has.
-
 # The widest layout whose masks are held (n 2^n bits, 128 KB at n = 16), for
 # the life of the process: about 240 KB for every size up to 16.  A wider
 # layout builds each mask when it is read, as n = 24 would hold 48 MB.
@@ -275,47 +271,6 @@ class _LowMasks(Sequence[int]):
         return _low_mask(self.n, j)
 
 
-def _move(t: int, masks: Sequence[int], src: int, dst: int) -> int:
-    """Move variable ``src`` of t to the empty position ``dst``: the bits
-    at x_src = +1 shift by 2^dst - 2^src."""
-    m = masks[src]
-    return t & m | ((t >> (1 << src)) & m) << (1 << dst)
-
-
-def _spread(t: int, positions: Sequence[int], masks: Sequence[int]) -> int:
-    """Lift a table over len(positions) variables to the len(masks)-variable
-    layout, variable r going to the ascending ``positions[r]``; the result
-    does not depend on the variables at the other positions."""
-    n = len(masks)
-    if len(positions) == n:
-        return t
-    if len(positions) == 1 and t in (0b10, 0b01):  # a literal: read off its mask
-        p = positions[0]
-        return masks[p] << (1 << p) if t == 0b10 else masks[p]
-    for r in reversed(range(len(positions))):
-        if positions[r] != r:
-            t = _move(t, masks, r, positions[r])
-    present = mask_of(positions)
-    for q in range(n):
-        if not (present >> q) & 1:
-            t |= t << (1 << q)
-    return t
-
-
-def _compact(t: int, keep: Sequence[int], masks: Sequence[int]) -> int:
-    """The inverse of ``_spread``: cut a table that depends on none of the
-    variables outside the ascending positions ``keep`` to a table over
-    len(keep) variables, ``keep[r]`` going to r."""
-    kept = mask_of(keep)
-    for q, m in enumerate(masks):
-        if not (kept >> q) & 1:
-            t &= m
-    for r, p in enumerate(keep):
-        if p != r:
-            t = _move(t, masks, p, r)
-    return t
-
-
 def _relevant_mask(t: int, masks: Sequence[int]) -> SubsetMask:
     """Mask of the variables on which the table t depends."""
     rel = 0
@@ -323,28 +278,6 @@ def _relevant_mask(t: int, masks: Sequence[int]) -> SubsetMask:
         if t & m != (t >> (1 << j)) & m:
             rel |= 1 << j
     return rel
-
-
-def _compose(table: int, columns: Sequence[int], full: int) -> int:
-    """The function with truth table ``table`` over len(columns) variables,
-    applied to the packed tables ``columns`` of one layout whose every bit
-    ``full`` has set: the OR of its minterms, minterm b being the AND over j
-    of ``columns[j]`` if bit j of b is 1 and its complement if it is 0.
-    Minterms are multiplied out from the top variable, depth first, so at
-    most one partial product per variable is held, and a block of them that
-    ``table`` holds wholly or not at all ends the descent."""
-    def walk(j: int, t: int, product: int) -> int:
-        # t: the 2^j entries of table whose top variables give product
-        if t == 0:
-            return 0
-        if t == (1 << (1 << j)) - 1:
-            return product
-        c = columns[j - 1]
-        half = 1 << (j - 1)
-        return (walk(j - 1, t & ((1 << half) - 1), product & ~c)
-                | walk(j - 1, t >> half, product & c))
-
-    return walk(len(columns), table, full)
 
 
 def relevant_variables(f: BoolFn) -> SubsetMask:

@@ -48,11 +48,10 @@ from .measures import (
     unateness,
 )
 from .netlang import (
-    Network,
+    _tabulate,
     collapse,
     collapsed_to_json,
     effective_inputs,
-    localize,
     parse,
     parse_expression,
     references,
@@ -85,8 +84,8 @@ def _function_from_args(args) -> BoolFn:
             if value is not None:
                 raise ValueError(f"--expr cannot be combined with {flag}")
         expr = parse_expression(args.expr)
-        net = Network(references(expr), (("f", expr),))
-        return BoolFn(len(net.inputs), net.inputs, localize(net, args.cap).nodes[0].table)
+        labels = references(expr)
+        return BoolFn(len(labels), labels, _tabulate("f", expr, labels, args.cap))
     if args.table_hex:
         if not args.labels:
             raise ValueError("--table-hex requires --labels")

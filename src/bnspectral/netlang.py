@@ -18,19 +18,18 @@ a line whose first token is ``@inputs``, pins their order.  Definitions may
 only reference inputs and previously defined nodes (no feedback).
 
 Collapse re-expresses every node over the inputs, cut to the inputs it
-depends on.  The first-layer nodes, those that read only distinct inputs,
-are collapsed together per argument count on unpacked table rows: one
-gather sorts their variables into ascending input order and one index per
-relevant mask prunes them.  For any other node, each argument's table is
-spread to the node's support and the node's table is applied to them as
-the OR of its minterms on packed tables, with big-int operations only; over
-``PACKED_MAX_ARGS`` arguments, by one broadcast gather on unpacked tables.
-From ``localize`` on, a node is a packed Python-int table over its argument
-names.  A collapsed network is one block per arity: node positions, input
-ranks and table rows as arrays, which ``analysis.node_spectra`` transforms
-as they are.  A random-topology baseline trial has no ``LocalNetwork``: its
-drawn rows go straight to ``_first_layer`` and ``_blocks``.  Per-node
-records, with input names and ``BoolFn``, are built on first read.
+depends on.  A node's unpruned support U, the union of its arguments',
+depends on the wiring alone, so ``Network.program`` compiles the whole
+collapse once into static gathers, grouped by (depth, argument count, |U|):
+``localize`` tabulates each definition into uint8 rows per argument count,
+and an exchange baseline trial draws new rows for the same program.  A run
+tabulates each node over U, then prunes every node at once.  A node whose U
+exceeds ``COMPILED_MAX_SUPPORT`` is gathered at run time, over its
+arguments' pruned supports.  A collapsed network is one block per arity:
+node positions, input ranks and table rows as arrays, which
+``analysis.node_spectra`` transforms as they are.  A random-topology trial's
+drawn rows go straight to ``_prune`` and ``_blocks``.  Per-node records,
+with input names and ``BoolFn``, are built on first read.
 """
 
 from __future__ import annotations
@@ -48,14 +47,9 @@ from .boolfn import (
     ARITY_CAP_DEFAULT,
     BoolFn,
     _check_cap,
-    _compact,
-    _compose,
     _frozen,
     _low_masks,
-    _pack_bits,
     _pack_rows,
-    _relevant_mask,
-    _spread,
     _subset_index,
     _unpack_tables,
     indices_of,
@@ -63,13 +57,6 @@ from .boolfn import (
 
 KEYWORDS = {"NOT", "AND", "OR"}
 CONSTANTS = {"1": 1, "TRUE": 1, "0": -1, "FALSE": -1}  # upper-cased name: sign
-# The most arguments of a node composed as the OR of its 2^k minterms on
-# packed tables; above it one broadcast gather is cheaper (the measured
-# crossover is in the "Collapse on packed truth tables" entry of CHANGES.md).
-# Only a node that reads another node, or an input twice, reaches it: a
-# first-layer node is collapsed in its block at any argument count.  No
-# benchmark network has a definition of more than 6 arguments.
-PACKED_MAX_ARGS = 6
 
 
 class NetParseError(ValueError):
@@ -141,6 +128,11 @@ class Network:
     def args(self) -> tuple[tuple[str, ...], ...]:
         """Each definition's ``references``, in definition order."""
         return tuple(references(expr) for _, expr in self.defs)
+
+    @cached_property
+    def program(self) -> CollapseProgram:
+        """This wiring's ``_compile``, shared by ``localize`` and exchange trials."""
+        return _compile(self.inputs, tuple(name for name, _ in self.defs), self.args)
 
 
 # ---------------------------------------------------------------------------
@@ -312,19 +304,52 @@ def out_degree(net: Network, name: str) -> int:
 # ---------------------------------------------------------------------------
 # Localization and collapse
 
-@dataclass(frozen=True)
-class LocalNode:
-    """A node as a packed truth table over its direct arguments."""
+# The widest unpruned support U that the program compiles: a group of m
+# nodes of k arguments holds an (m, k, 2^|U|) int32 index.  Per node of 3
+# arguments (2-core Xeon, NumPy 2.4.6), compiled against gathered at run
+# time: |U| = 10 36 / 264 us, index 12.7 KB; 12 111 / 345 us, 50 KB; 14
+# 424 / 541 us, 198 KB.  Compiling costs 20-30 us a node up to 12.
+COMPILED_MAX_SUPPORT = 12
 
-    name: str
-    args: tuple[str, ...]
-    table: int
 
+@dataclass(frozen=True, eq=False)
+class CollapseProgram:
+    """A wiring's collapse as static gathers, built by ``_compile``.
 
-@dataclass(frozen=True)
-class LocalNetwork:
+    Each node whose U has at most ``COMPILED_MAX_SUPPORT`` inputs is
+    tabulated over U into a flat uint8 buffer of ``size`` entries; every
+    input reads its first two, [0, 1].  ``groups``, in depth order: (k, the
+    nodes' first entries in the flat k-argument table rows as (m, 1), the
+    (m, k, 2^u) buffer index of each argument at each point of U, the
+    group's buffer offset).  ``segments``, per u ascending: (u, node
+    positions, U as (m, u) ascending input ranks, buffer offset).  Node i
+    reads ``ids[start[i]:]`` (input r as r, node j as len(inputs) + j), has
+    |U| = ``u[i]`` and table row ``within[i]`` of its argument count.
+    Compiled up to the first definition that reads a name neither an input
+    nor an earlier node: ``unknown``, (node, name), or None."""
+
     inputs: tuple[str, ...]
-    nodes: tuple[LocalNode, ...]
+    names: tuple[str, ...]
+    args: tuple[tuple[str, ...], ...]
+    size: int
+    groups: tuple[tuple[int, np.ndarray, np.ndarray, int], ...]
+    segments: tuple[tuple[int, np.ndarray, np.ndarray, int], ...]
+    ids: np.ndarray
+    start: np.ndarray
+    u: np.ndarray
+    within: np.ndarray
+    unknown: tuple[str, str] | None
+
+
+@dataclass(frozen=True, eq=False)
+class LocalNetwork:
+    """Each definition tabulated over its direct arguments: ``rows`` maps an
+    argument count k to the (m, 2^k) uint8 tables of the definitions of k
+    arguments, in definition order, bit b in column b.  ``program`` is the
+    network's compiled wiring."""
+
+    program: CollapseProgram
+    rows: Mapping[int, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -397,55 +422,170 @@ def _eval_expr_table(expr: Expr, columns: Mapping[str, int], full: int) -> int:
     return reduce(operator.and_ if isinstance(expr, And) else operator.or_, parts)
 
 
+def _tabulate(name: str, expr: Expr, args: Sequence[str], cap: int | None) -> int:
+    """The packed table of definition ``name = expr`` over ``args``, bit b
+    its value where bit j of b sets ``args[j]``; more arguments than the
+    cap are refused."""
+    k = len(args)
+    _check_cap(k, cap, name)
+    masks = _low_masks(k)
+    columns = {a: masks[j] << (1 << j) for j, a in enumerate(args)}
+    return _eval_expr_table(expr, columns, (1 << (1 << k)) - 1)
+
+
 def localize(net: Network, cap: int | None = None) -> LocalNetwork:
-    """Tabulate each definition over its direct arguments."""
-    nodes = []
+    """Tabulate each definition over its direct arguments, into rows per
+    argument count."""
+    tables: dict[int, list[int]] = {}
     for (name, expr), args in zip(net.defs, net.args):
-        k = len(args)
-        _check_cap(k, cap, name)
-        masks = _low_masks(k)
-        columns = {a: masks[j] << (1 << j) for j, a in enumerate(args)}
-        table = _eval_expr_table(expr, columns, (1 << (1 << k)) - 1)
-        nodes.append(LocalNode(name, args, table))
-    return LocalNetwork(net.inputs, tuple(nodes))
+        tables.setdefault(len(args), []).append(_tabulate(name, expr, args, cap))
+    return LocalNetwork(net.program, {k: _unpack_tables(t, k) for k, t in tables.items()})
+
+
+def _compile(inputs: tuple[str, ...], names: tuple[str, ...],
+             args: tuple[tuple[str, ...], ...]) -> CollapseProgram:
+    """The ``CollapseProgram`` of nodes ``names[i]`` reading ``args[i]``.
+
+    A node's depth, one more than its deepest argument's (an input's is 0),
+    is relaxed over every node at once until it holds.  U, the union of
+    the arguments' (an input's is itself), is OR-ed as bit rows level by
+    level.  The indices of each |U| come from the dense membership table
+    in one ``_gather_index`` call, with no loop per node."""
+    n_in = len(inputs)
+    count = np.fromiter(map(len, args), np.int64, len(args))
+    ident = dict(zip(chain(inputs, names), range(n_in + len(names))))
+    ids = np.fromiter(map(ident.get, chain.from_iterable(args), repeat(-1)), np.int64,
+                      int(count.sum()))
+    owner = np.repeat(np.arange(len(args)), count)
+    unknown = np.flatnonzero((ids < 0) | (ids >= n_in + owner))  # not an input or earlier node
+    stop = int(owner[unknown[0]]) if len(unknown) else len(args)
+    by_k = np.argsort(count, kind="stable")
+    within = np.empty_like(count)
+    within[by_k] = np.arange(len(args)) - np.searchsorted(count[by_k], count[by_k])
+    count = count[:stop]
+    start = np.cumsum(count) - count
+    ids = ids[:int(count.sum())]
+
+    fed = np.flatnonzero(count)
+    depth = np.repeat(np.array([0, 1]), [n_in, stop])
+    while len(fed):
+        deeper = 1 + np.maximum.reduceat(depth[ids], start[fed])
+        if np.array_equal(deeper, depth[n_in + fed]):
+            break
+        depth[n_in + fed] = deeper
+    packed = np.zeros((n_in + stop, (n_in + 7) >> 3), dtype=np.uint8)
+    r = np.arange(n_in)
+    packed[r, r >> 3] = 1 << (r & 7)
+    for level in range(1, int(depth.max(initial=0)) + 1):
+        at = fed[depth[n_in + fed] == level]
+        if len(at):
+            first = np.cumsum(count[at]) - count[at]
+            reads = ids[np.repeat(start[at] - first, count[at]) + np.arange(int(count[at].sum()))]
+            packed[n_in + at] = np.bitwise_or.reduceat(packed[reads], first)
+    member = np.unpackbits(packed, axis=1, count=n_in, bitorder="little").view(bool)
+    u = member[n_in:].sum(axis=1)
+
+    # the compiled nodes by |U|, then depth, then argument count, each one's
+    # values at its offset in the buffer
+    order = np.flatnonzero(u <= COMPILED_MAX_SUPPORT)
+    order = order[np.lexsort((order, count[order], depth[n_in + order], u[order]))]
+    offset = 2 + np.cumsum(1 << u[order]) - (1 << u[order])
+    base = np.zeros(n_in + stop, dtype=np.int32)  # an input's values are at 0
+    base[n_in + order] = offset
+    first = np.cumsum(count[order]) - count[order]  # each one's first argument in reads
+    reads = ids[np.repeat(start[order] - first, count[order]) + np.arange(int(count[order].sum()))]
+    every = np.flatnonzero(member[n_in + order]) % n_in  # each one's U, from at
+    at = np.cumsum(u[order]) - u[order]
+    groups, segments = [], []
+    for size in np.flatnonzero(np.bincount(u[order])).tolist():  # np.unique's sort costs memory
+        lo, hi = np.searchsorted(u[order], [size, size + 1]).tolist()
+        nodes = order[lo:hi]
+        ranks = every[at[lo]:at[lo] + (hi - lo) * size].reshape(hi - lo, size)
+        segments.append((size, nodes, ranks, int(offset[lo])))
+        pairs = reads[first[lo]:first[lo] + int(count[nodes].sum())]
+        owner = np.repeat(np.arange(hi - lo), count[nodes])
+        index = _gather_index(member[pairs[:, None], ranks[owner]], base[pairs])
+        level, k = depth[n_in + nodes], count[nodes]
+        cuts = [0, *(np.flatnonzero(np.diff(level) | np.diff(k)) + 1).tolist(), hi - lo]
+        for a, b in zip(cuts, cuts[1:]):
+            ka, pair = int(k[a]), first[lo + a] - first[lo]
+            groups.append((int(level[a]), ka, within[nodes[a:b], None] << ka,
+                           index[pair:pair + (b - a) * ka].reshape(b - a, ka, 1 << size),
+                           int(offset[lo + a])))
+    groups.sort(key=lambda group: group[0])
+    return CollapseProgram(
+        inputs, names, args, int(2 + (1 << u[order]).sum()), tuple(g[1:] for g in groups),
+        tuple(segments), ids, start, u, within,
+        (names[stop], args[stop][int(unknown[0]) - len(ids)]) if len(unknown) else None)
+
+
+def _gather_index(member: np.ndarray, base: np.ndarray | np.integer) -> np.ndarray:
+    """The index that reads a table at every point of a support of u
+    variables: ``member`` (..., u) marks the positions that the table
+    depends on, its b-th marked position being its variable b, and ``base``
+    (...) is where the table starts in the buffer read.  Shape (..., 2^u),
+    of the dtype of ``base``, built by doubling as ``_subset_index`` is."""
+    u = member.shape[-1]
+    index = np.empty((*member.shape[:-1], 1 << u), dtype=base.dtype)
+    index[..., 0] = base
+    step = (member << np.cumsum(member, axis=-1)) >> 1  # 2^b at variable b's position
+    for q in range(u):
+        np.add(index[..., :1 << q], step[..., q:q + 1], out=index[..., 1 << q:2 << q])
+    return index
 
 
 def collapse_local(ln: LocalNetwork, cap: int | None = None) -> CollapsedNetwork:
     """Express every node over input-layer variables only, as blocks.
 
-    A first-layer node, one whose arguments are distinct inputs, needs no
-    composition: its support is its arguments (reported if over the cap),
-    and the first-layer nodes of each argument count are collapsed together
-    by ``_first_layer``, in NumPy calls per group, not per node.  Every
-    other node is collapsed after them, in definition order, by
-    ``_collapse_deeper``.  Each result joins its arity's block in definition
-    order.  A cap error or an unknown name is the first offending node's in
-    definition order.
+    Runs ``ln.program``: per group, in depth order, one gather of the
+    arguments' values at every point of U and one of the nodes' table rows,
+    then ``_prune`` per |U|.  The nodes over ``COMPILED_MAX_SUPPORT`` follow
+    in definition order, each by ``_wide_node``.  The first node in
+    definition order whose arguments' pruned supports span more than the
+    cap, or that reads an unknown name, is refused.
     """
-    nodes = ln.nodes
-    rank = {name: r for r, name in enumerate(ln.inputs)}
-    args = [node.args for node in nodes]
-    count = np.fromiter(map(len, args), np.int64, len(nodes))
-    flat = np.fromiter(map(rank.get, chain.from_iterable(args), repeat(-1)), np.int64,
-                       int(count.sum()))  # argument ranks, -1 for a name not an input
-    start = np.cumsum(count) - count  # each node's first argument in flat
-    # first layer: no argument repeated, and every argument an input
-    first = np.fromiter(map(len, map(set, args)), np.int64, len(nodes)) == count
-    first[np.repeat(np.arange(len(nodes)), count)[flat < 0]] = False
+    p = ln.program
+    flat = {k: rows.reshape(-1) for k, rows in ln.rows.items()}
+    vals = np.empty(p.size, dtype=np.uint8)
+    vals[:2] = 0, 1
+    for k, at_rows, index, at in p.groups:
+        local = np.matmul(1 << np.arange(k), vals[index])  # each point's column of the table
+        np.take(flat[k], at_rows + local, out=vals[at:at + local.size].reshape(local.shape))
+    grown = [(rows, ranks, vals[at:at + (len(rows) << u)].reshape(len(rows), 1 << u))
+             for u, rows, ranks, at in p.segments]
+    pieces = [piece for segment in grown for piece in _prune(*segment)]
+    # the nodes whose arguments may span more than the cap, and the wide ones
     limit = ARITY_CAP_DEFAULT if cap is None else cap
-    stop = min(np.flatnonzero(first & (count > limit)).tolist(), default=len(nodes))
-    first[stop:] = False  # nothing from the first node over the cap on
+    todo = np.flatnonzero(p.u > min(limit, COMPILED_MAX_SUPPORT)).tolist()
+    memo = {r: (s, b) for rows, supports, bits in (pieces if todo else ())
+            for r, s, b in zip(rows.tolist(), supports.tolist(), bits)}
+    for i in todo:
+        subs = [([a], _INPUT) if a < len(p.inputs) else memo[a - len(p.inputs)]
+                for a in p.ids[p.start[i]:p.start[i] + len(p.args[i])].tolist()]
+        support = sorted({r for s, _ in subs for r in s})
+        _check_cap(len(support), cap, p.names[i])
+        if p.u[i] > COMPILED_MAX_SUPPORT:
+            bits = _wide_node(subs, support, ln.rows[len(subs)][p.within[i]])
+            pieces.append(next(_prune(np.array([i]), np.array([support], np.int64), bits[None])))
+            memo[i] = pieces[-1][1][0].tolist(), pieces[-1][2][0]
+    if p.unknown:
+        raise ValueError("node {!r} references unknown name {!r}".format(*p.unknown))
+    return CollapsedNetwork(p.inputs, p.names, _blocks(pieces))
 
-    pieces = []  # (rows, supports, bits)
-    for k in sorted(set(count[first].tolist())):
-        rows = np.flatnonzero(first & (count == k))
-        ranks = flat[start[rows, None] + np.arange(k)]
-        bits = _unpack_tables([nodes[i].table for i in rows.tolist()], k)
-        pieces += _first_layer(rows, ranks, bits)
-    _collapse_deeper(ln, np.flatnonzero(~first[:stop]).tolist(), pieces, cap)
-    if stop < len(nodes):
-        _check_cap(len(nodes[stop].args), cap, nodes[stop].name)
-    return CollapsedNetwork(ln.inputs, tuple(node.name for node in nodes), _blocks(pieces))
+
+_INPUT = _frozen(np.array([0, 1], dtype=np.uint8))  # an input's table over itself
+
+
+def _wide_node(subs: list[tuple[list[int], np.ndarray]], support: list[int],
+               table: np.ndarray) -> np.ndarray:
+    """The node of table row ``table`` over ``support``, the union of its
+    arguments' pruned supports, from ``subs``, each argument's (support,
+    table): each argument read through its ``_gather_index`` in turn, as
+    one index of them all could take gigabytes."""
+    local = np.zeros(1 << len(support), dtype=np.int64)
+    for j, (s, bits) in enumerate(subs):
+        local |= bits[_gather_index(np.isin(support, s), np.int64(0))].astype(np.int64) << j
+    return table[local]
 
 
 def _blocks(pieces: list[tuple[np.ndarray, ...]]) -> tuple[tuple, ...]:
@@ -460,97 +600,32 @@ def _blocks(pieces: list[tuple[np.ndarray, ...]]) -> tuple[tuple, ...]:
     return tuple(blocks)
 
 
-def _first_layer(rows: np.ndarray, ranks: np.ndarray, bits: np.ndarray):
-    """Collapse the first-layer nodes at positions ``rows`` that read k
-    inputs each: their (m, k) argument ranks and (m, 2^k) tables.  One
-    gather sorts every row's variables by rank; a variable is relevant where
-    the two halves of the table along its axis differ; the rows of each
-    relevant mask are cut to their relevant variables by that mask's cached
-    compaction index.  Yields (rows, supports, bits) per relevant mask."""
-    m, k = ranks.shape
-    # stable, the sort uncertainty_curve runs: the default sort's first call
-    # added about 0.4 MB to the resident set of a benchmark process
-    order = np.argsort(ranks, axis=1, kind="stable")
-    ranks = np.take_along_axis(ranks, order, axis=1)
-    bits = np.take_along_axis(bits, _subset_index(order), axis=1)
+def _prune(rows: np.ndarray, ranks: np.ndarray, bits: np.ndarray):
+    """Cut the nodes at positions ``rows``, with (m, u) ascending input ranks
+    and (m, 2^u) tables, to the inputs they depend on: a variable is
+    relevant where the two halves of the table along its axis differ; the
+    rows of each relevant mask are cut by that mask's compaction index.
+    Yields (rows, supports, bits) per relevant mask."""
+    m, u = ranks.shape
     rel = np.zeros(m, dtype=np.int64)
-    for j in range(k):
+    for j in range(u):
         halves = bits.reshape(m, -1, 2, 1 << j)
         rel |= (halves[:, :, 0] != halves[:, :, 1]).any(axis=(1, 2)) << j
+    kept_of = _kept if u <= COMPILED_MAX_SUPPORT else _kept.__wrapped__  # wider: not held
     for mask in sorted(set(rel.tolist())):
         sel = np.flatnonzero(rel == mask)
-        kept, index = _kept(mask)
+        kept, index = kept_of(mask)
         yield rows[sel], ranks[sel][:, kept], bits[sel][:, index]
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=None)
 def _kept(mask: int) -> tuple[np.ndarray, np.ndarray]:
     """The positions of the variables in ``mask``, and the index that cuts a
-    table that depends on no other variable to them.  The 256 held masks
-    cover every mask of up to 8 variables, the widest the benchmark
-    networks reach; the index of r variables holds 2^r int64s."""
+    table that depends on no other variable to them.  Held for masks of up
+    to ``COMPILED_MAX_SUPPORT`` variables, as trials meet the same masks
+    again: all 4,096 would hold 3^12 int64 index entries, 4.3 MB."""
     kept = np.array(indices_of(mask), dtype=np.int64)
     return _frozen(kept), _frozen(_subset_index(kept))
-
-
-def _collapse_deeper(ln: LocalNetwork, deeper: list[int],
-                     pieces: list[tuple[np.ndarray, ...]], cap: int | None) -> None:
-    """Collapse the nodes at positions ``deeper`` in order by
-    ``_collapse_node``, from their arguments' (input ranks, packed table),
-    and add them to ``pieces``.  An input is the identity table ``0b10``
-    over its rank; the first-layer rows in ``pieces`` are packed back to
-    ints, one pass per piece.  A name that is neither an input nor an
-    earlier node is refused."""
-    if not deeper:
-        return
-    memo = {name: ((r,), 0b10) for r, name in enumerate(ln.inputs)}
-    for rows, supports, bits in pieces:
-        for i, support, table in zip(rows.tolist(), supports.tolist(), _pack_rows(bits)):
-            memo[ln.nodes[i].name] = tuple(support), table
-    position = {node.name: i for i, node in enumerate(ln.nodes)}
-    done: dict[int, list[tuple[int, tuple[int, ...], int]]] = {}  # by arity
-    for i in deeper:
-        node = ln.nodes[i]
-        for a in node.args:
-            if a not in memo or position.get(a, -1) >= i:
-                raise ValueError(f"node {node.name!r} references unknown name {a!r}")
-        support, table = memo[node.name] = _collapse_node(node, [memo[a] for a in node.args], cap)
-        done.setdefault(len(support), []).append((i, support, table))
-    for k, results in done.items():
-        rows, supports, tables = zip(*results)
-        pieces.append((np.array(rows), np.array(supports, dtype=np.int64).reshape(len(rows), k),
-                       _unpack_tables(tables, k)))
-
-
-def _collapse_node(node: LocalNode, subs: list[tuple[Sequence[int], int]],
-                   cap: int | None) -> tuple[tuple[int, ...], int]:
-    """The input ranks a node depends on and its packed table over them,
-    from each argument's (input ranks, packed table).  A function of its
-    own, so that its wide temporaries are freed before the next node."""
-    support = tuple(sorted({r for sub_support, _ in subs for r in sub_support}))
-    n = len(support)
-    _check_cap(n, cap, node.name)
-    masks = _low_masks(n)
-    if len(node.args) <= PACKED_MAX_ARGS:
-        position = {r: i for i, r in enumerate(support)}
-        columns = [_spread(t, [position[r] for r in sub_support], masks)
-                   for sub_support, t in subs]
-        table = _compose(node.table, columns, (1 << (1 << n)) - 1)
-    else:
-        # One axis per variable, highest first: the node's table gets one
-        # per argument, and each argument's table one per support input,
-        # of length 1 for the inputs it lacks, so one gather broadcasts.
-        axes = support[::-1]
-        index = tuple(_unpack_tables([t], len(sub_support))
-                      .reshape([2 if r in sub_support else 1 for r in axes])
-                      for sub_support, t in reversed(subs))
-        k = len(node.args)
-        table = _pack_bits(_unpack_tables([node.table], k).reshape((2,) * k)[index].ravel())
-    rel = _relevant_mask(table, masks)
-    if rel == (1 << n) - 1:
-        return support, table
-    kept = indices_of(rel)
-    return tuple(support[i] for i in kept), _compact(table, kept, masks)
 
 
 def collapse(net: Network, cap: int | None = None) -> CollapsedNetwork:

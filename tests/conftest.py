@@ -7,20 +7,27 @@ import os
 import sys
 from pathlib import Path
 from types import ModuleType
+from typing import Iterable, NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from bnspectral import analysis
-from bnspectral.boolfn import BoolFn, ProductDist, _check_cap, default_labels
+from bnspectral import analysis, netlang
+from bnspectral.boolfn import (
+    BoolFn,
+    ProductDist,
+    _check_cap,
+    _pack_rows,
+    _unpack_tables,
+    default_labels,
+)
 from bnspectral.netlang import (
     And,
     CollapsedNetwork,
     Const,
     Expr,
     LocalNetwork,
-    LocalNode,
     Network,
     Not,
     Or,
@@ -167,6 +174,46 @@ def netgen() -> ModuleType:
     return module
 
 
+class LocalNode(NamedTuple):
+    """A definition as a packed table over its argument names, which may
+    repeat: bit b of ``table`` is its value where bit j of b sets ``args[j]``."""
+
+    name: str
+    args: tuple[str, ...]
+    table: int
+
+
+def local_network(inputs: Iterable[str], nodes: Iterable[LocalNode]) -> LocalNetwork:
+    """The ``LocalNetwork`` of per-node definitions: their wiring compiled,
+    their tables unpacked into rows per argument count."""
+    nodes = tuple(nodes)
+    args = tuple(tuple(node.args) for node in nodes)
+    rows = {k: _unpack_tables([node.table for node in nodes if len(node.args) == k], k)
+            for k in sorted({len(a) for a in args})}
+    return LocalNetwork(netlang._compile(tuple(inputs), tuple(node.name for node in nodes), args),
+                        rows)
+
+
+def local_nodes(ln: LocalNetwork) -> tuple[LocalNode, ...]:
+    """The per-node definitions of a ``LocalNetwork``, tables packed."""
+    tables = {k: iter(_pack_rows(rows)) for k, rows in ln.rows.items()}
+    return tuple(LocalNode(name, args, next(tables[len(args)]))
+                 for name, args in zip(ln.program.names, ln.program.args))
+
+
+def exchange_oracle(net: Network, rng: np.random.Generator, unate: bool) -> LocalNetwork:
+    """An exchange trial built per node, as packed tables: one from
+    ``random_tables`` or ``sample_random_unate`` per definition, at its
+    argument count, in definition order.  An exchange trial of
+    ``analysis.baseline_curves`` draws the same tables from the same
+    generator state, as rows, and leaves it in the same state."""
+    arities = [len(args) for args in net.args]
+    tables = ([sample_random_unate(k, rng) for k in arities] if unate
+              else random_tables(arities, rng))
+    return local_network(net.inputs, map(LocalNode, (name for name, _ in net.defs), net.args,
+                                         tables))
+
+
 def random_topology_oracle(inputs: tuple[str, ...], names: tuple[str, ...],
                            rng: np.random.Generator, unate: bool,
                            cap: int | None = None) -> LocalNetwork:
@@ -185,7 +232,7 @@ def random_topology_oracle(inputs: tuple[str, ...], names: tuple[str, ...],
     args = [tuple(fan_in[name]) for name in names]
     tables = ([sample_random_unate(len(a), rng) for a in args] if unate
               else random_tables([len(a) for a in args], rng))
-    return LocalNetwork(inputs, tuple(map(LocalNode, names, args, tables)))
+    return local_network(inputs, map(LocalNode, names, args, tables))
 
 
 def assert_same_blocks(got: CollapsedNetwork, want: CollapsedNetwork) -> None:

@@ -11,7 +11,7 @@ failure is the mutant's doing.
 Run from anywhere, stdlib only::
 
     python tests/mutants.py            # every mutant
-    python tests/mutants.py compose    # those whose name contains "compose"
+    python tests/mutants.py prune      # those whose name contains "prune"
 
 Exits 0 when every mutant is killed, 1 when one survives or its old text is
 not found (the table then names code that has moved on), 2 when a selector
@@ -44,8 +44,13 @@ class Mutant(NamedTuple):
     min_failures: int  # as many as failed when the mutant was added
 
 
-PACKED_COLLAPSE = ("tests/test_netlang.py::TestPackedCollapse",
-                   "tests/test_netlang.py::TestOracles::test_localize_and_collapse_match")
+COLLAPSE = tuple(f"tests/test_netlang.py::{test}" for test in (
+    "TestPackedCollapse::test_matches_oracles_across_switch",
+    "TestPackedCollapse::test_hypothesis_networks",
+    "TestPackedCollapse::test_wide_supports",
+    "TestPackedCollapse::test_first_layer_forms",
+    "TestPackedCollapse::test_cap_on_a_first_layer_node",
+    "TestOracles::test_localize_and_collapse_match"))
 
 BLOCKS = ("tests/test_netlang.py::TestBlocks",)
 
@@ -60,42 +65,42 @@ CURVES = ("tests/test_analysis.py::test_uncertainty_curve_adds_node_entropies_le
           "tests/test_analysis.py::test_trial_rankings_and_curves_are_the_per_node_sums_bit_for_bit")
 
 MUTANTS = (
-    Mutant("spread moves a variable one position too far", "boolfn.py",
-           "t = _move(t, masks, r, positions[r])",
-           "t = _move(t, masks, r, positions[r] + 1)",
-           PACKED_COLLAPSE, 3),
-    Mutant("first-layer path skips the rank sort", "netlang.py",
-           "bits = np.take_along_axis(bits, _subset_index(order), axis=1)",
-           "bits = bits",
-           PACKED_COLLAPSE + BLOCKS, 7),
-    Mutant("first-layer path skips the prune", "netlang.py",
-           "kept, index = _kept(mask)",
-           "kept, index = _kept((1 << k) - 1)",
-           PACKED_COLLAPSE + BLOCKS, 7),
+    Mutant("prune keeps every variable", "netlang.py",
+           "kept, index = kept_of(mask)",
+           "kept, index = kept_of((1 << u) - 1)",
+           COLLAPSE + BLOCKS, 9),
+    Mutant("the final prune skipped", "netlang.py",
+           "pieces = [piece for segment in grown for piece in _prune(*segment)]",
+           "pieces = grown",
+           COLLAPSE + BLOCKS, 8),
+    Mutant("projection index read one bit off", "netlang.py",
+           "step = (member << np.cumsum(member, axis=-1)) >> 1",
+           "step = member << np.cumsum(member, axis=-1)",
+           COLLAPSE + BLOCKS, 10),
+    Mutant("groups run out of depth order", "netlang.py",
+           "groups.sort(key=lambda group: group[0])",
+           "groups.sort(key=lambda group: group[1])",
+           COLLAPSE + BLOCKS, 6),
+    Mutant("a wide-U index built over unpruned supports", "netlang.py",
+           "for rows, supports, bits in (pieces if todo else ())",
+           "for rows, supports, bits in (grown if todo else ())",
+           COLLAPSE, 2),
     Mutant("block rows put back out of definition order", "netlang.py",
            'order = np.argsort(rows, kind="stable")',
            "order = np.arange(len(rows))",
-           PACKED_COLLAPSE + BLOCKS, 6),
+           COLLAPSE + BLOCKS, 6),
     Mutant("relevant-by-halves compares the wrong axis", "netlang.py",
            "halves = bits.reshape(m, -1, 2, 1 << j)",
            "halves = bits.reshape(m, 1 << j, 2, -1)",
-           PACKED_COLLAPSE + BLOCKS, 6),
-    Mutant("spread swaps its two literal cases", "boolfn.py",
-           "if t == 0b10 else masks[p]",
-           "if t == 0b01 else masks[p]",
-           ("tests/test_golden.py",), 3),
-    Mutant("compact skips its last move", "boolfn.py",
-           "for r, p in enumerate(keep):",
-           "for r, p in enumerate(keep[:-1]):",
-           PACKED_COLLAPSE, 3),
-    Mutant("compose swaps the minterm halves", "boolfn.py",
-           "product & ~c)\n                | walk(j - 1, t >> half, product & c))",
-           "product & c)\n                | walk(j - 1, t >> half, product & ~c))",
-           PACKED_COLLAPSE, 3),
+           COLLAPSE + BLOCKS, 6),
     Mutant("random_tables drops the word offset", "sampling.py",
            'int.from_bytes(raw[at:at + 4 * w], "little")',
            'int.from_bytes(raw[:4 * w], "little")',
-           ("tests/test_sampling.py::TestRandomTables", "tests/test_golden.py"), 14),
+           ("tests/test_sampling.py::TestRandomTables", "tests/test_golden.py",
+            # exchange trials draw rows; these compare them with random_tables' tables
+            "tests/test_netlang.py::TestCollapseSoundness::test_baseline_trials[exchange-random]",
+            "tests/test_netlang.py::TestPackedCollapse::"
+            "test_exchange_trials_are_the_packed_build[random]"), 14),
     Mutant("determinative power sums into the wrong rank", "analysis.py",
            "np.bincount(w.ranks,",
            "np.bincount((w.ranks - 1) % len(s.c.inputs),",
@@ -209,7 +214,7 @@ MUTANTS = (
     Mutant("cached held masks read one variable off", "boolfn.py",
            "return tuple(_low_mask(n, j) for j in range(n))",
            "return tuple(_low_mask(n, (j + 1) % n) for j in range(n))",
-           ("tests/test_boolfn.py::TestHalves", *PACKED_COLLAPSE), 10),
+           ("tests/test_boolfn.py::TestHalves", *COLLAPSE), 10),
     Mutant("check_mask accepts one bit above the arity", "boolfn.py",
            "if mask < 0 or mask >> arity:",
            "if mask < 0 or mask >> (arity + 1):",

@@ -35,7 +35,10 @@ from bnspectral.reference import (
 from bnspectral.sampling import random_rows, random_tables
 
 from conftest import (
+    LocalNode,
     assert_same_blocks,
+    local_network,
+    local_nodes,
     netgen,
     random_network,
     random_product_dist,
@@ -383,9 +386,8 @@ def test_trial_rankings_and_curves_are_the_per_node_sums_bit_for_bit(mode):
     rng = np.random.default_rng(7)
     names = tuple(name for name, _ in net.defs)
     if mode.startswith("exchange"):
-        ln = analysis._exchanged_local(net.inputs, list(zip(names, net.args)), rng,
-                                       mode.endswith("unate"))
-        c = netlang.collapse_local(ln)
+        rows = random_rows(np.array([len(args) for args in net.args]), rng, mode.endswith("unate"))
+        c = netlang.collapse_local(netlang.LocalNetwork(net.program, rows))
     else:
         c = analysis._random_topology(net.inputs, names, rng, mode.endswith("unate"))
         assert c.blocks[0][0] == 0
@@ -434,7 +436,7 @@ def test_random_topology_trials_are_the_per_node_collapse_bit_for_bit(unate):
             assert_same_blocks(analysis._random_topology(inputs, names, rng, unate),
                                netlang.collapse_local(trial))
             assert rng.integers(1 << 62) == twin.integers(1 << 62)
-            arities.append([len(node.args) for node in trial.nodes])
+            arities.append([len(node.args) for node in local_nodes(trial)])
     assert all(0 in a for a in arities[:30])  # unfed nodes on the netgen wiring
     assert max(map(max, arities)) >= (12 if not unate else 6)
 
@@ -448,9 +450,9 @@ def test_uncertainty_curve_sums_wide_nodes_in_blocks(monkeypatch):
     rng = np.random.default_rng(31)
     inputs = tuple(f"x{r}" for r in range(18))
     args = (inputs[:17], tuple(rng.permutation(inputs[2:]).tolist()))
-    nodes = tuple(netlang.LocalNode(f"y{i}", a, t)
+    nodes = tuple(LocalNode(f"y{i}", a, t)
                   for i, (a, t) in enumerate(zip(args, random_tables([17, 16], rng))))
-    c = netlang.collapse_local(netlang.LocalNetwork(inputs, nodes))
+    c = netlang.collapse_local(local_network(inputs, nodes))
     assert [len(node.support) for node in c.nodes] == [17, 16]
     d = random_product_dist(rng, len(inputs))
     order = [str(name) for name in rng.permutation(inputs)]
@@ -521,15 +523,27 @@ class TestBaselines:
                               ProductDist.uniform(4), L=2)
         assert res.stddev == (0.0, 0.0, 0.0)
 
-    def test_exchange_preserves_in_degree(self):
-        from bnspectral.analysis import _exchanged_local
+    def test_exchange_preserves_in_degree(self, monkeypatch):
+        """An exchange trial runs the network's own compiled wiring, with
+        one new table per definition, of its argument count."""
+        net = toy_network()
+        ln = localize(net)
+        trials = []
 
-        ln = localize(toy_network())
-        swapped = _exchanged_local(ln.inputs, [(n.name, n.args) for n in ln.nodes],
-                                   np.random.default_rng(2), unate=False)
-        for before, after in zip(ln.nodes, swapped.nodes):
-            assert before.args == after.args
-            assert after.table < 1 << (1 << len(after.args))
+        def spy(trial, cap=None):
+            trials.append(trial)
+            return netlang.collapse_local(trial, cap)
+
+        monkeypatch.setattr(analysis, "collapse_local", spy)
+        for mode in ("exchange-random", "exchange-unate"):
+            baseline_curves(net, BaselineSpec(mode, 2, 2), ProductDist.uniform(4))
+        assert len(trials) == 4
+        for trial in trials:
+            assert trial.program is ln.program
+            assert {k: rows.shape for k, rows in trial.rows.items()} == {
+                k: rows.shape for k, rows in ln.rows.items()}
+            assert all(rows.dtype == np.uint8 and rows.max(initial=0) <= 1
+                       for rows in trial.rows.values())
 
     def test_random_topology_out_degree(self, monkeypatch):
         """Every input feeds 8 distinct nodes.  Parity tables depend on
@@ -588,8 +602,7 @@ class TestBaselines:
             monkeypatch.setattr(analysis, name,
                                 lambda *args, **kwargs: seen.append(name) or real(*args, **kwargs))
 
-        for name in ("random_tables", "sample_random_unate", "random_rows", "_exchanged_local",
-                     "_random_topology", "collapse_local", "_first_layer"):
+        for name in ("random_rows", "_random_topology", "collapse_local", "_prune"):
             spy(name)
         net = parse("a = x AND y\nb = a OR z\n" + "".join(f"c{k} = x OR NOT z\n" for k in range(6)))
         with pytest.raises(ValueError, match=r"^L = 5 outside 0\.\.3, the ordered inputs$"):

@@ -12,22 +12,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bnspectral import analysis, netlang
-from bnspectral.analysis import _exchanged_local, _random_topology
+from bnspectral.analysis import _random_topology
 from bnspectral.boolfn import (
     HELD_MASKS_MAX_ARITY,
     ArityCapError,
     BoolFn,
     ProductDist,
-    _spread,
     _subset_index,
     default_labels,
     evaluate,
     relevant_variables,
 )
 from bnspectral.netlang import (
+    COMPILED_MAX_SUPPORT,
     KEYWORDS,
     MAX_NESTING,
-    PACKED_MAX_ARGS,
     PUNCTUATION,
     And,
     CollapsedNetwork,
@@ -35,7 +34,6 @@ from bnspectral.netlang import (
     Const,
     Expr,
     LocalNetwork,
-    LocalNode,
     NetParseError,
     Network,
     Not,
@@ -54,10 +52,14 @@ from bnspectral.netlang import (
     references,
 )
 from bnspectral.reference import _eval_expr_bits, evaluate_assignment, node_tables
-from bnspectral.sampling import sample_random_function
+from bnspectral.sampling import random_rows, sample_random_function
 
 from conftest import (
+    LocalNode,
     assert_same_blocks,
+    exchange_oracle,
+    local_network,
+    local_nodes,
     netgen,
     random_network,
     random_topology_oracle,
@@ -280,7 +282,7 @@ def as_network(ln: LocalNetwork) -> Network:
     """Each local table written as a disjunction of its minterms, so that
     ``node_tables`` can tabulate it independently of collapse."""
     defs = []
-    for node in ln.nodes:
+    for node in local_nodes(ln):
         terms = []
         minterms = [b for b in range(1 << len(node.args)) if node.table >> b & 1]
         for b in minterms:
@@ -290,7 +292,7 @@ def as_network(ln: LocalNetwork) -> Network:
             defs.append((node.name, Const(1 if terms else -1)))
         else:
             defs.append((node.name, terms[0] if len(terms) == 1 else Or(tuple(terms))))
-    return Network(ln.inputs, tuple(defs))
+    return Network(ln.program.inputs, tuple(defs))
 
 
 class TestCollapseSoundness:
@@ -310,21 +312,25 @@ class TestCollapseSoundness:
             ln = localize(net)
             unate = mode.endswith("unate")
             if mode.startswith("exchange"):
-                trial = _exchanged_local(ln.inputs, [(n.name, n.args) for n in ln.nodes],
-                                         rng, unate)
+                # the trial of baseline_curves, against the one built per node
+                twin = copy.deepcopy(rng)
+                arities = np.array([len(args) for args in net.args])
+                trial = LocalNetwork(net.program, random_rows(arities, rng, unate))
+                assert local_nodes(trial) == local_nodes(exchange_oracle(net, twin, unate))
+                assert rng.integers(1 << 62) == twin.integers(1 << 62)
             else:
-                names = tuple(n.name for n in ln.nodes)
+                names = tuple(n.name for n in local_nodes(ln))
                 monkeypatch.setattr(analysis, "RANDOM_TOPOLOGY_OUT_DEGREE", min(2, len(names)))
                 twin = copy.deepcopy(rng)
-                trial = random_topology_oracle(ln.inputs, names, twin, unate)
-                assert_same_blocks(_random_topology(ln.inputs, names, rng, unate),
+                trial = random_topology_oracle(ln.program.inputs, names, twin, unate)
+                assert_same_blocks(_random_topology(ln.program.inputs, names, rng, unate),
                                    collapse_local(trial))
                 assert rng.integers(1 << 62) == twin.integers(1 << 62)
             c = collapse_local(trial)
             assert_collapses_as_oracle(c, trial)
             assert_matches_node_tables(c, as_network(trial))
-            support = {name: {name} for name in trial.inputs}
-            for local, node in zip(trial.nodes, c.nodes):
+            support = {name: {name} for name in trial.program.inputs}
+            for local, node in zip(local_nodes(trial), c.nodes):
                 assert relevant_variables(node.fn) == (1 << node.fn.arity) - 1
                 union = set().union(*(support[a] for a in local.args))
                 pruned += len(node.inputs) < len(union)
@@ -349,12 +355,14 @@ class TestCollapseSoundness:
 class TestLocalize:
     def test_direct_arity(self):
         ln = localize(parse("y = a AND b AND a\nz = y OR c\n"))
-        assert ln.nodes[0].args == ("a", "b")
-        assert ln.nodes[1].args == ("y", "c")
+        assert ln.program.args == (("a", "b"), ("y", "c"))
+        assert sorted(ln.rows) == [2]
 
     def test_local_tables(self):
-        ln = localize(parse("y = NOT a\n"))
-        assert ln.nodes[0].table == 0b01
+        ln = localize(parse("y = NOT a\nz = a AND b\nw = b\n"))
+        assert ln.rows[1].tolist() == [[1, 0], [0, 1]]
+        assert ln.rows[2].tolist() == [[0, 0, 0, 1]]
+        assert all(rows.dtype == np.uint8 for rows in ln.rows.values())
 
     def test_definitions_walked_once(self, monkeypatch):
         """Localizing and then running a baseline walk each definition at
@@ -416,7 +424,7 @@ def tokenize_walk(text: str, lineno: int) -> list[tuple[str, str, int, int]]:
     return tokens
 
 
-def localize_columns(net: Network) -> LocalNetwork:
+def localize_columns(net: Network) -> tuple[LocalNode, ...]:
     """Each definition evaluated on NumPy 0/1 columns of its arguments."""
     nodes = []
     for name, expr in net.defs:
@@ -425,17 +433,17 @@ def localize_columns(net: Network) -> LocalNetwork:
         columns = {a: ((idx >> j) & 1).astype(np.uint8) for j, a in enumerate(args)}
         bits = _eval_expr_bits(expr, columns, len(idx))
         nodes.append(LocalNode(name, args, BoolFn.from_bit_array(bits, args).table))
-    return LocalNetwork(net.inputs, tuple(nodes))
+    return tuple(nodes)
 
 
 def collapse_local_spread(ln: LocalNetwork) -> tuple[CollapsedNode, ...]:
     """Each argument's table spread over the node's support with
     ``np.broadcast_to`` and packed into an index, one argument at a time;
     one node record per definition."""
-    rank = {name: i for i, name in enumerate(ln.inputs)}
-    memo = {name: ((name,), np.arange(2, dtype=np.uint8)) for name in ln.inputs}
+    rank = {name: i for i, name in enumerate(ln.program.inputs)}
+    memo = {name: ((name,), np.arange(2, dtype=np.uint8)) for name in ln.program.inputs}
     nodes = []
-    for node in ln.nodes:
+    for node in local_nodes(ln):
         support = tuple(sorted({s for a in node.args for s in memo[a][0]}, key=rank.__getitem__))
         node_idx = np.zeros(1 << len(support), dtype=np.int64)
         for j, a in enumerate(node.args):
@@ -453,7 +461,7 @@ def collapse_local_spread(ln: LocalNetwork) -> tuple[CollapsedNode, ...]:
             fn = BoolFn.from_bit_array(bits, [support[i] for i in kept])
         memo[node.name] = (fn.labels, bits)
         nodes.append(CollapsedNode(node.name, tuple(map(rank.__getitem__, fn.labels)),
-                                   fn.table, ln.inputs))
+                                   fn.table, ln.program.inputs))
     return tuple(nodes)
 
 
@@ -461,10 +469,10 @@ def assert_collapses_as_oracle(c: CollapsedNetwork, ln: LocalNetwork) -> None:
     """``c`` holds the oracle's nodes, as read-only blocks of ascending
     arity whose rows are node positions in definition order."""
     assert c.nodes == collapse_local_spread(ln)
-    assert c.names == tuple(node.name for node in ln.nodes)
+    assert c.names == ln.program.names
     assert [k for k, *_ in c.blocks] == sorted({len(s) for s in c.supports})
     assert sorted(r for _, rows, _, _ in c.blocks for r in rows.tolist()) == list(
-        range(len(ln.nodes)))
+        range(len(c.names)))
     for k, rows, supports, bits in c.blocks:
         assert rows.dtype == supports.dtype == np.int64 and bits.dtype == np.uint8
         assert supports.shape == (len(rows), k) and bits.shape == (len(rows), 1 << k)
@@ -728,9 +736,9 @@ class TestOracles:
         for _ in range(60):
             net = random_network(rng, max_inputs=8, max_nodes=12, max_depth=4)
             ln = localize(net)
-            assert ln == localize_columns(net)
+            assert local_nodes(ln) == localize_columns(net)
             assert_collapses_as_oracle(collapse_local(ln), ln)
-            nullary += sum(not node.args for node in ln.nodes)
+            nullary += sum(not node.args for node in local_nodes(ln))
             constants += sum("Const(" in repr(expr) for _, expr in net.defs)
         assert nullary and constants
 
@@ -747,7 +755,7 @@ def random_local_network(rng: np.random.Generator, n_inputs: int, n_nodes: int,
         args = tuple(str(a) for a in rng.choice(names, size=k, replace=False))
         nodes.append(LocalNode(f"n{v}", args, sample_random_function(k, rng).table))
         names.append(f"n{v}")
-    return LocalNetwork(inputs, tuple(nodes))
+    return local_network(inputs, tuple(nodes))
 
 
 def assert_derived_attributes(c: CollapsedNetwork) -> None:
@@ -758,66 +766,117 @@ def assert_derived_attributes(c: CollapsedNetwork) -> None:
         assert node.fn == BoolFn(len(node.support), node.inputs, node.table)
 
 
-class TestPackedCollapse:
-    """Nodes of at most ``PACKED_MAX_ARGS`` arguments are composed on packed
-    tables, wider ones by a gather; each kind feeds the other here."""
+def union_sizes(ln: LocalNetwork, collapsed: Sequence[CollapsedNode]) -> dict[str, int]:
+    """Per node, the number of inputs its arguments' pruned supports span,
+    which the cap is judged on."""
+    support = {name: {name} for name in ln.program.inputs}
+    union = {}
+    for node, done in zip(local_nodes(ln), collapsed):
+        union[node.name] = len(set().union(*(support[a] for a in node.args)))
+        support[node.name] = set(done.inputs)
+    return union
 
-    def test_matches_oracles_across_switch(self):
+
+def assert_cap_outcome(ln: LocalNetwork, want: Sequence[CollapsedNode], cap: int) -> str:
+    """``collapse_local(ln, cap)`` gives the oracle's nodes, or refuses the
+    first node, in definition order, whose arguments' pruned supports span
+    more than the cap, with that span."""
+    over = [(name, size) for name, size in union_sizes(ln, want).items() if size > cap]
+    if not over:
+        assert collapse_local(ln, cap).nodes == tuple(want)
+        return "collapsed"
+    with pytest.raises(ArityCapError) as err:
+        collapse_local(ln, cap)
+    assert (err.value.name, err.value.arity, err.value.cap) == (*over[0], cap)
+    return "refused"
+
+
+@st.composite
+def local_networks(draw):
+    """Up to 7 inputs and 8 nodes, each reading up to 4 inputs or earlier
+    nodes, repeats allowed, with a random table, often a constant."""
+    inputs = tuple(f"x{i}" for i in range(draw(st.integers(0, 7))))
+    names, nodes = list(inputs), []
+    for v in range(draw(st.integers(1, 8))):
+        k = draw(st.integers(0, 4)) if names else 0
+        args = tuple(draw(st.lists(st.sampled_from(names), min_size=k, max_size=k))) if k else ()
+        full = (1 << (1 << k)) - 1
+        table = draw(st.one_of(st.sampled_from([0, full]), st.integers(0, full)))
+        nodes.append(LocalNode(f"n{v}", args, table))
+        names.append(f"n{v}")
+    return inputs, tuple(nodes)
+
+
+class TestPackedCollapse:
+    """A node whose unpruned support U spans at most
+    ``COMPILED_MAX_SUPPORT`` inputs is collapsed by its network's compiled
+    program; a wider one is gathered when the program runs, over its
+    arguments' pruned supports.  The bound is lowered here so that small
+    networks cross it."""
+
+    def test_matches_oracles_across_switch(self, monkeypatch):
+        monkeypatch.setattr(netlang, "COMPILED_MAX_SUPPORT", 4)
         rng = np.random.default_rng(47)
         edges = set()
-        outcomes = {6: set(), 10: set()}
+        outcomes = {3: set(), 6: set()}  # caps below and above the bound
         for _ in range(30):
-            ln = random_local_network(rng, int(rng.integers(1, 15)), 10, PACKED_MAX_ARGS + 3)
+            ln = random_local_network(rng, int(rng.integers(1, 15)), 10, 6)
             want, got = collapse_local_spread(ln), collapse_local(ln)
             assert_collapses_as_oracle(got, ln)
             assert_matches_node_tables(got, as_network(ln))
             assert_derived_attributes(got)
-            wide = {node.name for node in ln.nodes if len(node.args) > PACKED_MAX_ARGS}
+            wide = {name for name, u in zip(ln.program.names, ln.program.u.tolist()) if u > 4}
             edges |= {(a in wide, node.name in wide)
-                      for node in ln.nodes for a in node.args if a.startswith("n")}
-            support = {name: {name} for name in ln.inputs}
-            union = {}
-            for node, collapsed in zip(ln.nodes, want):
-                union[node.name] = len(set().union(*(support[a] for a in node.args)))
-                support[node.name] = set(collapsed.inputs)
-            for cap in outcomes:
-                over = [name for name, size in union.items() if size > cap]
-                if not over:
-                    assert collapse_local(ln, cap).nodes == want
-                    outcomes[cap].add("collapsed")
-                    continue
-                with pytest.raises(ArityCapError) as err:
-                    collapse_local(ln, cap)
-                assert (err.value.name, err.value.arity, err.value.cap) == (
-                    over[0], union[over[0]], cap)
-                outcomes[cap].add("refused")
-        assert edges == {(False, False), (False, True), (True, False), (True, True)}
+                      for node in local_nodes(ln) for a in node.args if a.startswith("n")}
+            for cap, seen in outcomes.items():
+                seen.add(assert_cap_outcome(ln, want, cap))
+        # a node that reads a wide node is wide
+        assert edges == {(False, False), (False, True), (True, True)}
         assert all(seen == {"collapsed", "refused"} for seen in outcomes.values())
 
-    def test_wide_supports(self):
-        """Over ``HELD_MASKS_MAX_ARITY`` inputs each mask is built when it
-        is read: spreading, both ways of composing, and compaction."""
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(network=local_networks(), bound=st.integers(0, 5), cap=st.integers(0, 6))
+    def test_hypothesis_networks(self, network, bound, cap):
+        """Repeated arguments, constants, arguments that share inputs, nodes
+        that prune to a constant, and nodes on both sides of the bound."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(netlang, "COMPILED_MAX_SUPPORT", bound)
+            ln = local_network(*network)
+            want = collapse_local_spread(ln)
+            assert_collapses_as_oracle(collapse_local(ln), ln)
+            assert_cap_outcome(ln, want, cap)
+
+    def test_wide_supports(self, monkeypatch):
+        """Nodes over ``COMPILED_MAX_SUPPORT`` and ``HELD_MASKS_MAX_ARITY``
+        inputs, whose tables' masks are built when they are read, are
+        gathered at run time: ``p``, ``w`` and ``q``, which is a0 XOR a2."""
         rng = np.random.default_rng(48)
         inputs = tuple(f"x{i}" for i in range(HELD_MASKS_MAX_ARITY + 2))
         thirds = [inputs[v::3] for v in range(3)]
         nodes = [LocalNode(f"a{v}", args, sample_random_function(len(args), rng).table)
                  for v, args in enumerate(thirds)]
         three = ("a0", "a1", "a2")
-        wide = three + inputs[:PACKED_MAX_ARGS + 1 - len(three)]
+        wide = three + inputs[:4]
         nodes += [LocalNode("p", three, sample_random_function(3, rng).table),
                   LocalNode("w", wide, sample_random_function(len(wide), rng).table),
                   LocalNode("q", three, 0x5A)]  # a0 XOR a2
-        ln = LocalNetwork(inputs, tuple(nodes))
+        ln = local_network(inputs, nodes)
+        assert ln.program.u.tolist() == [6, 6, 6, 18, 18, 18]
+        gathered = []
+        real = netlang._wide_node
+        monkeypatch.setattr(netlang, "_wide_node", lambda subs, support, table: (
+            gathered.append(len(support)) or real(subs, support, table)))
         c = collapse_local(ln)
         assert_collapses_as_oracle(c, ln)
         assert_matches_node_tables(c, as_network(ln))
         assert_derived_attributes(c)
         assert [len(node.inputs) for node in c.nodes[3:]] == [len(inputs)] * 2 + [12]
+        assert gathered == [18, 18, 18]  # q over all its arguments, then pruned to 12
 
     def test_cap_error_precedes_later_unknown_name(self):
         wide = tuple(f"x{i}" for i in range(4))
-        ln = LocalNetwork(wide, (LocalNode("big", wide, 1 << 15),
-                                 LocalNode("bad", ("ghost",), 0b01)))
+        ln = local_network(wide, (LocalNode("big", wide, 1 << 15),
+                                  LocalNode("bad", ("ghost",), 0b01)))
         with pytest.raises(ArityCapError) as err:
             collapse_local(ln, cap=3)
         assert (err.value.name, err.value.arity) == ("big", 4)
@@ -825,13 +884,13 @@ class TestPackedCollapse:
             collapse_local(ln)
 
     def test_first_layer_forms(self, monkeypatch):
-        """A node whose arguments are all distinct inputs is collapsed in its
-        fan-in block, with no spread and no gather: with no arguments, with
-        more than ``PACKED_MAX_ARGS`` unordered ones, or with irrelevant
-        ones.  A repeated input takes the general path, as do ``mixed`` and
-        ``via``, which read nodes equal to an input or its negation."""
+        """A node that reads inputs only runs in a depth-1 group of the
+        program, which sorts its variables and drops none: with no
+        arguments, nine unordered ones, irrelevant ones, or a repeated one
+        (``rep``).  ``mixed`` and ``via``, which read nodes equal to an
+        input or its negation, run at depth 2.  None is gathered at run time."""
         rng = np.random.default_rng(49)
-        inputs = tuple(f"x{i}" for i in range(PACKED_MAX_ARGS + 3))
+        inputs = tuple(f"x{i}" for i in range(9))
         unordered = tuple(str(a) for a in rng.permutation(inputs))
         nodes = (LocalNode("rep", ("x1", "x0", "x1"), sample_random_function(3, rng).table),
                  LocalNode("none", (), 0b1),
@@ -841,35 +900,53 @@ class TestPackedCollapse:
                  LocalNode("mixed", ("x1", "x1", "not0"), 0x5A),  # x1 XOR NOT x0
                  LocalNode("id3", ("x3",), 0b10),
                  LocalNode("via", ("id3", "x2"), 0b0110))  # x2 XOR x3
-        ln = LocalNetwork(inputs, nodes)
-        general, spreads = [], []
-        real = netlang._collapse_node
-        monkeypatch.setattr(netlang, "_collapse_node", lambda node, subs, cap: (
-            general.append(node.name) or real(node, subs, cap)))
-        monkeypatch.setattr(netlang, "_spread", lambda t, positions, masks: (
-            spreads.append(t) or _spread(t, positions, masks)))
+        ln = local_network(inputs, nodes)
+        monkeypatch.setattr(netlang, "_wide_node", None)
         c = collapse_local(ln)
         assert_collapses_as_oracle(c, ln)
         assert_matches_node_tables(c, as_network(ln))
         assert_derived_attributes(c)
         assert [node.inputs for node in c.nodes[3:]] == [
             ("x4",), ("x0",), ("x0", "x1"), ("x3",), ("x2", "x3")]
-        assert general == ["rep", "mixed", "via"]
-        # the 3 spreads of rep, the 3 of mixed, the 2 of via
-        assert len(spreads) == 8
+        # (k, nodes) per group in run order: depth 1 by |U| (none; not0 and
+        # id3; rep; cut; wide), then depth 2 (via, then mixed)
+        assert [(k, len(rows)) for k, rows, _, _ in ln.program.groups] == [
+            (0, 1), (1, 2), (3, 1), (3, 1), (9, 1), (2, 1), (3, 1)]
 
     def test_cap_on_a_first_layer_node(self):
         """The cap is checked on a first-layer node's support before its
-        table is reordered or pruned: ``big`` depends on x5 alone."""
+        table is pruned: ``big`` depends on x5 alone."""
         inputs = tuple(f"x{i}" for i in range(6))
-        ln = LocalNetwork(inputs, (LocalNode("small", ("x1", "x0"), 0b0110),
-                                   LocalNode("big", ("x5", "x2", "x0", "x3"), 0xAAAA),
-                                   LocalNode("bigger", inputs[::-1], 1)))
+        ln = local_network(inputs, (LocalNode("small", ("x1", "x0"), 0b0110),
+                                    LocalNode("big", ("x5", "x2", "x0", "x3"), 0xAAAA),
+                                    LocalNode("bigger", inputs[::-1], 1)))
         with pytest.raises(ArityCapError) as err:
             collapse_local(ln, cap=3)
         assert (err.value.name, err.value.arity, err.value.cap) == ("big", 4, 3)
         assert [node.inputs for node in collapse_local(ln).nodes[:2]] == [
             ("x0", "x1"), ("x5",)]
+
+    @pytest.mark.parametrize("unate", [False, True], ids=["random", "unate"])
+    def test_exchange_trials_are_the_packed_build(self, unate):
+        """20 exchange trials on each of the seed-1..3 benchmark networks,
+        drawn as ``baseline_curves`` draws them, into rows per argument
+        count: the tables, and the blocks, of the trial built per node as
+        packed tables from a twin generator, which is left where the trial
+        left its own.  One trial per network is checked against the oracle."""
+        for seed in (1, 2, 3):
+            net = parse(netgen().generate(seed))
+            arities = np.array([len(args) for args in net.args])
+            rng = np.random.default_rng(seed)
+            for t in range(20):
+                twin = copy.deepcopy(rng)
+                trial = LocalNetwork(net.program, random_rows(arities, rng, unate))
+                packed = exchange_oracle(net, twin, unate)
+                assert local_nodes(trial) == local_nodes(packed)
+                assert rng.bit_generator.state == twin.bit_generator.state
+                got = collapse_local(trial)
+                assert_same_blocks(got, collapse_local(packed))
+                if t == 0:
+                    assert got.nodes == collapse_local_spread(packed)
 
     def test_netgen_network_and_its_trials(self, monkeypatch):
         """The seed-1 benchmark network of 150 inputs and 653 nodes, and 5
@@ -903,9 +980,9 @@ class TestPackedCollapse:
 
 
 class TestBlocks:
-    """First-layer nodes are collapsed per fan-in group into arity blocks,
-    deeper nodes one at a time; every form lands in its block with the
-    bits the per-node collapse gave (recorded from it)."""
+    """Every form lands in its arity block with the bits the per-node
+    collapse gave (recorded from it), whether the compiled program collapses
+    it or, over a lowered bound, it is gathered at run time."""
 
     FORMS = (
         ("zero", (), 0x0),  # arity 0, constant -1
@@ -918,7 +995,7 @@ class TestBlocks:
         ("id5", ("x5",), 0x2),  # equal to an input
         ("reader", ("id5", "x7", "x6"), 0x86),  # reads it
         ("rep", ("x8", "x8", "x9"), 0xDC),  # a repeated input
-        ("wide", ("cut1", "nine", "x0", "x1", "x2", "x3", "x4"),  # over PACKED_MAX_ARGS
+        ("wide", ("cut1", "nine", "x0", "x1", "x2", "x3", "x4"),
          0xFC0D00A24C4075A21C887F98FFF6EDF9),
     )
     WANT = (
@@ -939,19 +1016,30 @@ class TestBlocks:
          << 256 | 0x930A4EE683424CE7C34B4EFFC2428CE782034CFF824B4CF682024CEED2024CE6),
     )
 
-    def test_every_form(self, monkeypatch):
-        assert len(self.WANT[-1][1]) > PACKED_MAX_ARGS
-        ln = LocalNetwork(tuple(f"x{i}" for i in range(10)),
-                          tuple(LocalNode(*form) for form in self.FORMS))
-        general = []
-        real = netlang._collapse_node
-        monkeypatch.setattr(netlang, "_collapse_node", lambda node, subs, cap: (
-            general.append(node.name) or real(node, subs, cap)))
+    def collapse_forms(self, monkeypatch) -> tuple[CollapsedNetwork, list[int]]:
+        """The forms collapsed and checked against the oracle, and the
+        support size of each node gathered at run time."""
+        ln = local_network(tuple(f"x{i}" for i in range(10)),
+                           tuple(LocalNode(*form) for form in self.FORMS))
+        gathered = []
+        real = netlang._wide_node
+        monkeypatch.setattr(netlang, "_wide_node", lambda subs, support, table: (
+            gathered.append(len(support)) or real(subs, support, table)))
         c = collapse_local(ln)
         assert_collapses_as_oracle(c, ln)
         assert_matches_node_tables(c, as_network(ln))
         assert [(n.name, n.support, n.table) for n in c.nodes] == list(self.WANT)
-        assert general == ["reader", "rep", "wide"]
+        return c, gathered
+
+    def test_every_form_gathered_at_run_time(self, monkeypatch):
+        """Over a bound of 8, nine (9 inputs) and wide (10: its argument
+        cut1 is x4 alone) are gathered at run time, with the same bits."""
+        monkeypatch.setattr(netlang, "COMPILED_MAX_SUPPORT", 8)
+        assert self.collapse_forms(monkeypatch)[1] == [9, 10]
+
+    def test_every_form(self, monkeypatch):
+        c, gathered = self.collapse_forms(monkeypatch)
+        assert gathered == []
         assert c.constants == (("zero", -1), ("one", 1), ("cut0", 1))
         assert [(k, rows.tolist()) for k, rows, _, _ in c.blocks] == [
             (0, [0, 1, 2]), (1, [3, 5]), (2, [7]), (3, [6]), (9, [4]), (10, [8])]
@@ -963,12 +1051,12 @@ class TestBlocks:
         later is an unknown name even when it is a first-layer node."""
         inputs = tuple(f"x{i}" for i in range(4))
         over = LocalNode("over", inputs, 1)  # first layer, 4 inputs
-        ln = LocalNetwork(inputs, (LocalNode("a", ("x0", "x1"), 0x6),
+        ln = local_network(inputs, (LocalNode("a", ("x0", "x1"), 0x6),
                                    LocalNode("b", ("a", "x2", "x3"), 0x96), over))
         with pytest.raises(ArityCapError) as err:
             collapse_local(ln, cap=3)
         assert (err.value.name, err.value.arity) == ("b", 4)
-        ln = LocalNetwork(inputs, (LocalNode("d", ("later", "x0"), 0x6), over,
+        ln = local_network(inputs, (LocalNode("d", ("later", "x0"), 0x6), over,
                                    LocalNode("later", ("x1",), 0b10)))
         with pytest.raises(ValueError, match="node 'd' references unknown name 'later'"):
             collapse_local(ln, cap=3)
