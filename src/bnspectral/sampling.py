@@ -9,9 +9,13 @@ grouped by arity, with no int between.  Unate
 tables, packed alike, are drawn exactly uniformly for k <= 4 by enumeration;
 for larger k a Markov chain over monotone functions (single-point flips
 that preserve monotonicity, burned in, then composed with a uniform random
-polarity vector) is used.  The chain targets the uniform distribution over
-monotone functions, but the polarity composition overweights functions
-with irrelevant variables, so the k >= 5 sampler is approximate.
+polarity vector) is used.  A step at point t toggles t iff every immediate
+predecessor of t is 0 and every immediate successor 1, one test of a
+per-point key; the keys are built once per arity up to
+``CHAIN_KEYS_MAX_ARITY`` and per draw above it.  The chain targets the
+uniform distribution over monotone functions, but the polarity composition
+overweights functions with irrelevant variables, so the k >= 5 sampler is
+approximate.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .boolfn import BoolFn, _halves, _table_bytes, _unpack_tables, default_label
 
 UNATE_ENUM_MAX_ARITY = 4
 CHAIN_BLOCK = 1 << 14
+CHAIN_KEYS_MAX_ARITY = 8
 
 
 def _table_words(k):
@@ -96,22 +101,38 @@ def enumerate_unate_tables(k: int) -> tuple[int, ...]:
                          for neg_mask in range(1 << k)}))
 
 
-def _neighbour_masks(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per point t of the cube: the table bits of its immediate predecessors
-    (t with one set bit cleared) and of its immediate successors.  Built per
-    draw: k 2^k steps against the chain's 32 k 2^k, and nothing kept after
-    it (2 x 2^k ints of up to 2^k bits, about 3 MB at k = 12)."""
-    pred, succ = [], []
-    for t in range(1 << k):
+def _chain_keys_built(k: int) -> tuple[int, ...]:
+    """Per point t, the chain's key over z = ~S | S << 2^k, S the table in
+    2^k bits: the bits of t's immediate successors (t with one clear bit
+    set) in ~S and of its immediate predecessors (one set bit cleared) in
+    S, so z & keys[t] is 0 iff every successor is 1 and every predecessor 0."""
+    size = 1 << k
+    keys = []
+    for t in range(size):
         below = above = 0
         for j in range(k):
             if (t >> j) & 1:
                 below |= 1 << (t & ~(1 << j))
             else:
                 above |= 1 << (t | (1 << j))
-        pred.append(below)
-        succ.append(above)
-    return tuple(pred), tuple(succ)
+        keys.append(above | below << size)
+    return tuple(keys)
+
+
+_CHAIN_KEYS: dict[int, tuple[int, ...]] = {}
+
+
+def _chain_keys(k: int) -> tuple[int, ...]:
+    """``_chain_keys_built(k)``, kept from the first draw for k up to
+    ``CHAIN_KEYS_MAX_ARITY`` (22 KB at k = 8, 34 KB for k = 5..8 together)
+    and built per draw above it (0.9 MB at k = 11: k 2^k steps against the
+    chain's 32 k 2^k, and nothing kept after it)."""
+    keys = _CHAIN_KEYS.get(k)
+    if keys is None:
+        keys = _chain_keys_built(k)
+        if k <= CHAIN_KEYS_MAX_ARITY:
+            _CHAIN_KEYS[k] = keys
+    return keys
 
 
 def sample_monotone_mcmc(k: int, rng: np.random.Generator) -> int:
@@ -122,25 +143,25 @@ def sample_monotone_mcmc(k: int, rng: np.random.Generator) -> int:
     monotone functions; the burn-in of 32 k 2^k steps from the all-false
     function is a pragmatic mixing budget, not a proven one.
     Clearing point t keeps monotonicity iff all its predecessors are 0;
-    setting it, iff all its successors are 1.
+    setting it, iff all its successors are 1.  In a monotone table one of
+    the two always holds already, so a step tests both at once, one mask
+    test on the keys of ``_chain_keys``, and toggles t in both halves of z
+    when they hold, without reading bit t.
     """
     size = 1 << k
     steps = 32 * k * size
-    pred, succ = _neighbour_masks(k)
-    one = [1 << t for t in range(size)]
-    table = 0
+    keys = _chain_keys(k)
+    both = 1 | 1 << size  # bit 0 of ~S and of S
+    z = (1 << size) - 1  # the all-false table
     # Points are drawn a block at a time, so memory stays flat (all of them
     # at once take 12.6 MB at k = 12); the values, and the generator's state
     # after the chain, are those of a single draw.
     for start in range(0, steps, CHAIN_BLOCK):
         points = rng.integers(0, size, size=min(CHAIN_BLOCK, steps - start), dtype=np.int64)
         for t in points.tolist():
-            if table & one[t]:
-                if not table & pred[t]:
-                    table ^= one[t]
-            elif table & succ[t] == succ[t]:
-                table |= one[t]
-    return table
+            if not z & keys[t]:
+                z ^= both << t
+    return z >> size
 
 
 def _apply_polarities(table: int, k: int, neg_mask: int) -> int:

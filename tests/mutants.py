@@ -61,6 +61,9 @@ WEIGHTS = "tests/test_boolfn.py::TestProductDist::test_weights_are_built_once_an
 TRIAL_BITS = ("tests/test_analysis.py::"
               "test_random_topology_trials_are_the_per_node_collapse_bit_for_bit")
 
+CHAIN = ("tests/test_sampling.py::TestMonotoneChain",
+         "tests/test_sampling.py::TestUnateSampler::test_draws_are_pinned")
+
 CURVES = ("tests/test_analysis.py::test_uncertainty_curve_adds_node_entropies_left_to_right",
           "tests/test_analysis.py::test_trial_rankings_and_curves_are_the_per_node_sums_bit_for_bit")
 
@@ -115,6 +118,14 @@ MUTANTS = (
            "raw[at[arities == k, None] + np.arange(_table_bytes(k))]",
            "raw[4 * np.flatnonzero(arities == k)[:, None] + np.arange(_table_bytes(k))]",
            (TRIAL_BITS, "tests/test_sampling.py::TestRandomTables"), 7),
+    Mutant("flip test ignores the predecessors", "sampling.py",
+           "keys.append(above | below << size)",
+           "keys.append(above)",
+           CHAIN, 20),
+    Mutant("a flip sets instead of toggling", "sampling.py",
+           "z ^= both << t",
+           "z |= both << t",
+           CHAIN, 20),
     Mutant("fan-in not in input order", "analysis.py",
            'ranks = np.argsort(targets, kind="stable")',
            'ranks = np.argsort(-targets, kind="stable")[::-1]',

@@ -1,8 +1,14 @@
 """Random function and unate samplers."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from bnspectral import sampling
 from bnspectral.boolfn import BoolFn, _unpack_tables, default_labels
 from bnspectral.measures import unateness
 from bnspectral.sampling import (
@@ -175,6 +181,82 @@ class TestUnateSampler:
         b = sample_random_unate(6, np.random.default_rng(7))
         assert a == b
 
+    # (seed, k): (table in hex, the generator's next integers(2**32)),
+    # recorded from the two-branch chain that read bit t before testing the
+    # predecessors or the successors.  k <= 4 is one enumeration index; k >= 5
+    # is the chain's point blocks, then the polarity.
+    DRAWS = {
+        (0, 0): ("1",
+                 2735729615),
+        (0, 1): ("3",
+                 2735729615),
+        (0, 2): ("d",
+                 2735729615),
+        (0, 3): ("ee",
+                 2735729615),
+        (0, 4): ("f2b2",
+                 2735729615),
+        (0, 5): ("dddf4d4f",
+                 2889383765),
+        (0, 6): ("5000f770f300f7f5",
+                 2999047292),
+        (0, 7): ("107575f50000001071f7ffff7073f1f7",
+                 383901261),
+        (0, 8): ("fefffafffaff88eaeeeec8ee88e880e8fafae8eae8fa808880e000c080e00000",
+                 3693519510),
+        (0, 9): ("aa008880ea00e8a8ea00c8feffc0ec0000000080e8008000880080c0fc80a8"
+                 "a0fe00e8fcffa0feecfee8feffffeefe80c800c088fe80e0e0e800e0feffc0fa",
+                 2180018666),
+        (1, 0): ("0",
+                 2198257139),
+        (1, 1): ("1",
+                 2198257139),
+        (1, 2): ("7",
+                 2198257139),
+        (1, 3): ("75",
+                 2198257139),
+        (1, 4): ("7511",
+                 2198257139),
+        (1, 5): ("8880c8",
+                 397971636),
+        (1, 6): ("4cd0cdd4cdddfff",
+                 2669300405),
+        (1, 7): ("50005010f000f37051107551f571ff71",
+                 2813626230),
+        (1, 8): ("f775f71177103000fff7fff1f7737330f310731011101000f7f7f33171103110",
+                 44720502),
+        (1, 9): ("33ff3fff77ffffff015737ff13577fff0377337f1377ffff0111037f0357577f"
+                 "01171f7f57ff5fff0117111f0157177f011311570157135f0001000500030307",
+                 1883843740),
+        (2, 0): ("1",
+                 1123615560),
+        (2, 1): ("3",
+                 1123615560),
+        (2, 2): ("d",
+                 1123615560),
+        (2, 3): ("ec",
+                 1123615560),
+        (2, 4): ("f0fb",
+                 1123615560),
+        (2, 5): ("ddc4dd",
+                 411055240),
+        (2, 6): ("efcc0e08efcf8e0c",
+                 3302681842),
+        (2, 7): ("abff0baf2abf0202abff030f022b0202",
+                 1321519606),
+        (2, 8): ("113131700000001035777ff0003035f0117175f0015051f077f7fff015f075f",
+                 3149233616),
+        (2, 9): ("20a0f020b0a0ff00000020202020b200a2b0fb22b3bbff0020003320b030fb"
+                 "22b2b2f232f3b3ff0000202020f232f222bafbffb3ffffff0032b3fbb2fafbff",
+                 2835662101),
+    }
+
+    @pytest.mark.parametrize("seed, k", list(DRAWS))
+    def test_draws_are_pinned(self, seed, k):
+        rng = np.random.default_rng(seed)
+        table = sample_random_unate(k, rng)
+        assert (f"{table:x}", int(rng.integers(2**32))) == self.DRAWS[seed, k]
+
 
 def _flip_ok(table: int, t: int, k: int) -> bool:
     """May bit t of a monotone table be flipped without breaking
@@ -224,6 +306,42 @@ class TestMonotoneChain:
         rng = np.random.default_rng(9)
         tables = {sample_monotone_mcmc(3, rng) for _ in range(30)}
         assert len(tables) > 5
+
+    @staticmethod
+    def fresh_cache(monkeypatch, bound):
+        monkeypatch.setattr(sampling, "CHAIN_KEYS_MAX_ARITY", bound)
+        monkeypatch.setattr(sampling, "_CHAIN_KEYS", {})
+
+    @pytest.mark.parametrize("bound", [4, 6, 8])
+    def test_kept_and_built_keys_match_per_bit_chain(self, monkeypatch, bound):
+        """k = 5..8 with every arity built per draw, some kept and some
+        built, and every arity kept; the second seed at a kept arity reads
+        the keys the first one left."""
+        self.fresh_cache(monkeypatch, bound)
+        for k in range(5, 9):
+            for seed in (20, 21):
+                rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                assert sample_monotone_mcmc(k, rng) == _chain_per_bit(k, oracle_rng)
+                assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        assert sorted(sampling._CHAIN_KEYS) == list(range(5, min(bound, 8) + 1))
+
+    def test_keys_built_once_per_kept_arity(self, monkeypatch):
+        self.fresh_cache(monkeypatch, 5)
+        built, build = [], sampling._chain_keys_built
+        monkeypatch.setattr(sampling, "_chain_keys_built", lambda k: built.append(k) or build(k))
+        rng = np.random.default_rng(22)
+        for k in (5, 5, 6, 6):
+            sample_monotone_mcmc(k, rng)
+        assert built == [5, 6, 6]  # k = 6 is above the bound: built per draw, not kept
+        assert list(sampling._CHAIN_KEYS) == [5]
+
+    def test_no_keys_built_at_import(self):
+        code = "import bnspectral.sampling as s; print(len(s._CHAIN_KEYS))"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ,
+                                  "PYTHONPATH": str(Path(sampling.__file__).parents[1])},
+                             check=True)
+        assert out.stdout == "0\n"
 
 
 def polarities_per_bit(table: int, k: int, neg_mask: int) -> int:
