@@ -20,6 +20,7 @@ from . import __version__
 from .analysis import (
     BASELINE_MODES,
     BaselineSpec,
+    _check_L,
     baseline_curves,
     determinative_power,
     node_spectra,
@@ -239,18 +240,20 @@ def cmd_collapse(args) -> int:
 def _network_run(args, mode: str | None):
     """The stages ``analyze`` and ``baseline`` share.  The baseline spec and
     the output directory come first, so a flag mistake costs no work; then
-    parse, collapse, distribution, node spectra, D(j) ranking, the A(l) curve
-    and, with a ``mode``, its baseline.  Returns (out, text, spectra, ranking,
-    L, curve, baseline)."""
-    spec = None if mode is None else BaselineSpec(mode=mode, trials=args.trials,
+    parse and ``--L`` against the inputs, so an L too large costs no
+    collapse; then collapse, distribution, node spectra, D(j) ranking, the
+    A(l) curve and, with a ``mode``, its baseline.  Returns (out, text,
+    spectra, ranking, L, curve, baseline)."""
+    spec = None if mode is None else BaselineSpec(mode=mode, trials=getattr(args, "trials", 25),
                                                   seed=args.seed)
     out = _out_dir(args)
     text = Path(args.network).read_text()
     net = parse(text)
+    L = len(net.inputs) if args.L is None else args.L
+    _check_L(L, len(net.inputs))
     c = collapse(net, cap=args.cap)
     spectra = node_spectra(c, _dist_for(c.inputs, args.p))
     ranking = determinative_power(spectra)
-    L = args.L if args.L is not None else len(ranking.tau)
     curve = uncertainty_curve(spectra, ranking.tau, L)
     baseline = None if spec is None else baseline_curves(net, spec, spectra.d, L, cap=args.cap)
     return out, text, spectra, ranking, L, curve, baseline
@@ -328,7 +331,8 @@ def _add_network_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("network")
     sub.add_argument("--p", help="probabilities: comma list, single value, or @file")
     sub.add_argument("--L", type=int, default=None, help="curve length (default: all inputs)")
-    sub.add_argument("--trials", type=int, default=25)
+    sub.add_argument("--trials", type=int, default=argparse.SUPPRESS,
+                     help="baseline trials (default 25)")
     sub.add_argument("--out", default="out")
 
 
@@ -386,6 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    if args.command == "analyze" and args.baseline is None and "trials" in args:
+        ap.error("analyze: --trials needs --baseline")  # exits 2
     args.created = []
     try:
         # every flag is checked, and --p read, before any command starts work

@@ -10,7 +10,8 @@ mask that holds every relevant variable leaves exactly 0 bits, not float noise.
 Every H(f | X_A) is the row kernel ``_entropy_given``: one ``kron_apply``
 gives E[f | X_A], one ``_expected_entropy`` sums it.  ``_cond_entropy_rows``
 runs a spectrum's masks through it (a batch of one as ``cond_entropy_spectral``),
-and so do the network's D(j), by ``_mi_single``, and A(l).
+and so do the network's D(j) and A(l), and ``_mi_single``, the kernel of
+``mi_single_from_coeffs`` and of the self-test.
 ``mutual_information`` also takes a sequence of masks, whose rows of one
 live size share one batch.
 H(f | X_A) is a weighted sum over the 2^|A| entries of E[f | X_A], taken in

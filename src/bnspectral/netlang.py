@@ -37,7 +37,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 from itertools import chain, repeat
 from typing import Mapping, Sequence
 
@@ -50,9 +50,7 @@ from .boolfn import (
     _frozen,
     _low_masks,
     _pack_rows,
-    _subset_index,
     _unpack_tables,
-    indices_of,
 )
 
 KEYWORDS = {"NOT", "AND", "OR"}
@@ -603,29 +601,22 @@ def _blocks(pieces: list[tuple[np.ndarray, ...]]) -> tuple[tuple, ...]:
 def _prune(rows: np.ndarray, ranks: np.ndarray, bits: np.ndarray):
     """Cut the nodes at positions ``rows``, with (m, u) ascending input ranks
     and (m, 2^u) tables, to the inputs they depend on: a variable is
-    relevant where the two halves of the table along its axis differ; the
-    rows of each relevant mask are cut by that mask's compaction index.
-    Yields (rows, supports, bits) per relevant mask."""
+    relevant where the two halves of the table along its axis differ.  A
+    table equals itself with any irrelevant variable set, so its entries at
+    the points that set none, read in ascending order, are the cut table.
+    Yields (rows, supports, bits) per output arity, ascending."""
     m, u = ranks.shape
-    rel = np.zeros(m, dtype=np.int64)
+    live = np.empty((m, u), dtype=bool)
     for j in range(u):
         halves = bits.reshape(m, -1, 2, 1 << j)
-        rel |= (halves[:, :, 0] != halves[:, :, 1]).any(axis=(1, 2)) << j
-    kept_of = _kept if u <= COMPILED_MAX_SUPPORT else _kept.__wrapped__  # wider: not held
-    for mask in sorted(set(rel.tolist())):
-        sel = np.flatnonzero(rel == mask)
-        kept, index = kept_of(mask)
-        yield rows[sel], ranks[sel][:, kept], bits[sel][:, index]
-
-
-@lru_cache(maxsize=None)
-def _kept(mask: int) -> tuple[np.ndarray, np.ndarray]:
-    """The positions of the variables in ``mask``, and the index that cuts a
-    table that depends on no other variable to them.  Held for masks of up
-    to ``COMPILED_MAX_SUPPORT`` variables, as trials meet the same masks
-    again: all 4,096 would hold 3^12 int64 index entries, 4.3 MB."""
-    kept = np.array(indices_of(mask), dtype=np.int64)
-    return _frozen(kept), _frozen(_subset_index(kept))
+        live[:, j] = (halves[:, :, 0] != halves[:, :, 1]).any(axis=(1, 2))
+    arity = live.sum(axis=1)
+    rel = live @ (1 << np.arange(u))
+    keep = (np.arange(1 << u) & ~rel[:, None]) == 0
+    for p in np.flatnonzero(np.bincount(arity)).tolist():
+        sel = np.flatnonzero(arity == p)
+        yield (rows[sel], ranks[sel][live[sel]].reshape(len(sel), p),
+               bits[sel][keep[sel]].reshape(len(sel), 1 << p))
 
 
 def collapse(net: Network, cap: int | None = None) -> CollapsedNetwork:

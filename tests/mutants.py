@@ -54,6 +54,8 @@ COLLAPSE = tuple(f"tests/test_netlang.py::{test}" for test in (
 
 BLOCKS = ("tests/test_netlang.py::TestBlocks",)
 
+PRUNE = ("tests/test_netlang.py::TestPrune",)
+
 MI_ROWS = "tests/test_measures.py::TestMutualInformationRows"
 
 WEIGHTS = "tests/test_boolfn.py::TestProductDist::test_weights_are_built_once_and_read_only"
@@ -69,9 +71,13 @@ CURVES = ("tests/test_analysis.py::test_uncertainty_curve_adds_node_entropies_le
 
 MUTANTS = (
     Mutant("prune keeps every variable", "netlang.py",
-           "kept, index = kept_of(mask)",
-           "kept, index = kept_of((1 << u) - 1)",
-           COLLAPSE + BLOCKS, 9),
+           "live[:, j] = (halves[:, :, 0] != halves[:, :, 1]).any(axis=(1, 2))",
+           "live[:, j] = True",
+           COLLAPSE + BLOCKS + PRUNE, 13),
+    Mutant("keep mask reads the relevant side", "netlang.py",
+           "keep = (np.arange(1 << u) & ~rel[:, None]) == 0",
+           "keep = (np.arange(1 << u) & rel[:, None]) == 0",
+           COLLAPSE + BLOCKS + PRUNE, 14),
     Mutant("the final prune skipped", "netlang.py",
            "pieces = [piece for segment in grown for piece in _prune(*segment)]",
            "pieces = grown",

@@ -413,7 +413,6 @@ class TestFlagsBeforeWork:
         ["baseline", "{net}", "--mode", "random-topology-random", "--trials", "0",
          "--out", "{dir}"],
         ["collapse", "{net}", "--out", "{file}"],
-        ["analyze", "{net}", "--trials", "0", "--out", "{dir}"],
         ["analyze", "{net}", "--cap", "-1", "--out", "{dir}"],
         ["baseline", "{net}", "--mode", "exchange-random", "--cap", "-1", "--out", "{dir}"],
         ["collapse", "{net}", "--cap", "-1"],
@@ -436,9 +435,8 @@ class TestFlagsBeforeWork:
         ["baseline", "{net}", "--mode", "exchange-random", "--p", "@{probs}", "--out", "{dir}"],
         ["spectrum", "--expr", "a AND b", "--p", "@{probs}"],
     ], ids=["analyze out", "analyze baseline out", "analyze trials", "baseline out",
-            "baseline trials", "collapse out", "analyze trials without baseline",
-            "analyze cap", "baseline cap", "collapse cap", "spectrum cap",
-            "selftest trials 0", "selftest trials -3", "analyze L", "baseline L",
+            "baseline trials", "collapse out", "analyze cap", "baseline cap", "collapse cap",
+            "spectrum cap", "selftest trials 0", "selftest trials -3", "analyze L", "baseline L",
             "analyze p single", "analyze p list", "analyze p nan", "baseline p single",
             "baseline p list", "spectrum p", "analyze seed", "baseline seed",
             "selftest seed", "analyze top", "analyze p file", "baseline p file",
@@ -463,6 +461,45 @@ class TestFlagsBeforeWork:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "new").exists()
 
+
+    @pytest.mark.parametrize("trials", ["0", "7"])
+    def test_analyze_trials_without_baseline_is_2(self, trials, toy_file, tmp_path,
+                                                  monkeypatch, capsys):
+        """``--trials`` counts baseline trials, so ``analyze`` refuses it
+        without ``--baseline`` as a usage error, before ``--out`` is made."""
+        import bnspectral.cli as cli
+
+        monkeypatch.setattr(cli, "parse", lambda *_: pytest.fail("work started"))
+        out = tmp_path / "new" / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", str(toy_file), "--trials", trials, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--trials needs --baseline" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
+
+    def test_baseline_trials_default_to_25(self, toy_file, tmp_path, capsys):
+        assert main(["analyze", str(toy_file), "--baseline", "exchange-random",
+                     "--out", str(tmp_path / "a")]) == 0
+        assert main(["baseline", str(toy_file), "--mode", "exchange-random",
+                     "--out", str(tmp_path / "b")]) == 0
+        assert json.loads((tmp_path / "a" / "report.json").read_text())["baseline"]["trials"] \
+            == json.loads((tmp_path / "b" / "baseline.json").read_text())["trials"] == 25
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "{net}", "--L", "4", "--out", "{dir}"],
+        ["baseline", "{net}", "--mode", "exchange-random", "--L", "4", "--out", "{dir}"],
+    ], ids=["analyze", "baseline"])
+    def test_L_over_inputs_is_3_before_collapse(self, argv, toy_file, tmp_path,
+                                                 monkeypatch, capsys):
+        import bnspectral.cli as cli
+
+        called = []
+        real = cli.collapse
+        monkeypatch.setattr(cli, "collapse", lambda *a, **k: called.append(a) or real(*a, **k))
+        assert main([a.format(net=toy_file, dir=tmp_path / "o") for a in argv]) == 3
+        assert capsys.readouterr().err == "error: L = 4 outside 0..3, the ordered inputs\n"
+        assert called == []
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("argv", [
         ["analyze", "{net}", "--seed", "-1", "--out", "{dir}"],
@@ -719,7 +756,8 @@ class TestFuzz:
                 argv += [extra] if extra else []
                 plain = plain and p in (None, "0.5", "0.3") and L is None and top != "-1" \
                     and baseline in (None, "exchange-random", "exchange-unate") \
-                    and trials in (None, "1", "2") and extra != "--bogus"
+                    and trials in (None, "1", "2") and extra != "--bogus" \
+                    and (trials is None or baseline is not None)
             code, err = run_in_process(argv)
         assert code in (0, 2, 3, 4), (argv, text, err)
         assert "Traceback" not in err

@@ -1085,3 +1085,58 @@ class TestBlocks:
                                          ProductDist.uniform(len(net.inputs)))
         assert digest.hexdigest() == (
             "1bd93975bcc3d27f99a8a9d216ff90e7ed828a2742bafb6f798e56cc36452974")
+
+
+class TestPrune:
+    """``netlang._prune`` against a per-row oracle built from
+    ``relevant_variables`` and ``_subset_index``."""
+
+    @staticmethod
+    def oracle(ranks: np.ndarray, bits: np.ndarray) -> tuple[list[int], np.ndarray]:
+        u = ranks.shape[0]
+        table = int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+        kept = [j for j in range(u) if relevant_variables(BoolFn(u, default_labels(u), table))
+                >> j & 1]
+        return ranks[kept].tolist(), bits[_subset_index(np.array(kept, dtype=np.int64))]
+
+    def check(self, rows: np.ndarray, ranks: np.ndarray, bits: np.ndarray) -> None:
+        pieces = list(netlang._prune(rows, ranks, bits))
+        arities = [supports.shape[1] for _, supports, _ in pieces]
+        assert arities == sorted(set(arities))  # one piece per output arity, ascending
+        seen = []
+        for got_rows, supports, got_bits in pieces:
+            p = supports.shape[1]
+            assert (got_rows.dtype, supports.dtype, got_bits.dtype) == (
+                np.int64, np.int64, np.uint8)
+            assert got_bits.shape == (len(got_rows), 1 << p)
+            for r, support, row_bits in zip(got_rows.tolist(), supports, got_bits):
+                i = rows.tolist().index(r)
+                want_support, want_bits = self.oracle(ranks[i], bits[i])
+                assert support.tolist() == want_support
+                assert np.array_equal(row_bits, want_bits)
+                seen.append(r)
+        assert sorted(seen) == sorted(rows.tolist())  # every row exactly once
+
+    @pytest.mark.parametrize("u", range(4))
+    def test_every_table_of_arity(self, u):
+        rng = np.random.default_rng(u)
+        m = 1 << (1 << u)
+        bits = ((np.arange(m)[:, None] >> np.arange(1 << u)) & 1).astype(np.uint8)
+        ranks = np.sort(np.array([rng.choice(50, u, replace=False) for _ in range(m)],
+                                 dtype=np.int64).reshape(m, u), axis=1)
+        self.check(rng.permutation(m).astype(np.int64) + 7, ranks, bits)
+
+    def test_planted_irrelevant_variables(self):
+        """u = 13: each row a random table over a planted subset of the
+        variables, read through the others, which it ignores."""
+        rng = np.random.default_rng(13)
+        u, m = 13, 12
+        points = np.arange(1 << u)
+        bits = np.empty((m, 1 << u), dtype=np.uint8)
+        for i in range(m):
+            kept = np.sort(rng.choice(u, size=[0, 1, 2, 5, 9, 13][i % 6], replace=False))
+            compact = ((points[:, None] >> kept) & 1) @ (1 << np.arange(len(kept)))
+            bits[i] = rng.integers(0, 2, 1 << len(kept), dtype=np.uint8)[compact]
+        ranks = np.sort(np.array([rng.choice(40, u, replace=False) for _ in range(m)],
+                                 dtype=np.int64), axis=1)
+        self.check(np.arange(m, dtype=np.int64)[::-1].copy(), ranks, bits)
