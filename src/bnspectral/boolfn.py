@@ -129,7 +129,7 @@ class BoolFn:
         n = (len(bits) - 1).bit_length()
         if len(bits) != 1 << n:
             raise ValueError("bit count must be a power of two")
-        table = _pack_bits(bits.astype(np.uint8))
+        table = _pack_rows(bits[None].astype(np.uint8))[0]
         return cls(n, tuple(labels) if labels is not None else default_labels(n), table)
 
     @classmethod
@@ -164,9 +164,10 @@ class BoolFn:
         """Output bits as a read-only uint8 array of length 2^arity."""
         return _frozen(_unpack_tables([self.table], self.arity)[0])
 
-    @cached_property
+    @property
     def signs(self) -> np.ndarray:
-        """Outputs as a read-only float64 array of +1/-1 values."""
+        """Outputs as a read-only float64 array of +1/-1 values, built on
+        each read and not held (8 bytes an entry, 128 MB at n = 24)."""
         return _frozen(self.bits.astype(np.float64) * 2.0 - 1.0)
 
 
@@ -228,14 +229,9 @@ def _halves(t: int, n: int, j: int) -> tuple[int, int]:
     return t & m, (t >> (1 << j)) & m
 
 
-def _pack_bits(bits: np.ndarray) -> int:
-    """A uint8 array of 0/1 values, entry b as bit b of an int."""
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-
-
 def _pack_rows(bits: np.ndarray) -> list[int]:
-    """``_pack_bits`` of each row of an (m, 2^n) uint8 array, packed in one
-    pass: the inverse of ``_unpack_tables``."""
+    """Each row of an (m, 2^n) uint8 array of 0/1 values as an int, entry b
+    as bit b, packed in one pass: the inverse of ``_unpack_tables``."""
     raw = np.packbits(bits, axis=1, bitorder="little")
     data, width = raw.tobytes(), raw.shape[1]
     return [int.from_bytes(data[at:at + width], "little") for at in range(0, len(data), width)]

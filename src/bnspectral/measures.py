@@ -432,7 +432,8 @@ def noise_sensitivity(f: BoolFn, d: ProductDist, eps: float, mode: str = "exact"
     _check_cap(f.arity, None)
     p, q = d.p, 1.0 - d.p
     wt = _factors(q * (1.0 - eps), q * eps, p * eps, p * (1.0 - eps), p.shape)
-    return _clamp_prob((1.0 - float(np.dot(f.signs, kron_apply(f.signs, wt)))) / 2.0)
+    signs = f.signs
+    return _clamp_prob((1.0 - float(np.dot(signs, kron_apply(signs, wt)))) / 2.0)
 
 
 def noise_sensitivity_mc(f: BoolFn, d: ProductDist, eps: float,

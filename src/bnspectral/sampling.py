@@ -4,12 +4,11 @@ Plain functions are drawn uniformly over all 2^(2^k) truth tables, and
 a trial's tables come from one ``rng.bytes`` call: as
 ``Generator.bytes(n)`` takes ceil(n / 4) 32-bit words and keeps n bytes,
 each table read at its own word offset is what a call of its own drew.
-``random_tables`` reads them as packed ints, ``random_rows`` as uint8 rows
-grouped by arity, with no int between.  Unate
-tables, packed alike, are drawn exactly uniformly for k <= 4 by enumeration;
-for larger k a Markov chain over monotone functions (single-point flips
-that preserve monotonicity, burned in, then composed with a uniform random
-polarity vector) is used.  A step at point t toggles t iff every immediate
+``random_rows`` reads them as uint8 rows grouped by arity, with no int
+between.  Unate tables, packed alike, are drawn exactly uniformly for
+k <= 4 by enumeration; for larger k a Markov chain over monotone
+functions (single-point flips that preserve monotonicity, burned in, then
+composed with a uniform random polarity vector) is used.  A step at point t toggles t iff every immediate
 predecessor of t is 0 and every immediate successor 1, one test of a
 per-point key; the keys are built once per arity up to
 ``CHAIN_KEYS_MAX_ARITY`` and per draw above it.  The chain targets the
@@ -21,7 +20,6 @@ approximate.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -38,25 +36,12 @@ def _table_words(k):
     return ((1 << k) + 31) >> 5
 
 
-def random_tables(arities: Sequence[int], rng: np.random.Generator) -> list[int]:
-    """Uniform truth tables of the given arities, in order, as packed ints,
-    from one ``rng.bytes`` call.  No tables, no call: ``rng.bytes(0)``
-    takes a word."""
-    words = [_table_words(k) for k in arities]
-    raw = rng.bytes(4 * sum(words)) if words else b""
-    tables, at = [], 0
-    for k, w in zip(arities, words):
-        tables.append(int.from_bytes(raw[at:at + 4 * w], "little") & ((1 << (1 << k)) - 1))
-        at += 4 * w
-    return tables
-
-
 def random_rows(arities: np.ndarray, rng: np.random.Generator,
                 unate: bool = False) -> dict[int, np.ndarray]:
-    """The tables that ``random_tables(arities, rng)`` draws, or with
-    ``unate`` that ``sample_random_unate`` draws per arity in order, as
-    uint8 rows by arity: k maps to the (m, 2^k) rows of the arity-k tables,
-    in order, bit b in column b."""
+    """The tables that ``sample_random_function``, or with ``unate``
+    ``sample_random_unate``, draws per arity in order, as uint8 rows by
+    arity: k maps to the (m, 2^k) rows of the arity-k tables, in order, bit
+    b in column b.  No tables, no call: ``rng.bytes(0)`` takes a word."""
     ks = np.flatnonzero(np.bincount(arities)).tolist()  # np.unique's sort costs resident memory
     if unate:
         tables = [sample_random_unate(k, rng) for k in arities.tolist()]
@@ -71,7 +56,8 @@ def random_rows(arities: np.ndarray, rng: np.random.Generator,
 
 def sample_random_function(k: int, rng: np.random.Generator) -> BoolFn:
     """Uniform draw over all Boolean functions of k variables."""
-    return BoolFn(k, default_labels(k), random_tables([k], rng)[0])
+    table = int.from_bytes(rng.bytes(_table_bytes(k)), "little") & ((1 << (1 << k)) - 1)
+    return BoolFn(k, default_labels(k), table)
 
 
 def _monotone_tables(k: int) -> tuple[int, ...]:

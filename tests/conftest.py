@@ -33,7 +33,7 @@ from bnspectral.netlang import (
     Or,
     Var,
 )
-from bnspectral.sampling import random_tables, sample_random_unate
+from bnspectral.sampling import sample_random_unate
 
 
 def and_fn(n: int) -> BoolFn:
@@ -201,15 +201,24 @@ def local_nodes(ln: LocalNetwork) -> tuple[LocalNode, ...]:
                  for name, args in zip(ln.program.names, ln.program.args))
 
 
+def per_table_draws(arities: Iterable[int], rng: np.random.Generator) -> list[int]:
+    """Uniform packed tables of the given arities, in order, one
+    ``rng.bytes`` call per table of its ceil(2^k / 8) bytes, at least one:
+    what ``sample_random_function`` draws table by table, and
+    ``sampling.random_rows`` in one call."""
+    return [int.from_bytes(rng.bytes(max(1, (1 << k) + 7 >> 3)), "little")
+            & ((1 << (1 << k)) - 1) for k in arities]
+
+
 def exchange_oracle(net: Network, rng: np.random.Generator, unate: bool) -> LocalNetwork:
     """An exchange trial built per node, as packed tables: one from
-    ``random_tables`` or ``sample_random_unate`` per definition, at its
+    ``per_table_draws`` or ``sample_random_unate`` per definition, at its
     argument count, in definition order.  An exchange trial of
     ``analysis.baseline_curves`` draws the same tables from the same
     generator state, as rows, and leaves it in the same state."""
     arities = [len(args) for args in net.args]
     tables = ([sample_random_unate(k, rng) for k in arities] if unate
-              else random_tables(arities, rng))
+              else per_table_draws(arities, rng))
     return local_network(net.inputs, map(LocalNode, (name for name, _ in net.defs), net.args,
                                          tables))
 
@@ -220,7 +229,7 @@ def random_topology_oracle(inputs: tuple[str, ...], names: tuple[str, ...],
     """A random-topology trial built per node: each input's ``rng.choice``
     of ``analysis.RANDOM_TOPOLOGY_OUT_DEGREE`` nodes appended to their
     argument lists, the cap checked node by node, then one packed table per
-    node from ``random_tables`` or ``sample_random_unate``, in node order.
+    node from ``per_table_draws`` or ``sample_random_unate``, in node order.
     ``collapse_local`` of it is what ``analysis._random_topology`` gives from
     the same generator state, which it leaves in the same state."""
     fan_in: dict[str, list[str]] = {name: [] for name in names}
@@ -231,7 +240,7 @@ def random_topology_oracle(inputs: tuple[str, ...], names: tuple[str, ...],
         _check_cap(len(fan_in[name]), cap, name)
     args = [tuple(fan_in[name]) for name in names]
     tables = ([sample_random_unate(len(a), rng) for a in args] if unate
-              else random_tables([len(a) for a in args], rng))
+              else per_table_draws([len(a) for a in args], rng))
     return local_network(inputs, map(LocalNode, names, args, tables))
 
 

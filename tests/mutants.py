@@ -102,14 +102,14 @@ MUTANTS = (
            "halves = bits.reshape(m, -1, 2, 1 << j)",
            "halves = bits.reshape(m, 1 << j, 2, -1)",
            COLLAPSE + BLOCKS, 6),
-    Mutant("random_tables drops the word offset", "sampling.py",
-           'int.from_bytes(raw[at:at + 4 * w], "little")',
-           'int.from_bytes(raw[:4 * w], "little")',
+    Mutant("random function drawn one byte short", "sampling.py",
+           "rng.bytes(_table_bytes(k))",
+           "rng.bytes(_table_bytes(k) - 1)",
            ("tests/test_sampling.py::TestRandomTables", "tests/test_golden.py",
-            # exchange trials draw rows; these compare them with random_tables' tables
+            # exchange trials draw rows; these compare them with per-table draws
             "tests/test_netlang.py::TestCollapseSoundness::test_baseline_trials[exchange-random]",
             "tests/test_netlang.py::TestPackedCollapse::"
-            "test_exchange_trials_are_the_packed_build[random]"), 14),
+            "test_exchange_trials_are_the_packed_build[random]"), 7),
     Mutant("determinative power sums into the wrong rank", "analysis.py",
            "np.bincount(w.ranks,",
            "np.bincount((w.ranks - 1) % len(s.c.inputs),",
@@ -263,9 +263,13 @@ MUTANTS = (
            "return self._weights",
            "return _product_weights(self.p)",
            (WEIGHTS, "tests/test_measures.py::test_truth_table_measures_share_one_weight_array"), 2),
+    Mutant("signs held on the function", "boolfn.py",
+           "    @property\n    def signs(self)",
+           "    @cached_property\n    def signs(self)",
+           ("tests/test_boolfn.py::TestHeldState",), 3),
     Mutant("noise sensitivity clamps without a budget", "measures.py",
-           "return _clamp_prob((1.0 - float(np.dot(f.signs, kron_apply(f.signs, wt)))) / 2.0)",
-           "return max((1.0 - float(np.dot(f.signs, kron_apply(f.signs, wt)))) / 2.0, 0.0)",
+           "return _clamp_prob((1.0 - float(np.dot(signs, kron_apply(signs, wt)))) / 2.0)",
+           "return max((1.0 - float(np.dot(signs, kron_apply(signs, wt)))) / 2.0, 0.0)",
            ("tests/test_measures.py::TestNoiseSensitivity",), 1),
     Mutant("flag-bounds table skips --top", "cli.py",
            '("L", 0), ("top", 0))',

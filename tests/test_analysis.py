@@ -32,7 +32,7 @@ from bnspectral.reference import (
     network_cond_entropy,
     node_tables,
 )
-from bnspectral.sampling import random_rows, random_tables
+from bnspectral.sampling import random_rows
 
 from conftest import (
     LocalNode,
@@ -40,6 +40,7 @@ from conftest import (
     local_network,
     local_nodes,
     netgen,
+    per_table_draws,
     random_network,
     random_product_dist,
     random_topology_oracle,
@@ -451,7 +452,7 @@ def test_uncertainty_curve_sums_wide_nodes_in_blocks(monkeypatch):
     inputs = tuple(f"x{r}" for r in range(18))
     args = (inputs[:17], tuple(rng.permutation(inputs[2:]).tolist()))
     nodes = tuple(LocalNode(f"y{i}", a, t)
-                  for i, (a, t) in enumerate(zip(args, random_tables([17, 16], rng))))
+                  for i, (a, t) in enumerate(zip(args, per_table_draws([17, 16], rng))))
     c = netlang.collapse_local(local_network(inputs, nodes))
     assert [len(node.support) for node in c.nodes] == [17, 16]
     d = random_product_dist(rng, len(inputs))

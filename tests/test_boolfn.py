@@ -1,6 +1,7 @@
 """Truth tables, product distributions, and the basis transform."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from bnspectral.boolfn import (
     _grouped,
     _halves,
     _low_masks,
-    _pack_bits,
+    _pack_rows,
     _product_weights,
     _subset_entries,
     _subset_index,
@@ -36,6 +37,7 @@ from bnspectral.boolfn import (
     relevant_variables,
     transform,
 )
+from bnspectral.measures import noise_sensitivity
 from bnspectral.reference import (
     basis_column,
     conditional_mean_definitional,
@@ -106,7 +108,7 @@ class TestBoolFn:
                 bits = _unpack_tables([t], n)
                 assert bits.shape == (1, size) and bits.dtype == np.uint8
                 assert bits[0].tolist() == [(t >> b) & 1 for b in range(size)]
-                assert _pack_bits(bits[0]) == t
+                assert _pack_rows(bits) == [t]
 
     @pytest.mark.parametrize("text, digits", [("8", 1), ("080", 3), ("0800", 4), ("", 0)])
     def test_hex_of_the_wrong_length(self, text, digits):
@@ -542,6 +544,37 @@ class TestTransform:
         f, d = pair
         s = transform(f, d)
         assert s.coeff(0) == pytest.approx(float(np.dot(d.weights(), f.signs)), abs=1e-12)
+
+
+class TestHeldState:
+    """A function holds its packed table and, once read, its uint8 ``bits``;
+    ``signs`` is built on each read, so no float64 table outlives a call."""
+
+    N = 16
+    SLACK = 1 << 14  # the Spectrum object and small allocations; about 2.4 KB measured
+
+    @pytest.mark.parametrize("call", [transform, lambda f, d: noise_sensitivity(f, d, 0.1)],
+                             ids=["transform", "noise_sensitivity"])
+    def test_no_float_table_held(self, call):
+        rng = np.random.default_rng(41)
+        f, d = random_bool_fn(rng, self.N), random_product_dist(rng, self.N)
+        call(f, d)
+        assert [k for k, v in vars(f).items()
+                if isinstance(v, np.ndarray) and v.dtype == np.float64] == []
+        assert not f.signs.flags.writeable and f.signs is not f.signs
+
+    def test_transform_retains_coeffs_and_bits(self):
+        rng = np.random.default_rng(42)
+        f, d = random_bool_fn(rng, self.N), random_product_dist(rng, self.N)
+        d._forward  # built once per distribution, before the call is measured
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            s = transform(f, d)
+            held = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert held <= s.coeffs.nbytes + f.bits.nbytes + self.SLACK
 
 
 class TestReconstruct:

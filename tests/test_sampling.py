@@ -16,12 +16,13 @@ from bnspectral.sampling import (
     _monotone_tables,
     enumerate_unate_tables,
     random_rows,
-    random_tables,
     random_threshold_fn,
     sample_monotone_mcmc,
     sample_random_function,
     sample_random_unate,
 )
+
+from conftest import per_table_draws
 
 
 def chi_square_stat(counts, expected):
@@ -56,13 +57,10 @@ class TestRandomFunction:
 
 
 class TestRandomTables:
-    """One ``rng.bytes`` call per trial draws what one call per table drew.
-    A NumPy change to how ``Generator.bytes`` consumes the stream fails here."""
-
-    @staticmethod
-    def per_table(arities, rng):
-        return [int.from_bytes(rng.bytes(max(1, (1 << k) + 7 >> 3)), "little")
-                & ((1 << (1 << k)) - 1) for k in arities]
+    """``sample_random_function`` and ``random_rows`` draw what
+    ``per_table_draws`` draws, one ``rng.bytes`` call per table, and leave
+    the generator as it does.  A NumPy change to how ``Generator.bytes``
+    consumes the stream fails here."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_per_table_draws(self, seed):
@@ -71,7 +69,8 @@ class TestRandomTables:
         arities = [int(k) for k in np.random.default_rng(100 + seed).permutation(
             np.repeat(np.arange(13), 2))][:20 + seed]
         one, per = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert random_tables(arities, one) == self.per_table(arities, per)
+        assert [sample_random_function(k, one).table for k in arities] == \
+            per_table_draws(arities, per)
         # the generator goes on as it would have
         assert one.bytes(7) == per.bytes(7)
         assert one.integers(1 << 62) == per.integers(1 << 62)
@@ -79,20 +78,22 @@ class TestRandomTables:
     def test_single_arities(self):
         for k in range(13):
             one, per = np.random.default_rng(k), np.random.default_rng(k)
-            assert random_tables([k], one) == self.per_table([k], per)
+            f = sample_random_function(k, one)
+            assert (f.arity, f.labels) == (k, default_labels(k))
+            assert [f.table] == per_table_draws([k], per)
             assert one.bytes(3) == per.bytes(3)
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("unate", [False, True], ids=["random", "unate"])
     def test_rows_are_the_tables_unpacked(self, seed, unate):
-        """``random_rows`` gives the tables of ``random_tables``, or of
+        """``random_rows`` gives the tables of ``per_table_draws``, or of
         ``sample_random_unate`` per arity in order, as uint8 rows by arity,
         and leaves the generator as they do."""
         arities = np.random.default_rng(200 + seed).integers(0, 7 if unate else 13, 25)
         rows_rng, tables_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         rows = random_rows(arities, rows_rng, unate)
         tables = ([sample_random_unate(k, tables_rng) for k in arities.tolist()] if unate
-                  else random_tables(arities.tolist(), tables_rng))
+                  else per_table_draws(arities.tolist(), tables_rng))
         assert sorted(rows) == sorted(set(arities.tolist()))
         for k, got in rows.items():
             want = _unpack_tables([t for t, a in zip(tables, arities.tolist()) if a == k], k)
@@ -101,7 +102,6 @@ class TestRandomTables:
 
     def test_no_tables_draws_nothing(self):
         one, fresh = np.random.default_rng(9), np.random.default_rng(9)
-        assert random_tables([], one) == []
         assert random_rows(np.zeros(0, dtype=np.int64), one) == {}
         assert one.bytes(4) == fresh.bytes(4)
 
