@@ -73,6 +73,8 @@ def mask_of(indices: Iterable[int]) -> SubsetMask:
 
 
 def indices_of(mask: SubsetMask) -> tuple[int, ...]:
+    if mask < 0:
+        raise ValueError(f"mask {mask} is negative")
     out = []
     i = 0
     m = mask
@@ -125,10 +127,12 @@ class BoolFn:
 
     @classmethod
     def from_bit_array(cls, bits: np.ndarray, labels: Sequence[str] | None = None) -> BoolFn:
-        """Packed-int construction from a 0/1 array of length 2^n."""
+        """Packed-int construction from a 0/1 (or bool) array of length 2^n."""
         n = (len(bits) - 1).bit_length()
         if len(bits) != 1 << n:
             raise ValueError("bit count must be a power of two")
+        if not ((bits == 0) | (bits == 1)).all():
+            raise ValueError("bits must be 0 or 1")
         table = _pack_rows(bits[None].astype(np.uint8))[0]
         return cls(n, tuple(labels) if labels is not None else default_labels(n), table)
 
@@ -483,15 +487,20 @@ def _subset_entries(arr: np.ndarray, mask: SubsetMask) -> np.ndarray:
 
 
 def _subset_index(known: Sequence[int] | np.ndarray) -> np.ndarray:
-    """Subset mask of every subset of ``known``, shape (..., j) to (..., 2^j):
-    compact bit b of entry c selects ``known[..., b]``."""
-    known = np.asarray(known, dtype=np.int64)
-    bits = 1 << known
-    full = np.zeros((*known.shape[:-1], 1 << known.shape[-1]), dtype=np.int64)
-    for b in range(known.shape[-1]):
-        # doubling: entries [2^b, 2^(b+1)) are entries [0, 2^b) with bit b set
-        np.bitwise_or(full[..., :1 << b], bits[..., b:b + 1], out=full[..., 1 << b:2 << b])
-    return full
+    """Subset mask of every subset of the distinct positions ``known``, shape
+    (..., j) to (..., 2^j): compact bit b of entry c selects ``known[..., b]``."""
+    return _subset_sums(1 << np.asarray(known, dtype=np.int64))
+
+
+def _subset_sums(w: np.ndarray, base: np.ndarray | int = 0) -> np.ndarray:
+    """``base`` (a scalar or one per row) plus ``w[..., b]`` for each bit b of
+    entry c, added in ascending b: (..., j) to (..., 2^j), in ``w``'s dtype."""
+    out = np.empty((*w.shape[:-1], 1 << w.shape[-1]), dtype=w.dtype)
+    out[..., 0] = base
+    for b in range(w.shape[-1]):
+        # doubling: entries [2^b, 2^(b+1)) are entries [0, 2^b) plus w_b
+        np.add(out[..., :1 << b], w[..., b:b + 1], out=out[..., 1 << b:2 << b])
+    return out
 
 
 def transform(f: BoolFn, d: ProductDist, cap: int | None = None) -> Spectrum:

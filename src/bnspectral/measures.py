@@ -3,7 +3,8 @@
 Influence and average sensitivity are truth-table sums weighted by
 ``ProductDist.weights()``, built once per distribution.  Their spectral forms,
 kept apart so each can check the other, and the network scatter are the one
-row kernel ``_sensitivity_sum`` of sum_S c_S^2 sum_{i in S} w_i, w = ``ProductDist.inv_var``.
+row kernel ``_sensitivity_sum`` of sum_S c_S^2 sum_{i in S} w_i, w = ``ProductDist.inv_var``,
+over the ``boolfn._subset_sums`` table that also builds subset masks and gather indices.
 Conditional entropy and mutual information go through the spectral
 characterization, in bits, on the relevant variables of the mask alone: a
 mask that holds every relevant variable leaves exactly 0 bits, not float noise.
@@ -45,6 +46,7 @@ from .boolfn import (
     _halves,
     _product_weights,
     _subset_index,
+    _subset_sums,
     check_index,
     check_mask,
     conditional_expectation_table,
@@ -152,13 +154,9 @@ def avg_sensitivity_spectral(s: Spectrum, mask: SubsetMask | None = None) -> flo
 
 def _sensitivity_sum(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
     """sum_S c_S^2 sum_{i in S} w_i per row of ``coeffs`` (..., 2^k), with
-    weights ``w`` (..., k); a 1-D row gives a scalar.  The inner sums are
-    tabulated over every subset S, added in ascending i."""
-    masks = np.arange(1 << w.shape[-1], dtype=np.int64)
-    sums = np.zeros(w.shape[:-1] + masks.shape)
-    for i in range(w.shape[-1]):
-        sums += ((masks >> i) & 1) * w[..., i:i + 1]
-    return _row_dot(coeffs ** 2, sums)
+    float weights ``w`` (..., k); a 1-D row gives a scalar.  The inner sums
+    are ``_subset_sums(w)``, one entry per subset S, added in ascending i."""
+    return _row_dot(coeffs ** 2, _subset_sums(w))
 
 
 def output_entropy(f: BoolFn, d: ProductDist) -> float:

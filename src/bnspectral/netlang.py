@@ -50,6 +50,7 @@ from .boolfn import (
     _frozen,
     _low_masks,
     _pack_rows,
+    _subset_sums,
     _unpack_tables,
 )
 
@@ -522,14 +523,9 @@ def _gather_index(member: np.ndarray, base: np.ndarray | np.integer) -> np.ndarr
     variables: ``member`` (..., u) marks the positions that the table
     depends on, its b-th marked position being its variable b, and ``base``
     (...) is where the table starts in the buffer read.  Shape (..., 2^u),
-    of the dtype of ``base``, built by doubling as ``_subset_index`` is."""
-    u = member.shape[-1]
-    index = np.empty((*member.shape[:-1], 1 << u), dtype=base.dtype)
-    index[..., 0] = base
+    of the dtype of ``base``: the ``_subset_sums`` of the positions' steps."""
     step = (member << np.cumsum(member, axis=-1)) >> 1  # 2^b at variable b's position
-    for q in range(u):
-        np.add(index[..., :1 << q], step[..., q:q + 1], out=index[..., 1 << q:2 << q])
-    return index
+    return _subset_sums(step.astype(base.dtype), base)
 
 
 def collapse_local(ln: LocalNetwork, cap: int | None = None) -> CollapsedNetwork:

@@ -56,6 +56,8 @@ BLOCKS = ("tests/test_netlang.py::TestBlocks",)
 
 PRUNE = ("tests/test_netlang.py::TestPrune",)
 
+SUBSET_SUMS = "tests/test_boolfn.py::TestSubsetSumsKernel"
+
 MI_ROWS = "tests/test_measures.py::TestMutualInformationRows"
 
 WEIGHTS = "tests/test_boolfn.py::TestProductDist::test_weights_are_built_once_and_read_only"
@@ -177,11 +179,16 @@ MUTANTS = (
            "        _check_same_arity(self.arity, self.d)\n",
            "",
            ("tests/test_measures.py::TestSpectrumDistribution",), 1),
-    Mutant("sensitivity kernel weighs variable i at bit i + 1", "measures.py",
-           "sums += ((masks >> i) & 1) * w[..., i:i + 1]",
-           "sums += ((masks >> (i + 1)) & 1) * w[..., i:i + 1]",
+    Mutant("sensitivity kernel weighs variable i at bit i + 1", "boolfn.py",
+           "w[..., b:b + 1]",
+           "np.roll(w, 1, axis=-1)[..., b:b + 1]",
            ("tests/test_measures.py::TestSubsetSums", "tests/test_measures.py::TestInfluence",
-            "tests/test_analysis.py::TestAgainstPerNodeMeasures::test_sensitivity_scatter"), 4),
+            "tests/test_analysis.py::TestAgainstPerNodeMeasures::test_sensitivity_scatter",
+            SUBSET_SUMS, *COLLAPSE), 13),
+    Mutant("subset sums drop the base", "boolfn.py",
+           "out[..., 0] = base",
+           "out[..., 0] = 0",
+           (SUBSET_SUMS, *COLLAPSE), 7),
     Mutant("unpacker reads bits big-endian", "boolfn.py",
            'nbytes), axis=1, bitorder="little")',
            'nbytes), axis=1, bitorder="big")',

@@ -24,6 +24,7 @@ from bnspectral.boolfn import (
     _product_weights,
     _subset_entries,
     _subset_index,
+    _subset_sums,
     _unpack_tables,
     basis_eval,
     conditional_expectation,
@@ -38,6 +39,7 @@ from bnspectral.boolfn import (
     transform,
 )
 from bnspectral.measures import noise_sensitivity
+from bnspectral.netlang import parse
 from bnspectral.reference import (
     basis_column,
     conditional_mean_definitional,
@@ -50,6 +52,7 @@ from conftest import (
     const_fn,
     dictator_fn,
     fn_dist_pairs,
+    netgen,
     planted_fn,
     parity_fn,
     product_dists,
@@ -131,16 +134,28 @@ class TestBoolFn:
     @pytest.mark.parametrize("build, message", [
         (lambda: BoolFn(2, ("a",), 0), "labels length must equal arity"),
         (lambda: BoolFn.from_bit_array(np.zeros(3)), "bit count must be a power of two"),
+        (lambda: BoolFn.from_bit_array(np.array([-1, 1, 1, 1])), "bits must be 0 or 1"),
+        (lambda: BoolFn.from_bit_array(np.array([0, 2, 0.5, 1])), "bits must be 0 or 1"),
         (lambda: BoolFn.from_callable(1, lambda x: 0), "function must return +1 or -1"),
         (lambda: BoolFn.from_hex("ff", ("a",)), "table does not fit in 2^arity bits"),
         (lambda: Spectrum(and_fn(2), ProductDist.uniform(2), np.zeros(3)),
          "coeffs must have length 2^arity"),
-    ], ids=["labels length", "bit count", "callable value", "hex beyond 2^arity",
-            "coefficient count"])
+    ], ids=["labels length", "bit count", "signs as bits", "bits not 0 or 1", "callable value",
+            "hex beyond 2^arity", "coefficient count"])
     def test_constructor_refuses(self, build, message):
         with pytest.raises(ValueError) as err:
             build()
         assert str(err.value) == message
+
+    def test_bits_from_bool_0_1_and_float_arrays(self):
+        for bits in ([False, True, True, False], [0, 1, 1, 0], [0.0, 1.0, 1.0, 0.0]):
+            assert BoolFn.from_bit_array(np.array(bits)).table == 0b0110
+
+    def test_indices_of_refuses_a_negative_mask(self):
+        # -1 >> 1 is -1, so an unchecked shift loop never ends
+        with pytest.raises(ValueError, match="negative"):
+            indices_of(-1)
+        assert indices_of(0) == () and indices_of(0b1011) == (0, 1, 3)
 
 
 class TestProductDist:
@@ -472,6 +487,56 @@ class TestBasisHelpers:
                     want = np.concatenate([want * (1.0 - v), want * v])
                 assert np.array_equal(got[r], want)
                 assert np.array_equal(ProductDist(tuple(p[r])).weights(), want)
+
+
+class TestSubsetSumsKernel:
+    """``_subset_sums``, the one doubling builder of the per-subset tables:
+    the subset masks, the collapse gather indices and the sensitivity
+    weights."""
+
+    @staticmethod
+    def brute(w: np.ndarray, base) -> list[list]:
+        """Per row, entry c as base plus w_b over the bits b of c, summed in
+        Python in ascending b."""
+        rows = w.reshape(int(np.prod(w.shape[:-1])), w.shape[-1]).tolist()
+        bases = np.broadcast_to(base, w.shape[:-1]).reshape(-1).tolist()
+        out = []
+        for row, start in zip(rows, bases):
+            entries = []
+            for c in range(1 << len(row)):
+                acc = start
+                for b, v in enumerate(row):
+                    if c >> b & 1:
+                        acc += v
+                entries.append(acc)
+            out.append(entries)
+        return out
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.float64])
+    def test_matches_brute_force_sums(self, dtype):
+        rng = np.random.default_rng(61)
+
+        def draw(size):
+            if dtype == np.float64:
+                return rng.standard_normal(size)
+            return rng.integers(-1 << 20, 1 << 20, size=size)
+
+        for j in range(11):
+            for rows in [(), (2, 3)]:  # 1-D and batched
+                w = draw((*rows, j)).astype(dtype)
+                for base in (0, 7, draw(rows).astype(dtype)):  # scalar and per-row
+                    got = _subset_sums(w, base)
+                    assert got.dtype == dtype and got.shape == (*rows, 1 << j)
+                    want = np.array(self.brute(w, base), dtype=dtype).reshape(got.shape)
+                    # floats bitwise: ascending-b Python sums are the same additions
+                    assert got.tobytes() == want.tobytes()
+
+    def test_netgen_gather_indices_are_int32(self):
+        # the compiled program's gather indices take the buffer offsets' dtype
+        program = parse(netgen().generate(1)).program
+        assert program.groups and program.size < 2 ** 31
+        for _, _, index, _ in program.groups:
+            assert index.dtype == np.int32
 
 
 class TestTransform:

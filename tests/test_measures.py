@@ -251,9 +251,10 @@ def _inv_var_group(sigma: np.ndarray, k: int) -> np.ndarray:
 
 
 class TestSubsetSums:
-    """The subset sums inside ``_sensitivity_sum`` are bitwise equal to the
-    statements they replaced, kept above: a variable left out weighs an exact
-    0.0, and terms are still added in ascending i."""
+    """The subset sums inside ``_sensitivity_sum``, the doubling table of
+    ``boolfn._subset_sums``, are bitwise equal to the statements they
+    replaced, kept above: a variable left out there added an exact +0.0 to a
+    nonnegative sum, so both forms add the same terms in ascending i."""
 
     @staticmethod
     def weights(sigma: np.ndarray, mask: int) -> np.ndarray:
