@@ -279,6 +279,14 @@ def sensitivity_scatter(s: NodeSpectra) -> list[SensitivityRecord]:
     return records
 
 
+def _check_caps(arities: np.ndarray, cap: int | None, names: tuple[str, ...]) -> None:
+    """Refuse the first of ``names`` whose arity is over the cap."""
+    over = arities > (ARITY_CAP_DEFAULT if cap is None else cap)
+    if over.any():
+        i = int(over.argmax())
+        _check_cap(int(arities[i]), cap, names[i])
+
+
 def _random_topology(inputs: tuple[str, ...], node_names: tuple[str, ...],
                      rng: np.random.Generator, unate: bool, cap: int | None = None
                      ) -> CollapsedNetwork:
@@ -297,10 +305,7 @@ def _random_topology(inputs: tuple[str, ...], node_names: tuple[str, ...],
     # stable by node, so each node's inputs stay in input order
     ranks = np.argsort(targets, kind="stable") // RANDOM_TOPOLOGY_OUT_DEGREE
     count = np.bincount(targets, minlength=m)
-    over = count > (ARITY_CAP_DEFAULT if cap is None else cap)
-    if over.any():
-        i = int(over.argmax())
-        _check_cap(int(count[i]), cap, node_names[i])
+    _check_caps(count, cap, node_names)
     start = np.cumsum(count) - count
     pieces = []
     for k, bits in random_rows(count, rng, unate).items():
@@ -326,8 +331,7 @@ def baseline_curves(net: Network, spec: BaselineSpec, d: ProductDist,
     """
     node_names = tuple(name for name, _ in net.defs)
     arities = np.fromiter(map(len, net.args), np.int64, len(node_names))
-    for name, k in zip(node_names, arities.tolist()):
-        _check_cap(k, cap, name)
+    _check_caps(arities, cap, node_names)
     unate = spec.mode.endswith("unate")
     _check_dist(d, net.inputs)
     if L is None:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
-import json
 import os
 import sys
 from itertools import takewhile
@@ -64,7 +63,6 @@ from .reports import (
     curve_svg,
     json_text,
     ranking_table,
-    round12,
     scatter_csv,
     scatter_svg,
     spectrum_csv,
@@ -170,12 +168,9 @@ def cmd_spectrum(args) -> int:
     d = _dist_for(f.labels, args.p)
     s = transform(f, d, cap=args.cap)
     rows = [{"mask": m, "subset": _subset_label(m, f.labels),
-             "degree": bin(m).count("1"), "coefficient": round12(s.coeff(m))}
+             "degree": bin(m).count("1"), "coefficient": s.coeff(m)}
             for m in sorted(range(1 << f.arity), key=lambda m: (bin(m).count("1"), m))]
-    if args.format == "json":
-        print(json.dumps(rows, indent=2))
-    else:
-        sys.stdout.write(spectrum_csv(rows))
+    sys.stdout.write(json_text(rows) if args.format == "json" else spectrum_csv(rows))
     return EXIT_OK
 
 
@@ -273,8 +268,7 @@ def cmd_analyze(args) -> int:
             "dataset_sha256": hashlib.sha256(text.encode()).hexdigest(),
             "seed": args.seed,
             "distribution": {"kind": "uniform"} if args.p is None else
-                            {"kind": "product", "p": {name: round12(p) for name, p
-                                                      in zip(c.inputs, d.probs)}},
+                            {"kind": "product", "p": dict(zip(c.inputs, d.probs))},
             "counts": {
                 "inputs": len(c.inputs),
                 "nodes": len(c.names),

@@ -17,6 +17,13 @@ appearing on a left-hand side are inputs; an optional ``@inputs`` header,
 a line whose first token is ``@inputs``, pins their order.  Definitions may
 only reference inputs and previously defined nodes (no feedback).
 
+One regular expression splits a line into token texts.  A token's kind
+comes from one table, ``_KINDS``, and its column is worked out only for a
+``NetParseError``.  The recursive descent records each definition's
+references, in first-use order, as it makes the ``Var`` nodes: ``parse``
+checks forward references and undefined names from those records, and the
+``Network`` it returns carries them as ``args``.
+
 Collapse re-expresses every node over the inputs, cut to the inputs it
 depends on.  A node's unpruned support U, the union of its arguments',
 depends on the wiring alone, so ``Network.program`` compiles the whole
@@ -36,9 +43,9 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property, reduce
-from itertools import chain, repeat
+from itertools import chain, islice, product, repeat
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -114,19 +121,25 @@ def references(expr: Expr) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class Network:
-    """Feed-forward network: declared inputs plus ordered node definitions."""
+    """Feed-forward network: declared inputs plus ordered node definitions.
+
+    ``args`` holds each definition's ``references``, in definition order:
+    ``refs`` as ``parse`` recorded them, or else one walk of each definition
+    here (a network built by hand or by ``dataclasses.replace``)."""
 
     inputs: tuple[str, ...]
     defs: tuple[tuple[str, Expr], ...]
+    refs: InitVar[tuple[tuple[str, ...], ...] | None] = None
+    args: tuple[tuple[str, ...], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self, refs):
+        if refs is None:
+            refs = tuple(references(expr) for _, expr in self.defs)
+        object.__setattr__(self, "args", refs)
 
     @property
     def names(self) -> tuple[str, ...]:
         return self.inputs + tuple(n for n, _ in self.defs)
-
-    @cached_property
-    def args(self) -> tuple[tuple[str, ...], ...]:
-        """Each definition's ``references``, in definition order."""
-        return tuple(references(expr) for _, expr in self.defs)
 
     @cached_property
     def program(self) -> CollapseProgram:
@@ -137,30 +150,41 @@ class Network:
 # ---------------------------------------------------------------------------
 # Tokenizer and parser
 
-# kind, text, line, col; the kind is the punctuation itself, the upper-cased
-# keyword, or "name"
-_Token = tuple[str, str, int, int]
 PUNCTUATION = {"(", ")", "="}
-# a lone "#" ends the line; re's \s and str.isspace agree on every code point
-_TOKEN_RE = re.compile(r"[()=]|[^\s()=#]+|#")
+# a "#" ends the line; re's \s and str.isspace agree on every code point
+_TOKEN_RE = re.compile(r"[()=]|[^\s()=#]+")
 
 
-def _tokenize_line(text: str, lineno: int) -> list[_Token]:
-    tokens: list[_Token] = []
-    for match in _TOKEN_RE.finditer(text):
-        tok = match.group()
-        if tok == "#":
-            break
-        kind = tok.upper()
-        if kind not in KEYWORDS and kind not in PUNCTUATION:
-            kind = "name"
-        tokens.append((kind, tok, lineno, match.start() + 1))
-    return tokens
+def _spellings(word: str) -> list[str]:
+    """Every string whose ``str.upper()`` is ``word``, a reserved word: each
+    letter in either case, and "S" also as "ſ", the one other code point
+    that ``str.upper`` maps to a letter of a reserved word."""
+    return ["".join(letters) for letters in
+            product(*({c, c.lower()} | ({"ſ"} if c == "S" else set()) for c in word))]
 
 
-# NOTs plus parentheses enclosing an operand.  The parser recurses three
-# frames per parenthesis level and one per NOT, and each walk of an Expr at
-# most three per level, far below the interpreter's default limit of 1000.
+# Each token that is not a name, by its text: punctuation as itself, a
+# keyword in any spelling as the keyword.  Each spelling of a constant: its sign.
+_KINDS = {**{p: p for p in PUNCTUATION},
+          **{s: keyword for keyword in KEYWORDS for s in _spellings(keyword)}}
+_SIGNS = {s: sign for constant, sign in CONSTANTS.items() for s in _spellings(constant)}
+
+
+def _tokenize_line(text: str) -> list[str]:
+    """The tokens of one line, up to a "#"; their kinds are ``_KINDS``'s,
+    or "name", and their columns are found only for an error."""
+    return _TOKEN_RE.findall(text.partition("#")[0])
+
+
+def _error(message: str, text: str, lineno: int, i: int) -> NetParseError:
+    """The error at token ``i`` of line ``text``, at the token's column."""
+    match = next(islice(_TOKEN_RE.finditer(text), i, None))
+    return NetParseError(message, lineno, match.start() + 1)
+
+
+# NOTs plus parentheses enclosing an operand.  The parser recurses two
+# frames per parenthesis level, and each walk of an Expr at most three per
+# level, far below the interpreter's default limit of 1000.
 MAX_NESTING = 100
 
 
@@ -171,67 +195,90 @@ def _flat(parts: list[Expr], cls: type[And] | type[Or]) -> Expr:
     return cls(tuple(c for p in parts for c in (p.children if isinstance(p, cls) else (p,))))
 
 
-def _parse_tokens(tokens: Sequence[_Token], lineno: int) -> Expr:
-    """Recursive descent over one expression's tokens: one closure per
-    grammar level, all sharing the position ``pos``."""
+def _parse_tokens(tokens: list[str], at: int, text: str,
+                  lineno: int) -> tuple[Expr, tuple[str, ...]]:
+    """Recursive descent over the expression ``tokens[at:]`` of line
+    ``text``: a disjunction of conjunctions per level, an operand with its
+    NOTs in one frame.  Returns the expression and its references in
+    first-use order, recorded as its ``Var`` nodes are made."""
     end = len(tokens)
-    pos = 0
+    kinds = list(map(_KINDS.get, tokens))
+    pos = at
+    made: dict[str, Var] = {}  # one Var per name, in first-use order
 
     def disjunction(depth: int) -> Expr:
         nonlocal pos
-        parts = [conjunction(depth)]
-        while pos < end and tokens[pos][0] == "OR":
-            pos += 1
-            parts.append(conjunction(depth))
-        return _flat(parts, Or)
-
-    def conjunction(depth: int) -> Expr:
-        nonlocal pos
+        terms = []
         parts = [operand(depth)]
-        while pos < end and tokens[pos][0] == "AND":
-            pos += 1
-            parts.append(operand(depth))
-        return _flat(parts, And)
+        while pos < end:
+            kind = kinds[pos]
+            if kind == "AND":
+                pos += 1
+                parts.append(operand(depth))
+            elif kind == "OR":
+                pos += 1
+                terms.append(_flat(parts, And))
+                parts = [operand(depth)]
+            else:
+                break
+        if not terms:
+            return _flat(parts, And)
+        terms.append(_flat(parts, And))
+        return _flat(terms, Or)
 
     def operand(depth: int) -> Expr:
         # depth: the NOTs and parentheses enclosing this operand
         nonlocal pos
-        if depth > MAX_NESTING:
-            _, _, line, col = tokens[pos - 1]  # the NOT or ( one level too deep
-            raise NetParseError(f"NOTs and parentheses nested deeper than {MAX_NESTING}", line, col)
-        if pos == end:
-            raise NetParseError("unexpected end of expression", lineno,
-                                tokens[-1][3] if tokens else 1)
-        kind, text, line, col = tokens[pos]
-        pos += 1
-        if kind == "name":
-            sign = CONSTANTS.get(text.upper())
-            return Var(text) if sign is None else Const(sign)
-        if kind == "NOT":
-            return Not(operand(depth + 1))
-        if kind == "(":
-            expr = disjunction(depth + 1)
-            if pos == end or tokens[pos][0] != ")":
-                raise NetParseError("missing closing parenthesis", line, col)
+        nots = 0
+        while True:
+            if depth > MAX_NESTING:  # the NOT or ( one level too deep
+                raise _error(f"NOTs and parentheses nested deeper than {MAX_NESTING}",
+                             text, lineno, pos - 1)
+            if pos == end:
+                if end == at:
+                    raise NetParseError("unexpected end of expression", lineno, 1)
+                raise _error("unexpected end of expression", text, lineno, end - 1)
+            word, kind = tokens[pos], kinds[pos]
             pos += 1
-            return expr
-        if kind in KEYWORDS:
-            raise NetParseError(f"keyword {text!r} cannot start an operand", line, col)
-        raise NetParseError(f"unexpected token {text!r}", line, col)
+            if kind is None:
+                sign = _SIGNS.get(word)
+                if sign is not None:
+                    expr = Const(sign)
+                else:
+                    expr = made.get(word)
+                    if expr is None:
+                        expr = made[word] = Var(word)
+                break
+            if kind == "NOT":
+                nots += 1
+                depth += 1
+                continue
+            if kind == "(":
+                opened = pos - 1
+                expr = disjunction(depth + 1)
+                if pos == end or kinds[pos] != ")":
+                    raise _error("missing closing parenthesis", text, lineno, opened)
+                pos += 1
+                break
+            if kind in KEYWORDS:
+                raise _error(f"keyword {word!r} cannot start an operand", text, lineno, pos - 1)
+            raise _error(f"unexpected token {word!r}", text, lineno, pos - 1)
+        for _ in range(nots):
+            expr = Not(expr)
+        return expr
 
     expr = disjunction(0)
     if pos < end:
-        _, text, line, col = tokens[pos]
-        raise NetParseError(f"unexpected token {text!r}", line, col)
-    return expr
+        raise _error(f"unexpected token {tokens[pos]!r}", text, lineno, pos)
+    return expr, tuple(made)
 
 
 def parse_expression(text: str, lineno: int = 1) -> Expr:
     """Parse a single expression (used for inline CLI specs)."""
-    tokens = _tokenize_line(text, lineno)
+    tokens = _tokenize_line(text)
     if not tokens:
         raise NetParseError("empty expression", lineno, 1)
-    return _parse_tokens(tokens, lineno)
+    return _parse_tokens(tokens, 0, text, lineno)[0]
 
 
 def split_lines(text: str) -> list[str]:
@@ -241,56 +288,57 @@ def split_lines(text: str) -> list[str]:
 
 
 def parse(text: str) -> Network:
-    """Parse DSL source into a validated feed-forward network."""
-    declared_inputs: list[str] = []
-    raw_defs: list[tuple[str, Expr, int]] = []
+    """Parse DSL source into a validated feed-forward network.  The checks
+    read the references that the parser recorded, and so does the network."""
+    declared: dict[str, None] = {}
+    raw_defs: list[tuple[str, Expr, tuple[str, ...], int]] = []
     for lineno, line in enumerate(split_lines(text), start=1):
-        tokens = _tokenize_line(line, lineno)
+        tokens = _tokenize_line(line)
         if not tokens:
             continue
-        if tokens[0][1] == "@inputs":
-            for kind, name, _, col in tokens[1:]:
-                if kind in PUNCTUATION:
-                    raise NetParseError("only names may follow @inputs", lineno, col)
-                if name in declared_inputs:
-                    raise NetParseError(f"input {name!r} declared twice", lineno, col)
-                declared_inputs.append(name)
+        if tokens[0] == "@inputs":
+            for i, name in enumerate(tokens[1:], 1):
+                if name in PUNCTUATION:
+                    raise _error("only names may follow @inputs", line, lineno, i)
+                if name in declared:
+                    raise _error(f"input {name!r} declared twice", line, lineno, i)
+                declared[name] = None
             continue
-        if len(tokens) < 2 or tokens[0][0] in PUNCTUATION or tokens[1][0] != "=":
-            raise NetParseError("expected 'name = expr'", lineno, tokens[0][3])
-        name = tokens[0][1]
-        if name.upper() in KEYWORDS | CONSTANTS.keys():
-            raise NetParseError(f"{name!r} is reserved", lineno, tokens[0][3])
-        expr = _parse_tokens(tokens[2:], lineno)
-        raw_defs.append((name, expr, lineno))
+        name = tokens[0]
+        if len(tokens) < 2 or name in PUNCTUATION or tokens[1] != "=":
+            raise _error("expected 'name = expr'", line, lineno, 0)
+        if name in _KINDS or name in _SIGNS:
+            raise _error(f"{name!r} is reserved", line, lineno, 0)
+        raw_defs.append((name, *_parse_tokens(tokens, 2, line, lineno), lineno))
 
     defined = {}
-    for name, _, lineno in raw_defs:
+    for name, _, _, lineno in raw_defs:
         if name in defined:
             raise NetParseError(f"duplicate definition of {name!r}", lineno, 1)
         defined[name] = lineno
-    for name in declared_inputs:
+    for name in declared:
         if name in defined:
             raise NetParseError(f"{name!r} is both an input and a definition",
                                 defined[name], 1)
 
-    inputs: list[str] = list(declared_inputs)
+    inputs: list[str] = list(declared)
     known = set(inputs)  # inputs and the definitions read so far
-    for name, expr, lineno in raw_defs:
-        for ref in references(expr):
+    for name, _, refs, lineno in raw_defs:
+        for ref in refs:
             if ref in known:
                 continue
             if ref in defined:
                 raise NetParseError(
                     f"{ref!r} used before its definition (cycle or forward reference)",
                     lineno, 1)
-            if declared_inputs:
+            if declared:
                 raise NetParseError(f"undefined name {ref!r}", lineno, 1)
             inputs.append(ref)
             known.add(ref)
         known.add(name)
 
-    return Network(tuple(inputs), tuple((n, e) for n, e, _ in raw_defs))
+    return Network(tuple(inputs), tuple((name, expr) for name, expr, _, _ in raw_defs),
+                   tuple(refs for _, _, refs, _ in raw_defs))
 
 
 def out_degree(net: Network, name: str) -> int:

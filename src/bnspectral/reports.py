@@ -1,12 +1,17 @@
 """Deterministic report writers: JSON, CSV, and a minimal SVG renderer.
 
-Floats are rounded to 12 significant digits before serialization so that
-repeated runs with the same seed produce byte-identical artifacts.
-"""
+Floats are rounded to 12 significant digits as they are written, so that
+repeated runs with the same seed produce byte-identical artifacts.  The
+JSON writer is one recursive pass.  Its bytes are exactly those of
+``json.dumps(obj, indent=2, sort_keys=True)`` on ``obj`` with every float
+rounded first: strings go through ``json``'s own C escaper, and ``bool``,
+``None``, -0.0 and non-finite floats come out as ``json`` writes them.  A
+CSV field is written by its type: an integer as is, a float rounded, and
+text quoted if it holds , " or a newline."""
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii as _escape
 from numbers import Integral
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -14,23 +19,61 @@ from typing import Iterable, Sequence
 from .analysis import BaselineResult, RankingResult, SensitivityRecord, UncertaintyCurve
 
 
-def round12(x: float) -> float:
-    return float(f"{x:.12g}")
+def _float_text(x: float) -> str:
+    """``repr(float(f"{x:.12g}"))``, ``x`` rounded to 12 significant digits.
+    From 1e-4 up to 1e12 the 12-digit text has no exponent and is that repr,
+    with ".0" on an integer: a decimal of at most 15 significant digits is
+    the shortest that reads back as its nearest double.  Text with an
+    exponent, nan or inf goes through ``float``."""
+    text = f"{x:.12g}"
+    if "e" in text or "n" in text:
+        return repr(float(text))
+    return text if "." in text else text + ".0"
 
 
-def _rounded(obj):
-    if isinstance(obj, float):
-        return round12(obj)
-    if isinstance(obj, dict):
-        return {k: _rounded(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_rounded(v) for v in obj]
-    return obj
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+_JSON_KINDS = {str, float, dict, list, tuple, int, bool, type(None)}
+# a subclass is written as its first base here, as ``json`` writes it once
+# its floats are rounded
+_JSON_BASES = (float, dict, list, tuple, str, int)
 
 
-def json_text(obj: dict) -> str:
-    """Report JSON: floats rounded, keys sorted, indented, newline-ended."""
-    return json.dumps(_rounded(obj), indent=2, sort_keys=True) + "\n"
+def json_text(obj: dict | list) -> str:
+    """Report JSON: floats rounded, keys sorted, indented, newline-ended.
+    Dict keys must be str."""
+    return _json(obj, "\n") + "\n"
+
+
+def _json(value, newline: str) -> str:
+    """``value`` as ``json.dumps(..., indent=2, sort_keys=True)`` writes it
+    with its floats rounded, at the indent that follows ``newline``."""
+    kind = type(value)
+    if kind not in _JSON_KINDS:
+        kind = next((base for base in _JSON_BASES if isinstance(value, base)), None)
+        if kind is None:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if kind is str:
+        return _escape(value)
+    if kind is float:
+        text = _float_text(value)
+        return _JSON_NONFINITE.get(text, text)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        return "{" + inner + ("," + inner).join(
+            [_escape(key) + ": " + _json(item, inner) for key, item in sorted(value.items())]
+        ) + newline + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join([_json(item, inner) for item in value]
+                                                ) + newline + "]"
+    if kind is int:
+        return int.__repr__(value)
+    return _JSON_CONSTANTS[value]
 
 
 def write_json(path: Path, obj: dict) -> None:
@@ -67,18 +110,29 @@ def spectrum_csv(rows: Sequence[dict]) -> str:
 
 
 def _csv_text(header: str, rows: Iterable[Iterable]) -> str:
-    return "\n".join([header] + [",".join(map(_csv_field, row)) for row in rows]) + "\n"
+    lines = [header]
+    for row in rows:
+        lines.append(",".join([_CSV_WRITERS.get(type(v), _csv_field)(v) for v in row]))
+    return "\n".join(lines) + "\n"
+
+
+def _csv_string(text: str) -> str:
+    if any(ch in text for ch in ',"\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+_CSV_WRITERS = {int: str, bool: str, float: _float_text, str: _csv_string}
 
 
 def _csv_field(value) -> str:
-    """An integer as is, another number by ``round12``, text quoted if it holds , " or \\n."""
+    """A field of a type that ``_CSV_WRITERS`` does not list, such as a
+    NumPy scalar: an integer as is, text quoted, another number rounded."""
     if isinstance(value, Integral):
         return str(value)
-    if not isinstance(value, str):
-        return repr(round12(value))
-    if any(ch in value for ch in ',"\n'):
-        return '"' + value.replace('"', '""') + '"'
-    return value
+    if isinstance(value, str):
+        return _csv_string(value)
+    return _float_text(value)
 
 
 def ranking_table(ranking: RankingResult, top: int) -> str:

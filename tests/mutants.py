@@ -71,6 +71,8 @@ CHAIN = ("tests/test_sampling.py::TestMonotoneChain",
 CURVES = ("tests/test_analysis.py::test_uncertainty_curve_adds_node_entropies_left_to_right",
           "tests/test_analysis.py::test_trial_rankings_and_curves_are_the_per_node_sums_bit_for_bit")
 
+REPORTS = "tests/test_reports.py"
+
 MUTANTS = (
     Mutant("prune keeps every variable", "netlang.py",
            "live[:, j] = (halves[:, :, 0] != halves[:, :, 1]).any(axis=(1, 2))",
@@ -253,8 +255,8 @@ MUTANTS = (
            "",
            ("tests/test_cli.py::TestExitCodes::test_table_hex_without_labels_is_3",), 2),
     Mutant("header tokenized from after @inputs", "netlang.py",
-           "for kind, name, _, col in tokens[1:]:",
-           'for kind, name, _, col in _tokenize_line(line.split("@inputs", 1)[1], lineno):',
+           "for i, name in enumerate(tokens[1:], 1):",
+           'line = line.split("@inputs", 1)[1]\n            for i, name in enumerate(tokens[1:]):',
            ("tests/test_netlang.py::TestParse",
             "tests/test_netlang.py::TestOracles::test_parse_matches_class_parser"), 4),
     Mutant("p-file reader rewrites = to a space", "cli.py",
@@ -278,6 +280,24 @@ MUTANTS = (
            "return _clamp_prob((1.0 - float(np.dot(signs, kron_apply(signs, wt)))) / 2.0)",
            "return max((1.0 - float(np.dot(signs, kron_apply(signs, wt)))) / 2.0, 0.0)",
            ("tests/test_measures.py::TestNoiseSensitivity",), 1),
+    Mutant("JSON keys left unsorted", "reports.py",
+           "for key, item in sorted(value.items())]",
+           "for key, item in value.items()]",
+           (REPORTS, "tests/test_golden.py"), 31),
+    Mutant("a float written unrounded", "reports.py",
+           'text = f"{x:.12g}"',
+           "text = repr(float(x))",
+           (REPORTS, "tests/test_golden.py"), 15),
+    Mutant("references recorded in last-use order", "netlang.py",
+           "expr = made.get(word)\n                    if expr is None:\n"
+           "                        expr = made[word] = Var(word)",
+           "expr = made[word] = made.pop(word, None) or Var(word)",
+           ("tests/test_netlang.py::TestOracles::test_recorded_references_are_the_walk",
+            "tests/test_netlang.py::TestLocalize", "tests/test_golden.py"), 3),
+    Mutant("a constant spelled with the long s read as a name", "netlang.py",
+           '({"ſ"} if c == "S" else set())',
+           "set()",
+           ("tests/test_netlang.py::TestOracles",), 1),
     Mutant("flag-bounds table skips --top", "cli.py",
            '("L", 0), ("top", 0))',
            '("L", 0))',

@@ -519,6 +519,18 @@ class TestBaselines:
                             ProductDist.uniform(10), cap=6)
         assert (err.value.arity, err.value.cap, err.value.name) == (7, 6, "w")
 
+    @pytest.mark.parametrize("mode", BASELINE_MODES)
+    def test_first_definition_over_the_cap_is_named(self, mode):
+        # the first over the cap in definition order, not the widest
+        text = ("y = a AND b\n"
+                "w7 = " + " OR ".join(f"v{i}" for i in range(7)) + "\n"
+                "w9 = " + " AND ".join(f"v{i}" for i in range(9)) + "\n")
+        net = parse(text)
+        with pytest.raises(ArityCapError) as err:
+            baseline_curves(net, BaselineSpec(mode, trials=2, seed=5),
+                            ProductDist.uniform(len(net.inputs)), cap=6)
+        assert (err.value.arity, err.value.cap, err.value.name) == (7, 6, "w7")
+
     def test_single_trial_zero_stddev(self):
         res = baseline_curves(toy_network(), BaselineSpec("exchange-random", 1, 3),
                               ProductDist.uniform(4), L=2)

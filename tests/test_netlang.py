@@ -1,7 +1,9 @@
 """DSL parsing, network validation, and collapse."""
 
 import copy
+import dataclasses
 import hashlib
+import itertools
 import re
 import sys
 from typing import Sequence
@@ -39,7 +41,7 @@ from bnspectral.netlang import (
     Not,
     Or,
     Var,
-    _Token,
+    _error,
     _tokenize_line,
     collapse,
     collapse_local,
@@ -365,11 +367,12 @@ class TestLocalize:
         assert all(rows.dtype == np.uint8 for rows in ln.rows.values())
 
     def test_definitions_walked_once(self, monkeypatch):
-        """Localizing and then running a baseline walk each definition at
-        most once between them: both read ``Network.args``."""
+        """Parsing, localizing and running a baseline walk no definition:
+        the parser records each definition's references as it builds them,
+        and the rest read them from ``Network.args``."""
         import bnspectral.netlang as netlang
 
-        net = parse(to_text(random_network(np.random.default_rng(46), max_nodes=12)))
+        text = to_text(random_network(np.random.default_rng(46), max_nodes=12))
         walked = []
 
         def spy(expr):
@@ -378,10 +381,18 @@ class TestLocalize:
 
         monkeypatch.setattr(netlang, "references", spy)
         monkeypatch.setattr(analysis, "references", spy, raising=False)
+        net = parse(text)
         localize(net)
         analysis.baseline_curves(net, analysis.BaselineSpec("exchange-random", 2, 0),
                                  ProductDist.uniform(len(net.inputs)))
-        assert len(walked) == len(set(walked))
+        assert walked == []
+        assert net.args == tuple(references(expr) for _, expr in net.defs)
+        # a network built by hand walks each definition once, as does a
+        # replaced one, whose recorded references may no longer hold
+        Network(net.inputs, net.defs)
+        assert sorted(walked) == sorted(id(expr) for _, expr in net.defs)
+        fewer = dataclasses.replace(net, defs=net.defs[:1])
+        assert fewer.args == net.args[:1]
 
 
 class TestJsonDump:
@@ -422,6 +433,17 @@ def tokenize_walk(text: str, lineno: int) -> list[tuple[str, str, int, int]]:
         tokens.append(("name", text[i:j], lineno, i + 1))
         i = j
     return tokens
+
+
+# kind, text, line, col; the kind is the punctuation itself, the upper-cased
+# keyword, or "name"
+_Token = tuple[str, str, int, int]
+
+
+def oracle_tokens(text: str, lineno: int) -> list[_Token]:
+    """``tokenize_walk`` with each keyword's kind the upper-cased keyword."""
+    return [(tok.upper() if kind == "name" and tok.upper() in KEYWORDS else kind,
+             tok, line, col) for kind, tok, line, col in tokenize_walk(text, lineno)]
 
 
 def localize_columns(net: Network) -> tuple[LocalNode, ...]:
@@ -596,14 +618,14 @@ def parse_oracle(text: str) -> Network:
         if header:
             # the word blanked out, so columns count from the start of the line
             rest = " " * header.end() + line[header.end():]
-            for tok in _tokenize_line(rest, lineno):
+            for tok in oracle_tokens(rest, lineno):
                 if tok[0] in PUNCTUATION:
                     raise NetParseError("only names may follow @inputs", lineno, tok[3])
                 if tok[1] in declared_inputs:
                     raise NetParseError(f"input {tok[1]!r} declared twice", lineno, tok[3])
                 declared_inputs.append(tok[1])
             continue
-        tokens = _tokenize_line(line, lineno)
+        tokens = oracle_tokens(line, lineno)
         if len(tokens) < 2 or tokens[0][0] in PUNCTUATION or tokens[1][0] != "=":
             raise NetParseError("expected 'name = expr'", lineno,
                                 tokens[0][3] if tokens else 1)
@@ -713,17 +735,45 @@ class TestOracles:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(text=st.lists(LINE_PIECES, max_size=12).map("".join))
     def test_tokenizer_matches_walk(self, text):
-        want = []
-        for kind, tok, line, col in tokenize_walk(text, 7):
-            if kind == "name" and tok.upper() in KEYWORDS:
-                kind = tok.upper()
-            want.append((kind, tok, line, col))
-        assert _tokenize_line(text, 7) == want
+        want = oracle_tokens(text, 7)
+        tokens = _tokenize_line(text)
+        assert tokens == [tok for _, tok, _, _ in want]
+        assert [netlang._KINDS.get(tok, "name") for tok in tokens] == [k for k, *_ in want]
+        assert [(err.line, err.col) for err in (_error("", text, 7, i) for i in range(len(tokens)))
+                ] == [(line, col) for _, _, line, col in want]
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(text=dsl_texts())
     def test_parse_matches_class_parser(self, text):
         assert parse_outcome(parse, text) == parse_outcome(parse_oracle, text)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(text=dsl_texts())
+    def test_recorded_references_are_the_walk(self, text):
+        try:
+            net = parse(text)
+        except NetParseError:
+            return
+        assert net.args == tuple(references(expr) for _, expr in net.defs)
+        assert net == Network(net.inputs, net.defs)
+
+    def test_reserved_spellings_are_every_upper_case_preimage(self):
+        """``_KINDS`` and ``_SIGNS`` hold every token whose ``str.upper()``
+        is a keyword or a constant, and nothing else."""
+        reserved = KEYWORDS | netlang.CONSTANTS.keys()
+        preimages: dict[str, set[str]] = {c: set() for word in reserved for c in word}
+        for ch in map(chr, range(sys.maxunicode + 1)):
+            up = ch.upper()
+            if up in preimages:
+                preimages[up].add(ch)
+            elif len(up) > 1:  # part of no reserved word, so in no spelling of one
+                assert not any(up in word for word in reserved)
+        spellings = {word: {"".join(p) for p in itertools.product(*map(preimages.get, word))}
+                     for word in reserved}
+        assert netlang._KINDS == {**{p: p for p in PUNCTUATION}, **{
+            s: word for word in KEYWORDS for s in spellings[word]}}
+        assert netlang._SIGNS == {s: sign for word, sign in netlang.CONSTANTS.items()
+                                  for s in spellings[word]}
 
     def test_regex_whitespace_is_isspace(self):
         space = re.compile(r"\s")
