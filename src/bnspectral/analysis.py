@@ -4,11 +4,13 @@
 scatter all read that one pass.  D(j), the sum over nodes of the single-input
 mutual information, orders the inputs for the uncertainty curve A(l); both
 read one whole-network table of H(f) and every H(f | x_t)
-(``NodeSpectra.whole``) and run no loop per node or per arity.  Each
-baseline trial randomizes the functions or topology and makes its own pass.
-An exchange trial draws new table rows and runs the network's compiled
-collapse (``Network.program``) on them; a random-topology trial is wired
-and drawn as arrays, its table rows handed straight to the prune.
+(``NodeSpectra.whole``) and run no loop per node or per arity.  A(l) adds
+each node's entropies, each over the run of l where it holds, in definition
+order, a block of nodes at a time.  Each baseline trial randomizes the
+functions or topology and makes its own pass.  An exchange trial draws
+new table rows and runs the network's compiled collapse
+(``Network.program``) on them; a random-topology trial is wired and drawn
+as arrays, its table rows handed straight to the prune.
 """
 
 from __future__ import annotations
@@ -198,11 +200,11 @@ def determinative_power(s: NodeSpectra) -> RankingResult:
     return RankingResult(d_values, tuple(sorted(d_values, key=lambda n: (-d_values[n], n))))
 
 
-# Rows of A(l) summed at a time: the (l, node) tables of one block are
-# CURVE_BLOCK x (N + 1) int64s and float64s, 84 KB each at N = 653, where
-# the whole curve's would be 0.8 MB.  At 32 rows a baseline trial's traced
-# (tracemalloc) peak was 0.3 MB above the per-node curve's, at 16 0.06 MB.
-CURVE_BLOCK = 16
+# Nodes of A(l) folded at a time: one block's node-major (node, l) table is
+# CURVE_NODES x (L + 2) float64s, 79 KB at L = 150.  Up to 96 nodes the
+# seed-1 netgen network's traced (tracemalloc) peak stayed the per-j entropy
+# loop's, 431.5 KiB; at 128 the fold raised it to 510 KiB.
+CURVE_NODES = 64
 
 
 def uncertainty_curve(s: NodeSpectra, order: tuple[str, ...] | list[str],
@@ -215,10 +217,17 @@ def uncertainty_curve(s: NodeSpectra, order: tuple[str, ...] | list[str],
     from ``s.whole``, and at j = k it is 0: all k inputs known fix the
     output.  For each j from 2 on, one ``measures._entropy_given`` call, the
     kernel behind ``mutual_information``, covers every node of more than j
-    inputs.  Each A(l) adds its nodes' entropies to 0.0 one at a time, in
-    definition order, by ``np.add.accumulate`` over a table of (l, node)
-    entries, CURVE_BLOCK rows at a time: builtin ``sum`` compensates from
-    Python 3.12 on, and ``np.add.reduce`` sums pairwise.
+    inputs.  Each entropy then holds over one run of l, from the l after its
+    node's j-th input becomes known to the l after the next one's.
+
+    ``np.repeat`` lays the runs of CURVE_NODES nodes out as a node-major
+    (node, l) table, after a first row of the sums the last block left, and
+    ``np.add.reduce`` folds it along the node axis.  So each A(l) adds its
+    nodes' entropies to 0.0 one at a time, in definition order: a reduce
+    along the outer axis of a C-contiguous table adds row after row,
+    element by element, where along the fast axis it sums pairwise.  A
+    spare column past l = L keeps two columns at L = 0, where one would be
+    the fast axis.  Builtin ``sum`` compensates from Python 3.12 on.
     """
     c, d, w = s.c, s.d, s.whole
     order = tuple(order)
@@ -235,9 +244,9 @@ def uncertainty_curve(s: NodeSpectra, order: tuple[str, ...] | list[str],
     # each node's entries in the order their inputs become known, the rest
     # last in input order, as a stable argsort per node gives them
     known = np.argsort(w.node * (L + 1) + pos, kind="stable")
-    # node i's entropy at j inputs known is h[at[i] + j]; h[0] is the 0.0 that A(l) starts from
-    at = w.start + np.arange(1, len(w.k) + 1)
-    h = np.zeros(len(w.node) + len(w.k) + 1)
+    # node i's entropy at j inputs known is h[at[i] + j]
+    at = w.start + np.arange(len(w.k))
+    h = np.zeros(len(w.node) + len(w.k))
     h[at] = w.h
     many = np.flatnonzero(w.k > 1)
     h[at[many] + 1] = w.h_given[known[w.start[many]]]
@@ -247,18 +256,18 @@ def uncertainty_curve(s: NodeSpectra, order: tuple[str, ...] | list[str],
         sub = s.coeffs[w.base[many, None] + _subset_index(first)]
         h[at[many] + j] = _entropy_given(sub, w.ranks[w.start[many, None] + first], d)
 
-    # entry e counts from row pos[e] + 1 of the curve on; the column of node i is i + 1
-    row, col = pos + 1, w.node + 1
-    now = np.concatenate([[0], at])  # each column's index into h before a block
-    sums = np.empty(L + 1)
-    for top in range(0, L + 1, CURVE_BLOCK):
-        steps = np.zeros((min(CURVE_BLOCK, L + 1 - top), len(now)), dtype=np.int64)
-        fed = (row >= top) & (row < top + len(steps))
-        steps[row[fed] - top, col[fed]] = 1
-        steps[0] += now
-        now = np.cumsum(steps, axis=0, out=steps)[-1]
-        sums[top:top + len(steps)] = np.add.accumulate(h[steps], axis=1)[:, -1]
-    return UncertaintyCurve(tuple(enumerate(sums.tolist())))
+    # h[at[i] + j] holds from l = pos + 1 of node i's j-th known input (0 at
+    # j = 0) up to the next one's; the last one to l = L + 1, a spare column
+    stop = np.full(len(h), L + 2)
+    stop[np.arange(len(known)) + w.node] = pos[known] + 1
+    runs = np.diff(stop, prepend=0)
+    runs[at] = stop[at]
+    sums, ones = np.zeros(L + 2), np.ones(L + 2, dtype=np.int64)
+    edges = np.append(at[::CURVE_NODES], len(h)).tolist()
+    for lo, hi in zip(edges, edges[1:]):
+        rows = np.repeat(np.concatenate([sums, h[lo:hi]]), np.concatenate([ones, runs[lo:hi]]))
+        sums = np.add.reduce(rows.reshape(-1, L + 2), axis=0)
+    return UncertaintyCurve(tuple(enumerate(sums[:-1].tolist())))
 
 
 def sensitivity_scatter(s: NodeSpectra) -> list[SensitivityRecord]:
@@ -297,9 +306,6 @@ def _random_topology(inputs: tuple[str, ...], node_names: tuple[str, ...],
     its table rows go straight to ``netlang._prune``.  A fan-in over the cap
     is refused, the first in node order, before any function is drawn."""
     m = len(node_names)
-    if m < RANDOM_TOPOLOGY_OUT_DEGREE:
-        raise ValueError(f"need at least {RANDOM_TOPOLOGY_OUT_DEGREE} nodes for "
-                         f"out-degree {RANDOM_TOPOLOGY_OUT_DEGREE}")
     targets = np.array([rng.choice(m, size=RANDOM_TOPOLOGY_OUT_DEGREE, replace=False)
                         for _ in inputs], dtype=np.int64).reshape(-1)
     # stable by node, so each node's inputs stay in input order
@@ -316,6 +322,14 @@ def _random_topology(inputs: tuple[str, ...], node_names: tuple[str, ...],
 
 MAX_TRIAL_RESAMPLES = 1000
 RANDOM_TOPOLOGY_OUT_DEGREE = 8
+
+
+def _check_out_degree(mode: str, m: int) -> None:
+    """Refuse a random-topology baseline over fewer than
+    ``RANDOM_TOPOLOGY_OUT_DEGREE`` definitions, which no input could feed."""
+    if mode.startswith("random-topology") and m < RANDOM_TOPOLOGY_OUT_DEGREE:
+        raise ValueError(f"need at least {RANDOM_TOPOLOGY_OUT_DEGREE} nodes for "
+                         f"out-degree {RANDOM_TOPOLOGY_OUT_DEGREE}")
 
 
 def baseline_curves(net: Network, spec: BaselineSpec, d: ProductDist,
@@ -337,6 +351,7 @@ def baseline_curves(net: Network, spec: BaselineSpec, d: ProductDist,
     if L is None:
         L = len(net.inputs)
     _check_L(L, len(net.inputs))
+    _check_out_degree(spec.mode, len(node_names))
     seq = np.random.SeedSequence(spec.seed)
     curves = np.zeros((spec.trials, L + 1))
     resampled = 0

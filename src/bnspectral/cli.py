@@ -20,6 +20,7 @@ from .analysis import (
     BASELINE_MODES,
     BaselineSpec,
     _check_L,
+    _check_out_degree,
     baseline_curves,
     determinative_power,
     node_spectra,
@@ -235,10 +236,11 @@ def cmd_collapse(args) -> int:
 def _network_run(args, mode: str | None):
     """The stages ``analyze`` and ``baseline`` share.  The baseline spec and
     the output directory come first, so a flag mistake costs no work; then
-    parse and ``--L`` against the inputs, so an L too large costs no
-    collapse; then collapse, distribution, node spectra, D(j) ranking, the
-    A(l) curve and, with a ``mode``, its baseline.  Returns (out, text,
-    spectra, ranking, L, curve, baseline)."""
+    parse, ``--L`` against the inputs and a random-topology baseline against
+    the definitions, so neither mistake costs a collapse; then collapse,
+    distribution, node spectra, D(j) ranking, the A(l) curve and, with a
+    ``mode``, its baseline.  Returns (out, text, spectra, ranking, L, curve,
+    baseline)."""
     spec = None if mode is None else BaselineSpec(mode=mode, trials=getattr(args, "trials", 25),
                                                   seed=args.seed)
     out = _out_dir(args)
@@ -246,6 +248,8 @@ def _network_run(args, mode: str | None):
     net = parse(text)
     L = len(net.inputs) if args.L is None else args.L
     _check_L(L, len(net.inputs))
+    if spec is not None:
+        _check_out_degree(spec.mode, len(net.defs))
     c = collapse(net, cap=args.cap)
     spectra = node_spectra(c, _dist_for(c.inputs, args.p))
     ranking = determinative_power(spectra)

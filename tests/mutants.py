@@ -119,11 +119,20 @@ MUTANTS = (
            "np.bincount((w.ranks - 1) % len(s.c.inputs),",
            ("tests/test_analysis.py::TestAgainstPerNodeMeasures::test_determinative_power",
             "tests/test_analysis.py::TestDeterminativePower"), 2),
-    Mutant("uncertainty curve feeds keyed off by one", "analysis.py",
-           "row, col = pos + 1, w.node + 1",
-           "row, col = pos, w.node + 1",
+    Mutant("runs start at pos, not pos + 1", "analysis.py",
+           "stop[np.arange(len(known)) + w.node] = pos[known] + 1",
+           "stop[np.arange(len(known)) + w.node] = pos[known]",
            ("tests/test_analysis.py::TestAgainstPerNodeMeasures::test_uncertainty_curve",
             "tests/test_analysis.py::TestUncertaintyCurve"), 3),
+    Mutant("a node's last run ends at L, not L + 1", "analysis.py",
+           "stop = np.full(len(h), L + 2)",
+           "stop = np.full(len(h), L + 1)",
+           ("tests/test_analysis.py::TestAgainstPerNodeMeasures::test_uncertainty_curve",
+            "tests/test_analysis.py::TestUncertaintyCurve", *CURVES), 9),
+    Mutant("a block of the curve starts from 0.0, not the last block's sums", "analysis.py",
+           "np.repeat(np.concatenate([sums, h[lo:hi]])",
+           "np.repeat(np.concatenate([0.0 * sums, h[lo:hi]])",
+           CURVES, 5),
     Mutant("random-topology rows read at the wrong word offset", "sampling.py",
            "raw[at[arities == k, None] + np.arange(_table_bytes(k))]",
            "raw[4 * np.flatnonzero(arities == k)[:, None] + np.arange(_table_bytes(k))]",
@@ -145,9 +154,14 @@ MUTANTS = (
            "h[at[many] + 1] = w.h_given[w.start[many]]",
            (*CURVES, "tests/test_analysis.py::TestAgainstPerNodeMeasures::test_uncertainty_curve"),
            6),
+    Mutant("the curve's fold leaves out the spare column", "analysis.py",
+           "sums = np.add.reduce(rows.reshape(-1, L + 2), axis=0)",
+           "sums = np.append(np.add.reduce(rows.reshape(-1, L + 2)[:, :-1], axis=0), 0.0)",
+           ("tests/test_analysis.py::test_uncertainty_curve_short_of_the_inputs_adds_left_to_right",),
+           1),
     Mutant("curve summed pairwise", "analysis.py",
-           "np.add.accumulate(h[steps], axis=1)[:, -1]",
-           "np.add.reduce(h[steps], axis=1)",
+           "np.add.reduce(rows.reshape(-1, L + 2), axis=0)",
+           "np.add.reduce(rows.reshape(-1, L + 2).T.copy(), axis=1)",
            CURVES, 5),
     Mutant("grouped stage builds m kron f", "boolfn.py",
            "m = (f[:, None, :, None] * m[None, :, None, :])",

@@ -1,5 +1,7 @@
 """Determinative power, uncertainty curves, scatter, and baselines."""
 
+import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -417,6 +419,90 @@ def test_trial_rankings_and_curves_are_the_per_node_sums_bit_for_bit(mode):
         assert curve[l] == total, l
 
 
+def _left_fold_curve(c, d, order, L):
+    """A(l), l = 0..L: the per-node ``entropy_bounds(...).exact`` added to
+    0.0 one at a time, in definition order."""
+    setup = list(_per_node(c, d))
+    masks = [0] * len(setup)
+    h = [entropy_bounds(spec, 0).exact for _, _, spec in setup]
+    curve = []
+    for l in range(L + 1):
+        if l:
+            for i, (node, _, spec) in enumerate(setup):
+                if order[l - 1] in node.inputs:
+                    masks[i] |= 1 << node.inputs.index(order[l - 1])
+                    h[i] = entropy_bounds(spec, masks[i]).exact
+        total = 0.0
+        for v in h:
+            total += v
+        curve.append(total)
+    return curve
+
+
+def _curve_cases():
+    """(network, distribution, spectra, ranking order): the seed-1 netgen
+    network under a biased distribution, and a random-topology trial of it
+    with unfed (arity-0) nodes."""
+    net = parse(netgen().generate(1))
+    d = random_product_dist(np.random.default_rng(3), len(net.inputs))
+    names = tuple(name for name, _ in net.defs)
+    trial = analysis._random_topology(net.inputs, names, np.random.default_rng(7), False)
+    assert trial.blocks[0][0] == 0
+    for c in collapse(net), trial:
+        s = node_spectra(c, d)
+        yield c, d, s, determinative_power(s).tau
+
+
+def test_uncertainty_curve_bytes_do_not_depend_on_the_block(monkeypatch):
+    """A(l) folds its node rows CURVE_NODES nodes at a time, each block
+    starting from the sums the last one left; one node a block, 3, and more
+    than the network holds give the default's bytes."""
+    default = analysis.CURVE_NODES
+    for c, _, s, order in _curve_cases():
+        monkeypatch.setattr(analysis, "CURVE_NODES", default)
+        want = [v.hex() for v in uncertainty_curve(s, order).values]
+        assert len(c.names) > 2 * default
+        for size in (1, 3, len(c.names) + 1):
+            monkeypatch.setattr(analysis, "CURVE_NODES", size)
+            assert [v.hex() for v in uncertainty_curve(s, order).values] == want, size
+
+
+@pytest.mark.parametrize("L", [0, 3])
+def test_uncertainty_curve_short_of_the_inputs_adds_left_to_right(L):
+    """At L = 0, and at an L where some nodes have every input past L and
+    keep H(f) all along, A(l) is still the left fold, under ``==``.  At L
+    = 0 a fold over one column would be summed pairwise by
+    ``np.add.reduce``."""
+    for c, d, s, order in _curve_cases():
+        assert any(node.inputs and set(node.inputs).isdisjoint(order[:L]) for node in c.nodes)
+        assert list(uncertainty_curve(s, order, L).values) == _left_fold_curve(c, d, order, L)
+
+
+def test_uncertainty_curve_peak_is_the_entropy_loop(monkeypatch):
+    """On the seed-1 netgen network, A(l)'s traced (tracemalloc) peak is the
+    one at one node a block: the per-j entropy loop sets it, not the fold.
+    From CPython 3.11 on it is no higher than the 431.5 KiB the (l, node)
+    step tables gave there with NumPy 2.4.  CPython 3.10 keeps str-keyed
+    dicts in 24-byte entries, not 16, so A(l)'s dict of input ranks alone
+    traces 1.3 KiB more."""
+    c = collapse(parse(netgen().generate(1)))
+    s = node_spectra(c, ProductDist.uniform(len(c.inputs)))
+    order = determinative_power(s).tau
+    peaks = []
+    for size in (analysis.CURVE_NODES, 1):
+        monkeypatch.setattr(analysis, "CURVE_NODES", size)
+        uncertainty_curve(s, order)  # warm any cache
+        tracemalloc.start()
+        try:
+            uncertainty_curve(s, order)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] == peaks[1]
+    if sys.version_info >= (3, 11):
+        assert peaks[0] <= 431.5 * 1024
+
+
 @pytest.mark.parametrize("unate", [False, True], ids=["random", "unate"])
 def test_random_topology_trials_are_the_per_node_collapse_bit_for_bit(unate):
     """An array-built random-topology trial has the blocks of
@@ -626,11 +712,17 @@ class TestBaselines:
         baseline_curves(net, BaselineSpec(mode, 1, 1), ProductDist.uniform(3), L=3)
         assert seen  # the spies are on the path a trial takes
 
-    def test_random_topology_needs_enough_nodes(self):
+    def test_random_topology_needs_enough_nodes(self, monkeypatch):
+        """Refused before the first trial: a spy on the wiring sees no call."""
+        seen = []
+        real = analysis._random_topology
+        monkeypatch.setattr(analysis, "_random_topology",
+                            lambda *args, **kwargs: seen.append(args) or real(*args, **kwargs))
         net = toy_network()  # 4 nodes < 8
-        with pytest.raises(ValueError, match="out-degree"):
-            baseline_curves(net, BaselineSpec("random-topology-random", 1, 1),
-                            ProductDist.uniform(4), L=1)
+        for mode in ("random-topology-random", "random-topology-unate"):
+            with pytest.raises(ValueError, match="^need at least 8 nodes for out-degree 8$"):
+                baseline_curves(net, BaselineSpec(mode, 1, 1), ProductDist.uniform(4), L=1)
+        assert seen == []
 
     def test_trials_validated(self):
         with pytest.raises(ValueError):

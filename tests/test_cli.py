@@ -502,6 +502,26 @@ class TestFlagsBeforeWork:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("argv", [
+        ["analyze", "{net}", "--baseline", "random-topology-unate", "--out", "{dir}"],
+        ["baseline", "{net}", "--mode", "random-topology-random", "--out", "{dir}"],
+    ], ids=["analyze", "baseline"])
+    def test_random_topology_on_few_definitions_is_3_before_collapse(
+            self, argv, toy_file, tmp_path, monkeypatch, capsys):
+        """Each input of a random-topology trial feeds 8 definitions; the
+        toy network has 3, refused right after parse, not at the first
+        trial after the true network's collapse and A(l)."""
+        import bnspectral.cli as cli
+
+        called = []
+        for name in ("collapse", "uncertainty_curve"):
+            monkeypatch.setattr(cli, name, lambda *a, _name=name, _real=getattr(cli, name), **k:
+                                called.append(_name) or _real(*a, **k))
+        assert main([a.format(net=toy_file, dir=tmp_path / "o") for a in argv]) == 3
+        assert capsys.readouterr().err == "error: need at least 8 nodes for out-degree 8\n"
+        assert called == []
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv", [
         ["analyze", "{net}", "--seed", "-1", "--out", "{dir}"],
         ["analyze", "{net}", "--baseline", "exchange-random", "--seed", "-1", "--out", "{dir}"],
         ["baseline", "{net}", "--mode", "random-topology-unate", "--seed", "-2",
