@@ -9,12 +9,9 @@ from .boolfn import (
     BoolFn,
     ProductDist,
     Spectrum,
-    basis_eval,
     conditional_expectation,
-    evaluate,
     indices_of,
     mask_of,
-    reconstruct,
     reconstruct_table,
     relevant_variables,
     transform,
@@ -30,11 +27,9 @@ from .measures import (
     independence_test,
     influence,
     influence_entropy_identity,
-    influence_spectral,
     mi_influence_bound_check,
     mutual_information,
     noise_sensitivity,
-    noise_sensitivity_mc,
     output_entropy,
     psi,
     unate_coefficient_check,

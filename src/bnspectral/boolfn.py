@@ -183,24 +183,6 @@ def check_probability(p: float) -> None:
         raise ValueError(f"probability {p} too close to 0 or 1: p(1 - p) is below 2^-1000")
 
 
-def _sign_index(x: Sequence[int], arity: int) -> int:
-    """Assignment index of a sequence of ``arity`` +1/-1 entries."""
-    if len(x) != arity:
-        raise ValueError(f"assignment length {len(x)} != arity {arity}")
-    b = 0
-    for j, v in enumerate(x):
-        if v == 1:
-            b |= 1 << j
-        elif v != -1:
-            raise ValueError("assignment entries must be +1 or -1")
-    return b
-
-
-def evaluate(f: BoolFn, x: Sequence[int]) -> int:
-    """Evaluate ``f`` at a full sign assignment, returning +1 or -1."""
-    return 1 if (f.table >> _sign_index(x, f.arity)) & 1 else -1
-
-
 def _table_bytes(n: int) -> int:
     """Bytes of an n-variable packed table: 2^n bits, and at least one byte."""
     return max(1, (1 << n) + 7 >> 3)
@@ -347,10 +329,6 @@ class ProductDist:
     def _weights(self) -> np.ndarray:
         return _frozen(_product_weights(self.p))
 
-    def phi(self, i: int, x: int) -> float:
-        """Single-variable basis factor (x - mu_i) / sigma_i."""
-        return (x - self.mu[i]) / self.sigma[i]
-
 
 def _product_weights(p: np.ndarray) -> np.ndarray:
     """Pr[X = x] by assignment index for Pr[X_t = +1] = p[..., t], (..., j) to
@@ -369,19 +347,6 @@ def _product_weights(p: np.ndarray) -> np.ndarray:
 def _check_same_arity(f_arity: int, d: ProductDist) -> None:
     if f_arity != d.arity:
         raise ValueError(f"arity mismatch: function {f_arity}, distribution {d.arity}")
-
-
-def basis_eval(mask: SubsetMask, x: Sequence[int], d: ProductDist) -> float:
-    """Value of the basis function for subset ``mask`` at assignment ``x``.
-
-    The empty set gives the constant 1.
-    """
-    _sign_index(x, d.arity)
-    check_mask(mask, d.arity)
-    out = 1.0
-    for i in indices_of(mask):
-        out *= d.phi(i, x[i])
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -510,12 +475,6 @@ def transform(f: BoolFn, d: ProductDist, cap: int | None = None) -> Spectrum:
     return Spectrum(f, d, kron_apply(f.signs, d._forward))
 
 
-def reconstruct(s: Spectrum, x: Sequence[int]) -> float:
-    """Evaluate the multilinear polynomial with coefficients ``s`` at ``x``."""
-    b = _sign_index(x, s.arity)
-    return float(reconstruct_table(s, s.d)[b])
-
-
 def reconstruct_table(s: Spectrum, d: ProductDist) -> np.ndarray:
     """Polynomial values at all 2^n assignments (the inverse transform)."""
     _check_spectrum_dist(s, d)
@@ -548,5 +507,10 @@ def conditional_expectation(s: Spectrum, mask: SubsetMask, xa: Mapping[int, int]
     pos = indices_of(mask)
     if set(xa) != set(pos):
         raise ValueError("partial assignment must cover exactly the masked variables")
-    c = _sign_index([xa[p] for p in pos], len(pos))
+    c = 0
+    for j, p in enumerate(pos):
+        if xa[p] == 1:
+            c |= 1 << j
+        elif xa[p] != -1:
+            raise ValueError("assignment entries must be +1 or -1")
     return float(conditional_expectation_table(s, mask)[c])

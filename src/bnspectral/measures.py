@@ -128,12 +128,6 @@ def influence(f: BoolFn, d: ProductDist, i: int) -> float:
     return float(np.sum((w[:, 0, :] + w[:, 1, :]) * (s[:, 0, :] != s[:, 1, :])))
 
 
-def influence_spectral(s: Spectrum, i: int) -> float:
-    """Influence from the coefficients: the average sensitivity over i alone."""
-    check_index(i, s.arity)
-    return avg_sensitivity_spectral(s, 1 << i)
-
-
 def avg_sensitivity(f: BoolFn, d: ProductDist, mask: SubsetMask | None = None) -> float:
     """Sum of influences over the variables in ``mask`` (all, if omitted)."""
     if mask is None:
@@ -432,24 +426,3 @@ def noise_sensitivity(f: BoolFn, d: ProductDist, eps: float, mode: str = "exact"
     wt = _factors(q * (1.0 - eps), q * eps, p * eps, p * (1.0 - eps), p.shape)
     signs = f.signs
     return _clamp_prob((1.0 - float(np.dot(signs, kron_apply(signs, wt)))) / 2.0)
-
-
-def noise_sensitivity_mc(f: BoolFn, d: ProductDist, eps: float,
-                         samples: int = 10 ** 6, seed: int | None = None) -> tuple[float, float]:
-    """Monte-Carlo estimate with its standard error, seedable for reproducibility."""
-    if not 0.0 <= eps <= 0.5:
-        raise ValueError(f"flip probability {eps} outside [0, 1/2]")
-    _check_same_arity(f.arity, d)
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
-    rng = np.random.default_rng(seed)
-    n = f.arity
-    pow2 = (1 << np.arange(n)).astype(np.int64)
-    x_bits = (rng.random((samples, n)) < d.p).astype(np.int64)
-    flips = (rng.random((samples, n)) < eps).astype(np.int64)
-    xi = x_bits @ pow2
-    yi = (x_bits ^ flips) @ pow2
-    s = f.bits
-    diff = s[xi] != s[yi]
-    est = float(np.mean(diff))
-    return est, math.sqrt(max(est * (1.0 - est), 0.0) / samples)

@@ -29,7 +29,7 @@ from bnspectral.measures import (
     unateness,
 )
 from bnspectral.netlang import collapse, effective_inputs, out_degree, parse
-from bnspectral.reference import network_cond_entropy, node_tables, transform_naive
+from bnspectral.reference import transform_naive
 from bnspectral.sampling import random_threshold_fn
 from bnspectral.selftest import format_reports, run_selftest
 
@@ -41,6 +41,7 @@ from conftest import (
     random_network,
     random_product_dist,
 )
+from oracles import network_cond_entropy, node_tables
 from test_netlang import MARA_CLOSED
 
 

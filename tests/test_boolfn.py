@@ -26,25 +26,18 @@ from bnspectral.boolfn import (
     _subset_index,
     _subset_sums,
     _unpack_tables,
-    basis_eval,
     conditional_expectation,
     default_labels,
-    evaluate,
     indices_of,
     kron_apply,
     mask_of,
-    reconstruct,
     reconstruct_table,
     relevant_variables,
     transform,
 )
 from bnspectral.measures import noise_sensitivity
 from bnspectral.netlang import parse
-from bnspectral.reference import (
-    basis_column,
-    conditional_mean_definitional,
-    transform_naive,
-)
+from bnspectral.reference import conditional_mean_definitional, transform_naive
 
 from conftest import (
     and_fn,
@@ -59,23 +52,20 @@ from conftest import (
     random_bool_fn,
     random_product_dist,
 )
+from oracles import basis_column
 
 
 class TestBoolFn:
     def test_evaluate_and2(self):
         f = and_fn(2)
-        assert evaluate(f, (1, 1)) == 1
-        assert evaluate(f, (-1, 1)) == -1
-        assert evaluate(f, (1, -1)) == -1
+        assert f.bits[0b11] == 1
+        assert f.bits[0b10] == 0
+        assert f.bits[0b01] == 0
 
     def test_evaluate_parity2(self):
         f = parity_fn(2)
-        assert evaluate(f, (-1, -1)) == 1
-        assert evaluate(f, (1, -1)) == -1
-
-    def test_evaluate_length_mismatch(self):
-        with pytest.raises(ValueError):
-            evaluate(and_fn(2), (1,))
+        assert f.bits[0b00] == 1
+        assert f.bits[0b01] == 0
 
     def test_table_bit_convention(self):
         # bit b of the table is the output at the assignment where
@@ -91,7 +81,7 @@ class TestBoolFn:
 
     def test_arity_zero(self):
         f = const_fn(0, 1)
-        assert evaluate(f, ()) == 1
+        assert f.bits.tolist() == [1]
         assert f.to_hex() == "01"
 
     def test_hex_and_unpacker_round_trip(self):
@@ -204,23 +194,15 @@ class TestProductDist:
 class TestBasis:
     def test_empty_set_is_one(self):
         d = ProductDist((0.37, 0.61))
-        assert basis_eval(0, (1, -1), d) == 1.0
-
-    def test_assignment_must_be_signs_of_the_right_length(self):
-        d = ProductDist((0.3,))
-        for x in ((0,), (7,)):
-            with pytest.raises(ValueError, match="entries must be"):
-                basis_eval(0b1, x, d)
-        with pytest.raises(ValueError, match="assignment length 2 != arity 1"):
-            basis_eval(0, (1, 1), d)
+        assert basis_column(d, 0).tolist() == [1.0] * 4
 
     def test_uniform_singleton(self):
         d = ProductDist.uniform(1)
-        assert basis_eval(0b1, (1,), d) == pytest.approx(1.0, abs=1e-15)
+        assert basis_column(d, 0b1) == pytest.approx([-1.0, 1.0], abs=1e-15)
 
     def test_uniform_pair(self):
         d = ProductDist.uniform(2)
-        assert basis_eval(0b11, (-1, -1), d) == pytest.approx(1.0, abs=1e-15)
+        assert basis_column(d, 0b11) == pytest.approx([1.0, -1.0, -1.0, 1.0], abs=1e-15)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 8), st.data())
@@ -238,11 +220,9 @@ class TestBasis:
         d = data.draw(product_dists(n))
         a = data.draw(st.integers(0, (1 << n) - 1))
         s = data.draw(st.integers(0, (1 << n) - 1)) & a
-        for b in range(1 << n):
-            x = tuple(1 if (b >> i) & 1 else -1 for i in range(n))
-            whole = basis_eval(a, x, d)
-            split = basis_eval(s, x, d) * basis_eval(a & ~s, x, d)
-            assert whole == pytest.approx(split, abs=1e-12)
+        whole = basis_column(d, a)
+        split = basis_column(d, s) * basis_column(d, a & ~s)
+        assert whole == pytest.approx(split, abs=1e-12)
 
 
 class TestSignRows:
@@ -645,17 +625,17 @@ class TestHeldState:
 class TestReconstruct:
     def test_and2_point(self, uniform2):
         s = transform(and_fn(2), uniform2)
-        assert reconstruct(s, (1, 1)) == pytest.approx(1.0, abs=1e-12)
+        assert reconstruct_table(s, s.d)[0b11] == pytest.approx(1.0, abs=1e-12)
 
     def test_parity2_point(self, uniform2):
         s = transform(parity_fn(2), uniform2)
-        assert reconstruct(s, (1, -1)) == pytest.approx(-1.0, abs=1e-12)
+        assert reconstruct_table(s, s.d)[0b01] == pytest.approx(-1.0, abs=1e-12)
 
     def test_constant_true_spectrum(self):
         d = ProductDist((0.8,))
         s = transform(const_fn(1, 1), d)
         assert np.allclose(s.coeffs, [1.0, 0.0], atol=1e-15)
-        assert reconstruct(s, (-1,)) == pytest.approx(1.0, abs=1e-12)
+        assert reconstruct_table(s, s.d)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_round_trip_random_up_to_n12(self):
         rng = np.random.default_rng(11)
@@ -686,6 +666,19 @@ class TestConditionalExpectation:
         s = transform(and_fn(2), uniform2)
         with pytest.raises(ValueError):
             conditional_expectation(s, 0b01, {1: 1})
+
+    def test_assignment_key_outside_the_mask(self, uniform2):
+        s = transform(and_fn(2), uniform2)
+        with pytest.raises(ValueError) as err:
+            conditional_expectation(s, 0b01, {0: 1, 1: 1})
+        assert str(err.value) == "partial assignment must cover exactly the masked variables"
+
+    def test_assignment_entries_must_be_signs(self, uniform2):
+        s = transform(and_fn(2), uniform2)
+        for entry in (0, 7):
+            with pytest.raises(ValueError) as err:
+                conditional_expectation(s, 0b11, {0: 1, 1: entry})
+            assert str(err.value) == "assignment entries must be +1 or -1"
 
     def test_against_direct_averaging(self):
         rng = np.random.default_rng(23)

@@ -626,11 +626,19 @@ DEEP_NOT = "NOT " * 3000 + "x"
 DEEP_PARENS = "(" * 1200 + "x" + ")" * 1200
 
 
-def run_cli(args: list[str]) -> subprocess.CompletedProcess:
-    """The CLI in a fresh interpreter, so an uncaught error shows as a traceback."""
+def run_cli(args: list[str], cwd: Path | None = None) -> subprocess.CompletedProcess:
+    """The CLI in a fresh interpreter, so an uncaught error shows as a traceback,
+    with only the package's own directory on ``PYTHONPATH``."""
     env = dict(os.environ, PYTHONPATH=str(Path(bnspectral.__file__).resolve().parents[1]))
     return subprocess.run([sys.executable, "-m", "bnspectral.cli", *args],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=env, timeout=120, cwd=cwd)
+
+
+def test_the_package_runs_without_the_tests(tmp_path):
+    # from an empty directory, so no test module can be imported: the
+    # self-test reads only the oracles that ship in the package
+    proc = run_cli(["selftest", "--trials", "20"], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestDeepNesting:

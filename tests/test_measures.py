@@ -21,13 +21,11 @@ from bnspectral.boolfn import (
     Spectrum,
     _product_weights,
     _subset_index,
-    basis_eval,
     conditional_expectation,
     conditional_expectation_table,
     default_labels,
     indices_of,
     kron_apply,
-    reconstruct,
     reconstruct_table,
     subset_coeffs,
     transform,
@@ -52,12 +50,10 @@ from bnspectral.measures import (
     independence_test,
     influence,
     influence_entropy_identity,
-    influence_spectral,
     mi_influence_bound_check,
     mi_single_from_coeffs,
     mutual_information,
     noise_sensitivity,
-    noise_sensitivity_mc,
     output_entropy,
     psi,
     unate_coefficient_check,
@@ -78,6 +74,7 @@ from conftest import (
     random_bool_fn,
     random_product_dist,
 )
+from oracles import noise_sensitivity_definitional
 
 H_QUARTER = 0.811278124459133  # binary entropy of 1/4, from the defining sum
 
@@ -191,7 +188,7 @@ class TestInfluence:
             d = random_product_dist(rng, 10)
             s = transform(f, d)
             i = int(rng.integers(0, 10))
-            assert influence_spectral(s, i) == pytest.approx(
+            assert avg_sensitivity_spectral(s, 1 << i) == pytest.approx(
                 influence(f, d, i), abs=1e-9)
 
     @settings(max_examples=60, deadline=None)
@@ -200,7 +197,7 @@ class TestInfluence:
         f, d = pair
         i = data.draw(st.integers(0, f.arity - 1))
         s = transform(f, d)
-        assert influence_spectral(s, i) == pytest.approx(influence(f, d, i), abs=1e-9)
+        assert avg_sensitivity_spectral(s, 1 << i) == pytest.approx(influence(f, d, i), abs=1e-9)
 
 
 class TestAvgSensitivity:
@@ -469,9 +466,9 @@ class TestBlockedCondEntropy:
 
 # every reader of a subset mask, each given the mask of x3 on a 2-input AND
 MASK_READERS = {
-    "basis_eval": lambda s, m: basis_eval(m, (1, 1), s.d),
     "Spectrum.coeff": lambda s, m: s.coeff(m),
     "subset_coeffs": subset_coeffs,
+    "conditional_expectation": lambda s, m: conditional_expectation(s, m, {}),
     "conditional_expectation_table": conditional_expectation_table,
     "avg_sensitivity": lambda s, m: avg_sensitivity(s.f, s.d, m),
     "avg_sensitivity_spectral": avg_sensitivity_spectral,
@@ -572,7 +569,8 @@ class TestMutualInformation:
         for p in (0.3, 0.5, 0.7):
             d = ProductDist((p,))
             for c0 in (-0.4, 0.0, 0.25):
-                limit = (1.0 - abs(c0)) / max(abs(d.phi(0, -1)), abs(d.phi(0, 1)))
+                phi = (np.array([-1.0, 1.0]) - d.mu[0]) / d.sigma[0]
+                limit = (1.0 - abs(c0)) / np.abs(phi).max()
                 grid = np.linspace(0.0, limit, 25)
                 for sign in (1.0, -1.0):
                     values = [mi_single_from_coeffs(c0, sign * c1, p) for c1 in grid]
@@ -1056,7 +1054,7 @@ class TestNoiseSensitivity:
             f = random_bool_fn(rng, n)
             d = random_product_dist(rng, n)
             eps = float(rng.uniform(0.0, 0.5))
-            want = reference.noise_sensitivity_definitional(f, d, eps)
+            want = noise_sensitivity_definitional(f, d, eps)
             assert noise_sensitivity(f, d, eps) == pytest.approx(want, abs=1e-12)
 
     def test_exact_closed_forms_n16(self):
@@ -1109,28 +1107,10 @@ class TestNoiseSensitivity:
             noise_sensitivity(f, ProductDist.uniform(26), 0.1)
         assert "bits" not in vars(f) and "signs" not in vars(f)
 
-    def test_monte_carlo_matches_exact(self, uniform2):
-        f = and_fn(2)
-        exact = noise_sensitivity(f, uniform2, 0.2)
-        est, se = noise_sensitivity_mc(f, uniform2, 0.2, samples=200_000, seed=9)
-        assert abs(est - exact) < 5 * se + 1e-9
-        est2, _ = noise_sensitivity_mc(f, uniform2, 0.2, samples=200_000, seed=9)
-        assert est == est2
-
-    def test_monte_carlo_eps_range(self, uniform2):
-        with pytest.raises(ValueError) as err:
-            noise_sensitivity_mc(and_fn(2), uniform2, 0.6, samples=10, seed=0)
-        assert str(err.value) == "flip probability 0.6 outside [0, 1/2]"
-
     def test_unknown_mode(self, uniform2):
         with pytest.raises(ValueError) as err:
             noise_sensitivity(and_fn(2), uniform2, 0.2, mode="monte-carlo")
         assert str(err.value) == "unknown mode 'monte-carlo'"
-
-    def test_monte_carlo_rejects_nonpositive_samples(self, uniform2):
-        for samples in (0, -5):
-            with pytest.raises(ValueError, match="samples"):
-                noise_sensitivity_mc(and_fn(2), uniform2, 0.2, samples=samples)
 
 
 def test_truth_table_measures_share_one_weight_array(monkeypatch):
